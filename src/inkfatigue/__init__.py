@@ -28,8 +28,6 @@ from .model import (
     AuxRecord,
     Category,
     InkSignal,
-    Sample,
-    SessionSet,
     SetId,
     StudyCorpus,
     TaskRecord,
@@ -81,8 +79,6 @@ __all__ = [
     "Perturbation",
     "RangeError",
     "RecoverySummary",
-    "Sample",
-    "SessionSet",
     "SetId",
     "ShapeError",
     "StudyCorpus",

@@ -24,8 +24,8 @@ from pathlib import Path
 
 from . import features as features_mod
 from . import reporting
-from .errors import InkError, TooShortError
-from .model import SetId, load_corpus, parse_task_file, record_path, write_corpus
+from .errors import InkError
+from .model import SetId, load_corpus, parse_task_file, read_text, record_path, write_corpus
 from .protocol import canonical_set_pairs, parse_pair_label, summarize_recovery
 from .stats import build_matrix, default_rows
 from .synth import generate_corpus, load_profile
@@ -175,7 +175,7 @@ def cmd_validate(args, parser) -> int:
     keys: dict[tuple, Path] = {}
     for path in files:
         try:
-            record = parse_task_file(path.read_text(encoding="utf-8"))
+            record = parse_task_file(read_text(path))
         except InkError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             errors += 1
@@ -215,80 +215,18 @@ def cmd_validate(args, parser) -> int:
 
 def cmd_extract(args, parser) -> int:
     config = _run_config(args, parser)
-    corpus = load_corpus(config.corpus)
-    table = {}
-    failures = []
-    for record in corpus.records():
-        try:
-            table[record.key] = features_mod.extract_features(record, config.features)
-        except TooShortError as exc:
-            failures.append((record.key, str(exc)))
-            table[record.key] = None
-    out = config.out
-    catalog = config.features
-    if config.fmt == "tsv":
-        content = _features_tsv_with_failures(table, catalog)
-        path = reporting.write_text(out / "features.tsv", content)
-    elif config.fmt == "json":
-        path = reporting.write_text(
-            out / "features.json", _features_json_with_failures(table, catalog)
-        )
-    else:
-        ok_table = {k: v for k, v in table.items() if v is not None}
-        path = reporting.write_text(
-            out / "features.md", reporting.features_to_markdown(ok_table, catalog)
-        )
+    table = features_mod.feature_table(load_corpus(config.corpus), config.features)
+    name, render = {
+        "tsv": ("features.tsv", reporting.features_to_tsv),
+        "json": ("features.json", reporting.features_to_json),
+        "markdown": ("features.md", reporting.features_to_markdown),
+    }[config.fmt]
+    path = reporting.write_text(config.out / name, render(table, config.features))
     print(f"wrote {path} ({len(table)} record(s))")
-    for key, message in failures:
-        subject, set_id, task = key
-        print(
-            f"error: {subject}/{set_id.value}/task{task}: {message}", file=sys.stderr
-        )
-    return 1 if failures else 0
-
-
-def _features_tsv_with_failures(table, catalog) -> str:
-    ok = {k: v for k, v in table.items() if v is not None}
-    lines = reporting.features_to_tsv(ok, catalog).splitlines()
-    failed = sorted(k for k, v in table.items() if v is None)
-    for subject, set_id, task in failed:
-        row = [subject, set_id.value, str(task)]
-        row += [reporting.NA] * len(catalog)
-        row.append("extraction-failed")
-        lines.append("\t".join(row))
-    header, body = lines[0], lines[1:]
-    body.sort(key=lambda ln: (ln.split("\t")[0], ln.split("\t")[1], int(ln.split("\t")[2])))
-    return "\n".join([header, *body]) + "\n"
-
-
-def _features_json_with_failures(table, catalog) -> str:
-    import json
-
-    rows = []
-    for key in sorted(table, key=lambda k: (k[0], k[1].order, k[2])):
-        subject, set_id, task = key
-        vector = table[key]
-        if vector is None:
-            rows.append(
-                {
-                    "subject": subject,
-                    "set": set_id.value,
-                    "task": task,
-                    "values": None,
-                    "degenerate": ["extraction-failed"],
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "subject": subject,
-                    "set": set_id.value,
-                    "task": task,
-                    "values": {name: vector[name] for name in catalog},
-                    "degenerate": sorted(vector.flags),
-                }
-            )
-    return json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    failed = [(key, vector.error) for key, vector in table.items() if vector.values is None]
+    for (subject, set_id, task), message in failed:
+        print(f"error: {subject}/{set_id.value}/task{task}: {message}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_compare(args, parser) -> int:

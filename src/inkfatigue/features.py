@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, RangeError, ShapeError, TooShortError
-from .model import PRESSURE_MAX, TaskRecord
+from .model import PRESSURE_MAX, SetId, TaskRecord
 
 #: Default feature catalog; name order defines export column order.
 DEFAULT_CATALOG: tuple[str, ...] = (
@@ -71,6 +71,9 @@ _KINEMATIC_NAMES = frozenset(
 _PENDOWN_NAMES = frozenset(PENDOWN_CATALOG)
 
 MIN_SIGNAL_LEN = 3
+
+#: Flag of a record whose extraction failed; its vector holds no values.
+EXTRACTION_FAILED = "extraction-failed"
 
 
 def _as_1d(series, name: str = "series") -> np.ndarray:
@@ -218,11 +221,14 @@ class FeatureVector:
 
     ``values`` preserves catalog order. ``flags`` names features whose value
     came from a degenerate-input rule (for example no in-air stroke), so rank
-    tests never see NaN but diagnostics stay honest.
+    tests never see NaN but diagnostics stay honest. A record whose
+    extraction failed has ``values`` None, the ``extraction-failed`` flag and
+    the failure message in ``error``.
     """
 
-    values: Mapping[str, float]
+    values: Mapping[str, float] | None
     flags: frozenset[str] = frozenset()
+    error: str | None = None
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
@@ -311,18 +317,19 @@ def extract_features(
     return FeatureVector(values=values, flags=frozenset(f for f in flags if f in wanted))
 
 
-def feature_table(
-    corpus, catalog: Sequence[str] = DEFAULT_CATALOG
-) -> dict[tuple[str, object, int], FeatureVector]:
+FeatureTable = Mapping[tuple[str, SetId, int], FeatureVector]
+
+
+def feature_table(corpus, catalog: Sequence[str] = DEFAULT_CATALOG) -> FeatureTable:
     """Extract features for every record of a corpus, keyed like the corpus.
 
-    Records too short to extract are skipped; callers needing per-record
-    diagnostics should extract individually.
+    Every record gets an entry. One too short to extract maps to a vector
+    with no values, flagged ``extraction-failed``, carrying the error message.
     """
     table = {}
     for record in corpus.records():
         try:
             table[record.key] = extract_features(record, catalog)
-        except TooShortError:
-            continue
+        except TooShortError as exc:
+            table[record.key] = FeatureVector(None, frozenset({EXTRACTION_FAILED}), str(exc))
     return table

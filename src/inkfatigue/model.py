@@ -17,7 +17,8 @@ File format (one file per task execution, UTF-8):
     ...
 
 Header lines start with ``#`` and hold ``key=value`` pairs; ``subject``,
-``set`` and ``task`` are required, anything else is preserved as metadata.
+``set`` and ``task`` are required, anything else is preserved as metadata
+(``TaskRecord`` rejects metadata that would not re-parse unchanged).
 Data lines hold five whitespace-separated integers: x y pressure azimuth
 altitude. Directory layout for a corpus:
 
@@ -34,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -55,9 +56,17 @@ ALTITUDE_MAX = 90
 
 _CHANNELS = ("x", "y", "pressure", "azimuth", "altitude")
 
+#: Inclusive value range of each bounded channel, in channel order.
+_CHANNEL_BOUNDS: Mapping[str, tuple[int, int]] = {
+    "pressure": (0, PRESSURE_MAX),
+    "azimuth": (0, AZIMUTH_MAX),
+    "altitude": (0, ALTITUDE_MAX),
+}
+
 # Subject ids appear in file paths, so keep them path-safe.
-_SUBJECT_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
-_HEADER_KEY_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+_SUBJECT_RE = re.compile(r"[A-Za-z0-9_.\-]+")
+_HEADER_KEY_RE = re.compile(r"[A-Za-z0-9_.\-]+")
+_REQUIRED_HEADERS = ("subject", "set", "task")
 
 
 class Category(str, enum.Enum):
@@ -125,33 +134,6 @@ def validate_task_id(task: int) -> int:
     return int(task)
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One acquired pen sample. Position in the signal is the time index."""
-
-    x: int
-    y: int
-    pressure: int
-    azimuth: int
-    altitude: int
-
-    def __post_init__(self):
-        if not 0 <= self.pressure <= PRESSURE_MAX:
-            raise RangeError(f"pressure {self.pressure} outside [0, {PRESSURE_MAX}]")
-        if not 0 <= self.azimuth <= AZIMUTH_MAX:
-            raise RangeError(f"azimuth {self.azimuth} outside [0, {AZIMUTH_MAX}]")
-        if not 0 <= self.altitude <= ALTITUDE_MAX:
-            raise RangeError(f"altitude {self.altitude} outside [0, {ALTITUDE_MAX}]")
-
-
-def _channel_bounds(name: str) -> tuple[int, int] | None:
-    return {
-        "pressure": (0, PRESSURE_MAX),
-        "azimuth": (0, AZIMUTH_MAX),
-        "altitude": (0, ALTITUDE_MAX),
-    }.get(name)
-
-
 @dataclass(frozen=True, eq=False)
 class InkSignal:
     """Array-backed, immutable pen time series at a fixed 100 Hz clock.
@@ -186,45 +168,17 @@ class InkSignal:
                 raise ShapeError("all channels must have the same length")
         if n < 2:
             raise TooShortError(f"a signal needs at least 2 samples, got {n}")
-        for name in _CHANNELS:
-            bounds = _channel_bounds(name)
-            if bounds is None:
-                continue
+        for name, (lo, hi) in _CHANNEL_BOUNDS.items():
             arr = getattr(self, name)
-            bad = np.nonzero((arr < bounds[0]) | (arr > bounds[1]))[0]
+            bad = np.nonzero((arr < lo) | (arr > hi))[0]
             if bad.size:
                 i = int(bad[0])
                 raise RangeError(
-                    f"{name} value {int(arr[i])} at sample {i} outside "
-                    f"[{bounds[0]}, {bounds[1]}]"
+                    f"{name} value {int(arr[i])} at sample {i} outside [{lo}, {hi}]"
                 )
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[Sample]) -> "InkSignal":
-        rows = list(samples)
-        if len(rows) < 2:
-            raise TooShortError(f"a signal needs at least 2 samples, got {len(rows)}")
-        cols = {
-            name: np.array([getattr(s, name) for s in rows], dtype=np.int64)
-            for name in _CHANNELS
-        }
-        return cls(**cols)
 
     def __len__(self) -> int:
         return int(self.x.size)
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(
-            int(self.x[i]),
-            int(self.y[i]),
-            int(self.pressure[i]),
-            int(self.azimuth[i]),
-            int(self.altitude[i]),
-        )
-
-    def __iter__(self) -> Iterator[Sample]:
-        for i in range(len(self)):
-            yield self[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InkSignal):
@@ -245,18 +199,26 @@ class TaskRecord:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not _SUBJECT_RE.match(self.subject_id):
+        if not _SUBJECT_RE.fullmatch(self.subject_id):
             raise FormatError(
                 f"subject id {self.subject_id!r} must be non-empty and use only "
                 "letters, digits, '_', '.', '-'"
             )
         validate_task_id(self.task)
         object.__setattr__(self, "metadata", dict(self.metadata))
+        # Each rule keeps the header line of serialize_task re-parsing to
+        # the same key and value.
         for k, v in self.metadata.items():
-            if not _HEADER_KEY_RE.match(k):
+            if not _HEADER_KEY_RE.fullmatch(k):
                 raise FormatError(f"metadata key {k!r} is not header-safe")
-            if "\n" in v or "\r" in v:
-                raise FormatError(f"metadata value for {k!r} contains a newline")
+            if k in _REQUIRED_HEADERS:
+                raise FormatError(f"metadata key {k!r} is reserved for the record key")
+            if "".join(v.splitlines()) != v:
+                raise FormatError(f"metadata value for {k!r} contains a line break")
+            if v != v.strip():
+                raise FormatError(
+                    f"metadata value for {k!r} has leading or trailing whitespace"
+                )
 
     @property
     def key(self) -> tuple[str, SetId, int]:
@@ -305,23 +267,6 @@ class AuxRecord:
 AUX_FIELDS = ("lactate", "flight_time", "force", "velocity", "rpe")
 
 
-@dataclass(frozen=True)
-class SessionSet:
-    """All task records of one subject in one assessment set."""
-
-    subject_id: str
-    set_id: SetId
-    records: Mapping[int, TaskRecord]
-    aux: AuxRecord | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "records", dict(self.records))
-
-    @property
-    def missing_tasks(self) -> tuple[int, ...]:
-        return tuple(t for t in TASK_IDS if t not in self.records)
-
-
 class StudyCorpus:
     """All task records of a study, keyed by (subject, set, task).
 
@@ -332,6 +277,7 @@ class StudyCorpus:
     def __init__(self):
         self._records: dict[tuple[str, SetId, int], TaskRecord] = {}
         self._aux: dict[tuple[str, SetId], AuxRecord] = {}
+        self._subjects: tuple[str, ...] | None = None
 
     def add(self, record: TaskRecord) -> None:
         if record.key in self._records:
@@ -340,6 +286,7 @@ class StudyCorpus:
                 f"duplicate record for subject={subject} set={set_id.value} task={task}"
             )
         self._records[record.key] = record
+        self._subjects = None
 
     def set_aux(self, subject_id: str, set_id: SetId, aux: AuxRecord) -> None:
         self._aux[(subject_id, set_id)] = aux
@@ -350,17 +297,11 @@ class StudyCorpus:
     def aux(self, subject_id: str, set_id: SetId) -> AuxRecord | None:
         return self._aux.get((subject_id, set_id))
 
-    def session(self, subject_id: str, set_id: SetId) -> SessionSet:
-        records = {
-            task: rec
-            for (subj, s, task), rec in self._records.items()
-            if subj == subject_id and s == set_id
-        }
-        return SessionSet(subject_id, set_id, records, self.aux(subject_id, set_id))
-
     @property
     def subjects(self) -> tuple[str, ...]:
-        return tuple(sorted({k[0] for k in self._records}))
+        if self._subjects is None:
+            self._subjects = tuple(sorted({k[0] for k in self._records}))
+        return self._subjects
 
     def records(self) -> Iterator[TaskRecord]:
         """All records in deterministic (subject, set, task) order."""
@@ -384,20 +325,18 @@ class StudyCorpus:
                         out.append((subject, set_id, task))
         return out
 
-    def subjects_with_both(self, set_a: SetId, set_b: SetId, task: int) -> tuple[str, ...]:
-        """Subjects having the given task recorded in both sets, sorted."""
-        return tuple(
-            s
-            for s in self.subjects
-            if (s, set_a, task) in self._records and (s, set_b, task) in self._records
-        )
-
 
 # ---------------------------------------------------------------------------
 # Task file parsing / serialization
 # ---------------------------------------------------------------------------
 
-_REQUIRED_HEADERS = ("subject", "set", "task")
+
+def read_text(path: Path) -> str:
+    """The UTF-8 text of a corpus file; undecodable bytes raise FormatError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}")
 
 
 def parse_task_file(text: str) -> TaskRecord:
@@ -422,7 +361,7 @@ def parse_task_file(text: str) -> TaskRecord:
             key, value = body.split("=", 1)
             key = key.strip()
             value = value.strip()
-            if not _HEADER_KEY_RE.match(key):
+            if not _HEADER_KEY_RE.fullmatch(key):
                 raise FormatError(f"invalid header key {key!r}", line=lineno)
             if key in headers:
                 raise FormatError(f"duplicate header key {key!r}", line=lineno)
@@ -441,7 +380,7 @@ def parse_task_file(text: str) -> TaskRecord:
         except ValueError:
             raise FormatError(f"non-integer sample value in {line!r}", line=lineno)
         for name, v in zip(_CHANNELS, values):
-            bounds = _channel_bounds(name)
+            bounds = _CHANNEL_BOUNDS.get(name)
             if bounds and not bounds[0] <= v <= bounds[1]:
                 raise RangeError(
                     f"{name} value {v} outside [{bounds[0]}, {bounds[1]}]",
@@ -493,8 +432,11 @@ def serialize_task(record: TaskRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_aux_file(text: str, path: Path) -> AuxRecord:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def _parse_aux_file(path: Path) -> AuxRecord:
+    try:
+        lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}")
     if len(lines) != 2:
         raise FormatError(f"{path}: aux sidecar needs a header line and one value line")
     header = tuple(lines[0].split())
@@ -528,7 +470,7 @@ def load_corpus(directory: str | Path) -> StudyCorpus:
     corpus = StudyCorpus()
     for path in sorted(directory.rglob("*.ink")):
         try:
-            record = parse_task_file(path.read_text(encoding="utf-8"))
+            record = parse_task_file(read_text(path))
         except InkError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
         corpus.add(record)
@@ -541,7 +483,7 @@ def load_corpus(directory: str | Path) -> StudyCorpus:
             set_id = SetId(set_name)
         except ValueError:
             raise FormatError(f"{path}: directory {set_name!r} is not a set name")
-        corpus.set_aux(subject, set_id, _parse_aux_file(path.read_text(encoding="utf-8"), path))
+        corpus.set_aux(subject, set_id, _parse_aux_file(path))
     return corpus
 
 

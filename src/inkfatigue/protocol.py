@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import RangeError
-from .model import AuxRecord, Category, SetId, TASK_CATEGORIES, validate_task_id
+from .model import Category, SetId, TASK_CATEGORIES, validate_task_id
 from .stats import Cell, ComparisonMatrix, MatrixRow
 
 __all__ = [
-    "AuxRecord",
     "CategoryCount",
     "GRAVITY",
     "RecoverySummary",

@@ -2,8 +2,10 @@
 
 Comparison matrices render as TSV (one row per task/feature, one column per
 set pair), JSON (full cell detail, reloadable), and markdown (significant
-cells in bold). Feature tables render as TSV/JSON in catalog column order.
-All renderers are deterministic: identical inputs yield identical bytes.
+cells in bold). Feature tables render as TSV/JSON/markdown in catalog column
+order, one row per record; a record whose extraction failed renders NA values
+(JSON ``null``). All renderers are deterministic: identical inputs yield
+identical bytes.
 
 Raw feature values are per-sample quantities; only the markdown feature view
 converts speeds and accelerations to per-second units for readability.
@@ -13,11 +15,11 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import FormatError, RangeError
-from .features import FeatureVector
-from .model import Category, SetId, TASK_CATEGORIES
+from .features import FeatureTable
+from .model import Category, TASK_CATEGORIES
 from .protocol import RecoverySummary, pair_label, parse_pair_label
 from .stats import Cell, ComparisonMatrix, MatrixRow
 
@@ -203,9 +205,6 @@ def load_matrix_tsv(text: str, alpha: float = 0.05) -> ComparisonMatrix:
 # Feature tables
 # ---------------------------------------------------------------------------
 
-FeatureTable = Mapping[tuple[str, SetId, int], FeatureVector]
-
-
 def _table_rows(table: FeatureTable):
     for key in sorted(table, key=lambda k: (k[0], k[1].order, k[2])):
         yield key, table[key]
@@ -216,7 +215,7 @@ def features_to_tsv(table: FeatureTable, catalog: Sequence[str]) -> str:
     lines = ["\t".join(header)]
     for (subject, set_id, task), vector in _table_rows(table):
         fields = [subject, set_id.value, str(task)]
-        fields += [_fmt(vector[name]) for name in catalog]
+        fields += [NA if vector.values is None else _fmt(vector[name]) for name in catalog]
         fields.append(",".join(sorted(vector.flags)))
         lines.append("\t".join(fields))
     return "\n".join(lines) + "\n"
@@ -228,7 +227,9 @@ def features_to_json(table: FeatureTable, catalog: Sequence[str]) -> str:
             "subject": subject,
             "set": set_id.value,
             "task": task,
-            "values": {name: vector[name] for name in catalog},
+            "values": None
+            if vector.values is None
+            else {name: vector[name] for name in catalog},
             "degenerate": sorted(vector.flags),
         }
         for (subject, set_id, task), vector in _table_rows(table)
@@ -254,6 +255,9 @@ def features_to_markdown(table: FeatureTable, catalog: Sequence[str]) -> str:
     for (subject, set_id, task), vector in _table_rows(table):
         fields = [subject, set_id.value, str(task)]
         for name in catalog:
+            if vector.values is None:
+                fields.append(NA)
+                continue
             value = vector[name] * PER_SECOND_SCALE.get(name, 1.0)
             fields.append(f"{value:.6g}")
         lines.append("| " + " | ".join(fields) + " |")

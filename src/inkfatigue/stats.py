@@ -10,7 +10,8 @@ variance and a 0.5 continuity correction is used. n_effective == 0 yields
 p = 1.0.
 
 A matrix run applies the test to every (task, feature) row and every set pair
-column, excluding per cell the subjects that miss either record.
+column, excluding per cell the subjects that miss either record or failed
+its extraction.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, RangeError
-from .features import DEFAULT_CATALOG, FeatureVector, feature_table
+from .features import DEFAULT_CATALOG, FeatureTable, feature_table
 from .model import Category, SetId, StudyCorpus, TASK_CATEGORIES, validate_task_id
 
 EXACT_MAX_N = 25
@@ -244,32 +245,6 @@ def bonferroni(p_values: Iterable[float], m: int | None = None) -> np.ndarray:
 # Corpus-level comparisons
 # ---------------------------------------------------------------------------
 
-FeatureTable = Mapping[tuple[str, SetId, int], FeatureVector]
-
-
-def paired_feature_values(
-    corpus: StudyCorpus,
-    task: int,
-    feature: str,
-    pair: tuple[SetId, SetId],
-    table: FeatureTable | None = None,
-) -> list[tuple[float, float]]:
-    """Per-subject (value in first set, value in second set) pairs, sorted by
-    subject id. Subjects missing either record are excluded."""
-    validate_task_id(task)
-    set_a, set_b = pair
-    if table is None:
-        table = feature_table(corpus, DEFAULT_CATALOG)
-    out = []
-    for subject in corpus.subjects:
-        fa = table.get((subject, set_a, task))
-        fb = table.get((subject, set_b, task))
-        if fa is None or fb is None:
-            continue
-        out.append((float(fa[feature]), float(fb[feature])))
-    return out
-
-
 def compare_sets(
     corpus: StudyCorpus,
     task: int,
@@ -282,9 +257,20 @@ def compare_sets(
 ) -> TestResult:
     """Test one (task, feature) across one set pair.
 
-    Raises InsufficientDataError when no subject has both sets.
+    Values pair per subject, in subject order. A subject whose record is
+    missing or failed extraction in either set is excluded; raises
+    InsufficientDataError when no subject is left.
     """
-    pairs = paired_feature_values(corpus, task, feature, pair, table)
+    validate_task_id(task)
+    if table is None:
+        table = feature_table(corpus, DEFAULT_CATALOG)
+    pairs = []
+    for subject in corpus.subjects:
+        fa = table.get((subject, pair[0], task))
+        fb = table.get((subject, pair[1], task))
+        if fa is None or fb is None or fa.values is None or fb.values is None:
+            continue
+        pairs.append((float(fa[feature]), float(fb[feature])))
     if not pairs:
         raise InsufficientDataError(
             f"no subject has task {task} in both {pair[0].value} and {pair[1].value}"

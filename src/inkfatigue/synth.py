@@ -322,20 +322,3 @@ def parse_profile(text: str) -> SynthProfile:
 
 def load_profile(path: str | Path) -> SynthProfile:
     return parse_profile(Path(path).read_text(encoding="utf-8"))
-
-
-def null_profile(seed: int = 0, n_subjects: int = 20) -> SynthProfile:
-    """Baseline profile with no perturbation in any set."""
-    return SynthProfile(seed=seed, n_subjects=n_subjects)
-
-
-def perturbed_profile(
-    seed: int = 0,
-    n_subjects: int = 20,
-    set_id: SetId = SetId.S4,
-    perturbation: Perturbation = Perturbation(speed_scale=0.7, air_inflation=1.5),
-) -> SynthProfile:
-    """Profile with one perturbed set, every other set at baseline."""
-    return SynthProfile(
-        seed=seed, n_subjects=n_subjects, perturbations={set_id: perturbation}
-    )

@@ -17,6 +17,8 @@ seed = 51
 n_subjects = 1
 """
 
+SHORT_TASK = "#subject=U01\n#set=S1\n#task=1\n1 2 3 4 5\n1 2 3 4 5\n"
+
 
 def write_profile(tmp_path: Path, text: str) -> Path:
     path = tmp_path / "profile.cfg"
@@ -83,6 +85,26 @@ def test_validate_reports_corrupt_file(corpus_dir, capsys):
     assert "pressure" in err
 
 
+def test_validate_reports_non_utf8_file_and_keeps_checking(corpus_dir, capsys):
+    bad = corpus_dir / "U01" / "S1" / "task1.ink"
+    bad.write_bytes(b"#subject=U01\n\xff\n")
+    (corpus_dir / "U02" / "S3" / "task2.ink").write_text("garbage\n")
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad}: not UTF-8 text" in err
+    assert "task2.ink" in err
+    assert "2 invalid file(s) out of 90" in err
+
+
+@pytest.mark.parametrize("command", ["extract", "compare"])
+def test_non_utf8_file_is_a_one_line_data_error(corpus_dir, tmp_path, capsys, command):
+    bad = corpus_dir / "U02" / "S3" / "task5.ink"
+    bad.write_bytes(b"\xff\xfe")
+    assert main([command, "--corpus", str(corpus_dir), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {bad}: not UTF-8 text")
+
+
 def test_validate_empty_dir_warns_but_passes(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -131,8 +153,7 @@ def test_extract_feature_subset_restricts_columns(corpus_dir, tmp_path):
 
 
 def test_extract_short_record_yields_na_row_and_exit_1(corpus_dir, tmp_path, capsys):
-    stub = corpus_dir / "U01" / "S1" / "task1.ink"
-    stub.write_text("#subject=U01\n#set=S1\n#task=1\n1 2 3 4 5\n1 2 3 4 5\n")
+    (corpus_dir / "U01" / "S1" / "task1.ink").write_text(SHORT_TASK)
     out = tmp_path / "partial"
     assert main(["extract", "--corpus", str(corpus_dir), "--out", str(out)]) == 1
     err = capsys.readouterr().err
@@ -142,6 +163,18 @@ def test_extract_short_record_yields_na_row_and_exit_1(corpus_dir, tmp_path, cap
     assert len(na_rows) == 1
     assert na_rows[0].split("\t")[3] == "NA"
     assert len(lines) == 1 + 90  # every record still has a row
+
+
+def test_extract_short_record_yields_na_row_in_markdown_and_json(corpus_dir, tmp_path):
+    (corpus_dir / "U01" / "S1" / "task1.ink").write_text(SHORT_TASK)
+    md, js = tmp_path / "md", tmp_path / "js"
+    assert main(["extract", "--corpus", str(corpus_dir), "--out", str(md), "--format", "markdown"]) == 1
+    assert main(["extract", "--corpus", str(corpus_dir), "--out", str(js), "--format", "json"]) == 1
+    lines = (md / "features.md").read_text().splitlines()
+    assert len(lines) == 2 + 90
+    assert lines[2] == "| U01 | S1 | 1 | " + " | ".join(["NA"] * len(DEFAULT_CATALOG)) + " |"
+    first = json.loads((js / "features.json").read_text())[0]
+    assert first["values"] is None and first["degenerate"] == ["extraction-failed"]
 
 
 def test_extract_json_format(corpus_dir, tmp_path):

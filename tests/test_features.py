@@ -368,7 +368,12 @@ def test_spatial_scaling_moves_only_kinematics():
 
 def test_feature_table_covers_corpus_and_skips_short_records():
     corpus = generate_corpus(SynthProfile(seed=19, n_subjects=2), sets=(SetId.S1,))
+    corpus.add(make_record([0, 5], subject="U03"))
     table = feature_table(corpus)
-    assert len(table) == 18
+    assert len(table) == 19
     key = ("U01", SetId.S1, 1)
     assert tuple(table[key].values) == DEFAULT_CATALOG
+    failed = table[("U03", SetId.S1, 1)]
+    assert failed.values is None
+    assert failed.flags == {"extraction-failed"}
+    assert failed.error == "feature extraction needs at least 3 samples, got 2"

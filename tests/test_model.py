@@ -16,7 +16,6 @@ from inkfatigue.model import (
     ALL_SETS,
     AuxRecord,
     InkSignal,
-    Sample,
     SetId,
     StudyCorpus,
     TASK_IDS,
@@ -39,13 +38,24 @@ MINIMAL = "#subject=U1\n#set=S1\n#task=3\n10 20 500 200 60\n11 21 0 200 60\n"
 # --- samples and signals ---------------------------------------------------
 
 
+def signal_with(pressure=0, azimuth=0, altitude=0):
+    """A 2-sample signal whose second sample holds the given channel values."""
+    return InkSignal(
+        x=np.zeros(2, dtype=int),
+        y=np.zeros(2, dtype=int),
+        pressure=np.array([0, pressure]),
+        azimuth=np.array([0, azimuth]),
+        altitude=np.array([0, altitude]),
+    )
+
+
 def test_sample_validates_pressure_range():
-    Sample(0, 0, 0, 0, 0)
-    Sample(0, 0, 2047, 359, 90)
+    signal_with(0, 0, 0)
+    signal_with(2047, 359, 90)
     with pytest.raises(RangeError):
-        Sample(0, 0, 3000, 0, 0)
+        signal_with(pressure=3000)
     with pytest.raises(RangeError):
-        Sample(0, 0, -1, 0, 0)
+        signal_with(pressure=-1)
 
 
 @pytest.mark.parametrize(
@@ -53,7 +63,7 @@ def test_sample_validates_pressure_range():
 )
 def test_sample_validates_angles(azimuth, altitude):
     with pytest.raises(RangeError):
-        Sample(0, 0, 0, azimuth, altitude)
+        signal_with(azimuth=azimuth, altitude=altitude)
 
 
 def test_signal_rejects_mismatched_channels():
@@ -89,15 +99,10 @@ def test_signal_rejects_out_of_range_channel():
         )
 
 
-def test_signal_is_immutable_and_indexable(rng):
-    record = random_record(rng)
-    sig = record.signal
+def test_signal_is_immutable(rng):
+    sig = random_record(rng).signal
     with pytest.raises(ValueError):
         sig.x[0] = 99
-    sample = sig[0]
-    assert isinstance(sample, Sample)
-    assert sample.x == sig.x[0]
-    assert len(list(sig)) == len(sig)
 
 
 def test_task_record_rejects_unsafe_subject_ids():
@@ -105,9 +110,30 @@ def test_task_record_rejects_unsafe_subject_ids():
         x=np.arange(2), y=np.arange(2), pressure=np.zeros(2, dtype=int),
         azimuth=np.zeros(2, dtype=int), altitude=np.zeros(2, dtype=int),
     )
-    for bad in ("", "a b", "x/y", "u\n1"):
+    for bad in ("", "a b", "x/y", "u\n1", "u1\n"):
         with pytest.raises(FormatError):
             TaskRecord(bad, SetId.S1, 1, sig)
+
+
+@pytest.mark.parametrize(
+    "metadata",
+    [
+        {"note": "a\nb"},
+        {"note": "a\x0cb"},
+        {"note": "a\x85b"},
+        {"note": "a\u2028b"},
+        {"note": "a\x1cb"},
+        {"note": " a "},
+        {"note": "a\t"},
+        {"subject": "U2"},
+        {"set": "S2"},
+        {"task": "2"},
+        {"note\n": "a"},
+    ],
+)
+def test_task_record_rejects_metadata_that_cannot_round_trip(metadata):
+    with pytest.raises(FormatError):
+        TaskRecord("U1", SetId.S1, 1, signal_with(), metadata)
 
 
 def test_task_record_rejects_bad_task():
@@ -223,6 +249,29 @@ def test_round_trip_property(seed):
     assert parse_task_file(serialize_task(record)) == record
 
 
+# Line boundaries of str.splitlines, whitespace and header syntax.
+_TRICKY_CHARS = st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029=#")
+
+
+@given(
+    st.sampled_from(("subject", "set", "task"))
+    | st.builds(
+        str.__add__,
+        st.from_regex(r"[A-Za-z0-9_.\-]{1,4}", fullmatch=True),
+        st.just("") | _TRICKY_CHARS,
+    )
+    | st.text(max_size=4),
+    st.text(st.sampled_from("a") | _TRICKY_CHARS | st.characters(), max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_round_trip_holds_for_any_accepted_metadata(key, value):
+    try:
+        record = TaskRecord("U1", SetId.S1, 3, signal_with(), {key: value})
+    except FormatError:
+        return
+    assert parse_task_file(serialize_task(record)) == record
+
+
 # --- corpus loading --------------------------------------------------------
 
 
@@ -279,26 +328,21 @@ def test_parse_error_carries_path(tmp_path):
     assert "task3.ink" in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["task3.ink", "aux.tsv"])
+def test_load_corpus_reports_non_utf8_file_with_path(tmp_path, name):
+    corpus = generate_corpus(SynthProfile(seed=7, n_subjects=1), sets=(SetId.S2,))
+    write_corpus(corpus, tmp_path)
+    (tmp_path / "U01" / "S2" / name).write_bytes(b"#subject=U01\n\xff\n")
+    with pytest.raises(FormatError, match=f"{name}: not UTF-8"):
+        load_corpus(tmp_path)
+
+
 def test_corpus_add_enforces_uniqueness(rng):
     record = random_record(rng)
     corpus = StudyCorpus()
     corpus.add(record)
     with pytest.raises(DuplicateError):
         corpus.add(record)
-
-
-def test_session_set_reports_missing_tasks():
-    corpus = generate_corpus(SynthProfile(seed=8, n_subjects=1), sets=(SetId.S1,))
-    session = corpus.session("U01", SetId.S1)
-    assert session.missing_tasks == ()
-    empty = corpus.session("U01", SetId.S4)
-    assert empty.missing_tasks == TASK_IDS
-
-
-def test_subjects_with_both():
-    corpus = generate_corpus(SynthProfile(seed=9, n_subjects=3), sets=(SetId.S1, SetId.S2))
-    assert corpus.subjects_with_both(SetId.S1, SetId.S2, 1) == ("U01", "U02", "U03")
-    assert corpus.subjects_with_both(SetId.S1, SetId.S5, 1) == ()
 
 
 def test_record_path_layout(rng):
@@ -319,7 +363,6 @@ def test_aux_sidecar_loads(tmp_path):
     loaded = load_corpus(tmp_path)
     aux = loaded.aux("U01", SetId.S1)
     assert aux == AuxRecord(lactate=1.11, flight_time=0.52, force=700, velocity=1.5, rpe=2)
-    assert loaded.session("U01", SetId.S1).aux == aux
 
 
 def test_aux_sidecar_allows_na(tmp_path):

@@ -24,6 +24,7 @@ from inkfatigue.stats import (
 )
 from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus, generate_task
 
+from conftest import make_record
 from oracles import enumerate_signed_rank_p, naive_ranks
 
 DATA = Path(__file__).parent / "data"
@@ -308,6 +309,23 @@ def test_build_matrix_marks_insufficient_cells_na():
     assert matrix.cells[0][0] is not None
     assert matrix.cells[0][1] is None
     assert matrix.mask() == [[matrix.cells[0][0].p < 0.05, False]]
+
+
+def test_build_matrix_failed_record_counts_as_missing():
+    corpus = generate_corpus(SynthProfile(seed=30, n_subjects=4), sets=(SetId.S1, SetId.S2))
+    removed = StudyCorpus()
+    for record in corpus.records():
+        if record.key != ("U02", SetId.S1, 1):
+            removed.add(record)
+    failed = StudyCorpus()
+    for record in removed.records():
+        failed.add(record)
+    failed.add(make_record([0, 5], subject="U02", set_id=SetId.S1, task=1))
+    rows, pairs = [(1, "mean_speed"), (1, "time_in_air")], [(SetId.S1, SetId.S2)]
+    matrix = build_matrix(failed, rows, pairs)
+    assert matrix == build_matrix(removed, rows, pairs)
+    full = build_matrix(corpus, rows, pairs)
+    assert matrix.cells[0][0].n_effective == full.cells[0][0].n_effective - 1 == 3
 
 
 def test_build_matrix_normalizes_row_order():

@@ -10,9 +10,7 @@ from inkfatigue.synth import (
     generate_corpus,
     generate_task,
     load_profile,
-    null_profile,
     parse_profile,
-    perturbed_profile,
 )
 
 
@@ -204,14 +202,6 @@ def test_load_profile_from_file(tmp_path):
     path = tmp_path / "profile.cfg"
     path.write_text(PROFILE_TEXT)
     assert load_profile(path) == parse_profile(PROFILE_TEXT)
-
-
-def test_profile_helpers():
-    assert null_profile(seed=3).perturbations == {}
-    perturbed = perturbed_profile(seed=3)
-    assert perturbed.perturbation(SetId.S4).speed_scale == 0.7
-    assert perturbed.perturbation(SetId.S4).air_inflation == 1.5
-    assert perturbed.perturbation(SetId.S1) == Perturbation()
 
 
 def test_subject_ids_are_stable():
