@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import features as features_mod
 from . import reporting
-from .errors import InkError
+from .errors import FormatError, InkError
 from .model import SetId, load_corpus, parse_task_file, read_text, record_path, write_corpus
 from .protocol import canonical_set_pairs, parse_pair_label, summarize_recovery
 from .stats import build_matrix, default_rows
@@ -96,8 +96,12 @@ _CONFIG_PARSERS = {
 
 
 def _read_config(path: Path) -> dict[str, object]:
+    try:
+        text = read_text(path)
+    except FormatError as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}")
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -274,7 +278,11 @@ def cmd_synth(args, parser) -> int:
 
 
 def cmd_report(args, parser) -> int:
-    matrix = reporting.matrix_from_json(Path(args.matrix).read_text(encoding="utf-8"))
+    try:
+        text = read_text(Path(args.matrix))
+    except FormatError as exc:
+        raise FormatError(f"{args.matrix}: {exc}")
+    matrix = reporting.matrix_from_json(text)
     alpha = _resolve(args, "alpha", matrix.alpha)
     fmt = _resolve(args, "format", "markdown")
     out = _out_dir(args, parser)

@@ -19,8 +19,11 @@ File format (one file per task execution, UTF-8):
 Header lines start with ``#`` and hold ``key=value`` pairs; ``subject``,
 ``set`` and ``task`` are required, anything else is preserved as metadata
 (``TaskRecord`` rejects metadata that would not re-parse unchanged).
-Data lines hold five whitespace-separated integers: x y pressure azimuth
-altitude. Directory layout for a corpus:
+Data lines follow the headers and hold five whitespace-separated integers:
+x y pressure azimuth altitude. Each is an ASCII integer with an optional
+sign, ``[+-]?[0-9]+``; x and y must fit in int64. Lines end at any
+``str.splitlines`` boundary, and no line may be blank. Directory layout for
+a corpus:
 
     <corpus>/<subject>/<set>/task<k>.ink
 
@@ -63,10 +66,23 @@ _CHANNEL_BOUNDS: Mapping[str, tuple[int, int]] = {
     "altitude": (0, ALTITUDE_MAX),
 }
 
+_INT64_BOUNDS = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
+
 # Subject ids appear in file paths, so keep them path-safe.
 _SUBJECT_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 _HEADER_KEY_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 _REQUIRED_HEADERS = ("subject", "set", "task")
+
+# The task file grammar. Line breaks are those of str.splitlines; spaces are
+# the other str.isspace characters, which is what re's \s matches.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_EOL = rf"(?:\r\n|[{_LINE_BREAKS}])"
+_SPACE = rf"[^\S{_LINE_BREAKS}]"
+_INT = r"[+-]?[0-9]++"
+_SAMPLE_LINE = rf"{_SPACE}*+{_INT}(?:{_SPACE}++{_INT}){{4}}{_SPACE}*+"
+_HEADER_LINE_RE = re.compile(rf"{_SPACE}*+#[^{_LINE_BREAKS}]*+(?:{_EOL}|\Z)")
+_BODY_RE = re.compile(rf"(?:{_SAMPLE_LINE}{_EOL})*+(?:{_SAMPLE_LINE})?")
+_INT_RE = re.compile(_INT)
 
 
 class Category(str, enum.Enum):
@@ -346,7 +362,41 @@ def parse_task_file(text: str) -> TaskRecord:
     for out-of-range channel values, TooShortError for fewer than 2 samples.
     """
     headers: dict[str, str] = {}
-    rows: list[tuple[int, int, int, int, int]] = []
+    pos = 0
+    while match := _HEADER_LINE_RE.match(text, pos):
+        _add_header(headers, match.group().strip(), len(headers) + 1)
+        pos = match.end()
+    try:
+        signal = InkSignal(*_sample_columns(text[pos:]))
+    except (InkError, OverflowError, ValueError):
+        _diagnose(text)  # names the first defect in line order
+        raise
+    return _record(headers, signal)
+
+
+def _sample_columns(body: str) -> np.ndarray:
+    """The five channel columns of the sample lines ``body``."""
+    if not _BODY_RE.fullmatch(body):
+        raise FormatError("sample lines break the grammar")
+    try:
+        flat = np.fromstring(body, dtype=np.int64, sep=" ")
+    except ValueError:  # a space that C's isspace() does not know, e.g. U+00A0
+        flat = np.fromstring(" ".join(body.split()), dtype=np.int64, sep=" ")
+    if flat.size and (flat.min() == _INT64_BOUNDS[0] or flat.max() == _INT64_BOUNDS[1]):
+        # fromstring clamps out-of-range values to these; this raises instead.
+        flat = np.array(body.split()).astype(np.int64)
+    return flat.reshape(-1, 5).T
+
+
+def _diagnose(text: str) -> dict[str, str]:
+    """Raise the error for the first defect of a task file, in line order.
+
+    This reference loop builds diagnostics only: it accepts exactly what
+    parse_task_file accepts up to the TaskRecord checks, and returns the
+    headers of a file without a defect.
+    """
+    headers: dict[str, str] = {}
+    n_samples = 0
     in_header = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -355,17 +405,7 @@ def parse_task_file(text: str) -> TaskRecord:
         if line.startswith("#"):
             if not in_header:
                 raise FormatError("header line after data lines", line=lineno)
-            body = line[1:]
-            if "=" not in body:
-                raise FormatError("header line must be #key=value", line=lineno)
-            key, value = body.split("=", 1)
-            key = key.strip()
-            value = value.strip()
-            if not _HEADER_KEY_RE.fullmatch(key):
-                raise FormatError(f"invalid header key {key!r}", line=lineno)
-            if key in headers:
-                raise FormatError(f"duplicate header key {key!r}", line=lineno)
-            headers[key] = value
+            _add_header(headers, line, lineno)
             continue
         in_header = False
         fields = line.split()
@@ -376,18 +416,39 @@ def parse_task_file(text: str) -> TaskRecord:
                 line=lineno,
             )
         try:
+            if not all(map(_INT_RE.fullmatch, fields)):
+                raise ValueError
             values = tuple(int(f) for f in fields)
         except ValueError:
             raise FormatError(f"non-integer sample value in {line!r}", line=lineno)
         for name, v in zip(_CHANNELS, values):
-            bounds = _CHANNEL_BOUNDS.get(name)
-            if bounds and not bounds[0] <= v <= bounds[1]:
-                raise RangeError(
-                    f"{name} value {v} outside [{bounds[0]}, {bounds[1]}]",
-                    line=lineno,
-                )
-        rows.append(values)  # type: ignore[arg-type]
+            lo, hi = _CHANNEL_BOUNDS.get(name, _INT64_BOUNDS)
+            if not lo <= v <= hi:
+                raise RangeError(f"{name} value {v} outside [{lo}, {hi}]", line=lineno)
+        n_samples += 1
+    _record_key(headers)
+    if n_samples < 2:
+        raise TooShortError(f"task file holds {n_samples} samples, need at least 2")
+    return headers
 
+
+def _add_header(headers: dict[str, str], line: str, lineno: int) -> None:
+    """Add the stripped header line ``#key=value`` to ``headers``."""
+    body = line[1:]
+    if "=" not in body:
+        raise FormatError("header line must be #key=value", line=lineno)
+    key, value = body.split("=", 1)
+    key = key.strip()
+    value = value.strip()
+    if not _HEADER_KEY_RE.fullmatch(key):
+        raise FormatError(f"invalid header key {key!r}", line=lineno)
+    if key in headers:
+        raise FormatError(f"duplicate header key {key!r}", line=lineno)
+    headers[key] = value
+
+
+def _record_key(headers: Mapping[str, str]) -> tuple[SetId, int]:
+    """The set and task named by the headers, which must hold all three keys."""
     header_end = len(headers)
     for key in _REQUIRED_HEADERS:
         if key not in headers:
@@ -403,12 +464,11 @@ def parse_task_file(text: str) -> TaskRecord:
         raise FormatError(f"task must be an integer, got {headers['task']!r}", line=header_end)
     if task not in TASK_CATEGORIES:
         raise FormatError(f"task must be in 1..9, got {task}", line=header_end)
+    return set_id, task
 
-    if len(rows) < 2:
-        raise TooShortError(f"task file holds {len(rows)} samples, need at least 2")
 
-    data = np.array(rows, dtype=np.int64)
-    signal = InkSignal(*(data[:, i] for i in range(5)))
+def _record(headers: Mapping[str, str], signal: InkSignal) -> TaskRecord:
+    set_id, task = _record_key(headers)
     metadata = {k: v for k, v in headers.items() if k not in _REQUIRED_HEADERS}
     return TaskRecord(headers["subject"], set_id, task, signal, metadata)
 
@@ -425,11 +485,8 @@ def serialize_task(record: TaskRecord) -> str:
     for key in sorted(record.metadata):
         lines.append(f"#{key}={record.metadata[key]}")
     sig = record.signal
-    for i in range(len(sig)):
-        lines.append(
-            f"{sig.x[i]} {sig.y[i]} {sig.pressure[i]} {sig.azimuth[i]} {sig.altitude[i]}"
-        )
-    return "\n".join(lines) + "\n"
+    samples = np.column_stack([getattr(sig, name) for name in _CHANNELS]).ravel().tolist()
+    return "\n".join(lines) + "\n" + ("%d %d %d %d %d\n" * len(sig)) % tuple(samples)
 
 
 def _parse_aux_file(path: Path) -> AuxRecord:

@@ -91,7 +91,8 @@ def _exact_p(w: float, n: int, alternative: str) -> float:
 
 
 def _normal_phi_tail(z: float) -> float:
-    """P(Z >= z) for a standard normal."""
+    """P(Z >= z) for a standard normal; P(Z <= z) is the tail at -z, which
+    keeps the precision that 1 - P(Z >= z) loses for small p."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
@@ -109,7 +110,7 @@ def _approx_p(
         return min(1.0, _normal_phi_tail(z))
     if alternative == "less":
         z = (w - mu + 0.5) / sd
-        return min(1.0, 1.0 - _normal_phi_tail(z))
+        return min(1.0, _normal_phi_tail(-z))
     delta = abs(w - mu)
     z = (delta - 0.5) / sd
     return min(1.0, 2.0 * _normal_phi_tail(z))
@@ -212,7 +213,7 @@ def rank_sum_test(
     elif alternative == "greater":
         p = min(1.0, _normal_phi_tail((r1 - mu - 0.5) / math.sqrt(var)))
     elif alternative == "less":
-        p = min(1.0, 1.0 - _normal_phi_tail((r1 - mu + 0.5) / math.sqrt(var)))
+        p = min(1.0, _normal_phi_tail(-(r1 - mu + 0.5) / math.sqrt(var)))
     else:
         p = min(1.0, 2.0 * _normal_phi_tail((abs(r1 - mu) - 0.5) / math.sqrt(var)))
     return TestResult(

@@ -31,7 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .model import (
     ALL_SETS,
     InkSignal,
@@ -40,6 +40,7 @@ from .model import (
     StudyCorpus,
     TASK_IDS,
     TaskRecord,
+    read_text,
 )
 
 # Internal shape constants; wide integer spreads keep count-valued features
@@ -321,4 +322,8 @@ def parse_profile(text: str) -> SynthProfile:
 
 
 def load_profile(path: str | Path) -> SynthProfile:
-    return parse_profile(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = read_text(Path(path))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}")
+    return parse_profile(text)

@@ -324,3 +324,22 @@ def test_config_with_unknown_key_is_usage_error(corpus_dir, tmp_path):
     config.write_text("nonsense = 1\n")
     assert main(["compare", "--config", str(config), "--corpus", str(corpus_dir),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["report", "--matrix", "{bad}", "--out", "{out}"], 1),
+        (["synth", "--profile", "{bad}", "--out", "{out}"], 1),
+        (["extract", "--config", "{bad}", "--out", "{out}"], 2),
+    ],
+    ids=["report-matrix", "synth-profile", "config"],
+)
+def test_non_utf8_input_file_is_a_one_line_error(tmp_path, capsys, argv, code):
+    bad = tmp_path / "input.bin"
+    bad.write_bytes(b"seed = 1\n\xff\n")
+    out = tmp_path / "o"
+    assert main([a.format(bad=bad, out=out) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"error: {bad}: not UTF-8 text: " in err
+    assert not out.exists()

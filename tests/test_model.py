@@ -1,19 +1,25 @@
+import hashlib
 import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from inkfatigue.errors import (
     DuplicateError,
     FormatError,
+    InkError,
     RangeError,
     ShapeError,
     TooShortError,
 )
 from inkfatigue.model import (
     ALL_SETS,
+    ALTITUDE_MAX,
+    AZIMUTH_MAX,
+    PRESSURE_MAX,
     AuxRecord,
     InkSignal,
     SetId,
@@ -26,7 +32,8 @@ from inkfatigue.model import (
     serialize_task,
     write_corpus,
 )
-from inkfatigue.synth import SynthProfile, generate_corpus
+from inkfatigue.model import _diagnose, _record
+from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus
 
 from conftest import random_record
 
@@ -207,6 +214,39 @@ def test_parse_too_few_samples():
         parse_task_file("#subject=U1\n#set=S1\n#task=3\n10 20 500 200 60\n")
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "\uff11", "2\u0663"])
+def test_parse_accepts_only_ascii_integers(token):
+    # int() takes these; the grammar is ASCII [+-]?[0-9]+ only.
+    text = f"#subject=U1\n#set=S1\n#task=1\n1 2 3 4 5\n1 {token} 3 4 5\n"
+    with pytest.raises(FormatError, match="non-integer") as err:
+        parse_task_file(text)
+    assert err.value.line == 5
+
+
+def test_parse_accepts_signs_tabs_spaces_and_line_endings():
+    text = (
+        "#subject=U1\r\n #set=S1\r#task=3\x0b+10\t-20 500\xa0200 60 \u2028"
+        "\t11 21\u3000+0 -0 60\x85"
+    )
+    assert parse_task_file(text) == parse_task_file(
+        "#subject=U1\n#set=S1\n#task=3\n10 -20 500 200 60\n11 21 0 0 60\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "sample,message",
+    [
+        ("99999999999999999999 2 3 4 5", "x value 99999999999999999999 outside"),
+        ("1 -9223372036854775809 3 4 5", "y value -9223372036854775809 outside"),
+    ],
+)
+def test_parse_value_beyond_int64_is_a_range_error(sample, message):
+    text = f"#subject=U1\n#set=S1\n#task=3\n1 2 3 4 5\n{sample}\n"
+    with pytest.raises(RangeError, match=message) as err:
+        parse_task_file(text)
+    assert err.value.line == 5
+
+
 def test_parse_error_line_numbers_count_headers():
     text = "#subject=U1\n#set=S1\n#task=3\n#device=d\n1 2 3 4 5\nbad line here x y\n"
     with pytest.raises(FormatError) as err:
@@ -249,6 +289,66 @@ def test_round_trip_property(seed):
     assert parse_task_file(serialize_task(record)) == record
 
 
+# sha256 of serialize_task over every record of each profile, fixed before
+# the serializer was vectorized.
+_S4_EFFECT = {SetId.S4: Perturbation(speed_scale=0.7, air_inflation=1.5)}
+_SERIALIZED_DIGESTS = [
+    (
+        SynthProfile(seed=7, n_subjects=1),
+        "2d805351ae27c0c045c656fee9ccdfd61fb798000434979222b6858d0508a538",
+    ),
+    (
+        SynthProfile(seed=11, n_subjects=2, perturbations=_S4_EFFECT),
+        "aa9a2f00cf203ad582d9e20e9c0fdb1cedf697d56930290ed19100329c17dd4c",
+    ),
+    (
+        SynthProfile(
+            seed=3,
+            n_subjects=1,
+            stroke_count=3,
+            perturbations={SetId.S4: Perturbation(pressure_shift=-200, jitter_sd=1.5)},
+        ),
+        "919f55f69cc7dda8038f1c57f7482ae365c6bb3a338704b067839f30d443c712",
+    ),
+]
+
+
+@pytest.mark.parametrize("profile,digest", _SERIALIZED_DIGESTS)
+def test_serialized_corpus_bytes_are_pinned(profile, digest):
+    h = hashlib.sha256()
+    for record in generate_corpus(profile).records():
+        h.update(serialize_task(record).encode("utf-8"))
+    assert h.hexdigest() == digest
+
+
+# Accepted value range of each channel: x, y, pressure, azimuth, altitude.
+_CHANNEL_RANGES = [
+    (-(2**63), 2**63 - 1),
+    (-(2**63), 2**63 - 1),
+    (0, PRESSURE_MAX),
+    (0, AZIMUTH_MAX),
+    (0, ALTITUDE_MAX),
+]
+
+
+@st.composite
+def in_bounds_signals(draw):
+    n = draw(st.integers(2, 40))
+
+    def column(lo, hi):
+        values = st.integers(lo, hi) | st.sampled_from([lo, hi])
+        return draw(arrays(np.int64, n, elements=values))
+
+    return InkSignal(*(column(lo, hi) for lo, hi in _CHANNEL_RANGES))
+
+
+@given(in_bounds_signals())
+@settings(max_examples=200, deadline=None)
+def test_round_trip_holds_for_any_in_bounds_signal(signal):
+    record = TaskRecord("U1", SetId.S2, 5, signal)
+    assert parse_task_file(serialize_task(record)) == record
+
+
 # Line boundaries of str.splitlines, whitespace and header syntax.
 _TRICKY_CHARS = st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029=#")
 
@@ -270,6 +370,88 @@ def test_round_trip_holds_for_any_accepted_metadata(key, value):
     except FormatError:
         return
     assert parse_task_file(serialize_task(record)) == record
+
+
+# --- the parser against its diagnostic loop ------------------------------
+
+_LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", ""]
+_SPACES = ["\t", "  ", "\x1f", "\xa0", "\u3000"]
+_MUTATIONS = (
+    "underscore", "non_ascii_digit", "drop_field", "add_field", "sign", "out_of_range",
+    "at_bound", "blank_line", "late_header", "drop_line", "one_sample", "separator",
+    "line_end",
+)
+
+
+def _mutate(lines, name, i, j, k):
+    """Edit line ``i`` of a file held as [text, line end] pairs; ``j`` picks
+    a field of that line and ``k`` a variant of the edit."""
+    line = lines[i]
+    fields = line[0].split(" ")
+    j %= len(fields)
+    if name == "underscore":
+        fields[j] = fields[j][:1] + "_" + fields[j][1:]
+    elif name == "non_ascii_digit":
+        fields[j] += "\u0663\uff11\u07c1"[k % 3]
+    elif name == "drop_field":
+        del fields[j]
+    elif name == "add_field":
+        fields.insert(j, "7")
+    elif name == "sign":
+        fields[j] = "+-"[k % 2] + fields[j]
+    elif name in ("out_of_range", "at_bound"):
+        lo, hi = _CHANNEL_RANGES[j % 5]
+        step = 1 if name == "out_of_range" else 0
+        fields[j] = str((lo - step, hi + step)[k % 2])
+    elif name == "blank_line":
+        lines.insert(i, [("", " ", "\t")[k % 3], "\n"])
+    elif name == "late_header":
+        lines.insert(i, ["#late=1", "\n"])
+    elif name == "drop_line":
+        del lines[i]
+    elif name == "one_sample":
+        del lines[i + 1 :]
+    elif name == "separator":
+        fields = [line[0].replace(" ", _SPACES[k % len(_SPACES)], j + 1)]
+    elif name == "line_end":
+        line[1] = _LINE_ENDS[k % len(_LINE_ENDS)]
+    line[0] = " ".join(fields)
+
+
+def _outcome(parse, text):
+    try:
+        parse(text)
+    except InkError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return None
+
+
+def _loop_then_record_checks(text):
+    return _record(_diagnose(text), signal_with())
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_MUTATIONS),
+            st.integers(0, 2**16),
+            st.integers(0, 7),
+            st.integers(0, 7),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_parser_and_diagnostic_loop_agree_on_mutated_files(seed, mutations):
+    record = random_record(np.random.default_rng(seed))
+    lines = [[line, "\n"] for line in serialize_task(record).splitlines()]
+    for name, i, j, k in mutations:
+        if lines:
+            _mutate(lines, name, i % len(lines), j, k)
+    text = "".join(line + end for line, end in lines)
+    assert _outcome(parse_task_file, text) == _outcome(_loop_then_record_checks, text)
 
 
 # --- corpus loading --------------------------------------------------------

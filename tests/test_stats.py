@@ -111,6 +111,39 @@ def test_one_sided_alternatives_match_enumeration(rng):
             assert got == pytest.approx(want, abs=1e-12)
 
 
+# (a, b): a is both the signed-rank differences and the first rank-sum
+# sample. The cases reach the exact path, the normal approximation with and
+# without ties, and far tails (n = 60).
+_MIRROR_CASES = [
+    (-np.arange(1.0, 61.0), np.arange(60.0)),
+    (np.arange(60.0), np.arange(60.0) + 55),
+    (np.array([3.0, -1.0, 2.0, -5.0, 4.0]), np.array([5.0, -4.0, 3.0, 0.0])),
+    (np.array([2.0, 2.0, -1.0, 3.0, -3.0, 4.0, 4.0, 4.0, -2.0]), np.array([1.0, 2.0, 2.0, 3.0])),
+]
+
+
+@pytest.mark.parametrize("a,b", _MIRROR_CASES)
+def test_less_equals_greater_on_negated_data_bit_for_bit(a, b):
+    less = wilcoxon_signed_rank(pairs_from_diffs(a), "less").p
+    assert less == wilcoxon_signed_rank(pairs_from_diffs(-a), "greater").p
+    assert rank_sum_test(a, b, "less").p == rank_sum_test(-a, -b, "greater").p
+
+
+@pytest.mark.parametrize("a,b", _MIRROR_CASES)
+def test_one_sided_p_matches_scipy(a, b):
+    scipy_stats = pytest.importorskip("scipy.stats")
+    normal_approx = len(a) > 25 or len(np.unique(np.abs(a))) < len(a)
+    for alternative in ("less", "greater"):
+        if normal_approx:
+            want = scipy_stats.wilcoxon(
+                a, alternative=alternative, correction=True, method="asymptotic"
+            ).pvalue
+            got = wilcoxon_signed_rank(pairs_from_diffs(a), alternative).p
+            assert got == pytest.approx(want, rel=1e-9, abs=0)
+        want = scipy_stats.mannwhitneyu(a, b, alternative=alternative, method="asymptotic").pvalue
+        assert rank_sum_test(a, b, alternative).p == pytest.approx(want, rel=1e-9, abs=0)
+
+
 def test_one_sided_p_two_sided_accessor_guard():
     result = wilcoxon_signed_rank(pairs_from_diffs([1, 2, 3]), "greater")
     with pytest.raises(ValueError):
