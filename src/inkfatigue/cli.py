@@ -99,7 +99,7 @@ def _read_config(path: Path) -> dict[str, object]:
     try:
         text = read_text(path)
     except FormatError as exc:
-        raise argparse.ArgumentTypeError(f"{path}: {exc}")
+        raise argparse.ArgumentTypeError(str(exc))
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -179,7 +179,13 @@ def cmd_validate(args, parser) -> int:
     keys: dict[tuple, Path] = {}
     for path in files:
         try:
-            record = parse_task_file(read_text(path))
+            text = read_text(path)
+        except FormatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            errors += 1
+            continue
+        try:
+            record = parse_task_file(text)
         except InkError as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             errors += 1
@@ -278,11 +284,7 @@ def cmd_synth(args, parser) -> int:
 
 
 def cmd_report(args, parser) -> int:
-    try:
-        text = read_text(Path(args.matrix))
-    except FormatError as exc:
-        raise FormatError(f"{args.matrix}: {exc}")
-    matrix = reporting.matrix_from_json(text)
+    matrix = reporting.matrix_from_json(read_text(Path(args.matrix)))
     alpha = _resolve(args, "alpha", matrix.alpha)
     fmt = _resolve(args, "format", "markdown")
     out = _out_dir(args, parser)

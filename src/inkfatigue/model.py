@@ -74,15 +74,18 @@ _HEADER_KEY_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 _REQUIRED_HEADERS = ("subject", "set", "task")
 
 # The task file grammar. Line breaks are those of str.splitlines; spaces are
-# the other str.isspace characters, which is what re's \s matches.
+# the other str.isspace characters, which is what re's \s matches. Digits,
+# spaces and line breaks are disjoint, so each line matches one way only.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _EOL = rf"(?:\r\n|[{_LINE_BREAKS}])"
 _SPACE = rf"[^\S{_LINE_BREAKS}]"
-_INT = r"[+-]?[0-9]++"
-_SAMPLE_LINE = rf"{_SPACE}*+{_INT}(?:{_SPACE}++{_INT}){{4}}{_SPACE}*+"
-_HEADER_LINE_RE = re.compile(rf"{_SPACE}*+#[^{_LINE_BREAKS}]*+(?:{_EOL}|\Z)")
-_BODY_RE = re.compile(rf"(?:{_SAMPLE_LINE}{_EOL})*+(?:{_SAMPLE_LINE})?")
+_INT = r"[+-]?[0-9]+"
+_SAMPLE_LINE = rf"{_SPACE}*{_INT}" + rf"{_SPACE}+{_INT}" * 4 + rf"{_SPACE}*"
+_HEADER_LINE_RE = re.compile(rf"{_SPACE}*#[^{_LINE_BREAKS}]*(?:{_EOL}|\Z)")
+_BODY_RE = re.compile(rf"(?:{_SAMPLE_LINE}{_EOL})*(?:{_SAMPLE_LINE})?")
 _INT_RE = re.compile(_INT)
+# The ASCII spaces and line breaks of the grammar that C's isspace() does not know.
+_NON_C_SPACES = "\x1c\x1d\x1e\x1f"
 
 
 class Category(str, enum.Enum):
@@ -348,11 +351,12 @@ class StudyCorpus:
 
 
 def read_text(path: Path) -> str:
-    """The UTF-8 text of a corpus file; undecodable bytes raise FormatError."""
+    """The UTF-8 text of an input file; undecodable bytes raise a FormatError
+    that names the file."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"not UTF-8 text: {exc}")
+        raise FormatError(f"{path}: not UTF-8 text: {exc}")
 
 
 def parse_task_file(text: str) -> TaskRecord:
@@ -378,10 +382,10 @@ def _sample_columns(body: str) -> np.ndarray:
     """The five channel columns of the sample lines ``body``."""
     if not _BODY_RE.fullmatch(body):
         raise FormatError("sample lines break the grammar")
-    try:
-        flat = np.fromstring(body, dtype=np.int64, sep=" ")
-    except ValueError:  # a space that C's isspace() does not know, e.g. U+00A0
-        flat = np.fromstring(" ".join(body.split()), dtype=np.int64, sep=" ")
+    if not body.isascii() or any(c in body for c in _NON_C_SPACES):
+        # np.fromstring would stop at such a character (U+00A0, \x1c, ...).
+        body = " ".join(body.split())
+    flat = np.fromstring(body, dtype=np.int64, sep=" ")
     if flat.size and (flat.min() == _INT64_BOUNDS[0] or flat.max() == _INT64_BOUNDS[1]):
         # fromstring clamps out-of-range values to these; this raises instead.
         flat = np.array(body.split()).astype(np.int64)
@@ -490,10 +494,7 @@ def serialize_task(record: TaskRecord) -> str:
 
 
 def _parse_aux_file(path: Path) -> AuxRecord:
-    try:
-        lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}")
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if len(lines) != 2:
         raise FormatError(f"{path}: aux sidecar needs a header line and one value line")
     header = tuple(lines[0].split())
@@ -526,8 +527,9 @@ def load_corpus(directory: str | Path) -> StudyCorpus:
     directory = Path(directory)
     corpus = StudyCorpus()
     for path in sorted(directory.rglob("*.ink")):
+        text = read_text(path)
         try:
-            record = parse_task_file(read_text(path))
+            record = parse_task_file(text)
         except InkError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
         corpus.add(record)

@@ -31,7 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError
 from .model import (
     ALL_SETS,
     InkSignal,
@@ -322,8 +322,4 @@ def parse_profile(text: str) -> SynthProfile:
 
 
 def load_profile(path: str | Path) -> SynthProfile:
-    try:
-        text = read_text(Path(path))
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}")
-    return parse_profile(text)
+    return parse_profile(read_text(Path(path)))
