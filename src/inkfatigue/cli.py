@@ -27,13 +27,11 @@ from . import reporting
 from .errors import FormatError, InkError
 from .model import SetId, load_corpus, parse_task_file, read_text, record_path, write_corpus
 from .protocol import canonical_set_pairs, parse_pair_label, summarize_recovery
-from .stats import build_matrix, default_rows
+from .stats import TESTS, build_matrix, default_rows
 from .synth import generate_corpus, load_profile
 
 ENV_OUT = "INKFATIGUE_OUT"
 
-_FORMATS = ("tsv", "json", "markdown")
-_TESTS = ("signed-rank", "rank-sum")
 _SIDED = {"two": "two-sided", "one": "greater"}
 
 
@@ -83,16 +81,23 @@ def _pairs_arg(text: str) -> tuple[tuple[SetId, SetId], ...]:
     return tuple(p for p in canonical_set_pairs() if p in wanted)
 
 
-_CONFIG_PARSERS = {
-    "corpus": str,
-    "out": str,
-    "alpha": _alpha_arg,
-    "features": _features_arg,
-    "pairs": _pairs_arg,
-    "format": str,
-    "test": str,
-    "sided": str,
+#: Every flag of every subcommand, as ``add_argument`` keywords. A --config
+#: file may set any of them except those in _FLAG_ONLY, with the same
+#: conversion and choices.
+_OPTIONS = {
+    "corpus": {"help": "corpus directory"},
+    "profile": {"required": True, "help": "profile file (key = value)"},
+    "matrix": {"required": True, "help": "matrix.json produced by compare"},
+    "alpha": {"type": _alpha_arg, "help": "significance level (default 0.05)"},
+    "pairs": {"type": _pairs_arg, "help": "comma-separated set pairs"},
+    "features": {"type": _features_arg, "help": "comma-separated catalog subset"},
+    "format": {"choices": ("tsv", "json", "markdown")},
+    "test": {"choices": TESTS},
+    "sided": {"choices": tuple(_SIDED)},
+    "config": {"type": Path, "help": "key = value defaults for flags"},
+    "out": {"help": f"output directory (default ${ENV_OUT})"},
 }
+_FLAG_ONLY = ("profile", "matrix", "config")
 
 
 def _read_config(path: Path) -> dict[str, object]:
@@ -108,22 +113,20 @@ def _read_config(path: Path) -> dict[str, object]:
         if "=" not in line:
             raise argparse.ArgumentTypeError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_PARSERS:
+        if key not in _OPTIONS or key in _FLAG_ONLY:
             raise argparse.ArgumentTypeError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _CONFIG_PARSERS[key](value)
-    if values.get("format") not in (None, *_FORMATS):
-        raise argparse.ArgumentTypeError(f"{path}: format must be one of {_FORMATS}")
-    if values.get("test") not in (None, *_TESTS):
-        raise argparse.ArgumentTypeError(f"{path}: test must be one of {_TESTS}")
-    if values.get("sided") not in (None, *_SIDED):
-        raise argparse.ArgumentTypeError(f"{path}: sided must be one of {tuple(_SIDED)}")
+        values[key] = _OPTIONS[key].get("type", str)(value)
+    for key, option in _OPTIONS.items():
+        choices = option.get("choices")
+        if choices and key in values and values[key] not in choices:
+            raise argparse.ArgumentTypeError(f"{path}: {key} must be one of {choices}")
     return values
 
 
 def _resolve(args: argparse.Namespace, key: str, fallback):
     """Flag wins over config file; overriding a config value is announced."""
     flag_value = getattr(args, key, None)
-    config = getattr(args, "_config_values", {})
+    config = args._config_values
     if flag_value is not None:
         if key in config and config[key] != flag_value:
             print(
@@ -143,15 +146,20 @@ def _out_dir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
     return Path(out)
 
 
-def _run_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+def _corpus_dir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
     corpus = _resolve(args, "corpus", None)
     if corpus is None:
         parser.error("--corpus is required")
     if not Path(corpus).is_dir():
         parser.error(f"corpus directory does not exist: {corpus}")
+    return Path(corpus)
+
+
+def _run_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
+    corpus = _corpus_dir(args, parser)
     sided = _resolve(args, "sided", "two")
     return RunConfig(
-        corpus=Path(corpus),
+        corpus=corpus,
         out=_out_dir(args, parser),
         alpha=_resolve(args, "alpha", 0.05),
         features=tuple(_resolve(args, "features", features_mod.DEFAULT_CATALOG)),
@@ -168,12 +176,7 @@ def _run_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Ru
 
 
 def cmd_validate(args, parser) -> int:
-    corpus_dir = _resolve(args, "corpus", None)
-    if corpus_dir is None:
-        parser.error("--corpus is required")
-    corpus_dir = Path(corpus_dir)
-    if not corpus_dir.is_dir():
-        parser.error(f"corpus directory does not exist: {corpus_dir}")
+    corpus_dir = _corpus_dir(args, parser)
     errors = 0
     files = sorted(corpus_dir.rglob("*.ink"))
     keys: dict[tuple, Path] = {}
@@ -251,26 +254,12 @@ def cmd_compare(args, parser) -> int:
         test=config.test,
         alternative=config.alternative,
     )
-    out = config.out
-    written = [reporting.write_text(out / "matrix.json", reporting.matrix_to_json(matrix))]
-    if config.fmt == "tsv":
-        written.append(reporting.write_text(out / "matrix.tsv", reporting.matrix_to_tsv(matrix)))
-        written.append(
-            reporting.write_text(out / "matrix_mask.tsv", reporting.mask_to_tsv(matrix))
-        )
-    elif config.fmt == "markdown":
-        written.append(
-            reporting.write_text(out / "matrix.md", reporting.matrix_to_markdown(matrix))
-        )
-    summary = summarize_recovery(matrix, config.alpha)
-    written.append(
-        reporting.write_text(out / "recovery.json", reporting.recovery_to_json(summary))
-    )
-    written.append(
-        reporting.write_text(out / "recovery.txt", reporting.recovery_to_text(summary))
-    )
-    for path in written:
-        print(f"wrote {path}")
+    names = {
+        "tsv": ("matrix.json", "matrix.tsv", "matrix_mask.tsv"),
+        "json": ("matrix.json",),
+        "markdown": ("matrix.json", "matrix.md"),
+    }[config.fmt]
+    _write_matrix(config.out, matrix, config.alpha, names)
     return 0
 
 
@@ -287,27 +276,32 @@ def cmd_report(args, parser) -> int:
     matrix = reporting.matrix_from_json(read_text(Path(args.matrix)))
     alpha = _resolve(args, "alpha", matrix.alpha)
     fmt = _resolve(args, "format", "markdown")
-    out = _out_dir(args, parser)
-    written = []
-    if fmt == "markdown":
-        written.append(
-            reporting.write_text(out / "matrix.md", reporting.matrix_to_markdown(matrix, alpha))
-        )
-    elif fmt == "tsv":
-        written.append(reporting.write_text(out / "matrix.tsv", reporting.matrix_to_tsv(matrix)))
-    written.append(
-        reporting.write_text(out / "matrix_mask.tsv", reporting.mask_to_tsv(matrix, alpha))
-    )
+    names = {
+        "markdown": ("matrix.md", "matrix_mask.tsv"),
+        "tsv": ("matrix.tsv", "matrix_mask.tsv"),
+        "json": ("matrix_mask.tsv",),
+    }[fmt]
+    _write_matrix(_out_dir(args, parser), matrix, alpha, names)
+    return 0
+
+
+def _write_matrix(out: Path, matrix, alpha: float, names: tuple[str, ...]) -> None:
+    """Write the named matrix artifacts at ``alpha``, then the recovery summary
+    as ``recovery.json`` and ``recovery.txt``, and name each file on stdout."""
+    render = {
+        "matrix.json": lambda: reporting.matrix_to_json(matrix),
+        "matrix.tsv": lambda: reporting.matrix_to_tsv(matrix),
+        "matrix_mask.tsv": lambda: reporting.mask_to_tsv(matrix, alpha),
+        "matrix.md": lambda: reporting.matrix_to_markdown(matrix, alpha),
+    }
+    written = [reporting.write_text(out / name, render[name]()) for name in names]
     summary = summarize_recovery(matrix, alpha)
-    written.append(
-        reporting.write_text(out / "recovery.json", reporting.recovery_to_json(summary))
-    )
-    written.append(
-        reporting.write_text(out / "recovery.txt", reporting.recovery_to_text(summary))
-    )
+    written += [
+        reporting.write_text(out / "recovery.json", reporting.recovery_to_json(summary)),
+        reporting.write_text(out / "recovery.txt", reporting.recovery_to_text(summary)),
+    ]
     for path in written:
         print(f"wrote {path}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -322,46 +316,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, out: bool = True):
-        p.add_argument("--config", type=Path, help="key = value defaults for flags")
-        if out:
-            p.add_argument("--out", help=f"output directory (default ${ENV_OUT})")
+    def add(name, func, help_text, *options, **overrides):
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(f"--{option}", **{**_OPTIONS[option], **overrides.get(option, {})})
+        p.set_defaults(func=func)
 
-    p_validate = sub.add_parser("validate", help="check every task file of a corpus")
-    p_validate.add_argument("--corpus", help="corpus directory")
-    common(p_validate, out=False)
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_extract = sub.add_parser("extract", help="compute the feature table")
-    p_extract.add_argument("--corpus", help="corpus directory")
-    p_extract.add_argument("--features", type=_features_arg, help="comma-separated catalog subset")
-    p_extract.add_argument("--format", choices=_FORMATS, dest="format")
-    common(p_extract)
-    p_extract.set_defaults(func=cmd_extract)
-
-    p_compare = sub.add_parser("compare", help="build the set-pair comparison matrix")
-    p_compare.add_argument("--corpus", help="corpus directory")
-    p_compare.add_argument("--alpha", type=_alpha_arg, help="significance level (default 0.05)")
-    p_compare.add_argument("--pairs", type=_pairs_arg, help="comma-separated set pairs")
-    p_compare.add_argument("--features", type=_features_arg, help="comma-separated catalog subset")
-    p_compare.add_argument("--format", choices=_FORMATS, dest="format")
-    p_compare.add_argument("--test", choices=_TESTS, dest="test")
-    p_compare.add_argument("--sided", choices=tuple(_SIDED), dest="sided")
-    common(p_compare)
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_synth = sub.add_parser("synth", help="write a synthetic corpus from a profile")
-    p_synth.add_argument("--profile", required=True, help="profile file (key = value)")
-    common(p_synth)
-    p_synth.set_defaults(func=cmd_synth)
-
-    p_report = sub.add_parser("report", help="re-render a saved matrix JSON")
-    p_report.add_argument("--matrix", required=True, help="matrix.json produced by compare")
-    p_report.add_argument("--alpha", type=_alpha_arg, help="re-mask at this level")
-    p_report.add_argument("--format", choices=_FORMATS, dest="format")
-    common(p_report)
-    p_report.set_defaults(func=cmd_report)
-
+    add("validate", cmd_validate, "check every task file of a corpus", "corpus", "config")
+    add(
+        "extract", cmd_extract, "compute the feature table",
+        "corpus", "features", "format", "config", "out",
+    )
+    add(
+        "compare", cmd_compare, "build the set-pair comparison matrix",
+        "corpus", "alpha", "pairs", "features", "format", "test", "sided", "config", "out",
+    )
+    add("synth", cmd_synth, "write a synthetic corpus from a profile", "profile", "config", "out")
+    add(
+        "report", cmd_report, "re-render a saved matrix JSON",
+        "matrix", "alpha", "format", "config", "out", alpha={"help": "re-mask at this level"},
+    )
     return parser
 
 
@@ -369,10 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            args._config_values = _read_config(args.config)
-        else:
-            args._config_values = {}
+        args._config_values = _read_config(args.config) if args.config else {}
         return args.func(args, parser)
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code or 0)

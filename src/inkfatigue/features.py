@@ -58,16 +58,7 @@ COUNT_FEATURES = frozenset(
     {"time_in_air", "time_down", "p_gt_100", "p_gt_600", "p_band_100_400", "p_band_100_600"}
 )
 
-_KINEMATIC_NAMES = frozenset(
-    {
-        "mean_speed",
-        "std_speed",
-        "max_speed",
-        "mean_acceleration",
-        "std_acceleration",
-        "max_acceleration",
-    }
-)
+_KINEMATIC_NAMES = frozenset(name.removeprefix("pendown_") for name in PENDOWN_CATALOG)
 _PENDOWN_NAMES = frozenset(PENDOWN_CATALOG)
 
 MIN_SIGNAL_LEN = 3

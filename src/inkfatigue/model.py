@@ -51,6 +51,7 @@ from .errors import (
     TooShortError,
 )
 
+#: The sample clock of every recording; features count time in samples.
 SAMPLE_RATE_HZ = 100
 
 PRESSURE_MAX = 2047
@@ -166,7 +167,6 @@ class InkSignal:
     pressure: np.ndarray
     azimuth: np.ndarray
     altitude: np.ndarray
-    sample_rate_hz: int = SAMPLE_RATE_HZ
 
     def __post_init__(self):
         for name in _CHANNELS:
@@ -202,9 +202,7 @@ class InkSignal:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InkSignal):
             return NotImplemented
-        return self.sample_rate_hz == other.sample_rate_hz and all(
-            np.array_equal(getattr(self, n), getattr(other, n)) for n in _CHANNELS
-        )
+        return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _CHANNELS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,10 +460,10 @@ def _record_key(headers: Mapping[str, str]) -> tuple[SetId, int]:
         set_id = SetId(set_value)
     except ValueError:
         raise FormatError(f"set must be one of S1..S5, got {set_value!r}", line=header_end)
-    try:
-        task = int(headers["task"])
-    except ValueError:
-        raise FormatError(f"task must be an integer, got {headers['task']!r}", line=header_end)
+    task_value = headers["task"]
+    if not (task_value.isascii() and task_value.isdigit()):
+        raise FormatError(f"task must be an integer, got {task_value!r}", line=header_end)
+    task = int(task_value)
     if task not in TASK_CATEGORIES:
         raise FormatError(f"task must be in 1..9, got {task}", line=header_end)
     return set_id, task

@@ -18,25 +18,16 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import FormatError, RangeError
-from .features import FeatureTable
-from .model import Category, TASK_CATEGORIES
+from .features import FeatureTable, full_catalog
+from .model import Category, SAMPLE_RATE_HZ, TASK_CATEGORIES
 from .protocol import RecoverySummary, pair_label, parse_pair_label
 from .stats import Cell, ComparisonMatrix, MatrixRow
 
-#: Display conversion to per-second units at the fixed 100 Hz clock.
+#: Display conversion of speeds and accelerations to per-second units.
 PER_SECOND_SCALE = {
-    "mean_speed": 100.0,
-    "std_speed": 100.0,
-    "max_speed": 100.0,
-    "mean_acceleration": 10000.0,
-    "std_acceleration": 10000.0,
-    "max_acceleration": 10000.0,
-    "pendown_mean_speed": 100.0,
-    "pendown_std_speed": 100.0,
-    "pendown_max_speed": 100.0,
-    "pendown_mean_acceleration": 10000.0,
-    "pendown_std_acceleration": 10000.0,
-    "pendown_max_acceleration": 10000.0,
+    name: float(SAMPLE_RATE_HZ) ** (2 if name.endswith("_acceleration") else 1)
+    for name in full_catalog()
+    if name.endswith(("_speed", "_acceleration"))
 }
 
 NA = "NA"
@@ -241,9 +232,9 @@ def features_to_markdown(table: FeatureTable, catalog: Sequence[str]) -> str:
     """Markdown feature table with speeds/accelerations shown per second."""
 
     def label(name: str) -> str:
-        if PER_SECOND_SCALE.get(name) == 100.0:
+        if PER_SECOND_SCALE.get(name) == SAMPLE_RATE_HZ:
             return f"{name} (units/s)"
-        if PER_SECOND_SCALE.get(name) == 10000.0:
+        if PER_SECOND_SCALE.get(name) == SAMPLE_RATE_HZ**2:
             return f"{name} (units/s^2)"
         return name
 

@@ -34,6 +34,7 @@ EXACT_MAX_N = 25
 LOW_N_THRESHOLD = 6
 
 ALTERNATIVES = ("two-sided", "greater", "less")
+TESTS = ("signed-rank", "rank-sum")
 
 
 @dataclass(frozen=True)
@@ -41,9 +42,8 @@ class TestResult:
     """Outcome of one paired test.
 
     ``statistic`` is W, the sum of positive-difference ranks. ``p`` is the
-    p-value under the recorded ``alternative``; ``p_two_sided`` asserts the
-    default sidedness for callers that rely on it. ``zeros_dropped`` records
-    how many zero differences the discard rule removed.
+    p-value under the recorded ``alternative``. ``zeros_dropped`` records how
+    many zero differences the discard rule removed.
     """
 
     statistic: float
@@ -53,12 +53,6 @@ class TestResult:
     ties_present: bool
     zeros_dropped: int = 0
     alternative: str = "two-sided"
-
-    @property
-    def p_two_sided(self) -> float:
-        if self.alternative != "two-sided":
-            raise ValueError(f"result holds a {self.alternative!r} p-value")
-        return self.p
 
 
 @lru_cache(maxsize=64)
@@ -96,24 +90,22 @@ def _normal_phi_tail(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _approx_p(
-    w: float, n: int, tie_counts: np.ndarray, alternative: str
-) -> float:
-    mu = n * (n + 1) / 4.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0
-    var -= float((tie_counts.astype(np.float64) ** 3 - tie_counts).sum()) / 48.0
+def _normal_p(stat: float, mu: float, var: float, alternative: str) -> float:
+    """Normal-approximation p-value of ``stat`` with mean ``mu`` and variance
+    ``var``, with a 0.5 continuity correction; 1.0 when ``var`` is not positive."""
     if var <= 0:
         return 1.0
     sd = math.sqrt(var)
     if alternative == "greater":
-        z = (w - mu - 0.5) / sd
-        return min(1.0, _normal_phi_tail(z))
+        return min(1.0, _normal_phi_tail((stat - mu - 0.5) / sd))
     if alternative == "less":
-        z = (w - mu + 0.5) / sd
-        return min(1.0, _normal_phi_tail(-z))
-    delta = abs(w - mu)
-    z = (delta - 0.5) / sd
-    return min(1.0, 2.0 * _normal_phi_tail(z))
+        return min(1.0, _normal_phi_tail(-(stat - mu + 0.5) / sd))
+    return min(1.0, 2.0 * _normal_phi_tail((abs(stat - mu) - 0.5) / sd))
+
+
+def _check_alternative(alternative: str) -> None:
+    if alternative not in ALTERNATIVES:
+        raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -132,8 +124,7 @@ def wilcoxon_signed_rank(
     ``alternative="greater"`` tests whether a tends to exceed b. Raises
     EmptyInputError for no pairs and ValueError for non-finite values.
     """
-    if alternative not in ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
+    _check_alternative(alternative)
     pairs = np.asarray(list(paired), dtype=np.float64)
     if pairs.size == 0:
         raise EmptyInputError("signed-rank test needs at least one pair")
@@ -167,7 +158,9 @@ def wilcoxon_signed_rank(
         method = "exact"
     else:
         _, tie_counts = np.unique(abs_d, return_counts=True)
-        p = _approx_p(w, n, tie_counts, alternative)
+        var = n * (n + 1) * (2 * n + 1) / 24.0
+        var -= float((tie_counts.astype(np.float64) ** 3 - tie_counts).sum()) / 48.0
+        p = _normal_p(w, n * (n + 1) / 4.0, var, alternative)
         method = "normal-approx"
     return TestResult(
         statistic=w,
@@ -190,8 +183,7 @@ def rank_sum_test(
     Normal approximation with tie-corrected variance and continuity
     correction; the statistic reported is the rank sum of the first sample.
     """
-    if alternative not in ALTERNATIVES:
-        raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
+    _check_alternative(alternative)
     a = np.asarray(list(a_values), dtype=np.float64)
     b = np.asarray(list(b_values), dtype=np.float64)
     if a.size == 0 or b.size == 0:
@@ -208,18 +200,10 @@ def rank_sum_test(
     tie_term = float((tie_counts.astype(np.float64) ** 3 - tie_counts).sum())
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     ties = bool(tie_counts.size != n)
-    if var <= 0:
-        p = 1.0
-    elif alternative == "greater":
-        p = min(1.0, _normal_phi_tail((r1 - mu - 0.5) / math.sqrt(var)))
-    elif alternative == "less":
-        p = min(1.0, _normal_phi_tail(-(r1 - mu + 0.5) / math.sqrt(var)))
-    else:
-        p = min(1.0, 2.0 * _normal_phi_tail((abs(r1 - mu) - 0.5) / math.sqrt(var)))
     return TestResult(
         statistic=r1,
         n_effective=n,
-        p=p,
+        p=_normal_p(r1, mu, var, alternative),
         method="normal-approx",
         ties_present=ties,
         zeros_dropped=0,
@@ -260,11 +244,15 @@ def compare_sets(
 
     Values pair per subject, in subject order. A subject whose record is
     missing or failed extraction in either set is excluded; raises
-    InsufficientDataError when no subject is left.
+    InsufficientDataError when no subject is left. An unknown ``test`` or
+    ``alternative`` raises ValueError before any pairing.
     """
     validate_task_id(task)
+    if test not in TESTS:
+        raise ValueError(f"test must be 'signed-rank' or 'rank-sum', got {test!r}")
+    _check_alternative(alternative)
     if table is None:
-        table = feature_table(corpus, DEFAULT_CATALOG)
+        table = feature_table(corpus, [feature])
     pairs = []
     for subject in corpus.subjects:
         fa = table.get((subject, pair[0], task))
@@ -278,11 +266,9 @@ def compare_sets(
         )
     if test == "signed-rank":
         return wilcoxon_signed_rank(pairs, alternative)
-    if test == "rank-sum":
-        a = [v for v, _ in pairs]
-        b = [v for _, v in pairs]
-        return rank_sum_test(a, b, alternative)
-    raise ValueError(f"test must be 'signed-rank' or 'rank-sum', got {test!r}")
+    a = [v for v, _ in pairs]
+    b = [v for _, v in pairs]
+    return rank_sum_test(a, b, alternative)
 
 
 @dataclass(frozen=True)
@@ -331,17 +317,6 @@ class ComparisonMatrix:
             [cell is not None and cell.p < a for cell in row_cells]
             for row_cells in self.cells
         ]
-
-    def significant_cells(
-        self, alpha: float | None = None
-    ) -> list[tuple[MatrixRow, tuple[SetId, SetId], Cell]]:
-        a = self.alpha if alpha is None else alpha
-        out = []
-        for row, row_cells in zip(self.rows, self.cells):
-            for pair, cell in zip(self.pairs, row_cells):
-                if cell is not None and cell.p < a:
-                    out.append((row, pair, cell))
-        return out
 
     def column(self, pair: tuple[SetId, SetId]) -> list[Cell | None]:
         j = self.pairs.index(pair)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -343,3 +344,94 @@ def test_non_utf8_input_file_is_a_one_line_error(tmp_path, capsys, argv, code):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"error: {bad}: not UTF-8 text: " in err
     assert not out.exists()
+
+
+# --- pinned artifacts ------------------------------------------------------------
+
+PIN_PROFILE = """
+seed = 61
+n_subjects = 6
+set.S4.speed_scale = 0.7
+set.S4.air_inflation = 1.5
+"""
+
+# sha256 of the output tree and of the transcript (argv, exit code, stdout,
+# stderr) of the runs below, all with paths relative to the working directory.
+# Any change to an artifact, message, usage or help line, or exit code moves
+# one of them. Help lines wrap at COLUMNS, which the test fixes.
+PINNED_TREE_SHA256 = "fe984d85cae7fa6f7675296296caa8c9aa1a83401eef432cbcdfa40440a598d8"
+PINNED_TRANSCRIPT_SHA256 = "fa0067f4254e74e5e52cc27457a2022866e270012da84e7f73e24f7ed04e3a1c"
+
+
+def _pin_invocations() -> list[list[str]]:
+    """Writes the input files into the working directory; returns the runs."""
+    Path("profile.cfg").write_text(PIN_PROFILE)
+    Path("run.cfg").write_text(
+        "# every config key\ncorpus = corpus\nout = out/config\nalpha = 0.1\n"
+        "features = time_in_air, mean_speed\npairs = S1-S4,S1-S2\n"
+        "format = markdown\ntest = rank-sum\nsided = one\n"
+    )
+    bad_configs = {
+        "format": "format = xml\ntest = bogus\n",
+        "test": "test = bogus\nsided = three\n",
+        "sided": "sided = three\n",
+        "alpha": "alpha = 2\n",
+        "key": "profile = x\n",
+        "line": "alpha 0.1\n",
+    }
+    for name, text in bad_configs.items():
+        Path(f"bad-{name}.cfg").write_text(text)
+    Path("alpha5.json").write_text(
+        '{"alpha": 5.0, "pairs": ["S1-S2"], "rows": '
+        '[{"task": 1, "feature": "mean_speed", "cells": [{"p": 0.5}]}]}'
+    )
+    runs = [
+        ["synth", "--profile", "profile.cfg", "--out", "corpus"],
+        ["validate", "--corpus", "corpus"],
+    ]
+    for command in ("extract", "compare", "report"):
+        for fmt in ("tsv", "json", "markdown"):
+            source = ["--corpus", "corpus"]
+            if command == "report":
+                source = ["--matrix", "out/compare-json/matrix.json", "--alpha", "0.2"]
+            runs.append([command, *source, "--out", f"out/{command}-{fmt}", "--format", fmt])
+    runs += [
+        ["compare", "--config", "run.cfg", "--alpha", "0.2", "--sided", "two"],
+        ["extract", "--config", "run.cfg", "--format", "json"],
+        ["validate", "--config", "run.cfg"],
+        ["report", "--matrix", "alpha5.json", "--out", "out/alpha5"],
+        ["compare", "--corpus", "corpus", "--out", "out/x", "--format", "xml"],
+        ["compare", "--out", "out/x"],
+        ["extract", "--corpus", "corpus"],
+        ["synth", "--out", "out/x"],
+        ["report", "--matrix", "out/compare-json/matrix.json", "--out", "out/x", "--alpha", "1"],
+    ]
+    runs += [
+        ["compare", "--config", f"bad-{name}.cfg", "--corpus", "corpus", "--out", "out/x"]
+        for name in bad_configs
+    ]
+    runs += [[cmd, "--help"] for cmd in ("validate", "extract", "compare", "synth", "report")]
+    return runs
+
+
+def test_cli_outputs_messages_and_exit_codes_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("INKFATIGUE_OUT", raising=False)
+    monkeypatch.setenv("COLUMNS", "100")
+    monkeypatch.chdir(tmp_path)
+    transcript = []
+    for argv in _pin_invocations():
+        code = main(argv)
+        captured = capsys.readouterr()
+        transcript.append(
+            f"$ {' '.join(argv)}\nexit {code}\n{captured.out}---\n{captured.err}===\n"
+        )
+        if argv[0] == "synth" and code == 0:
+            Path("corpus/U01/S1/task1.ink").write_text(SHORT_TASK)
+    tree = hashlib.sha256()
+    for path in sorted(p for p in Path().rglob("*") if p.is_file()):
+        tree.update(str(path).encode() + b"\0" + path.read_bytes() + b"\0")
+    text = "".join(transcript)
+    assert (tree.hexdigest(), hashlib.sha256(text.encode()).hexdigest()) == (
+        PINNED_TREE_SHA256,
+        PINNED_TRANSCRIPT_SHA256,
+    ), text

@@ -195,6 +195,9 @@ def test_parse_out_of_range_pressure_names_channel_and_line():
         ("#subject=U1\n#set=S1\n#task=1\n1 2 3 4\n1 2 3 4 5\n", "5 integers"),
         ("#subject=U1\n#set=S1\n#task=1\n1 2 x 4 5\n1 2 3 4 5\n", "non-integer"),
         ("#subject=U1\n#subject=U2\n#set=S1\n#task=1\n1 2 3 4 5\n1 2 3 4 5\n", "duplicate"),
+        ("#subject=U1\n#set=S1\n#task=\u0663\n1 2 3 4 5\n", "line 3: task must be an integer"),
+        ("#subject=U1\n#set=S1\n#task=0_3\n1 2 3 4 5\n", "line 3: task must be an integer"),
+        ("#subject=U1\n#set=S1\n#task=+3\n1 2 3 4 5\n", "line 3: task must be an integer"),
     ],
 )
 def test_parse_malformed_inputs_are_diagnosed(text, fragment):

@@ -144,14 +144,6 @@ def test_one_sided_p_matches_scipy(a, b):
         assert rank_sum_test(a, b, alternative).p == pytest.approx(want, rel=1e-9, abs=0)
 
 
-def test_one_sided_p_two_sided_accessor_guard():
-    result = wilcoxon_signed_rank(pairs_from_diffs([1, 2, 3]), "greater")
-    with pytest.raises(ValueError):
-        result.p_two_sided
-    two = wilcoxon_signed_rank(pairs_from_diffs([1, 2, 3]))
-    assert two.p_two_sided == two.p
-
-
 def test_tie_path_matches_hand_formula():
     # Independent recomputation: naive midranks, tie-corrected variance,
     # 0.5 continuity correction, two-sided normal tail.
@@ -295,6 +287,33 @@ def test_compare_sets_rank_sum_variant():
         corpus, 1, "mean_speed", (SetId.S1, SetId.S2), test="rank-sum"
     )
     assert 0.0 <= result.p <= 1.0
+
+
+@pytest.mark.parametrize(
+    "test,alternative,message",
+    [
+        ("bogus", "two-sided", "test must be 'signed-rank' or 'rank-sum', got 'bogus'"),
+        ("signed-rank", "sideways", "alternative must be one of"),
+        ("rank-sum", "sideways", "alternative must be one of"),
+    ],
+)
+def test_unknown_test_or_alternative_is_rejected_before_pairing(test, alternative, message):
+    # Only S1 exists, so no cell has a subject pair to test.
+    corpus = generate_corpus(SynthProfile(seed=21, n_subjects=2), sets=(SetId.S1,))
+    pair = (SetId.S1, SetId.S2)
+    with pytest.raises(ValueError, match=message):
+        compare_sets(corpus, 1, "mean_speed", pair, test=test, alternative=alternative)
+    with pytest.raises(ValueError, match=message):
+        build_matrix(corpus, [(1, "mean_speed")], [pair], test=test, alternative=alternative)
+
+
+def test_compare_sets_without_table_extracts_the_named_feature():
+    corpus = generate_corpus(SynthProfile(seed=23, n_subjects=6), sets=(SetId.S1, SetId.S2))
+    pair = (SetId.S1, SetId.S2)
+    table = feature_table(corpus, ["pendown_mean_speed"])
+    assert compare_sets(corpus, 1, "pendown_mean_speed", pair) == compare_sets(
+        corpus, 1, "pendown_mean_speed", pair, table=table
+    )
 
 
 # --- matrix -----------------------------------------------------------------
