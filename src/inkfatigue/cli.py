@@ -287,7 +287,9 @@ def cmd_report(args, parser) -> int:
 
 def _write_matrix(out: Path, matrix, alpha: float, names: tuple[str, ...]) -> None:
     """Write the named matrix artifacts at ``alpha``, then the recovery summary
-    as ``recovery.json`` and ``recovery.txt``, and name each file on stdout."""
+    as ``recovery.json`` and ``recovery.txt``, and name each file on stdout.
+    The summary is computed first, so a bad ``alpha`` writes no file."""
+    summary = summarize_recovery(matrix, alpha)
     render = {
         "matrix.json": lambda: reporting.matrix_to_json(matrix),
         "matrix.tsv": lambda: reporting.matrix_to_tsv(matrix),
@@ -295,7 +297,6 @@ def _write_matrix(out: Path, matrix, alpha: float, names: tuple[str, ...]) -> No
         "matrix.md": lambda: reporting.matrix_to_markdown(matrix, alpha),
     }
     written = [reporting.write_text(out / name, render[name]()) for name in names]
-    summary = summarize_recovery(matrix, alpha)
     written += [
         reporting.write_text(out / "recovery.json", reporting.recovery_to_json(summary)),
         reporting.write_text(out / "recovery.txt", reporting.recovery_to_text(summary)),

@@ -116,8 +116,18 @@ def matrix_from_json(text: str) -> ComparisonMatrix:
         pairs = tuple(parse_pair_label(p) for p in payload["pairs"])
         rows = []
         cells = []
-        for row in payload["rows"]:
-            rows.append(MatrixRow(task=int(row["task"]), feature=row["feature"]))
+        for number, row in enumerate(payload["rows"], start=1):
+            task = row["task"]
+            if type(task) is not int or task not in TASK_CATEGORIES:
+                raise FormatError(
+                    f"matrix JSON row {number}: task must be an integer in 1..9, got {task!r}"
+                )
+            if len(row["cells"]) != len(pairs):
+                raise FormatError(
+                    f"matrix JSON row {number} has {len(row['cells'])} cells, "
+                    f"expected {len(pairs)}"
+                )
+            rows.append(MatrixRow(task=task, feature=row["feature"]))
             cells.append(
                 tuple(
                     None
@@ -163,10 +173,9 @@ def load_matrix_tsv(text: str, alpha: float = 0.05) -> ComparisonMatrix:
                 f"expected {3 + len(pairs)} fields, got {len(fields)}", line=lineno
             )
         category, task_text, feature = fields[:3]
-        try:
-            task = int(task_text)
-        except ValueError:
+        if not (task_text.isascii() and task_text.isdigit()):
             raise FormatError(f"task must be an integer, got {task_text!r}", line=lineno)
+        task = int(task_text)
         if task not in TASK_CATEGORIES:
             raise FormatError(f"task must be in 1..9, got {task}", line=lineno)
         if TASK_CATEGORIES[task].value != category:

@@ -13,6 +13,13 @@ keyed by that tuple, and raw draws never depend on perturbation parameters,
 so changing for example ``pressure_shift`` moves pressures without touching
 the trajectory. Adding a subject never perturbs other subjects' data.
 
+Draws are batched per stage in a fixed order: each per-sample stage is one
+draw covering all strokes of the record, and the strokes are built as rows
+of padded arrays. A ``Generator`` stream gives the same values in one draw as
+in one draw per stroke, and every per-sample expression keeps its operand
+order, so the output is bit-identical to building the record stroke by
+stroke.
+
 Per-set perturbations:
 
 * ``speed_scale``   multiplies pen speed (spatial step size per sample),
@@ -23,6 +30,7 @@ Per-set perturbations:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -133,6 +141,7 @@ class _SubjectTraits:
     origin_y: int
 
 
+@functools.lru_cache(maxsize=256)
 def _subject_traits(seed: int, subject_id: str) -> _SubjectTraits:
     rng = _stream(seed, "subject", subject_id)
     z = rng.standard_normal(5)
@@ -169,73 +178,81 @@ def generate_task(
     raw_gaps = rng.integers(gap_lo, gap_hi + 1, size=max(n_strokes - 1, 0))
     gaps = np.maximum(1, np.rint(raw_gaps * pert.air_inflation).astype(np.int64))
 
-    # Stage 2: trajectory draws.
+    # Stage 2: trajectory draws. A per-sample draw covers all strokes at once.
+    n_down = int(stroke_len.sum())
     headings0 = rng.uniform(0.0, 2.0 * math.pi, size=n_strokes)
     curvature = rng.normal(0.0, _CURVATURE_SD, size=n_strokes)
     stroke_speed_mult = np.exp(rng.normal(0.0, _STROKE_SPEED_SD, size=n_strokes))
-    heading_noise = [rng.standard_normal(int(L)) for L in stroke_len]
-    speed_noise = [rng.standard_normal(int(L)) for L in stroke_len]
+    heading_noise = rng.standard_normal(n_down)
+    speed_noise = rng.standard_normal(n_down)
     jump_angle = rng.uniform(0.0, 2.0 * math.pi, size=max(n_strokes - 1, 0))
     jump_spread = rng.uniform(0.3, 0.8, size=max(n_strokes - 1, 0))
 
     # Stage 3: pressure noise, one value per pen-down sample.
-    pressure_noise = [rng.standard_normal(int(L)) for L in stroke_len]
+    pressure_noise = rng.standard_normal(n_down)
+
+    # Stroke i is row i of zero-padded (n_strokes, max_len) arrays; a cumsum
+    # along a row adds in the same order as over the stroke alone.
+    col = np.arange(stroke_len.max())
+    down = col < stroke_len[:, None]
+
+    def by_stroke(flat: np.ndarray) -> np.ndarray:
+        rows = np.zeros(down.shape)
+        rows[down] = flat
+        return rows
 
     base_v = profile.base_speed * traits.tempo * pert.speed_scale
-    x_parts: list[np.ndarray] = []
-    y_parts: list[np.ndarray] = []
-    p_parts: list[np.ndarray] = []
+    theta = headings0[:, None] + np.cumsum(
+        curvature[:, None] + _HEADING_STEP_SD * by_stroke(heading_noise), axis=1
+    )
+    v = (base_v * traits.amp_scale * stroke_speed_mult)[:, None] * np.exp(
+        _SAMPLE_SPEED_SD * by_stroke(speed_noise)
+    )
+    # walk[0] and walk[1]: x and y offsets from each stroke's start.
+    walk = np.cumsum(v * np.stack([np.cos(theta), np.sin(theta)]), axis=2)
+
+    # Pressure rises and falls within the stroke; clamp keeps pen-down
+    # samples strictly positive so perturbing pressure never edits timing.
+    arc = np.sin(math.pi * (col + 0.5) / stroke_len[:, None])
+    level = profile.base_pressure_level * traits.pressure_scale
+    p_raw = np.rint(level * arc * np.exp(_PRESSURE_NOISE_SD * by_stroke(pressure_noise)))
+    pen = np.clip(p_raw + pert.pressure_shift, 1, PRESSURE_MAX)
+
+    # Each stroke starts where the jump after the previous one lands. Row i's
+    # gap runs from stroke i's end to that target; the last row has none.
+    walk_end = walk[:, np.arange(n_strokes), stroke_len - 1].T.tolist()
+    jumps = (base_v * traits.amp_scale * gaps * jump_spread).tolist()
+    angles = jump_angle.tolist()
+    starts, ends, targets = [], [], []
     pos_x, pos_y = float(traits.origin_x), float(traits.origin_y)
-
-    for i in range(n_strokes):
-        L = int(stroke_len[i])
-        theta = headings0[i] + np.cumsum(
-            curvature[i] + _HEADING_STEP_SD * heading_noise[i]
-        )
-        v = base_v * traits.amp_scale * stroke_speed_mult[i] * np.exp(
-            _SAMPLE_SPEED_SD * speed_noise[i]
-        )
-        dx = v * np.cos(theta)
-        dy = v * np.sin(theta)
-        sx = pos_x + np.cumsum(dx)
-        sy = pos_y + np.cumsum(dy)
-        x_parts.append(sx)
-        y_parts.append(sy)
-        pos_x, pos_y = float(sx[-1]), float(sy[-1])
-
-        # Pressure rises and falls within the stroke; clamp keeps pen-down
-        # samples strictly positive so perturbing pressure never edits timing.
-        arc = np.sin(math.pi * (np.arange(L) + 0.5) / L)
-        level = profile.base_pressure_level * traits.pressure_scale
-        p_raw = np.rint(level * arc * np.exp(_PRESSURE_NOISE_SD * pressure_noise[i]))
-        p_parts.append(np.clip(p_raw + pert.pressure_shift, 1, PRESSURE_MAX))
-
+    for i, (walk_x, walk_y) in enumerate(walk_end):
+        starts.append((pos_x, pos_y))
+        pos_x, pos_y = pos_x + walk_x, pos_y + walk_y
+        ends.append((pos_x, pos_y))
         if i < n_strokes - 1:
-            gap = int(gaps[i])
-            jump = base_v * traits.amp_scale * float(gaps[i]) * jump_spread[i]
-            target_x = pos_x + jump * math.cos(jump_angle[i])
-            target_y = pos_y + jump * math.sin(jump_angle[i])
-            # Gap samples sit strictly between the stroke end and next start.
-            frac = np.arange(1, gap + 1) / (gap + 1)
-            x_parts.append(pos_x + (target_x - pos_x) * frac)
-            y_parts.append(pos_y + (target_y - pos_y) * frac)
-            p_parts.append(np.zeros(gap))
-            pos_x, pos_y = target_x, target_y
+            pos_x = pos_x + jumps[i] * math.cos(angles[i])
+            pos_y = pos_y + jumps[i] * math.sin(angles[i])
+        targets.append((pos_x, pos_y))
+    starts, ends, targets = (np.array(a).T[:, :, None] for a in (starts, ends, targets))
 
-    x = np.concatenate(x_parts)
-    y = np.concatenate(y_parts)
-    p = np.concatenate(p_parts)
+    # Gap samples sit strictly between the stroke end and next start. The
+    # row-major gather yields stroke 0, gap 0, stroke 1, ..., last stroke.
+    gap_len = np.append(gaps, 0)
+    step = np.arange(1, gap_len.max() + 1)
+    frac = step / (gap_len[:, None] + 1)
+    keep = np.concatenate([down, step <= gap_len[:, None]], axis=1)
+    xy = np.concatenate([starts + walk, ends + (targets - ends) * frac], axis=2)[:, keep]
+    p = np.concatenate([pen, np.zeros(frac.shape)], axis=1)[keep]
 
     # Stage 4: positional jitter, drawn last because its size depends on the
     # (inflation-dependent) record length.
     if pert.jitter_sd > 0:
-        jitter = rng.standard_normal((2, x.size))
-        x = x + pert.jitter_sd * jitter[0]
-        y = y + pert.jitter_sd * jitter[1]
+        xy = xy + pert.jitter_sd * rng.standard_normal(xy.shape)
 
+    x, y = np.rint(xy).astype(np.int64)
     signal = InkSignal(
-        x=np.rint(x).astype(np.int64),
-        y=np.rint(y).astype(np.int64),
+        x=x,
+        y=y,
         pressure=p.astype(np.int64),
         azimuth=np.full(x.size, traits.azimuth, dtype=np.int64),
         altitude=np.full(x.size, traits.altitude, dtype=np.int64),

@@ -147,6 +147,7 @@ def test_wilcoxon_exactness_spot_check_against_slow_oracle(rng):
         assert got == pytest.approx(enumerate_signed_rank_p(list(d)), abs=1e-12)
 
 
+@pytest.mark.slow
 def test_null_calibration_within_binomial_window():
     """100 null corpora (20 subjects, no perturbations): the rate of p < 0.05
     over all cells of the 29-row x 10-pair matrix stays inside the 99%
@@ -171,6 +172,7 @@ def test_null_calibration_within_binomial_window():
     )
 
 
+@pytest.mark.slow
 def test_power_and_specificity_of_injected_s4_effect():
     """S4-only perturbation (speed_scale 0.7, air_inflation 1.5): every
     affected (task, feature) S1-S4 cell is significant in >= 95% of 200

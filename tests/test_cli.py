@@ -276,6 +276,30 @@ def test_report_rerenders_saved_matrix(corpus_dir, tmp_path):
     assert json.loads((rep_out / "recovery.json").read_text())["alpha"] == 0.01
 
 
+@pytest.mark.parametrize(
+    "alpha,task,cells,error",
+    [
+        ("0.05", "12", '[{"p": 0.5}]', "matrix JSON row 1: task must be an integer in 1..9, got 12"),
+        ("0.05", "true", '[{"p": 0.5}]', "matrix JSON row 1: task must be an integer in 1..9, got True"),
+        ("0.05", "1", '[{"p": 0.5}, {"p": 0.1}]', "matrix JSON row 1 has 2 cells, expected 1"),
+        ("5.0", "1", '[{"p": 0.5}]', "alpha must lie in [0, 1], got 5.0"),
+    ],
+    ids=["task-12", "task-true", "extra-cell", "alpha-5"],
+)
+def test_report_bad_matrix_is_a_one_line_error_and_writes_nothing(
+    tmp_path, capsys, alpha, task, cells, error
+):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(
+        f'{{"alpha": {alpha}, "pairs": ["S1-S2"], "rows": '
+        f'[{{"task": {task}, "feature": "mean_speed", "cells": {cells}}}]}}'
+    )
+    out = tmp_path / "o"
+    assert main(["report", "--matrix", str(matrix), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 # --- flags, env, config ---------------------------------------------------------
 
 
@@ -359,7 +383,7 @@ set.S4.air_inflation = 1.5
 # stderr) of the runs below, all with paths relative to the working directory.
 # Any change to an artifact, message, usage or help line, or exit code moves
 # one of them. Help lines wrap at COLUMNS, which the test fixes.
-PINNED_TREE_SHA256 = "fe984d85cae7fa6f7675296296caa8c9aa1a83401eef432cbcdfa40440a598d8"
+PINNED_TREE_SHA256 = "a51b6d37871bc02f33a2d9b39e27ef4cec7bc156048c075b289ca687fba0b7cf"
 PINNED_TRANSCRIPT_SHA256 = "fa0067f4254e74e5e52cc27457a2022866e270012da84e7f73e24f7ed04e3a1c"
 
 

@@ -336,6 +336,18 @@ _SERIALIZED_DIGESTS = [
         ),
         "919f55f69cc7dda8038f1c57f7482ae365c6bb3a338704b067839f30d443c712",
     ),
+    (
+        SynthProfile(seed=5, n_subjects=1, stroke_count=1, air_gap_len=1),
+        "7a064eebc73a5204342d109b95f88f07532b9ff992a8bdeff6cf830acbca71f8",
+    ),
+    (
+        SynthProfile(
+            seed=13,
+            n_subjects=1,
+            perturbations={SetId.S3: Perturbation(air_inflation=0.01, pressure_shift=500)},
+        ),
+        "af7f6c620ff56c09658d53246ab1739ecae6df1ea413958c196894f2123ad372",
+    ),
 ]
 
 

@@ -76,6 +76,31 @@ def test_matrix_json_rejects_garbage():
         matrix_from_json('{"alpha": 0.05}')
 
 
+def _matrix_json(task, cells='[{"p": 0.5}]'):
+    return (
+        '{"alpha": 0.05, "pairs": ["S1-S2"], "rows": '
+        f'[{{"task": {task}, "feature": "mean_speed", "cells": {cells}}}]}}'
+    )
+
+
+@pytest.mark.parametrize("task", ["12", "0", "-1", "3.7", '"3"', '"\u0663"', "true", "null"])
+def test_matrix_json_task_must_be_an_integer_in_range(task):
+    with pytest.raises(FormatError, match="task must be an integer in 1..9"):
+        matrix_from_json(_matrix_json(task))
+
+
+@pytest.mark.parametrize("cells", ["[]", '[{"p": 0.5}, {"p": 0.2}]', '[{"p": 0.5}, null]'])
+def test_matrix_json_row_must_have_one_cell_per_pair(cells):
+    with pytest.raises(FormatError, match="row 1 has .* cells, expected 1"):
+        matrix_from_json(_matrix_json(3, cells))
+
+
+def test_matrix_json_accepts_every_task_and_na_cells():
+    for task in range(1, 10):
+        loaded = matrix_from_json(_matrix_json(task, "[null]"))
+        assert loaded.rows[0].task == task and loaded.cells == ((None,),)
+
+
 def test_mask_tsv_matches_mask(small_matrix):
     lines = mask_to_tsv(small_matrix).splitlines()[1:]
     parsed = [line.split("\t")[3:] for line in lines]
@@ -122,6 +147,14 @@ def test_load_matrix_tsv_diagnostics():
         load_matrix_tsv(good_header + "Cognitive\t1\tmean_speed\t1.5\n")
     loaded = load_matrix_tsv(good_header + "Cognitive\t1\tmean_speed\tNA\n")
     assert loaded.cells[0][0] is None
+
+
+@pytest.mark.parametrize("task", ["+1", " 1", "1 ", "\u0663", "1_0", "", "1.0"])
+def test_load_matrix_tsv_task_is_ascii_digits(task):
+    text = f"task_type\ttask\tfeature\tS1-S2\nCognitive\t{task}\tmean_speed\t0.5\n"
+    with pytest.raises(FormatError) as info:
+        load_matrix_tsv(text)
+    assert str(info.value) == f"line 2: task must be an integer, got {task!r}"
 
 
 # --- feature tables ----------------------------------------------------------

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inkfatigue.errors import ConfigError
 from inkfatigue.features import extract_features
-from inkfatigue.model import SetId, TASK_IDS, parse_task_file, serialize_task
+from inkfatigue.model import ALL_SETS, SetId, TASK_IDS, parse_task_file, serialize_task
 from inkfatigue.synth import (
     Perturbation,
     SynthProfile,
@@ -12,6 +13,8 @@ from inkfatigue.synth import (
     load_profile,
     parse_profile,
 )
+
+from oracles import reference_generate_task
 
 
 def test_same_key_gives_identical_records():
@@ -138,6 +141,42 @@ def test_degenerate_profiles_rejected():
         Perturbation(jitter_sd=-0.5)
     with pytest.raises(ConfigError):
         Perturbation(pressure_shift=1.5)
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    subject=st.sampled_from(["U01", "U02", "U17"]),
+    set_id=st.sampled_from(ALL_SETS),
+    task=st.sampled_from(TASK_IDS),
+    stroke_count=st.integers(1, 12),
+    air_gap_len=st.integers(1, 60),
+    base_pressure_level=st.sampled_from([1, 1100, 2047]),
+    speed_scale=st.floats(0.1, 3.0),
+    air_inflation=st.floats(0.01, 3.0),
+    jitter_sd=st.just(0.0) | st.floats(0.01, 5.0),
+    pressure_shift=st.integers(-3000, 3000),
+)
+@settings(max_examples=150, deadline=None)
+def test_generator_matches_per_stroke_reference(
+    seed, subject, set_id, task, stroke_count, air_gap_len, base_pressure_level,
+    speed_scale, air_inflation, jitter_sd, pressure_shift,
+):
+    perturbation = Perturbation(
+        speed_scale=speed_scale,
+        pressure_shift=pressure_shift,
+        air_inflation=air_inflation,
+        jitter_sd=jitter_sd,
+    )
+    profile = SynthProfile(
+        seed=seed,
+        stroke_count=stroke_count,
+        air_gap_len=air_gap_len,
+        base_pressure_level=base_pressure_level,
+        perturbations={set_id: perturbation},
+    )
+    assert generate_task(profile, subject, set_id, task) == reference_generate_task(
+        profile, subject, set_id, task
+    )
 
 
 def test_generate_task_rejects_bad_task():
