@@ -42,14 +42,12 @@ from .protocol import (
     jump_height,
     power_output,
     summarize_recovery,
-    task_category,
 )
 from .stats import (
     Cell,
     ComparisonMatrix,
     MatrixRow,
     TestResult,
-    bonferroni,
     build_matrix,
     compare_sets,
     default_rows,
@@ -86,7 +84,6 @@ __all__ = [
     "TaskRecord",
     "TestResult",
     "TooShortError",
-    "bonferroni",
     "build_matrix",
     "canonical_set_pairs",
     "compare_sets",
@@ -102,7 +99,6 @@ __all__ = [
     "rank_sum_test",
     "serialize_task",
     "summarize_recovery",
-    "task_category",
     "wilcoxon_signed_rank",
     "write_corpus",
 ]

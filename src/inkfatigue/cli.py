@@ -115,7 +115,10 @@ def _read_config(path: Path) -> dict[str, object]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _OPTIONS or key in _FLAG_ONLY:
             raise argparse.ArgumentTypeError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _OPTIONS[key].get("type", str)(value)
+        try:
+            values[key] = _OPTIONS[key].get("type", str)(value)
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"{path}:{lineno}: {exc}")
     for key, option in _OPTIONS.items():
         choices = option.get("choices")
         if choices and key in values and values[key] not in choices:

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, RangeError, ShapeError, TooShortError
-from .model import PRESSURE_MAX, SetId, TaskRecord
+from .model import SetId, TaskRecord
 
 #: Default feature catalog; name order defines export column order.
 DEFAULT_CATALOG: tuple[str, ...] = (
@@ -58,8 +58,9 @@ COUNT_FEATURES = frozenset(
     {"time_in_air", "time_down", "p_gt_100", "p_gt_600", "p_band_100_400", "p_band_100_600"}
 )
 
-_KINEMATIC_NAMES = frozenset(name.removeprefix("pendown_") for name in PENDOWN_CATALOG)
-_PENDOWN_NAMES = frozenset(PENDOWN_CATALOG)
+#: Kinematic feature names, in the order ``_kinematics`` returns them.
+_KINEMATIC_NAMES = tuple(name.removeprefix("pendown_") for name in PENDOWN_CATALOG)
+_KNOWN_NAMES = frozenset(DEFAULT_CATALOG + PENDOWN_CATALOG)
 
 MIN_SIGNAL_LEN = 3
 
@@ -72,6 +73,57 @@ def _as_1d(series, name: str = "series") -> np.ndarray:
     if arr.ndim != 1:
         raise ShapeError(f"{name} must be one-dimensional")
     return arr
+
+
+# Private kernels, shared by ``extract_features`` and the public helpers
+# below. They skip the checks that ``InkSignal`` already guarantees.
+
+
+def _entropy_bits(counts: np.ndarray, n: int) -> float:
+    """Plug-in entropy in bits of a histogram of ``n`` samples."""
+    probs = counts[counts > 0] / n
+    return float(-np.add.reduce(probs * np.log2(probs)))
+
+
+def _mean_std_max(a: np.ndarray) -> tuple[float, float, float]:
+    """``a.mean()``, ``a.std()`` and ``a.max()`` of a non-empty float array,
+    bit for bit: numpy's own order, sum / n and then sqrt(sum(d * d) / n)."""
+    mean = np.add.reduce(a) / a.size
+    d = a - mean
+    return float(mean), float(np.sqrt(np.add.reduce(d * d) / a.size)), float(np.maximum.reduce(a))
+
+
+def _kinematics(x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
+    """Speed and acceleration statistics, in ``_KINEMATIC_NAMES`` order.
+
+    Speed is sqrt(dx^2 + dy^2) of forward differences (units per sample);
+    acceleration the same magnitude of second differences.
+    """
+    dx = x[1:] - x[:-1]
+    dy = y[1:] - y[:-1]
+    speed = _mean_std_max(np.hypot(dx, dy))
+    return speed + _mean_std_max(np.hypot(dx[1:] - dx[:-1], dy[1:] - dy[:-1]))
+
+
+def _timing(down: np.ndarray) -> tuple[int, int, int, int]:
+    """(time_in_air, time_down, strokes_down, strokes_up) of a non-empty
+    pen-down mask. Strokes are the maximal pen-down and in-air runs, which
+    alternate starting from the state of the first sample."""
+    n_down = int(np.count_nonzero(down))
+    runs = 1 + int(np.count_nonzero(down[1:] != down[:-1]))
+    first_down = int(down[0])
+    return down.size - n_down, n_down, (runs + first_down) // 2, (runs + 1 - first_down) // 2
+
+
+def _normalized_time_up(air: int, strokes_up: int) -> float:
+    return air / strokes_up if strokes_up else 0.0
+
+
+def _pen_down(pressure, what: str) -> np.ndarray:
+    arr = _as_1d(pressure, "pressure")
+    if arr.size == 0:
+        raise EmptyInputError(f"{what} needs a non-empty pressure series")
+    return arr > 0
 
 
 def entropy(series, alphabet_size: int) -> float:
@@ -92,47 +144,7 @@ def entropy(series, alphabet_size: int) -> float:
             f"series values must lie in [0, {alphabet_size}), "
             f"got range [{arr.min()}, {arr.max()}]"
         )
-    counts = np.bincount(arr, minlength=alphabet_size)
-    probs = counts[counts > 0] / arr.size
-    return float(-(probs * np.log2(probs)).sum())
-
-
-def first_derivative(series) -> np.ndarray:
-    """Forward differences d[i] = s[i+1] - s[i] (length n-1)."""
-    arr = _as_1d(series)
-    if arr.size < 2:
-        raise TooShortError("first derivative needs at least 2 samples")
-    return np.diff(arr)
-
-
-def second_derivative(series) -> np.ndarray:
-    """Second differences dd[i] = s[i+2] - 2 s[i+1] + s[i] (length n-2)."""
-    arr = _as_1d(series)
-    if arr.size < 3:
-        raise TooShortError("second derivative needs at least 3 samples")
-    return np.diff(arr, n=2)
-
-
-def speed_series(x, y) -> np.ndarray:
-    """Instantaneous speed sqrt(dx^2 + dy^2), units per sample."""
-    xa = _as_1d(x, "x")
-    ya = _as_1d(y, "y")
-    if xa.size != ya.size:
-        raise ShapeError(f"x and y must have the same length ({xa.size} != {ya.size})")
-    if xa.size < 2:
-        raise TooShortError("speed needs at least 2 samples")
-    return np.hypot(np.diff(xa), np.diff(ya))
-
-
-def acceleration_series(x, y) -> np.ndarray:
-    """Euclidean magnitude of per-axis second differences."""
-    xa = _as_1d(x, "x")
-    ya = _as_1d(y, "y")
-    if xa.size != ya.size:
-        raise ShapeError(f"x and y must have the same length ({xa.size} != {ya.size})")
-    if xa.size < 3:
-        raise TooShortError("acceleration needs at least 3 samples")
-    return np.hypot(np.diff(xa, n=2), np.diff(ya, n=2))
+    return _entropy_bits(np.bincount(arr), arr.size)
 
 
 def stroke_counts(pressure) -> tuple[int, int]:
@@ -142,30 +154,17 @@ def stroke_counts(pressure) -> tuple[int, int]:
     strokes_up = (1 - b[0]) + falling edges of b. Equivalently, the number of
     maximal pen-down runs and maximal in-air runs.
     """
-    arr = _as_1d(pressure, "pressure")
-    if arr.size == 0:
-        raise EmptyInputError("stroke counting needs a non-empty pressure series")
-    b = (arr > 0).astype(np.int8)
-    v = np.diff(b)
-    strokes_down = int(b[0]) + int((v == 1).sum())
-    strokes_up = int(1 - b[0]) + int((v == -1).sum())
-    return strokes_down, strokes_up
+    return _timing(_pen_down(pressure, "stroke counting"))[2:]
 
 
 def time_in_air(pressure) -> int:
-    """Number of samples with zero pressure (pen hovering)."""
-    arr = _as_1d(pressure, "pressure")
-    if arr.size == 0:
-        raise EmptyInputError("time_in_air needs a non-empty pressure series")
-    return int((arr == 0).sum())
+    """Number of samples without positive pressure (pen hovering)."""
+    return _timing(_pen_down(pressure, "time_in_air"))[0]
 
 
 def time_down(pressure) -> int:
     """Number of samples with positive pressure (pen on the surface)."""
-    arr = _as_1d(pressure, "pressure")
-    if arr.size == 0:
-        raise EmptyInputError("time_down needs a non-empty pressure series")
-    return int((arr > 0).sum())
+    return _timing(_pen_down(pressure, "time_down"))[1]
 
 
 def normalized_time_up(pressure) -> float:
@@ -174,36 +173,8 @@ def normalized_time_up(pressure) -> float:
     Returns 0.0 when there is no in-air stroke (the extractor flags this case
     so downstream consumers can tell it apart from a genuine zero).
     """
-    up = time_in_air(pressure)
-    _, strokes_up = stroke_counts(pressure)
-    if strokes_up == 0:
-        return 0.0
-    return up / strokes_up
-
-
-def pressure_above(pressure, n: int) -> int:
-    """Number of samples with pressure strictly greater than ``n``."""
-    if not 0 <= n <= PRESSURE_MAX:
-        raise RangeError(f"threshold must be in [0, {PRESSURE_MAX}], got {n}")
-    arr = _as_1d(pressure, "pressure")
-    return int((arr > n).sum())
-
-
-def pressure_band(pressure, n1: int, n2: int) -> int:
-    """Number of samples with n1 <= pressure <= n2 (inclusive both ends)."""
-    if not (0 < n1 < n2 <= PRESSURE_MAX):
-        raise RangeError(
-            f"band bounds must satisfy 0 < n1 < n2 <= {PRESSURE_MAX}, got ({n1}, {n2})"
-        )
-    arr = _as_1d(pressure, "pressure")
-    return int(((arr >= n1) & (arr <= n2)).sum())
-
-
-def _shifted_entropy(series: np.ndarray) -> float:
-    # Raw integer values shifted to a zero-based alphabet; no binning parameter.
-    lo = int(series.min())
-    hi = int(series.max())
-    return entropy(series - lo, hi - lo + 1)
+    air, _, _, strokes_up = _timing(_pen_down(pressure, "normalized_time_up"))
+    return _normalized_time_up(air, strokes_up)
 
 
 @dataclass(frozen=True)
@@ -233,26 +204,14 @@ def full_catalog() -> tuple[str, ...]:
     return DEFAULT_CATALOG + PENDOWN_CATALOG
 
 
-def _kinematic_stats(x: np.ndarray, y: np.ndarray) -> dict[str, float]:
-    speed = speed_series(x, y)
-    accel = acceleration_series(x, y)
-    return {
-        "mean_speed": float(speed.mean()),
-        "std_speed": float(speed.std()),
-        "max_speed": float(speed.max()),
-        "mean_acceleration": float(accel.mean()),
-        "std_acceleration": float(accel.std()),
-        "max_acceleration": float(accel.max()),
-    }
-
-
 def extract_features(
     record: TaskRecord, catalog: Sequence[str] = DEFAULT_CATALOG
 ) -> FeatureVector:
     """Compute every catalog feature for one record.
 
     Deterministic and side-effect free. Raises TooShortError for signals
-    shorter than 3 samples (second derivatives need that much).
+    shorter than 3 samples (second derivatives need that much). Each
+    intermediate (differences, pen-down mask, counts) is computed once.
     """
     sig = record.signal
     n = len(sig)
@@ -260,49 +219,52 @@ def extract_features(
         raise TooShortError(
             f"feature extraction needs at least {MIN_SIGNAL_LEN} samples, got {n}"
         )
-    unknown = [name for name in catalog if name not in full_catalog()]
+    unknown = [name for name in catalog if name not in _KNOWN_NAMES]
     if unknown:
         raise RangeError(f"unknown feature name(s): {', '.join(unknown)}")
 
-    p = sig.pressure
+    x, y, p = sig.x, sig.y, sig.pressure
     wanted = set(catalog)
     flags: set[str] = set()
     pool: dict[str, float] = {}
 
-    if wanted & {"entropy_x", "entropy_y", "entropy_p"}:
-        pool["entropy_x"] = _shifted_entropy(sig.x)
-        pool["entropy_y"] = _shifted_entropy(sig.y)
-        pool["entropy_p"] = entropy(p, PRESSURE_MAX + 1)
-    if wanted & _KINEMATIC_NAMES:
-        pool.update(_kinematic_stats(sig.x, sig.y))
-    if "mean_abs_dp" in wanted:
-        pool["mean_abs_dp"] = float(np.abs(np.diff(p)).mean())
-    if "mean_abs_ddp" in wanted:
-        pool["mean_abs_ddp"] = float(np.abs(np.diff(p, n=2)).mean())
-    if wanted & {"time_in_air", "time_down", "normalized_time_up"}:
-        pool["time_in_air"] = time_in_air(p)
-        pool["time_down"] = time_down(p)
-        pool["normalized_time_up"] = normalized_time_up(p)
-        if stroke_counts(p)[1] == 0:
+    if not wanted.isdisjoint(("entropy_x", "entropy_y", "entropy_p")):
+        # Raw integer values shifted to a zero-based alphabet; no binning.
+        pool["entropy_x"] = _entropy_bits(np.bincount(x - np.minimum.reduce(x)), n)
+        pool["entropy_y"] = _entropy_bits(np.bincount(y - np.minimum.reduce(y)), n)
+        pool["entropy_p"] = _entropy_bits(np.bincount(p), n)
+    if not wanted.isdisjoint(_KINEMATIC_NAMES):
+        pool.update(zip(_KINEMATIC_NAMES, _kinematics(x, y)))
+    if "mean_abs_dp" in wanted or "mean_abs_ddp" in wanted:
+        # Integer sums below 2**53 are exact, so dividing them matches
+        # ndarray.mean's float sum bit for bit.
+        dp = p[1:] - p[:-1]
+        pool["mean_abs_dp"] = float(np.add.reduce(np.abs(dp)) / (n - 1))
+        pool["mean_abs_ddp"] = float(np.add.reduce(np.abs(dp[1:] - dp[:-1])) / (n - 2))
+    down = p > 0
+    if not wanted.isdisjoint(("time_in_air", "time_down", "normalized_time_up")):
+        air, n_down, _, strokes_up = _timing(down)
+        pool["time_in_air"] = air
+        pool["time_down"] = n_down
+        pool["normalized_time_up"] = _normalized_time_up(air, strokes_up)
+        if strokes_up == 0:
             flags.add("normalized_time_up")
-    if "p_gt_100" in wanted:
-        pool["p_gt_100"] = pressure_above(p, 100)
-    if "p_gt_600" in wanted:
-        pool["p_gt_600"] = pressure_above(p, 600)
-    if "p_band_100_400" in wanted:
-        pool["p_band_100_400"] = pressure_band(p, 100, 400)
-    if "p_band_100_600" in wanted:
-        pool["p_band_100_600"] = pressure_band(p, 100, 600)
-    if wanted & _PENDOWN_NAMES:
-        mask = p > 0
-        if int(mask.sum()) < MIN_SIGNAL_LEN:
+    if not wanted.isdisjoint(("p_gt_100", "p_gt_600", "p_band_100_400", "p_band_100_600")):
+        # Each band is the difference of two threshold counts.
+        from_100, above_100, above_400, above_600 = (
+            int(np.count_nonzero(p > t)) for t in (99, 100, 400, 600)
+        )
+        pool["p_gt_100"] = above_100
+        pool["p_gt_600"] = above_600
+        pool["p_band_100_400"] = from_100 - above_400
+        pool["p_band_100_600"] = from_100 - above_600
+    if not wanted.isdisjoint(PENDOWN_CATALOG):
+        if np.count_nonzero(down) < MIN_SIGNAL_LEN:
             for name in PENDOWN_CATALOG:
                 pool[name] = 0.0
                 flags.add(name)
         else:
-            stats = _kinematic_stats(sig.x[mask], sig.y[mask])
-            for name in PENDOWN_CATALOG:
-                pool[name] = stats[name.removeprefix("pendown_")]
+            pool.update(zip(PENDOWN_CATALOG, _kinematics(x[down], y[down])))
 
     values = {name: pool[name] for name in catalog}
     return FeatureVector(values=values, flags=frozenset(f for f in flags if f in wanted))

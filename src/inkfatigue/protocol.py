@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import RangeError
-from .model import Category, SetId, TASK_CATEGORIES, validate_task_id
+from .model import Category, SetId
 from .stats import Cell, ComparisonMatrix, MatrixRow
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "parse_pair_label",
     "power_output",
     "summarize_recovery",
-    "task_category",
 ]
 
 GRAVITY = 9.81  # m/s^2, default only; callers may pass their own constant
@@ -71,12 +70,6 @@ def parse_pair_label(label: str) -> tuple[SetId, SetId]:
     if not a < b:
         raise RangeError(f"set pair must be ordered ascending, got {label!r}")
     return (a, b)
-
-
-def task_category(task: int) -> Category:
-    """Category of a task id (1..9)."""
-    validate_task_id(task)
-    return TASK_CATEGORIES[task]
 
 
 def jump_height(flight_time: float, g: float = GRAVITY) -> float:

@@ -110,9 +110,53 @@ def matrix_to_json(matrix: ComparisonMatrix) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+_METHODS = (None, "exact", "normal-approx")
+
+
+def _is_number(value) -> bool:
+    # JSON true/false load as bool, a subclass of int: never a number here.
+    return type(value) in (int, float)
+
+
+def _cell_from_json(c: dict, number: int, column: int) -> Cell:
+    """One matrix JSON cell, each field checked by type and range."""
+    p, n_effective = c["p"], c.get("n_effective")
+    method, ties_present, low_n = c.get("method"), c.get("ties_present"), c.get("low_n", False)
+    checks = (
+        (_is_number(p) and 0 <= p <= 1, "p must be a number in [0, 1]", p),
+        (
+            n_effective is None or (type(n_effective) is int and n_effective >= 0),
+            "n_effective must be a non-negative integer or null",
+            n_effective,
+        ),
+        (method in _METHODS, "method must be 'exact', 'normal-approx' or null", method),
+        (
+            ties_present is None or type(ties_present) is bool,
+            "ties_present must be a boolean or null",
+            ties_present,
+        ),
+        (type(low_n) is bool, "low_n must be a boolean", low_n),
+    )
+    for ok, rule, value in checks:
+        if not ok:
+            raise FormatError(f"matrix JSON row {number}: cell {column} {rule}, got {value!r}")
+    return Cell(
+        p=float(p),
+        n_effective=n_effective,
+        method=method,
+        ties_present=ties_present,
+        low_n=low_n,
+    )
+
+
 def matrix_from_json(text: str) -> ComparisonMatrix:
     try:
         payload = json.loads(text)
+        alpha = payload["alpha"]
+        if not (_is_number(alpha) and 0 < alpha < 1):
+            raise FormatError(
+                f"matrix JSON: alpha must lie strictly between 0 and 1, got {alpha!r}"
+            )
         pairs = tuple(parse_pair_label(p) for p in payload["pairs"])
         rows = []
         cells = []
@@ -130,23 +174,15 @@ def matrix_from_json(text: str) -> ComparisonMatrix:
             rows.append(MatrixRow(task=task, feature=row["feature"]))
             cells.append(
                 tuple(
-                    None
-                    if c is None
-                    else Cell(
-                        p=float(c["p"]),
-                        n_effective=c.get("n_effective"),
-                        method=c.get("method"),
-                        ties_present=c.get("ties_present"),
-                        low_n=bool(c.get("low_n", False)),
-                    )
-                    for c in row["cells"]
+                    None if c is None else _cell_from_json(c, number, column)
+                    for column, c in enumerate(row["cells"], start=1)
                 )
             )
         return ComparisonMatrix(
             rows=tuple(rows),
             pairs=pairs,
             cells=tuple(cells),
-            alpha=float(payload["alpha"]),
+            alpha=float(alpha),
         )
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"not a valid matrix JSON document: {exc}")

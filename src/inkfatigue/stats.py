@@ -108,12 +108,13 @@ def _check_alternative(alternative: str) -> None:
         raise ValueError(f"alternative must be one of {ALTERNATIVES}, got {alternative!r}")
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midranks of ``values`` and the size of each tie group, from one sort."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
     starts = ends - counts
     avg = (starts + 1 + ends) / 2.0
-    return avg[inverse]
+    return avg[inverse], counts
 
 
 def wilcoxon_signed_rank(
@@ -148,16 +149,14 @@ def wilcoxon_signed_rank(
             alternative=alternative,
         )
 
-    abs_d = np.abs(d)
-    ranks = _midranks(abs_d)
+    ranks, tie_counts = _midranks(np.abs(d))
     w = float(ranks[d > 0].sum())
-    ties = bool(np.unique(abs_d).size != n)
+    ties = bool(tie_counts.size != n)
 
     if not ties and n <= EXACT_MAX_N:
         p = _exact_p(w, n, alternative)
         method = "exact"
     else:
-        _, tie_counts = np.unique(abs_d, return_counts=True)
         var = n * (n + 1) * (2 * n + 1) / 24.0
         var -= float((tie_counts.astype(np.float64) ** 3 - tie_counts).sum()) / 48.0
         p = _normal_p(w, n * (n + 1) / 4.0, var, alternative)
@@ -191,12 +190,11 @@ def rank_sum_test(
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("sample values must be finite")
     pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
+    ranks, tie_counts = _midranks(pooled)
     n1, n2 = int(a.size), int(b.size)
     n = n1 + n2
     r1 = float(ranks[:n1].sum())
     mu = n1 * (n + 1) / 2.0
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float((tie_counts.astype(np.float64) ** 3 - tie_counts).sum())
     var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     ties = bool(tie_counts.size != n)
@@ -209,21 +207,6 @@ def rank_sum_test(
         zeros_dropped=0,
         alternative=alternative,
     )
-
-
-def bonferroni(p_values: Iterable[float], m: int | None = None) -> np.ndarray:
-    """Bonferroni adjustment: p_adj = min(1, m * p), elementwise.
-
-    ``m`` defaults to the number of p-values supplied.
-    """
-    p = np.asarray(list(p_values), dtype=np.float64)
-    if m is None:
-        m = int(p.size)
-    if m < 1:
-        raise RangeError(f"comparison count must be >= 1, got {m}")
-    if p.size and (np.isnan(p).any() or p.min() < 0 or p.max() > 1):
-        raise RangeError("p-values must lie in [0, 1]")
-    return np.minimum(1.0, m * p)
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +236,14 @@ def compare_sets(
     _check_alternative(alternative)
     if table is None:
         table = feature_table(corpus, [feature])
-    pairs = []
-    for subject in corpus.subjects:
-        fa = table.get((subject, pair[0], task))
-        fb = table.get((subject, pair[1], task))
-        if fa is None or fb is None or fa.values is None or fb.values is None:
-            continue
-        pairs.append((float(fa[feature]), float(fb[feature])))
+    set_a, set_b = pair
+    get = table.get
+    pairs = [
+        (fa.values[feature], fb.values[feature])
+        for subject in corpus.subjects
+        if (fa := get((subject, set_a, task))) is not None and fa.values is not None
+        and (fb := get((subject, set_b, task))) is not None and fb.values is not None
+    ]
     if not pairs:
         raise InsufficientDataError(
             f"no subject has task {task} in both {pair[0].value} and {pair[1].value}"

@@ -2,9 +2,18 @@
 
 Everything here is deliberately naive: plain-Python loops, dict counting,
 O(n^2) ranking and literal enumeration. None of it shares code with the
-package under test, except ``reference_generate_task``: it keeps the
-per-stroke form of the synthetic-ink generator and reuses the generator's
-key streams, subject traits and shape constants.
+package under test, except the ``reference_*`` functions, which keep earlier
+forms of production code that was rewritten for speed; the rewrites must
+match them bit for bit:
+
+- ``reference_generate_task`` keeps the per-stroke form of the
+  synthetic-ink generator and reuses the generator's key streams, subject
+  traits and shape constants;
+- ``reference_extract_features`` keeps the per-feature extractor, built from
+  separate helper calls;
+- ``reference_wilcoxon_signed_rank`` and ``reference_rank_sum_test`` keep
+  the rank tests with one ``np.unique`` per tie question, and reuse the
+  production null distribution, normal tail and result type.
 """
 
 import itertools
@@ -12,8 +21,28 @@ import math
 
 import numpy as np
 
-from inkfatigue.errors import ConfigError
+from inkfatigue.errors import (
+    ConfigError,
+    EmptyInputError,
+    RangeError,
+    ShapeError,
+    TooShortError,
+)
+from inkfatigue.features import (
+    DEFAULT_CATALOG,
+    MIN_SIGNAL_LEN,
+    PENDOWN_CATALOG,
+    FeatureVector,
+    full_catalog,
+)
 from inkfatigue.model import PRESSURE_MAX, TASK_IDS, InkSignal, TaskRecord
+from inkfatigue.stats import (
+    EXACT_MAX_N,
+    TestResult,
+    _check_alternative,
+    _exact_p,
+    _normal_p,
+)
 from inkfatigue.synth import (
     _CURVATURE_SD,
     _EXTRA_STROKES,
@@ -216,4 +245,276 @@ def reference_generate_task(profile, subject_id, set_id, task):
         task=task,
         signal=signal,
         metadata={"generator": "synthetic"},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Per-feature extractor, kept from before the single-pass rewrite
+# ---------------------------------------------------------------------------
+
+_KINEMATIC_NAMES = frozenset(name.removeprefix("pendown_") for name in PENDOWN_CATALOG)
+_PENDOWN_NAMES = frozenset(PENDOWN_CATALOG)
+
+
+def _as_1d(series, name="series"):
+    arr = np.asarray(series)
+    if arr.ndim != 1:
+        raise ShapeError(f"{name} must be one-dimensional")
+    return arr
+
+
+def _entropy(series, alphabet_size):
+    arr = _as_1d(series)
+    if arr.size == 0:
+        raise EmptyInputError("entropy of an empty series is undefined")
+    if alphabet_size < 1:
+        raise RangeError(f"alphabet_size must be >= 1, got {alphabet_size}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise RangeError("entropy expects an integer series")
+    if arr.min() < 0 or arr.max() >= alphabet_size:
+        raise RangeError(
+            f"series values must lie in [0, {alphabet_size}), "
+            f"got range [{arr.min()}, {arr.max()}]"
+        )
+    counts = np.bincount(arr, minlength=alphabet_size)
+    probs = counts[counts > 0] / arr.size
+    return float(-(probs * np.log2(probs)).sum())
+
+
+def _speed_series(x, y):
+    xa = _as_1d(x, "x")
+    ya = _as_1d(y, "y")
+    if xa.size != ya.size:
+        raise ShapeError(f"x and y must have the same length ({xa.size} != {ya.size})")
+    if xa.size < 2:
+        raise TooShortError("speed needs at least 2 samples")
+    return np.hypot(np.diff(xa), np.diff(ya))
+
+
+def _acceleration_series(x, y):
+    xa = _as_1d(x, "x")
+    ya = _as_1d(y, "y")
+    if xa.size != ya.size:
+        raise ShapeError(f"x and y must have the same length ({xa.size} != {ya.size})")
+    if xa.size < 3:
+        raise TooShortError("acceleration needs at least 3 samples")
+    return np.hypot(np.diff(xa, n=2), np.diff(ya, n=2))
+
+
+def _stroke_counts(pressure):
+    arr = _as_1d(pressure, "pressure")
+    if arr.size == 0:
+        raise EmptyInputError("stroke counting needs a non-empty pressure series")
+    b = (arr > 0).astype(np.int8)
+    v = np.diff(b)
+    strokes_down = int(b[0]) + int((v == 1).sum())
+    strokes_up = int(1 - b[0]) + int((v == -1).sum())
+    return strokes_down, strokes_up
+
+
+def _time_in_air(pressure):
+    arr = _as_1d(pressure, "pressure")
+    if arr.size == 0:
+        raise EmptyInputError("time_in_air needs a non-empty pressure series")
+    return int((arr == 0).sum())
+
+
+def _time_down(pressure):
+    arr = _as_1d(pressure, "pressure")
+    if arr.size == 0:
+        raise EmptyInputError("time_down needs a non-empty pressure series")
+    return int((arr > 0).sum())
+
+
+def _normalized_time_up(pressure):
+    up = _time_in_air(pressure)
+    _, strokes_up = _stroke_counts(pressure)
+    if strokes_up == 0:
+        return 0.0
+    return up / strokes_up
+
+
+def _pressure_above(pressure, n):
+    if not 0 <= n <= PRESSURE_MAX:
+        raise RangeError(f"threshold must be in [0, {PRESSURE_MAX}], got {n}")
+    arr = _as_1d(pressure, "pressure")
+    return int((arr > n).sum())
+
+
+def _pressure_band(pressure, n1, n2):
+    if not (0 < n1 < n2 <= PRESSURE_MAX):
+        raise RangeError(
+            f"band bounds must satisfy 0 < n1 < n2 <= {PRESSURE_MAX}, got ({n1}, {n2})"
+        )
+    arr = _as_1d(pressure, "pressure")
+    return int(((arr >= n1) & (arr <= n2)).sum())
+
+
+def _shifted_entropy(series):
+    lo = int(series.min())
+    hi = int(series.max())
+    return _entropy(series - lo, hi - lo + 1)
+
+
+def _kinematic_stats(x, y):
+    speed = _speed_series(x, y)
+    accel = _acceleration_series(x, y)
+    return {
+        "mean_speed": float(speed.mean()),
+        "std_speed": float(speed.std()),
+        "max_speed": float(speed.max()),
+        "mean_acceleration": float(accel.mean()),
+        "std_acceleration": float(accel.std()),
+        "max_acceleration": float(accel.max()),
+    }
+
+
+def reference_extract_features(record, catalog=DEFAULT_CATALOG):
+    """Per-feature form of ``features.extract_features``: each feature from
+    its own helper call, with ``ndarray.mean``/``std``/``max``."""
+    sig = record.signal
+    n = len(sig)
+    if n < MIN_SIGNAL_LEN:
+        raise TooShortError(
+            f"feature extraction needs at least {MIN_SIGNAL_LEN} samples, got {n}"
+        )
+    unknown = [name for name in catalog if name not in full_catalog()]
+    if unknown:
+        raise RangeError(f"unknown feature name(s): {', '.join(unknown)}")
+
+    p = sig.pressure
+    wanted = set(catalog)
+    flags = set()
+    pool = {}
+
+    if wanted & {"entropy_x", "entropy_y", "entropy_p"}:
+        pool["entropy_x"] = _shifted_entropy(sig.x)
+        pool["entropy_y"] = _shifted_entropy(sig.y)
+        pool["entropy_p"] = _entropy(p, PRESSURE_MAX + 1)
+    if wanted & _KINEMATIC_NAMES:
+        pool.update(_kinematic_stats(sig.x, sig.y))
+    if "mean_abs_dp" in wanted:
+        pool["mean_abs_dp"] = float(np.abs(np.diff(p)).mean())
+    if "mean_abs_ddp" in wanted:
+        pool["mean_abs_ddp"] = float(np.abs(np.diff(p, n=2)).mean())
+    if wanted & {"time_in_air", "time_down", "normalized_time_up"}:
+        pool["time_in_air"] = _time_in_air(p)
+        pool["time_down"] = _time_down(p)
+        pool["normalized_time_up"] = _normalized_time_up(p)
+        if _stroke_counts(p)[1] == 0:
+            flags.add("normalized_time_up")
+    if "p_gt_100" in wanted:
+        pool["p_gt_100"] = _pressure_above(p, 100)
+    if "p_gt_600" in wanted:
+        pool["p_gt_600"] = _pressure_above(p, 600)
+    if "p_band_100_400" in wanted:
+        pool["p_band_100_400"] = _pressure_band(p, 100, 400)
+    if "p_band_100_600" in wanted:
+        pool["p_band_100_600"] = _pressure_band(p, 100, 600)
+    if wanted & _PENDOWN_NAMES:
+        mask = p > 0
+        if int(mask.sum()) < MIN_SIGNAL_LEN:
+            for name in PENDOWN_CATALOG:
+                pool[name] = 0.0
+                flags.add(name)
+        else:
+            stats = _kinematic_stats(sig.x[mask], sig.y[mask])
+            for name in PENDOWN_CATALOG:
+                pool[name] = stats[name.removeprefix("pendown_")]
+
+    values = {name: pool[name] for name in catalog}
+    return FeatureVector(values=values, flags=frozenset(f for f in flags if f in wanted))
+
+
+# ---------------------------------------------------------------------------
+# Rank tests, kept from before the single-unique rewrite
+# ---------------------------------------------------------------------------
+
+
+def _midranks(values):
+    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    avg = (starts + 1 + ends) / 2.0
+    return avg[inverse]
+
+
+def reference_wilcoxon_signed_rank(paired, alternative="two-sided"):
+    """``stats.wilcoxon_signed_rank`` with three ``np.unique`` calls."""
+    _check_alternative(alternative)
+    pairs = np.asarray(list(paired), dtype=np.float64)
+    if pairs.size == 0:
+        raise EmptyInputError("signed-rank test needs at least one pair")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("paired input must be a sequence of (a, b) pairs")
+    if not np.isfinite(pairs).all():
+        raise ValueError("paired values must be finite")
+
+    d = pairs[:, 0] - pairs[:, 1]
+    zeros = int((d == 0).sum())
+    d = d[d != 0]
+    n = int(d.size)
+    if n == 0:
+        return TestResult(
+            statistic=0.0,
+            n_effective=0,
+            p=1.0,
+            method="exact",
+            ties_present=False,
+            zeros_dropped=zeros,
+            alternative=alternative,
+        )
+
+    abs_d = np.abs(d)
+    ranks = _midranks(abs_d)
+    w = float(ranks[d > 0].sum())
+    ties = bool(np.unique(abs_d).size != n)
+
+    if not ties and n <= EXACT_MAX_N:
+        p = _exact_p(w, n, alternative)
+        method = "exact"
+    else:
+        _, tie_counts = np.unique(abs_d, return_counts=True)
+        var = n * (n + 1) * (2 * n + 1) / 24.0
+        var -= float((tie_counts.astype(np.float64) ** 3 - tie_counts).sum()) / 48.0
+        p = _normal_p(w, n * (n + 1) / 4.0, var, alternative)
+        method = "normal-approx"
+    return TestResult(
+        statistic=w,
+        n_effective=n,
+        p=p,
+        method=method,
+        ties_present=ties,
+        zeros_dropped=zeros,
+        alternative=alternative,
+    )
+
+
+def reference_rank_sum_test(a_values, b_values, alternative="two-sided"):
+    """``stats.rank_sum_test`` with two ``np.unique`` calls."""
+    _check_alternative(alternative)
+    a = np.asarray(list(a_values), dtype=np.float64)
+    b = np.asarray(list(b_values), dtype=np.float64)
+    if a.size == 0 or b.size == 0:
+        raise EmptyInputError("rank-sum test needs both samples non-empty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("sample values must be finite")
+    pooled = np.concatenate([a, b])
+    ranks = _midranks(pooled)
+    n1, n2 = int(a.size), int(b.size)
+    n = n1 + n2
+    r1 = float(ranks[:n1].sum())
+    mu = n1 * (n + 1) / 2.0
+    _, tie_counts = np.unique(pooled, return_counts=True)
+    tie_term = float((tie_counts.astype(np.float64) ** 3 - tie_counts).sum())
+    var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    ties = bool(tie_counts.size != n)
+    return TestResult(
+        statistic=r1,
+        n_effective=n,
+        p=_normal_p(r1, mu, var, alternative),
+        method="normal-approx",
+        ties_present=ties,
+        zeros_dropped=0,
+        alternative=alternative,
     )

@@ -282,7 +282,7 @@ def test_report_rerenders_saved_matrix(corpus_dir, tmp_path):
         ("0.05", "12", '[{"p": 0.5}]', "matrix JSON row 1: task must be an integer in 1..9, got 12"),
         ("0.05", "true", '[{"p": 0.5}]', "matrix JSON row 1: task must be an integer in 1..9, got True"),
         ("0.05", "1", '[{"p": 0.5}, {"p": 0.1}]', "matrix JSON row 1 has 2 cells, expected 1"),
-        ("5.0", "1", '[{"p": 0.5}]', "alpha must lie in [0, 1], got 5.0"),
+        ("5.0", "1", '[{"p": 0.5}]', "matrix JSON: alpha must lie strictly between 0 and 1, got 5.0"),
     ],
     ids=["task-12", "task-true", "extra-cell", "alpha-5"],
 )
@@ -352,6 +352,26 @@ def test_config_with_unknown_key_is_usage_error(corpus_dir, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("alpha = 2\n", 1, "alpha must lie strictly in (0, 1), got 2.0"),
+        ("alpha = x\n", 1, "alpha must be a number, got 'x'"),
+        ("# comment\nfeatures = bogus\n", 2, "unknown feature(s): bogus"),
+        ("alpha = 0.1\n\npairs = S2-S1\n", 3, "set pair must be ordered ascending, got 'S2-S1'"),
+    ],
+    ids=["alpha-range", "alpha-number", "features", "pairs"],
+)
+def test_config_value_of_wrong_type_names_file_and_line(corpus_dir, tmp_path, capsys, text, line, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    out = tmp_path / "o"
+    assert main(["compare", "--config", str(config), "--corpus", str(corpus_dir),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"usage error: {config}:{line}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv,code",
     [
         (["report", "--matrix", "{bad}", "--out", "{out}"], 1),
@@ -384,7 +404,7 @@ set.S4.air_inflation = 1.5
 # Any change to an artifact, message, usage or help line, or exit code moves
 # one of them. Help lines wrap at COLUMNS, which the test fixes.
 PINNED_TREE_SHA256 = "a51b6d37871bc02f33a2d9b39e27ef4cec7bc156048c075b289ca687fba0b7cf"
-PINNED_TRANSCRIPT_SHA256 = "fa0067f4254e74e5e52cc27457a2022866e270012da84e7f73e24f7ed04e3a1c"
+PINNED_TRANSCRIPT_SHA256 = "bcc1f9949537b3956c5477135c88f98c04ff5f05f7387d610895387815072aaa"
 
 
 def _pin_invocations() -> list[list[str]]:

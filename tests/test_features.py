@@ -1,26 +1,21 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inkfatigue.errors import EmptyInputError, RangeError, ShapeError, TooShortError
+from inkfatigue.errors import EmptyInputError, RangeError, TooShortError
 from inkfatigue.features import (
     COUNT_FEATURES,
     DEFAULT_CATALOG,
     PENDOWN_CATALOG,
-    acceleration_series,
     entropy,
     extract_features,
     feature_table,
-    first_derivative,
     full_catalog,
     normalized_time_up,
-    pressure_above,
-    pressure_band,
-    second_derivative,
-    speed_series,
     stroke_counts,
     time_down,
     time_in_air,
@@ -29,7 +24,7 @@ from inkfatigue.model import SetId
 from inkfatigue.synth import SynthProfile, generate_corpus, generate_task
 
 from conftest import make_record
-from oracles import histogram_entropy, scan_segments
+from oracles import histogram_entropy, reference_extract_features, scan_segments
 
 pressure_series = st.lists(st.integers(0, 2047), min_size=1, max_size=60)
 
@@ -68,89 +63,96 @@ def test_entropy_bounds(series):
     assert (h == 0.0) == (len(set(series)) == 1)
 
 
-# --- derivatives ------------------------------------------------------------
+# --- differences and kinematics ----------------------------------------------
+#
+# Speed is the magnitude of first differences of (x, y), acceleration that of
+# second differences; mean_abs_dp and mean_abs_ddp are mean absolute first and
+# second differences of pressure.
+
+KINEMATICS = ("mean_speed", "std_speed", "max_speed",
+              "mean_acceleration", "std_acceleration", "max_acceleration")
 
 
 def test_first_derivative_by_definition():
-    assert first_derivative([0, 3, 3]).tolist() == [3, 0]
+    vector = extract_features(make_record([0, 3, 3]), ("mean_abs_dp",))
+    assert vector["mean_abs_dp"] == 1.5  # |3 - 0| and |3 - 3|
 
 
 def test_first_derivative_of_constant_is_zero():
-    assert first_derivative([5] * 10).tolist() == [0] * 9
-
-
-def test_first_derivative_too_short():
-    with pytest.raises(TooShortError):
-        first_derivative([1])
+    record = make_record([5] * 10, x=[4] * 10, y=[9] * 10)
+    vector = extract_features(record, ("mean_abs_dp", "mean_speed", "max_speed"))
+    assert vector.values == {"mean_abs_dp": 0.0, "mean_speed": 0.0, "max_speed": 0.0}
 
 
 def test_second_derivative_of_linear_ramp_is_zero():
-    assert second_derivative([0, 2, 4, 6]).tolist() == [0, 0]
+    vector = extract_features(make_record([0, 2, 4, 6]), ("mean_abs_ddp",))
+    assert vector["mean_abs_ddp"] == 0.0
 
 
 def test_second_derivative_small_case():
-    assert second_derivative([0, 0, 1]).tolist() == [1]
+    vector = extract_features(make_record([0, 0, 1]), ("mean_abs_ddp", "mean_abs_dp"))
+    assert vector.values == {"mean_abs_ddp": 1.0, "mean_abs_dp": 0.5}
 
 
-def test_second_derivative_too_short():
-    with pytest.raises(TooShortError):
-        second_derivative([1, 2])
-
-
-@given(st.lists(st.integers(-1000, 1000), min_size=3, max_size=100))
+@given(st.lists(st.integers(0, 2047), min_size=3, max_size=100))
 @settings(max_examples=100, deadline=None)
-def test_second_derivative_equals_twice_first(series):
-    twice = first_derivative(first_derivative(series))
-    assert np.array_equal(second_derivative(series), twice)
-
-
-# --- kinematics -------------------------------------------------------------
+def test_second_derivative_equals_twice_first(pressure):
+    dp = [b - a for a, b in zip(pressure, pressure[1:])]
+    ddp = [b - a for a, b in zip(dp, dp[1:])]
+    vector = extract_features(make_record(pressure), ("mean_abs_dp", "mean_abs_ddp"))
+    assert vector["mean_abs_dp"] == sum(map(abs, dp)) / len(dp)
+    assert vector["mean_abs_ddp"] == sum(map(abs, ddp)) / len(ddp)
 
 
 def test_speed_series_hand_example():
-    v = speed_series([0, 3, 3], [0, 4, 4])
-    assert v.tolist() == [5.0, 0.0]
-    assert v.max() == 5.0
+    # One 3-4-5 step, then a stop.
+    vector = extract_features(make_record([1, 1, 1], x=[0, 3, 3], y=[0, 4, 4]), KINEMATICS)
+    assert vector["mean_speed"] == 2.5
+    assert vector["std_speed"] == 2.5
+    assert vector["max_speed"] == 5.0
+    assert vector["max_acceleration"] == 5.0
 
 
 def test_speed_of_stationary_pen_is_zero():
-    assert speed_series([4] * 6, [9] * 6).tolist() == [0.0] * 5
+    vector = extract_features(make_record([1] * 6, x=[4] * 6, y=[9] * 6), KINEMATICS)
+    assert set(vector.values.values()) == {0.0}
 
 
 def test_speed_equals_abs_dx_for_pure_x_motion(rng):
     x = rng.integers(-100, 100, size=30)
-    y = np.zeros(30, dtype=int)
-    assert np.array_equal(speed_series(x, y), np.abs(np.diff(x)))
-
-
-def test_speed_shape_mismatch():
-    with pytest.raises(ShapeError):
-        speed_series([1, 2, 3], [1, 2])
+    vector = extract_features(make_record([1] * 30, x=x, y=[0] * 30), KINEMATICS)
+    abs_dx = np.abs(np.diff(x)).astype(float)
+    assert vector["mean_speed"] == abs_dx.mean()
+    assert vector["std_speed"] == abs_dx.std()
+    assert vector["max_speed"] == abs_dx.max()
 
 
 def test_acceleration_of_uniform_motion_is_zero():
-    x = np.arange(10) * 7
-    y = np.arange(10) * 2
-    assert acceleration_series(x, y).tolist() == [0.0] * 8
+    vector = extract_features(make_record([1] * 10, x=np.arange(10) * 7, y=np.arange(10) * 2))
+    assert vector["mean_acceleration"] == vector["max_acceleration"] == 0.0
+    assert vector["std_acceleration"] == vector["std_speed"] == 0.0
 
 
 def test_acceleration_small_case():
-    assert acceleration_series([0, 1, 3], [0, 0, 0]).tolist() == [1.0]
+    vector = extract_features(make_record([1, 1, 1], x=[0, 1, 3], y=[0, 0, 0]), KINEMATICS)
+    assert vector["mean_acceleration"] == vector["max_acceleration"] == 1.0
+    assert vector["std_acceleration"] == 0.0
 
 
 def test_acceleration_matches_naive_recomputation(rng):
     x = rng.integers(-500, 500, size=80)
     y = rng.integers(-500, 500, size=80)
-    got = acceleration_series(x, y)
+    vector = extract_features(make_record([1] * 80, x=x, y=y), KINEMATICS)
+    accel = []
     for i in range(len(x) - 2):
         ddx = x[i + 2] - 2 * x[i + 1] + x[i]
         ddy = y[i + 2] - 2 * y[i + 1] + y[i]
-        assert got[i] == pytest.approx(math.sqrt(ddx * ddx + ddy * ddy), abs=1e-12)
-
-
-def test_acceleration_too_short():
-    with pytest.raises(TooShortError):
-        acceleration_series([1, 2], [1, 2])
+        accel.append(math.sqrt(ddx * ddx + ddy * ddy))
+    mean = sum(accel) / len(accel)
+    assert vector["mean_acceleration"] == pytest.approx(mean, rel=1e-12)
+    assert vector["max_acceleration"] == max(accel)
+    sd = math.sqrt(sum((a - mean) ** 2 for a in accel) / len(accel))
+    assert vector["std_acceleration"] == pytest.approx(sd, rel=1e-12)
 
 
 # --- stroke and timing ------------------------------------------------------
@@ -217,51 +219,41 @@ def test_exhaustive_binary_patterns_match_segment_oracle():
 
 # --- pressure thresholds ----------------------------------------------------
 
+THRESHOLDS = ("p_gt_100", "p_gt_600", "p_band_100_400", "p_band_100_600")
+
+
+def _thresholds(pressure):
+    return extract_features(make_record(pressure), THRESHOLDS).values
+
 
 def test_pressure_above_hand_example():
-    assert pressure_above([50, 150, 700], 100) == 2
-
-
-def test_pressure_above_zero_threshold_equals_time_down(rng):
-    p = rng.integers(0, 2048, size=50)
-    assert pressure_above(p, 0) == time_down(p)
-
-
-def test_pressure_above_max_threshold_is_zero(rng):
-    p = rng.integers(0, 2048, size=50)
-    assert pressure_above(p, 2047) == 0
-
-
-def test_pressure_above_rejects_bad_threshold():
-    with pytest.raises(RangeError):
-        pressure_above([1], -1)
-    with pytest.raises(RangeError):
-        pressure_above([1], 2048)
+    assert _thresholds([50, 150, 700])["p_gt_100"] == 2
 
 
 def test_pressure_band_hand_example():
-    assert pressure_band([50, 150, 700], 100, 600) == 1
+    assert _thresholds([50, 150, 700])["p_band_100_600"] == 1
 
 
 def test_pressure_band_is_inclusive_both_ends():
-    assert pressure_band([100, 600], 100, 600) == 2
+    assert _thresholds([100, 400, 600]) == {
+        "p_gt_100": 2,
+        "p_gt_600": 0,
+        "p_band_100_400": 2,
+        "p_band_100_600": 3,
+    }
 
 
-def test_pressure_band_full_range_equals_time_down(rng):
-    p = rng.integers(0, 2048, size=50)
-    assert pressure_band(p, 1, 2047) == time_down(p)
-
-
-@given(pressure_series)
+@given(st.lists(st.integers(0, 2047), min_size=3, max_size=60))
 @settings(max_examples=100, deadline=None)
 def test_pressure_band_subset_of_above(p):
-    assert pressure_band(p, 100, 600) <= pressure_above(p, 99)
-
-
-@pytest.mark.parametrize("n1,n2", [(0, 600), (600, 100), (100, 100), (100, 2048)])
-def test_pressure_band_rejects_bad_bounds(n1, n2):
-    with pytest.raises(RangeError):
-        pressure_band([1], n1, n2)
+    got = _thresholds(p)
+    assert got == {
+        "p_gt_100": sum(v > 100 for v in p),
+        "p_gt_600": sum(v > 600 for v in p),
+        "p_band_100_400": sum(100 <= v <= 400 for v in p),
+        "p_band_100_600": sum(100 <= v <= 600 for v in p),
+    }
+    assert got["p_band_100_400"] <= got["p_band_100_600"]
 
 
 # --- extraction -------------------------------------------------------------
@@ -377,3 +369,82 @@ def test_feature_table_covers_corpus_and_skips_short_records():
     assert failed.values is None
     assert failed.flags == {"extraction-failed"}
     assert failed.error == "feature extraction needs at least 3 samples, got 2"
+
+
+# --- bit-identity with the per-feature reference ----------------------------
+
+_PRESSURE_EDGES = (1, 99, 100, 101, 399, 400, 401, 599, 600, 601, 2046, 2047)
+
+
+@st.composite
+def ink_records(draw, min_size=3):
+    """Records whose pressure is mixed, all in air, all down, or down on at
+    most two samples; coordinates are smooth, jumpy or constant."""
+    n = draw(st.integers(min_size, 80))
+    down = st.one_of(st.sampled_from(_PRESSURE_EDGES), st.integers(1, 2047))
+    mode = draw(st.sampled_from(["mixed", "air", "down", "sparse"]))
+    if mode == "air":
+        pressure = [0] * n
+    elif mode == "down":
+        pressure = draw(st.lists(down, min_size=n, max_size=n))
+    else:
+        pressure = draw(st.lists(st.one_of(st.just(0), down), min_size=n, max_size=n))
+        if mode == "sparse":
+            keep = set(draw(st.lists(st.integers(0, n - 1), max_size=2)))
+            pressure = [v if i in keep else 0 for i, v in enumerate(pressure)]
+    coords = st.one_of(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(lambda d: np.cumsum(d)),
+        st.lists(st.integers(-5000, 5000), min_size=n, max_size=n),
+        st.integers(-5000, 5000).map(lambda c: [c] * n),
+    )
+    return make_record(pressure, x=draw(coords), y=draw(coords))
+
+
+catalogs = st.one_of(
+    st.just(DEFAULT_CATALOG),
+    st.just(full_catalog()),
+    st.sampled_from(full_catalog()).map(lambda name: (name,)),
+    st.permutations(full_catalog()).flatmap(
+        lambda names: st.integers(1, len(names)).map(lambda k: tuple(names[:k]))
+    ),
+)
+
+
+def _bits(vector):
+    return {
+        name: (type(value), struct.pack("<d", value)) for name, value in vector.values.items()
+    }
+
+
+@given(ink_records(), catalogs)
+@settings(max_examples=400, deadline=None)
+def test_extract_features_matches_reference_bit_for_bit(record, catalog):
+    got = extract_features(record, catalog)
+    want = reference_extract_features(record, catalog)
+    assert tuple(got.values) == tuple(want.values) == tuple(catalog)
+    assert _bits(got) == _bits(want)
+    assert got.flags == want.flags
+    for name in COUNT_FEATURES & set(catalog):
+        assert type(got.values[name]) is int
+
+
+@pytest.mark.parametrize(
+    "catalog",
+    [("no_such_feature",), ("mean_speed", "bogus", "time_down", "also_bogus")],
+)
+def test_unknown_feature_message_matches_reference(catalog):
+    record = make_record([0, 5, 5, 0])
+    with pytest.raises(RangeError) as want:
+        reference_extract_features(record, catalog)
+    with pytest.raises(RangeError) as got:
+        extract_features(record, catalog)
+    assert str(got.value) == str(want.value)
+
+
+def test_too_short_message_matches_reference():
+    record = make_record([0, 5])
+    with pytest.raises(TooShortError) as want:
+        reference_extract_features(record)
+    with pytest.raises(TooShortError) as got:
+        extract_features(record)
+    assert str(got.value) == str(want.value)

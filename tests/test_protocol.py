@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from inkfatigue.errors import RangeError
-from inkfatigue.model import Category, SetId
+from inkfatigue.model import Category, SetId, validate_task_id
 from inkfatigue.protocol import (
     canonical_set_pairs,
     jump_height,
@@ -11,7 +11,6 @@ from inkfatigue.protocol import (
     parse_pair_label,
     power_output,
     summarize_recovery,
-    task_category,
 )
 from inkfatigue.reporting import load_matrix_tsv
 from inkfatigue.stats import Cell, ComparisonMatrix, MatrixRow
@@ -55,14 +54,18 @@ def test_parse_pair_label_rejects_bad_labels(label):
 # --- task taxonomy -----------------------------------------------------------
 
 
+def _category(task):
+    return MatrixRow(task, "mean_speed").category
+
+
 def test_task_category_named_examples():
-    assert task_category(1) is Category.COGNITIVE
-    assert task_category(7) is Category.MECHANICAL
-    assert task_category(9) is Category.FINE_MOTOR
+    assert _category(1) is Category.COGNITIVE
+    assert _category(7) is Category.MECHANICAL
+    assert _category(9) is Category.FINE_MOTOR
 
 
 def test_task_category_full_mapping():
-    mapping = {t: task_category(t) for t in range(1, 10)}
+    mapping = {t: _category(t) for t in range(1, 10)}
     assert [t for t, c in mapping.items() if c is Category.COGNITIVE] == [1, 2]
     assert [t for t, c in mapping.items() if c is Category.MECHANICAL] == [4, 6, 7, 8]
     assert [t for t, c in mapping.items() if c is Category.FINE_MOTOR] == [3, 5, 9]
@@ -71,7 +74,7 @@ def test_task_category_full_mapping():
 @pytest.mark.parametrize("task", [0, 10, -1])
 def test_task_category_rejects_out_of_range(task):
     with pytest.raises(RangeError):
-        task_category(task)
+        validate_task_id(task)
 
 
 # --- physiology helpers -------------------------------------------------------

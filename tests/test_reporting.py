@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,67 @@ def test_matrix_json_accepts_every_task_and_na_cells():
     for task in range(1, 10):
         loaded = matrix_from_json(_matrix_json(task, "[null]"))
         assert loaded.rows[0].task == task and loaded.cells == ((None,),)
+
+
+def _matrix_json_cell(**fields):
+    cell = {"p": 0.5, "n_effective": 7, "method": "exact", "ties_present": False, "low_n": False}
+    cell.update(fields)
+    return _matrix_json(3, json.dumps([cell]))
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("p", True, "p must be a number in [0, 1]"),
+        ("p", "0.5", "p must be a number in [0, 1]"),
+        ("p", 1.5, "p must be a number in [0, 1]"),
+        ("p", -0.0001, "p must be a number in [0, 1]"),
+        ("p", None, "p must be a number in [0, 1]"),
+        ("n_effective", "x", "n_effective must be a non-negative integer or null"),
+        ("n_effective", -1, "n_effective must be a non-negative integer or null"),
+        ("n_effective", 2.0, "n_effective must be a non-negative integer or null"),
+        ("n_effective", True, "n_effective must be a non-negative integer or null"),
+        ("low_n", "no", "low_n must be a boolean"),
+        ("low_n", 0, "low_n must be a boolean"),
+        ("low_n", None, "low_n must be a boolean"),
+        ("ties_present", "yes", "ties_present must be a boolean or null"),
+        ("ties_present", 1, "ties_present must be a boolean or null"),
+        ("method", "bogus", "method must be 'exact', 'normal-approx' or null"),
+        ("method", 1, "method must be 'exact', 'normal-approx' or null"),
+    ],
+)
+def test_matrix_json_cell_fields_are_checked(field, value, message):
+    with pytest.raises(FormatError) as exc:
+        matrix_from_json(_matrix_json_cell(**{field: value}))
+    assert str(exc.value) == f"matrix JSON row 1: cell 1 {message}, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"p": 0, "n_effective": 0},
+        {"p": 1, "n_effective": None, "method": None, "ties_present": None},
+        {"p": 0.25, "method": "normal-approx", "ties_present": True, "low_n": True},
+    ],
+)
+def test_matrix_json_accepts_well_typed_cells(fields):
+    cell = matrix_from_json(_matrix_json_cell(**fields)).cells[0][0]
+    want = {"p": 0.5, "n_effective": 7, "method": "exact", "ties_present": False, "low_n": False}
+    want.update(fields)
+    assert type(cell.p) is float
+    assert (cell.p, cell.n_effective, cell.method, cell.ties_present, cell.low_n) == tuple(
+        want[k] for k in ("p", "n_effective", "method", "ties_present", "low_n")
+    )
+
+
+@pytest.mark.parametrize("alpha", ["5.0", "0", "1", "-0.5", "true", '"0.05"', "null"])
+def test_matrix_json_alpha_must_lie_in_open_unit_interval(alpha):
+    text = _matrix_json(3).replace('"alpha": 0.05', f'"alpha": {alpha}')
+    with pytest.raises(FormatError) as exc:
+        matrix_from_json(text)
+    assert str(exc.value) == (
+        f"matrix JSON: alpha must lie strictly between 0 and 1, got {json.loads(alpha)!r}"
+    )
 
 
 def test_mask_tsv_matches_mask(small_matrix):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from inkfatigue.stats import (
     Cell,
     ComparisonMatrix,
     MatrixRow,
-    bonferroni,
     build_matrix,
     compare_sets,
     default_rows,
@@ -25,7 +25,12 @@ from inkfatigue.stats import (
 from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus, generate_task
 
 from conftest import make_record
-from oracles import enumerate_signed_rank_p, naive_ranks
+from oracles import (
+    enumerate_signed_rank_p,
+    naive_ranks,
+    reference_rank_sum_test,
+    reference_wilcoxon_signed_rank,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -176,6 +181,44 @@ def test_uniform_scaling_leaves_p_bitwise_identical(rng):
     assert wilcoxon_signed_rank(pairs).p == wilcoxon_signed_rank(scaled).p
 
 
+# Heavily tied integer-valued samples and tied or distinct floats.
+_rank_values = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([-2.5, -0.25, 0.0, 0.1, 0.25, 1.0, 7.75]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+_rank_samples = st.lists(_rank_values, min_size=1, max_size=60)
+
+
+def _same_result(got, want):
+    assert struct.pack("<dd", got.p, got.statistic) == struct.pack("<dd", want.p, want.statistic)
+    assert (got.n_effective, got.method, got.ties_present, got.zeros_dropped) == (
+        want.n_effective,
+        want.method,
+        want.ties_present,
+        want.zeros_dropped,
+    )
+    assert got.alternative == want.alternative
+
+
+@given(
+    st.lists(st.tuples(_rank_values, _rank_values), min_size=1, max_size=60),
+    st.sampled_from(["two-sided", "greater", "less"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_signed_rank_matches_reference_bit_for_bit(pairs, alternative):
+    _same_result(
+        wilcoxon_signed_rank(pairs, alternative),
+        reference_wilcoxon_signed_rank(pairs, alternative),
+    )
+
+
+@given(_rank_samples, _rank_samples, st.sampled_from(["two-sided", "greater", "less"]))
+@settings(max_examples=300, deadline=None)
+def test_rank_sum_matches_reference_bit_for_bit(a, b, alternative):
+    _same_result(rank_sum_test(a, b, alternative), reference_rank_sum_test(a, b, alternative))
+
+
 # --- rank-sum variant -------------------------------------------------------
 
 
@@ -190,37 +233,6 @@ def test_rank_sum_detects_separated_samples():
 def test_rank_sum_rejects_empty():
     with pytest.raises(EmptyInputError):
         rank_sum_test([], [1.0])
-
-
-# --- bonferroni -------------------------------------------------------------
-
-
-def test_bonferroni_examples():
-    assert bonferroni([0.01], 10).tolist() == [0.1]
-    assert bonferroni([0.5], 10).tolist() == [1.0]
-    assert bonferroni([0.2, 0.9], 1).tolist() == [0.2, 0.9]
-
-
-def test_bonferroni_defaults_to_family_size():
-    assert bonferroni([0.01, 0.02]).tolist() == [0.02, 0.04]
-
-
-def test_bonferroni_rejects_bad_inputs():
-    with pytest.raises(RangeError):
-        bonferroni([1.5], 2)
-    with pytest.raises(RangeError):
-        bonferroni([0.5], 0)
-
-
-@given(
-    st.lists(st.floats(0, 1), min_size=1, max_size=20),
-    st.integers(1, 50),
-)
-@settings(max_examples=100, deadline=None)
-def test_bonferroni_monotone_in_m(ps, m):
-    lower = bonferroni(ps, m)
-    higher = bonferroni(ps, m + 1)
-    assert (higher >= lower).all()
 
 
 # --- corpus comparisons -----------------------------------------------------
