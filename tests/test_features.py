@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inkfatigue.errors import EmptyInputError, RangeError, TooShortError
+from inkfatigue.errors import EmptyInputError, RangeError, ShapeError, TooShortError
 from inkfatigue.features import (
     COUNT_FEATURES,
     DEFAULT_CATALOG,
@@ -84,6 +84,13 @@ def test_first_derivative_of_constant_is_zero():
     assert vector.values == {"mean_abs_dp": 0.0, "mean_speed": 0.0, "max_speed": 0.0}
 
 
+def test_first_derivative_too_short():
+    # A first difference needs two samples; InkSignal, which the kernels
+    # rely on, refuses a shorter signal.
+    with pytest.raises(TooShortError):
+        extract_features(make_record([1]), ("mean_abs_dp",))
+
+
 def test_second_derivative_of_linear_ramp_is_zero():
     vector = extract_features(make_record([0, 2, 4, 6]), ("mean_abs_ddp",))
     assert vector["mean_abs_ddp"] == 0.0
@@ -92,6 +99,11 @@ def test_second_derivative_of_linear_ramp_is_zero():
 def test_second_derivative_small_case():
     vector = extract_features(make_record([0, 0, 1]), ("mean_abs_ddp", "mean_abs_dp"))
     assert vector.values == {"mean_abs_ddp": 1.0, "mean_abs_dp": 0.5}
+
+
+def test_second_derivative_too_short():
+    with pytest.raises(TooShortError):
+        extract_features(make_record([1, 2]), ("mean_abs_ddp",))
 
 
 @given(st.lists(st.integers(0, 2047), min_size=3, max_size=100))
@@ -127,6 +139,12 @@ def test_speed_equals_abs_dx_for_pure_x_motion(rng):
     assert vector["max_speed"] == abs_dx.max()
 
 
+def test_speed_shape_mismatch():
+    # Speed pairs dx with dy, so x and y must have the same length.
+    with pytest.raises(ShapeError):
+        extract_features(make_record([1, 1, 1], x=[1, 2, 3], y=[1, 2]), KINEMATICS)
+
+
 def test_acceleration_of_uniform_motion_is_zero():
     vector = extract_features(make_record([1] * 10, x=np.arange(10) * 7, y=np.arange(10) * 2))
     assert vector["mean_acceleration"] == vector["max_acceleration"] == 0.0
@@ -153,6 +171,11 @@ def test_acceleration_matches_naive_recomputation(rng):
     assert vector["max_acceleration"] == max(accel)
     sd = math.sqrt(sum((a - mean) ** 2 for a in accel) / len(accel))
     assert vector["std_acceleration"] == pytest.approx(sd, rel=1e-12)
+
+
+def test_acceleration_too_short():
+    with pytest.raises(TooShortError):
+        extract_features(make_record([1, 1], x=[1, 2], y=[1, 2]), KINEMATICS)
 
 
 # --- stroke and timing ------------------------------------------------------
@@ -241,6 +264,27 @@ def test_pressure_band_is_inclusive_both_ends():
         "p_band_100_400": 2,
         "p_band_100_600": 3,
     }
+
+
+def test_pressure_above_zero_threshold_equals_time_down(rng):
+    # time_down counts the samples with pressure above 0.
+    p = rng.integers(0, 2048, size=50)
+    vector = extract_features(make_record(p), ("time_down", "p_gt_100"))
+    assert vector["time_down"] == int(np.count_nonzero(p > 0))
+    assert vector["p_gt_100"] <= vector["time_down"]
+
+
+def test_pressure_above_max_threshold_is_zero(rng):
+    # 600 is the catalog's highest threshold.
+    p = rng.integers(0, 601, size=50)
+    assert _thresholds(p)["p_gt_600"] == 0
+
+
+def test_pressure_band_full_range_equals_time_down(rng):
+    # When every pen-down sample lies in [100, 600], that band is all of them.
+    p = rng.choice(np.array([0, 100, 101, 350, 599, 600]), size=50)
+    vector = extract_features(make_record(p), ("time_down", "p_band_100_600"))
+    assert vector["p_band_100_600"] == vector["time_down"] == int(np.count_nonzero(p))
 
 
 @given(st.lists(st.integers(0, 2047), min_size=3, max_size=60))
