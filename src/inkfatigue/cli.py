@@ -276,7 +276,12 @@ def cmd_synth(args, parser) -> int:
 
 
 def cmd_report(args, parser) -> int:
-    matrix = reporting.matrix_from_json(read_text(Path(args.matrix)))
+    path = Path(args.matrix)
+    text = read_text(path)
+    try:
+        matrix = reporting.matrix_from_json(text)
+    except InkError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     alpha = _resolve(args, "alpha", matrix.alpha)
     fmt = _resolve(args, "format", "markdown")
     names = {

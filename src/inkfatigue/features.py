@@ -79,6 +79,20 @@ def _as_1d(series, name: str = "series") -> np.ndarray:
 # below. They skip the checks that ``InkSignal`` already guarantees.
 
 
+#: Widest value span counted with a dense histogram; wider spans count the
+#: distinct values instead, so memory follows the sample count.
+_DENSE_SPAN = 1 << 16
+
+
+def _value_counts(a: np.ndarray) -> np.ndarray:
+    """Counts of the values of a non-empty integer array, ascending by value;
+    may hold zero counts."""
+    lo = np.minimum.reduce(a)
+    if int(np.maximum.reduce(a)) - int(lo) < _DENSE_SPAN:
+        return np.bincount(a - lo)
+    return np.unique(a, return_counts=True)[1]
+
+
 def _entropy_bits(counts: np.ndarray, n: int) -> float:
     """Plug-in entropy in bits of a histogram of ``n`` samples."""
     probs = counts[counts > 0] / n
@@ -144,7 +158,7 @@ def entropy(series, alphabet_size: int) -> float:
             f"series values must lie in [0, {alphabet_size}), "
             f"got range [{arr.min()}, {arr.max()}]"
         )
-    return _entropy_bits(np.bincount(arr), arr.size)
+    return _entropy_bits(_value_counts(arr), arr.size)
 
 
 def stroke_counts(pressure) -> tuple[int, int]:
@@ -229,9 +243,9 @@ def extract_features(
     pool: dict[str, float] = {}
 
     if not wanted.isdisjoint(("entropy_x", "entropy_y", "entropy_p")):
-        # Raw integer values shifted to a zero-based alphabet; no binning.
-        pool["entropy_x"] = _entropy_bits(np.bincount(x - np.minimum.reduce(x)), n)
-        pool["entropy_y"] = _entropy_bits(np.bincount(y - np.minimum.reduce(y)), n)
+        # Raw integer values as the alphabet; no binning.
+        pool["entropy_x"] = _entropy_bits(_value_counts(x), n)
+        pool["entropy_y"] = _entropy_bits(_value_counts(y), n)
         pool["entropy_p"] = _entropy_bits(np.bincount(p), n)
     if not wanted.isdisjoint(_KINEMATIC_NAMES):
         pool.update(zip(_KINEMATIC_NAMES, _kinematics(x, y)))

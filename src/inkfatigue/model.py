@@ -22,8 +22,10 @@ Header lines start with ``#`` and hold ``key=value`` pairs; ``subject``,
 Data lines follow the headers and hold five whitespace-separated integers:
 x y pressure azimuth altitude. Each is an ASCII integer with an optional
 sign, ``[+-]?[0-9]+``; x and y must fit in int64. Lines end at any
-``str.splitlines`` boundary, and no line may be blank. Directory layout for
-a corpus:
+``str.splitlines`` boundary, and no line may be blank. The parser checks
+ASCII sample text against this grammar in one vectorized pass over byte
+classes, and other text with the grammar regex; both checks are exact.
+Directory layout for a corpus:
 
     <corpus>/<subject>/<set>/task<k>.ink
 
@@ -85,8 +87,30 @@ _SAMPLE_LINE = rf"{_SPACE}*{_INT}" + rf"{_SPACE}+{_INT}" * 4 + rf"{_SPACE}*"
 _HEADER_LINE_RE = re.compile(rf"{_SPACE}*#[^{_LINE_BREAKS}]*(?:{_EOL}|\Z)")
 _BODY_RE = re.compile(rf"(?:{_SAMPLE_LINE}{_EOL})*(?:{_SAMPLE_LINE})?")
 _INT_RE = re.compile(_INT)
+_FLOAT_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 # The ASCII spaces and line breaks of the grammar that C's isspace() does not know.
 _NON_C_SPACES = "\x1c\x1d\x1e\x1f"
+
+# Byte classes of the same grammar, for ASCII text. The characters that C's
+# isspace() does not know have classes of their own, 2 above the class they
+# fold onto.
+_DIGIT_CLASS, _SIGN_CLASS, _SPACE_CLASS, _BREAK_CLASS = range(4)
+_NON_C_SPACE_CLASS, _NON_C_BREAK_CLASS, _OTHER_CLASS = range(4, 7)
+
+
+def _byte_class(c: str) -> int:
+    """The class of the ASCII character ``c`` in the sample grammar."""
+    if c in "+-":
+        return _SIGN_CLASS
+    if c in "0123456789":
+        return _DIGIT_CLASS
+    fold = 2 if c in _NON_C_SPACES else 0
+    if c in _LINE_BREAKS:
+        return _BREAK_CLASS + fold
+    return _SPACE_CLASS + fold if c.isspace() else _OTHER_CLASS
+
+
+_BYTE_CLASSES = bytes(_byte_class(chr(i)) if i < 128 else _OTHER_CLASS for i in range(256))
 
 
 class Category(str, enum.Enum):
@@ -348,6 +372,24 @@ class StudyCorpus:
 # ---------------------------------------------------------------------------
 
 
+def ascii_int(text: str) -> int:
+    """The value of an ASCII integer ``[+-]?[0-9]+``. Raises ValueError for
+    any other text, including what int() takes: ``1_0``, padding spaces and
+    non-ASCII digits."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
+def ascii_float(text: str) -> float:
+    """The value of an ASCII decimal float such as ``0.5``, ``.5``, ``1`` or
+    ``1e-05``. Raises ValueError for any other text, including what float()
+    takes: ``0_5``, padding spaces, ``nan``, ``inf`` and non-ASCII digits."""
+    if not _FLOAT_RE.fullmatch(text):
+        raise ValueError(f"not an ASCII decimal number: {text!r}")
+    return float(text)
+
+
 def read_text(path: Path) -> str:
     """The UTF-8 text of an input file; undecodable bytes raise a FormatError
     that names the file."""
@@ -378,9 +420,10 @@ def parse_task_file(text: str) -> TaskRecord:
 
 def _sample_columns(body: str) -> np.ndarray:
     """The five channel columns of the sample lines ``body``."""
-    if not _BODY_RE.fullmatch(body):
+    matches, c_readable = _check_body(body)
+    if not matches:
         raise FormatError("sample lines break the grammar")
-    if not body.isascii() or any(c in body for c in _NON_C_SPACES):
+    if not c_readable:
         # np.fromstring would stop at such a character (U+00A0, \x1c, ...).
         body = " ".join(body.split())
     flat = np.fromstring(body, dtype=np.int64, sep=" ")
@@ -388,6 +431,48 @@ def _sample_columns(body: str) -> np.ndarray:
         # fromstring clamps out-of-range values to these; this raises instead.
         flat = np.array(body.split()).astype(np.int64)
     return flat.reshape(-1, 5).T
+
+
+def _check_body(body: str) -> tuple[bool, bool]:
+    """Whether ``_BODY_RE.fullmatch(body)`` succeeds, and whether
+    np.fromstring can read ``body`` as it is: ASCII with no ``_NON_C_SPACES``.
+
+    Non-ASCII text goes to the regex. ASCII text is checked in one pass over
+    an array of byte classes: with each "\\r\\n" folded into one break and a
+    space put in front, the body matches when every byte is in the grammar,
+    every sign follows a separator and precedes a digit, every break ends a
+    line of exactly 5 tokens, and the last break is followed by nothing or by
+    one line of 5.
+    """
+    if not body.isascii():
+        return bool(_BODY_RE.fullmatch(body)), False
+    raw = b" " + body.encode("ascii")
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b" \n")
+    cls = np.frombuffer(raw.translate(_BYTE_CLASSES), dtype=np.uint8)
+    top = int(np.maximum.reduce(cls))
+    if top == _OTHER_CLASS:
+        return False, False
+    c_readable = top < _NON_C_SPACE_CLASS
+    if not c_readable:
+        cls = np.where(cls >= _NON_C_SPACE_CLASS, cls - 2, cls)
+    token = cls < _SPACE_CLASS
+    # The index of the separator in front of each token.
+    starts = np.flatnonzero(token[1:] > token[:-1])
+    signs = np.flatnonzero(cls == _SIGN_CLASS)
+    if signs.size and (
+        signs[-1] == cls.size - 1
+        or np.logical_or.reduce(token[signs - 1])
+        or np.logical_or.reduce(cls[signs + 1] != _DIGIT_CLASS)
+    ):
+        return False, c_readable
+    breaks = np.flatnonzero(cls == _BREAK_CLASS)
+    n_lines = breaks.size
+    if not np.array_equal(np.searchsorted(starts, breaks), np.arange(5, 5 * n_lines + 1, 5)):
+        return False, c_readable
+    last_line = starts.size - 5 * n_lines
+    ends_at_break = (breaks[-1] if n_lines else 0) == cls.size - 1
+    return bool(last_line == 5 or (last_line == 0 and ends_at_break)), c_readable
 
 
 def _diagnose(text: str) -> dict[str, str]:
@@ -418,9 +503,7 @@ def _diagnose(text: str) -> dict[str, str]:
                 line=lineno,
             )
         try:
-            if not all(map(_INT_RE.fullmatch, fields)):
-                raise ValueError
-            values = tuple(int(f) for f in fields)
+            values = tuple(map(ascii_int, fields))
         except ValueError:
             raise FormatError(f"non-integer sample value in {line!r}", line=lineno)
         for name, v in zip(_CHANNELS, values):

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import FormatError, RangeError
 from .features import FeatureTable, full_catalog
-from .model import Category, SAMPLE_RATE_HZ, TASK_CATEGORIES
+from .model import Category, SAMPLE_RATE_HZ, TASK_CATEGORIES, ascii_float
 from .protocol import RecoverySummary, pair_label, parse_pair_label
 from .stats import Cell, ComparisonMatrix, MatrixRow
 
@@ -226,7 +226,7 @@ def load_matrix_tsv(text: str, alpha: float = 0.05) -> ComparisonMatrix:
                 row_cells.append(None)
                 continue
             try:
-                p = float(token)
+                p = ascii_float(token)
             except ValueError:
                 raise FormatError(f"bad p-value {token!r} under {label}", line=lineno)
             if not 0.0 <= p <= 1.0:

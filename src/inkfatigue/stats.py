@@ -117,16 +117,24 @@ def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return avg[inverse], counts
 
 
+def _float_array(values) -> np.ndarray:
+    """``values`` as a float64 array; an ndarray converts without a list."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    return np.asarray(values, dtype=np.float64)
+
+
 def wilcoxon_signed_rank(
-    paired: Iterable[tuple[float, float]], alternative: str = "two-sided"
+    paired: Iterable[tuple[float, float]] | np.ndarray, alternative: str = "two-sided"
 ) -> TestResult:
-    """Wilcoxon signed-rank test over (a, b) value pairs.
+    """Wilcoxon signed-rank test over (a, b) value pairs, given as an
+    iterable of pairs or an (n, 2) array.
 
     ``alternative="greater"`` tests whether a tends to exceed b. Raises
     EmptyInputError for no pairs and ValueError for non-finite values.
     """
     _check_alternative(alternative)
-    pairs = np.asarray(list(paired), dtype=np.float64)
+    pairs = _float_array(paired)
     if pairs.size == 0:
         raise EmptyInputError("signed-rank test needs at least one pair")
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -183,8 +191,8 @@ def rank_sum_test(
     correction; the statistic reported is the rank sum of the first sample.
     """
     _check_alternative(alternative)
-    a = np.asarray(list(a_values), dtype=np.float64)
-    b = np.asarray(list(b_values), dtype=np.float64)
+    a = _float_array(a_values)
+    b = _float_array(b_values)
     if a.size == 0 or b.size == 0:
         raise EmptyInputError("rank-sum test needs both samples non-empty")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
@@ -238,20 +246,21 @@ def compare_sets(
         table = feature_table(corpus, [feature])
     set_a, set_b = pair
     get = table.get
-    pairs = [
-        (fa.values[feature], fb.values[feature])
+    complete = [
+        (fa.values, fb.values)
         for subject in corpus.subjects
         if (fa := get((subject, set_a, task))) is not None and fa.values is not None
         and (fb := get((subject, set_b, task))) is not None and fb.values is not None
     ]
-    if not pairs:
+    if not complete:
         raise InsufficientDataError(
             f"no subject has task {task} in both {pair[0].value} and {pair[1].value}"
         )
+    # One float column per set: converting a list of pairs costs far more.
+    a = np.array([va[feature] for va, _ in complete], dtype=np.float64)
+    b = np.array([vb[feature] for _, vb in complete], dtype=np.float64)
     if test == "signed-rank":
-        return wilcoxon_signed_rank(pairs, alternative)
-    a = [v for v, _ in pairs]
-    b = [v for _, v in pairs]
+        return wilcoxon_signed_rank(np.column_stack((a, b)), alternative)
     return rank_sum_test(a, b, alternative)
 
 

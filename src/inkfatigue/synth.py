@@ -48,6 +48,8 @@ from .model import (
     StudyCorpus,
     TASK_IDS,
     TaskRecord,
+    ascii_float,
+    ascii_int,
     read_text,
 )
 
@@ -283,19 +285,19 @@ def generate_corpus(
 # ---------------------------------------------------------------------------
 
 _GLOBAL_KEYS = {
-    "seed": int,
-    "n_subjects": int,
-    "base_speed": float,
-    "base_pressure_level": int,
-    "stroke_count": int,
-    "air_gap_len": int,
+    "seed": ascii_int,
+    "n_subjects": ascii_int,
+    "base_speed": ascii_float,
+    "base_pressure_level": ascii_int,
+    "stroke_count": ascii_int,
+    "air_gap_len": ascii_int,
 }
 
 _SET_KEYS = {
-    "speed_scale": float,
-    "pressure_shift": int,
-    "air_inflation": float,
-    "jitter_sd": float,
+    "speed_scale": ascii_float,
+    "pressure_shift": ascii_int,
+    "air_inflation": ascii_float,
+    "jitter_sd": ascii_float,
 }
 
 

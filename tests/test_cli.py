@@ -296,7 +296,7 @@ def test_report_bad_matrix_is_a_one_line_error_and_writes_nothing(
     )
     out = tmp_path / "o"
     assert main(["report", "--matrix", str(matrix), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {error}\n"
+    assert capsys.readouterr().err == f"error: {matrix}: {error}\n"
     assert not out.exists()
 
 
@@ -404,7 +404,7 @@ set.S4.air_inflation = 1.5
 # Any change to an artifact, message, usage or help line, or exit code moves
 # one of them. Help lines wrap at COLUMNS, which the test fixes.
 PINNED_TREE_SHA256 = "a51b6d37871bc02f33a2d9b39e27ef4cec7bc156048c075b289ca687fba0b7cf"
-PINNED_TRANSCRIPT_SHA256 = "bcc1f9949537b3956c5477135c88f98c04ff5f05f7387d610895387815072aaa"
+PINNED_TRANSCRIPT_SHA256 = "e0ab9b0046fc665436c02bfdd7aa89ad20f9a4347f697536c541842b441f84ac"
 
 
 def _pin_invocations() -> list[list[str]]:

@@ -1,6 +1,8 @@
 import itertools
 import math
 import struct
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -301,6 +303,45 @@ def test_pressure_band_subset_of_above(p):
 
 
 # --- extraction -------------------------------------------------------------
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _counter_entropy(values) -> float:
+    """Plug-in entropy from Counter counts in ascending value order, the order
+    in which the extractor sums."""
+    n = len(values)
+    probs = np.array([c for _, c in sorted(Counter(values).items())]) / n
+    return float(-np.add.reduce(probs * np.log2(probs)))
+
+
+@pytest.mark.parametrize(
+    "x,y",
+    [
+        ([0, 10**7, 0], [5, 5, 6]),
+        ([0, 10**12, 5, 10**12], [-(10**12), 0, 3, 3]),
+        ([_INT64_MIN, _INT64_MAX, 0, _INT64_MAX], [_INT64_MAX, _INT64_MIN, _INT64_MIN, 1]),
+    ],
+    ids=["span-1e7", "span-1e12", "int64-extremes"],
+)
+def test_entropy_of_a_wide_coordinate_span_is_cheap_and_exact(x, y):
+    # The histogram must not grow with the span: 10**7 would take 80 MB.
+    record = make_record([0, 9, 9, 0][: len(x)], x=x, y=y)
+    tracemalloc.start()
+    try:
+        got = extract_features(record, ("entropy_x", "entropy_y"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert struct.pack("<2d", got["entropy_x"], got["entropy_y"]) == struct.pack(
+        "<2d", _counter_entropy(x), _counter_entropy(y)
+    )
+
+
+def test_entropy_helper_takes_any_alphabet_size():
+    series = [0, 2**40, 2**40, 3]
+    assert entropy(series, 2**41) == _counter_entropy(series)
 
 
 def test_extract_synthetic_record_populates_catalog():

@@ -2,6 +2,7 @@ import hashlib
 import re
 import shutil
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ from inkfatigue.model import (
     serialize_task,
     write_corpus,
 )
-from inkfatigue.model import _diagnose, _record
+from inkfatigue import model
+from inkfatigue.model import _BODY_RE, _NON_C_SPACES, _check_body, _diagnose, _record
 from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus
 
 from conftest import random_record
@@ -494,6 +496,99 @@ def test_parser_and_diagnostic_loop_agree_on_mutated_files(seed, mutations):
             _mutate(lines, name, i % len(lines), j, k)
     text = "".join(line + end for line, end in lines)
     assert _outcome(parse_task_file, text) == _outcome(_reference_parse, text)
+
+
+# --- the byte-class grammar check against the grammar regex ----------------
+
+_ASCII_SPACES = " \t\x1f"
+_ASCII_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+_EDIT_CHARS = "0++--#._\x85\xa0\u2028\u3000\u0663" + _ASCII_SPACES + "".join(_ASCII_BREAKS)
+
+
+def _token(signs, value):
+    return st.builds(
+        lambda sign, zeros, v: f"{sign}{zeros}{v}",
+        st.sampled_from(signs),
+        st.sampled_from(["", "", "0", "00"]),
+        value,
+    )
+
+
+# x and y take any sign and values up to and past int64; the bounded channels
+# stay in range, so that a matching body usually parses.
+_XY_TOKEN = _token(
+    ["", "", "+", "-"],
+    st.one_of(st.integers(0, 999), st.integers(0, 10**6), st.sampled_from([2**63 - 1, 2**63])),
+)
+_CHANNEL_TOKEN = _token(["", "", "+"], st.integers(0, 90))
+
+
+@st.composite
+def sample_bodies(draw):
+    """Sample lines of 4 to 6 signed, zero-padded tokens joined by every
+    ASCII space and break, with padding, doubled separators and up to two
+    one-character edits (insert, replace or delete)."""
+    pad = st.text(st.sampled_from(_ASCII_SPACES), max_size=2)
+    gap = st.text(st.sampled_from(_ASCII_SPACES), min_size=1, max_size=2)
+    body = ""
+    for _ in range(draw(st.integers(0, 6))):
+        n = draw(st.sampled_from([4, 5, 5, 5, 5, 5, 5, 6]))
+        tokens = [draw(_XY_TOKEN if j < 2 else _CHANNEL_TOKEN) for j in range(n)]
+        line = draw(pad) + "".join(t + draw(gap) for t in tokens[:-1]) + tokens[-1] + draw(pad)
+        body += line + draw(st.sampled_from(_ASCII_BREAKS))
+    body += draw(st.sampled_from(["", "", "1 2 3 4 5", "1\t2 3 4 5 ", " ", "\t\x1f"]))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(body)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        c = "" if edit == "delete" else draw(st.sampled_from(_EDIT_CHARS))
+        body = body[:i] + c + body[i + (edit != "insert") :]
+    return body
+
+
+def _regex_check(body):
+    """The grammar check as a full regex match plus a scan for the spaces
+    that np.fromstring cannot read."""
+    return bool(_BODY_RE.fullmatch(body)), body.isascii() and not any(
+        c in body for c in _NON_C_SPACES
+    )
+
+
+def _assert_checks_agree(body):
+    matches, c_readable = _check_body(body)
+    want_match, want_readable = _regex_check(body)
+    assert matches == want_match
+    assert not matches or c_readable == want_readable
+
+
+@given(sample_bodies())
+@settings(max_examples=500, deadline=None)
+def test_byte_class_check_equals_the_grammar_regex(body):
+    _assert_checks_agree(body)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "", " ", "\n", "1 2 3 4 5", "1 2 3 4 5\n", " 1 2 3 4 5 \r\n", "1 2 3 4 5\r",
+        "1 2 3 4 5\r\r\n", "1 2 3 4 5\n\n", "1 2 3 4 5\n ", "1 2 3 4\n", "1 2 3 4 5 6",
+        "+1 -2 +03 4 5", "+ 1 2 3 4 5", "1+ 2 3 4 5", "1+2 3 4 5 6", "1 2 3 4 5+",
+        "1 2 3 4 +-5", "1 2 3 4 5\x1c6 7 8 9 10\x1f", "1 2 3 4 5\x1e\x1f",
+        "1 2 3 4 5\x0b1 2 3 4 5\x0c", "1 2 3 4 5#", "1.0 2 3 4 5", "1_0 2 3 4 5",
+        "1 2 3 4 5\x85", "1 2 3 4 5\u2028", "1\xa02 3 4 5", "\u0663 2 3 4 5",
+    ],
+)
+def test_byte_class_check_on_edge_bodies(body):
+    _assert_checks_agree(body)
+
+
+@given(sample_bodies())
+@settings(max_examples=250, deadline=None)
+def test_parse_agrees_with_the_grammar_regex_path(body):
+    text = "#subject=U1\n#set=S1\n#task=3\n" + body
+    got = _outcome(parse_task_file, text)
+    with mock.patch.object(model, "_check_body", _regex_check):
+        want = _outcome(parse_task_file, text)
+    assert got == want
 
 
 # --- corpus loading --------------------------------------------------------

@@ -219,6 +219,20 @@ def test_load_matrix_tsv_task_is_ascii_digits(task):
     assert str(info.value) == f"line 2: task must be an integer, got {task!r}"
 
 
+@pytest.mark.parametrize("p", ["\u0660.\u0665", "0.0_5", " 0.5", "0.5 ", "nan", "0x0", "."])
+def test_load_matrix_tsv_p_values_are_ascii_decimals(p):
+    text = f"task_type\ttask\tfeature\tS1-S2\nCognitive\t1\tmean_speed\t{p}\n"
+    with pytest.raises(FormatError) as info:
+        load_matrix_tsv(text)
+    assert str(info.value) == f"line 2: bad p-value {p!r} under S1-S2"
+
+
+@pytest.mark.parametrize("p", ["0.5", "1", "0", ".5", "1.", "1e-05", "5E-324", "+0.25"])
+def test_load_matrix_tsv_reads_ascii_decimal_p_values(p):
+    text = f"task_type\ttask\tfeature\tS1-S2\nCognitive\t1\tmean_speed\t{p}\n"
+    assert load_matrix_tsv(text).cells[0][0].p == float(p)
+
+
 # --- feature tables ----------------------------------------------------------
 
 

@@ -237,6 +237,33 @@ def test_parse_profile_rejects_bad_lines(line):
         parse_profile(line)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "seed = \u0663",
+        "n_subjects = 1_0",
+        "base_speed = \u0661\u0664",
+        "base_speed = 1_4.0",
+        "base_speed = inf",
+        "set.S4.pressure_shift = \uff11",
+        "set.S4.jitter_sd = 0x1",
+    ],
+)
+def test_parse_profile_numbers_are_ascii_decimals(line):
+    # int() and float() take these; a profile value is [+-]?[0-9]+ or an
+    # ASCII decimal float.
+    with pytest.raises(ConfigError) as info:
+        parse_profile(f"# header\n{line}\n")
+    key, value = (part.strip() for part in line.split("="))
+    assert str(info.value) == f"line 2: bad value {value!r} for {key}"
+
+
+def test_parse_profile_accepts_signed_and_exponent_numbers():
+    profile = parse_profile("seed = +7\nbase_speed = 1.25e1\nset.S4.pressure_shift = -3\n")
+    assert (profile.seed, profile.base_speed) == (7, 12.5)
+    assert profile.perturbation(SetId.S4).pressure_shift == -3
+
+
 def test_load_profile_from_file(tmp_path):
     path = tmp_path / "profile.cfg"
     path.write_text(PROFILE_TEXT)
