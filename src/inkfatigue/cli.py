@@ -25,7 +25,9 @@ from pathlib import Path
 from . import features as features_mod
 from . import reporting
 from .errors import FormatError, InkError
-from .model import SetId, load_corpus, parse_task_file, read_text, record_path, write_corpus
+from .model import (
+    SetId, ascii_float, load_corpus, parse_task_file, read_text, record_path, write_corpus
+)
 from .protocol import canonical_set_pairs, parse_pair_label, summarize_recovery
 from .stats import TESTS, build_matrix, default_rows
 from .synth import generate_corpus, load_profile
@@ -51,7 +53,7 @@ class RunConfig:
 
 def _alpha_arg(text: str) -> float:
     try:
-        value = float(text)
+        value = ascii_float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"alpha must be a number, got {text!r}")
     if not 0.0 < value < 1.0:

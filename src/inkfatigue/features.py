@@ -84,11 +84,16 @@ def _as_1d(series, name: str = "series") -> np.ndarray:
 _DENSE_SPAN = 1 << 16
 
 
-def _value_counts(a: np.ndarray) -> np.ndarray:
-    """Counts of the values of a non-empty integer array, ascending by value;
-    may hold zero counts."""
+def _lo_span(a: np.ndarray) -> tuple[np.integer, int]:
+    """Minimum and exact span (maximum - minimum) of a non-empty integer array."""
     lo = np.minimum.reduce(a)
-    if int(np.maximum.reduce(a)) - int(lo) < _DENSE_SPAN:
+    return lo, int(np.maximum.reduce(a)) - int(lo)
+
+
+def _value_counts(a: np.ndarray, lo: np.integer, span: int) -> np.ndarray:
+    """Counts of the values of a non-empty integer array with minimum ``lo``
+    and span ``span``, ascending by value; may hold zero counts."""
+    if span < _DENSE_SPAN:
         return np.bincount(a - lo)
     return np.unique(a, return_counts=True)[1]
 
@@ -111,12 +116,14 @@ def _kinematics(x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
     """Speed and acceleration statistics, in ``_KINEMATIC_NAMES`` order.
 
     Speed is sqrt(dx^2 + dy^2) of forward differences (units per sample);
-    acceleration the same magnitude of second differences.
+    acceleration the same magnitude of second differences. Integer or
+    Python-int object channels; the magnitudes are taken in float64.
     """
     dx = x[1:] - x[:-1]
     dy = y[1:] - y[:-1]
-    speed = _mean_std_max(np.hypot(dx, dy))
-    return speed + _mean_std_max(np.hypot(dx[1:] - dx[:-1], dy[1:] - dy[:-1]))
+    speed = _mean_std_max(np.hypot(dx, dy, dtype=np.float64, casting="unsafe"))
+    ddx, ddy = dx[1:] - dx[:-1], dy[1:] - dy[:-1]
+    return speed + _mean_std_max(np.hypot(ddx, ddy, dtype=np.float64, casting="unsafe"))
 
 
 def _timing(down: np.ndarray) -> tuple[int, int, int, int]:
@@ -158,7 +165,7 @@ def entropy(series, alphabet_size: int) -> float:
             f"series values must lie in [0, {alphabet_size}), "
             f"got range [{arr.min()}, {arr.max()}]"
         )
-    return _entropy_bits(_value_counts(arr), arr.size)
+    return _entropy_bits(_value_counts(arr, *_lo_span(arr)), arr.size)
 
 
 def stroke_counts(pressure) -> tuple[int, int]:
@@ -242,11 +249,16 @@ def extract_features(
     flags: set[str] = set()
     pool: dict[str, float] = {}
 
+    (x_lo, x_span), (y_lo, y_span) = _lo_span(x), _lo_span(y)
     if not wanted.isdisjoint(("entropy_x", "entropy_y", "entropy_p")):
         # Raw integer values as the alphabet; no binning.
-        pool["entropy_x"] = _entropy_bits(_value_counts(x), n)
-        pool["entropy_y"] = _entropy_bits(_value_counts(y), n)
+        pool["entropy_x"] = _entropy_bits(_value_counts(x, x_lo, x_span), n)
+        pool["entropy_y"] = _entropy_bits(_value_counts(y, y_lo, y_span), n)
         pool["entropy_p"] = _entropy_bits(np.bincount(p), n)
+    if max(x_span, y_span) >= 1 << 62:
+        # int64 second differences of such a span could wrap: take the
+        # differences exactly, over Python ints.
+        x, y = x.astype(object), y.astype(object)
     if not wanted.isdisjoint(_KINEMATIC_NAMES):
         pool.update(zip(_KINEMATIC_NAMES, _kinematics(x, y)))
     if "mean_abs_dp" in wanted or "mean_abs_ddp" in wanted:

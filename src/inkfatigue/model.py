@@ -590,7 +590,7 @@ def _parse_aux_file(path: Path) -> AuxRecord:
             values[name] = None
         else:
             try:
-                values[name] = float(token)
+                values[name] = ascii_float(token)
             except ValueError:
                 raise FormatError(f"{path}: aux field {name} is not a number: {token!r}")
     return AuxRecord(**values)

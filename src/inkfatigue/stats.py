@@ -9,9 +9,11 @@ over the rank set); otherwise a normal approximation with tie-corrected
 variance and a 0.5 continuity correction is used. n_effective == 0 yields
 p = 1.0.
 
-A matrix run applies the test to every (task, feature) row and every set pair
-column, excluding per cell the subjects that miss either record or failed
-its extraction.
+A matrix run reads the feature table once into value columns, one float64
+array per (set, task, feature) with subjects in corpus order and NaN for a
+missing record or a failed extraction. Each (task, feature) row and set pair
+column is then one ``compare_sets`` call on two such columns, which excludes
+the subjects that are NaN in either.
 """
 
 from __future__ import annotations
@@ -222,43 +224,22 @@ def rank_sum_test(
 # ---------------------------------------------------------------------------
 
 def compare_sets(
-    corpus: StudyCorpus,
-    task: int,
-    feature: str,
-    pair: tuple[SetId, SetId],
-    *,
-    table: FeatureTable | None = None,
-    test: str = "signed-rank",
-    alternative: str = "two-sided",
+    a: np.ndarray, b: np.ndarray, *, test: str = "signed-rank", alternative: str = "two-sided"
 ) -> TestResult:
-    """Test one (task, feature) across one set pair.
+    """Test one matrix cell: two value columns, one entry per subject.
 
-    Values pair per subject, in subject order. A subject whose record is
-    missing or failed extraction in either set is excluded; raises
-    InsufficientDataError when no subject is left. An unknown ``test`` or
-    ``alternative`` raises ValueError before any pairing.
+    A subject whose value is NaN in either column (record missing or failed
+    extraction) is excluded; raises InsufficientDataError when no subject is
+    left. An unknown ``test`` or ``alternative`` raises ValueError before any
+    pairing.
     """
-    validate_task_id(task)
     if test not in TESTS:
         raise ValueError(f"test must be 'signed-rank' or 'rank-sum', got {test!r}")
     _check_alternative(alternative)
-    if table is None:
-        table = feature_table(corpus, [feature])
-    set_a, set_b = pair
-    get = table.get
-    complete = [
-        (fa.values, fb.values)
-        for subject in corpus.subjects
-        if (fa := get((subject, set_a, task))) is not None and fa.values is not None
-        and (fb := get((subject, set_b, task))) is not None and fb.values is not None
-    ]
-    if not complete:
-        raise InsufficientDataError(
-            f"no subject has task {task} in both {pair[0].value} and {pair[1].value}"
-        )
-    # One float column per set: converting a list of pairs costs far more.
-    a = np.array([va[feature] for va, _ in complete], dtype=np.float64)
-    b = np.array([vb[feature] for _, vb in complete], dtype=np.float64)
+    keep = ~(np.isnan(a) | np.isnan(b))
+    if not keep.any():
+        raise InsufficientDataError("no subject has a value in both sets")
+    a, b = a[keep], b[keep]
     if test == "signed-rank":
         return wilcoxon_signed_rank(np.column_stack((a, b)), alternative)
     return rank_sum_test(a, b, alternative)
@@ -349,22 +330,33 @@ def build_matrix(
         {(validate_task_id(t), f) for t, f in rows},
         key=lambda r: (r[0], catalog_order.get(r[1], len(catalog_order)), r[1]),
     )
+    features = sorted(
+        {f for _, f in norm_rows}, key=lambda f: (catalog_order.get(f, len(catalog_order)), f)
+    )
     if table is None:
-        needed = sorted(
-            {f for _, f in norm_rows},
-            key=lambda f: (catalog_order.get(f, len(catalog_order)), f),
-        )
-        table = feature_table(corpus, needed)
+        table = feature_table(corpus, features)
+    set_ids = list(dict.fromkeys(s for pair in pairs for s in pair))
+    tasks = sorted({t for t, _ in norm_rows})
+    # One float64 column per (set, task, feature), subjects in corpus order:
+    # [set, task, feature, subject], NaN where a record is missing or failed.
+    columns = np.full((len(set_ids), len(tasks), len(features), len(corpus.subjects)), np.nan)
+    for i, subject in enumerate(corpus.subjects):
+        for s, set_id in enumerate(set_ids):
+            for t, task in enumerate(tasks):
+                vec = table.get((subject, set_id, task))
+                if vec is not None and vec.values is not None:
+                    columns[s, t, :, i] = [vec.values[f] for f in features]
 
     matrix_rows = tuple(MatrixRow(t, f) for t, f in norm_rows)
     all_cells = []
     for task, feature in norm_rows:
+        by_set = columns[:, tasks.index(task), features.index(feature)]
         row_cells: list[Cell | None] = []
-        for pair in pairs:
+        for set_a, set_b in pairs:
             try:
                 result = compare_sets(
-                    corpus, task, feature, pair,
-                    table=table, test=test, alternative=alternative,
+                    by_set[set_ids.index(set_a)], by_set[set_ids.index(set_b)],
+                    test=test, alternative=alternative,
                 )
             except InsufficientDataError:
                 row_cells.append(None)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from inkfatigue.model import ALL_SETS, InkSignal, SetId, TASK_IDS, TaskRecord
 
@@ -65,3 +66,32 @@ def make_record(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)
+
+
+# --- number tokens ------------------------------------------------------------
+
+#: First code point of the digits 0-9 in scripts other than ASCII:
+#: Arabic-Indic, Devanagari and fullwidth.
+_DIGIT_ZEROS = (0x660, 0x966, 0xFF10)
+
+
+@st.composite
+def lax_numbers(draw, values, padded=True):
+    """Number text that float() reads but the ASCII decimal grammar rejects:
+    a value of ``values`` with a non-ASCII digit, a ``_`` between digits or
+    (when ``padded``) surrounding whitespace; or a spelling of nan or inf."""
+    text = repr(draw(values))
+    digits = [i for i, c in enumerate(text) if c.isdigit()]
+    pairs = [i for i in digits if i + 1 in digits]
+    edits = ["special", "digit"] + (["underscore"] if pairs else []) + (["pad"] if padded else [])
+    edit = draw(st.sampled_from(edits))
+    if edit == "special":
+        return draw(st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "+inf", "Infinity"]))
+    if edit == "digit":
+        i = draw(st.sampled_from(digits))
+        return text[:i] + chr(draw(st.sampled_from(_DIGIT_ZEROS)) + int(text[i])) + text[i + 1:]
+    if edit == "underscore":
+        i = draw(st.sampled_from(pairs)) + 1
+        return text[:i] + "_" + text[i:]
+    space = st.sampled_from(" \t\xa0\u3000")
+    return draw(space) + text + draw(st.sampled_from(["", draw(space)]))

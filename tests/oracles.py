@@ -13,7 +13,10 @@ match them bit for bit:
   separate helper calls;
 - ``reference_wilcoxon_signed_rank`` and ``reference_rank_sum_test`` keep
   the rank tests with one ``np.unique`` per tie question, and reuse the
-  production null distribution, normal tail and result type.
+  production null distribution, normal tail and result type;
+- ``reference_build_matrix`` keeps the matrix build that re-pairs subjects
+  through the feature table in every cell, and reuses the production rank
+  tests and matrix types.
 """
 
 import itertools
@@ -24,6 +27,7 @@ import numpy as np
 from inkfatigue.errors import (
     ConfigError,
     EmptyInputError,
+    InsufficientDataError,
     RangeError,
     ShapeError,
     TooShortError,
@@ -33,15 +37,23 @@ from inkfatigue.features import (
     MIN_SIGNAL_LEN,
     PENDOWN_CATALOG,
     FeatureVector,
+    feature_table,
     full_catalog,
 )
-from inkfatigue.model import PRESSURE_MAX, TASK_IDS, InkSignal, TaskRecord
+from inkfatigue.model import PRESSURE_MAX, TASK_IDS, InkSignal, TaskRecord, validate_task_id
 from inkfatigue.stats import (
     EXACT_MAX_N,
+    LOW_N_THRESHOLD,
+    TESTS,
+    Cell,
+    ComparisonMatrix,
+    MatrixRow,
     TestResult,
     _check_alternative,
     _exact_p,
     _normal_p,
+    rank_sum_test,
+    wilcoxon_signed_rank,
 )
 from inkfatigue.synth import (
     _CURVATURE_SD,
@@ -517,4 +529,104 @@ def reference_rank_sum_test(a_values, b_values, alternative="two-sided"):
         ties_present=ties,
         zeros_dropped=0,
         alternative=alternative,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Matrix build, kept from before the value-column rewrite
+# ---------------------------------------------------------------------------
+
+
+def reference_compare_sets(
+    corpus,
+    task,
+    feature,
+    pair,
+    *,
+    table=None,
+    test="signed-rank",
+    alternative="two-sided",
+):
+    """``stats.compare_sets`` when it paired subjects through the table."""
+    validate_task_id(task)
+    if test not in TESTS:
+        raise ValueError(f"test must be 'signed-rank' or 'rank-sum', got {test!r}")
+    _check_alternative(alternative)
+    if table is None:
+        table = feature_table(corpus, [feature])
+    set_a, set_b = pair
+    get = table.get
+    complete = [
+        (fa.values, fb.values)
+        for subject in corpus.subjects
+        if (fa := get((subject, set_a, task))) is not None and fa.values is not None
+        and (fb := get((subject, set_b, task))) is not None and fb.values is not None
+    ]
+    if not complete:
+        raise InsufficientDataError(
+            f"no subject has task {task} in both {pair[0].value} and {pair[1].value}"
+        )
+    # One float column per set: converting a list of pairs costs far more.
+    a = np.array([va[feature] for va, _ in complete], dtype=np.float64)
+    b = np.array([vb[feature] for _, vb in complete], dtype=np.float64)
+    if test == "signed-rank":
+        return wilcoxon_signed_rank(np.column_stack((a, b)), alternative)
+    return rank_sum_test(a, b, alternative)
+
+
+def reference_build_matrix(
+    corpus,
+    rows,
+    pairs,
+    *,
+    alpha=0.05,
+    test="signed-rank",
+    alternative="two-sided",
+    table=None,
+):
+    """``stats.build_matrix`` with one ``reference_compare_sets`` per cell."""
+    if not rows:
+        raise EmptyInputError("row spec must name at least one (task, feature)")
+    if not 0.0 < alpha < 1.0:
+        raise RangeError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    catalog_order = {name: i for i, name in enumerate(DEFAULT_CATALOG)}
+    norm_rows = sorted(
+        {(validate_task_id(t), f) for t, f in rows},
+        key=lambda r: (r[0], catalog_order.get(r[1], len(catalog_order)), r[1]),
+    )
+    if table is None:
+        needed = sorted(
+            {f for _, f in norm_rows},
+            key=lambda f: (catalog_order.get(f, len(catalog_order)), f),
+        )
+        table = feature_table(corpus, needed)
+
+    matrix_rows = tuple(MatrixRow(t, f) for t, f in norm_rows)
+    all_cells = []
+    for task, feature in norm_rows:
+        row_cells = []
+        for pair in pairs:
+            try:
+                result = reference_compare_sets(
+                    corpus, task, feature, pair,
+                    table=table, test=test, alternative=alternative,
+                )
+            except InsufficientDataError:
+                row_cells.append(None)
+                continue
+            row_cells.append(
+                Cell(
+                    p=result.p,
+                    n_effective=result.n_effective,
+                    method=result.method,
+                    ties_present=result.ties_present,
+                    low_n=result.n_effective < LOW_N_THRESHOLD,
+                )
+            )
+        all_cells.append(tuple(row_cells))
+    return ComparisonMatrix(
+        rows=matrix_rows,
+        pairs=tuple(pairs),
+        cells=tuple(all_cells),
+        alpha=alpha,
     )

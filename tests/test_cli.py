@@ -1,12 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from inkfatigue.cli import main
+from inkfatigue.cli import _alpha_arg, main
 from inkfatigue.features import DEFAULT_CATALOG
+
+from conftest import lax_numbers
 
 PROFILE_SMALL = """
 seed = 50
@@ -388,6 +394,42 @@ def test_non_utf8_input_file_is_a_one_line_error(tmp_path, capsys, argv, code):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"error: {bad}: not UTF-8 text: " in err
     assert not out.exists()
+
+
+def _stderr_of(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@given(lax_numbers(st.floats(0.001, 0.999)))
+@example("\u0660.\u0660\u0665")
+@example("0.0_5")
+@example(" 0.05")
+@example("nan")
+@example("inf")
+@settings(max_examples=100, deadline=None)
+def test_alpha_must_be_an_ascii_decimal(token):
+    message = f"alpha must be a number, got {token!r}"
+    code, err = _stderr_of(["compare", "--corpus", "c", "--out", "o", f"--alpha={token}"])
+    assert code == 2
+    assert err.endswith(f"error: argument --alpha: {message}\n")
+    if token != token.strip():
+        return  # a config value is stripped first
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "run.cfg"
+        config.write_text(f"alpha = {token}\n")
+        code, err = _stderr_of(["compare", "--config", str(config), "--out", str(Path(tmp) / "o")])
+        assert code == 2
+        assert err == f"usage error: {config}:1: {message}\n"
+        assert not (Path(tmp) / "o").exists()
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=100, deadline=None)
+def test_alpha_ascii_decimal_reads_as_its_value(alpha):
+    assert repr(_alpha_arg(repr(alpha))) == repr(alpha)
 
 
 # --- pinned artifacts ------------------------------------------------------------

@@ -456,6 +456,90 @@ def test_feature_table_covers_corpus_and_skips_short_records():
     assert failed.error == "feature extraction needs at least 3 samples, got 2"
 
 
+# --- coordinates anywhere in int64 ------------------------------------------
+
+
+def _exact_kinematics(x, y):
+    """Kinematic statistics from Python-int differences, which cannot wrap."""
+
+    def mean_std_max(dx, dy):
+        values = [math.hypot(a, b) for a, b in zip(dx, dy)]
+        mean = math.fsum(values) / len(values)
+        sd = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
+        return mean, sd, max(values)
+
+    x, y = [int(v) for v in x], [int(v) for v in y]
+    dx = [b - a for a, b in zip(x, x[1:])]
+    dy = [b - a for a, b in zip(y, y[1:])]
+    ddx = [b - a for a, b in zip(dx, dx[1:])]
+    ddy = [b - a for a, b in zip(dy, dy[1:])]
+    return mean_std_max(dx, dy) + mean_std_max(ddx, ddy)
+
+
+def test_kinematics_of_int64_extreme_steps_do_not_wrap():
+    x = [-(2**63), 2**63 - 1, 0, 2**63 - 1]
+    vector = extract_features(make_record([1] * 4, x=x, y=[0] * 4), KINEMATICS)
+    assert vector["max_speed"] == pytest.approx(2.0**64, rel=1e-15)
+    assert vector["mean_speed"] == pytest.approx(2.0**65 / 3, rel=1e-15)
+    assert vector["max_acceleration"] == pytest.approx(3 * 2.0**63, rel=1e-15)
+    assert vector["mean_acceleration"] == pytest.approx((3 * 2.0**63 + 2.0**64) / 2, rel=1e-15)
+
+
+_INT64 = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1, 0]))
+
+
+@given(
+    st.integers(3, 20).flatmap(
+        lambda n: st.tuples(
+            st.lists(_INT64, min_size=n, max_size=n),
+            st.lists(_INT64, min_size=n, max_size=n),
+            st.lists(st.sampled_from([0, 1, 700]), min_size=n, max_size=n),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_kinematics_of_any_int64_coordinates_match_exact_differences(channels):
+    x, y, pressure = channels
+    vector = extract_features(make_record(pressure, x=x, y=y), full_catalog())
+    got = [vector[name] for name in KINEMATICS]
+    want = _exact_kinematics(x, y)
+    down = [i for i, p in enumerate(pressure) if p > 0]
+    if len(down) >= 3:
+        got += [vector[name] for name in PENDOWN_CATALOG]
+        want += _exact_kinematics([x[i] for i in down], [y[i] for i in down])
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-9, abs=1e-9 * max(want))
+
+
+@st.composite
+def narrow_spans(draw, n):
+    """n int64 coordinates whose span stays below 2^62, anywhere in int64."""
+    span = draw(st.one_of(st.integers(0, 5000), st.integers(0, 2**62 - 1)))
+    lo = draw(st.integers(-(2**63), 2**63 - 1 - span))
+    return draw(
+        st.lists(st.one_of(st.integers(lo, lo + span), st.sampled_from([lo, lo + span])),
+                 min_size=n, max_size=n)
+    )
+
+
+@given(
+    st.integers(3, 20).flatmap(
+        lambda n: st.tuples(
+            narrow_spans(n),
+            narrow_spans(n),
+            st.lists(st.sampled_from([0, 1, 700]), min_size=n, max_size=n),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_kinematics_below_the_wrap_span_match_reference_bit_for_bit(channels):
+    x, y, pressure = channels
+    record = make_record(pressure, x=x, y=y)
+    catalog = KINEMATICS + PENDOWN_CATALOG
+    got = extract_features(record, catalog)
+    assert _bits(got) == _bits(reference_extract_features(record, catalog))
+
+
 # --- bit-identity with the per-feature reference ----------------------------
 
 _PRESSURE_EDGES = (1, 99, 100, 101, 399, 400, 401, 599, 600, 601, 2046, 2047)

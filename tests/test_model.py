@@ -1,12 +1,13 @@
 import hashlib
 import re
 import shutil
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from inkfatigue.errors import (
@@ -20,6 +21,7 @@ from inkfatigue.errors import (
 from inkfatigue.model import (
     ALL_SETS,
     ALTITUDE_MAX,
+    AUX_FIELDS,
     AZIMUTH_MAX,
     PRESSURE_MAX,
     AuxRecord,
@@ -38,7 +40,7 @@ from inkfatigue import model
 from inkfatigue.model import _BODY_RE, _NON_C_SPACES, _check_body, _diagnose, _record
 from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus
 
-from conftest import random_record
+from conftest import lax_numbers, random_record
 
 DATA = Path(__file__).parent / "data"
 
@@ -702,6 +704,41 @@ def test_aux_sidecar_malformed(tmp_path, body):
     (tmp_path / "U01" / "S1" / "aux.tsv").write_text(body)
     with pytest.raises(FormatError):
         load_corpus(tmp_path)
+
+
+def _load_aux(value_line):
+    """Loads a corpus holding only ``U01/S1/aux.tsv``; returns the file's
+    path and the loaded record, or the path and the FormatError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "U01" / "S1" / "aux.tsv"
+        path.parent.mkdir(parents=True)
+        path.write_text(AUX_HEADER + value_line + "\n")
+        try:
+            return path, load_corpus(tmp).aux("U01", SetId.S1)
+        except FormatError as exc:
+            return path, exc
+
+
+@given(lax_numbers(st.floats(0, 1e6), padded=False), st.sampled_from(AUX_FIELDS))
+@example("\u0660.\u0660\u0665", "lactate")
+@example("0.0_5", "force")
+@example("nan", "velocity")
+@example("inf", "rpe")
+@settings(max_examples=100, deadline=None)
+def test_aux_values_must_be_ascii_decimals(token, field):
+    values = ["1"] * len(AUX_FIELDS)
+    values[AUX_FIELDS.index(field)] = token
+    path, error = _load_aux("\t".join(values))
+    assert isinstance(error, FormatError)
+    assert str(error) == f"{path}: aux field {field} is not a number: {token!r}"
+
+
+@given(st.lists(st.one_of(st.just(None), st.floats(0, 1e6)), min_size=5, max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_aux_ascii_decimals_load_as_their_value(values):
+    tokens = ["NA" if v is None else repr(v) for v in values]
+    _, aux = _load_aux("\t".join(tokens))
+    assert aux == AuxRecord(*values)
 
 
 def test_aux_record_rejects_negative_values():

@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from inkfatigue.errors import EmptyInputError, InsufficientDataError, RangeError
-from inkfatigue.features import DEFAULT_CATALOG, feature_table
-from inkfatigue.model import SetId, StudyCorpus
+from inkfatigue.features import DEFAULT_CATALOG, feature_table, full_catalog
+from inkfatigue.model import ALL_SETS, TASK_IDS, SetId, StudyCorpus
 from inkfatigue.protocol import canonical_set_pairs
 from inkfatigue.reporting import load_matrix_tsv
 from inkfatigue.stats import (
     Cell,
     ComparisonMatrix,
     MatrixRow,
+    TESTS,
     build_matrix,
     compare_sets,
     default_rows,
@@ -28,6 +29,7 @@ from conftest import make_record
 from oracles import (
     enumerate_signed_rank_p,
     naive_ranks,
+    reference_build_matrix,
     reference_rank_sum_test,
     reference_wilcoxon_signed_rank,
 )
@@ -258,11 +260,18 @@ def constant_corpus(n_subjects=4):
     return corpus
 
 
+def _one_cell(corpus, task, feature, pair, **kwargs):
+    return build_matrix(corpus, [(task, feature)], [pair], **kwargs).cells[0][0]
+
+
 def test_compare_sets_identical_feature_values_give_p_one():
     corpus = constant_corpus()
-    result = compare_sets(corpus, 1, "max_speed", (SetId.S1, SetId.S2))
-    assert result.p == 1.0
-    assert result.n_effective == 0
+    cell = _one_cell(corpus, 1, "max_speed", (SetId.S1, SetId.S2))
+    assert cell.p == 1.0
+    assert cell.n_effective == 0
+    column = np.array([3.0, 1.5, 2.0])
+    result = compare_sets(column, column.copy())
+    assert (result.p, result.n_effective, result.zeros_dropped) == (1.0, 0, 3)
 
 
 def test_compare_sets_excludes_subjects_missing_a_set():
@@ -273,14 +282,25 @@ def test_compare_sets_excludes_subjects_missing_a_set():
         if record.subject_id == "U04" and record.set_id is SetId.S5:
             continue
         trimmed.add(record)
-    result = compare_sets(trimmed, 3, "mean_speed", (SetId.S1, SetId.S5))
-    assert result.n_effective <= 3
+    cell = _one_cell(trimmed, 3, "mean_speed", (SetId.S1, SetId.S5))
+    assert cell.n_effective <= 3
+    # A NaN on either side drops that subject's pair, and only that pair.
+    a = np.array([1.0, np.nan, 4.0, 2.5, 7.0])
+    b = np.array([2.0, 3.0, np.nan, 0.5, 1.0])
+    for test in ("signed-rank", "rank-sum"):
+        assert compare_sets(a, b, test=test) == compare_sets(
+            a[[0, 3, 4]], b[[0, 3, 4]], test=test
+        )
+    assert compare_sets(a, b) == wilcoxon_signed_rank([(1.0, 2.0), (2.5, 0.5), (7.0, 1.0)])
 
 
 def test_compare_sets_insufficient_data():
     corpus = generate_corpus(SynthProfile(seed=21, n_subjects=2), sets=(SetId.S1,))
-    with pytest.raises(InsufficientDataError):
-        compare_sets(corpus, 1, "mean_speed", (SetId.S1, SetId.S2))
+    assert _one_cell(corpus, 1, "mean_speed", (SetId.S1, SetId.S2)) is None
+    for a, b in [([np.nan, 1.0], [2.0, np.nan]), ([], [])]:
+        for test in ("signed-rank", "rank-sum"):
+            with pytest.raises(InsufficientDataError):
+                compare_sets(np.array(a), np.array(b), test=test)
 
 
 def test_compare_sets_detects_injected_shift():
@@ -289,16 +309,19 @@ def test_compare_sets_detects_injected_shift():
         perturbations={SetId.S4: Perturbation(speed_scale=0.6)},
     )
     corpus = generate_corpus(profile, sets=(SetId.S1, SetId.S4))
-    result = compare_sets(corpus, 5, "mean_speed", (SetId.S1, SetId.S4))
-    assert result.p < 0.001
+    assert _one_cell(corpus, 5, "mean_speed", (SetId.S1, SetId.S4)).p < 0.001
 
 
 def test_compare_sets_rank_sum_variant():
     corpus = generate_corpus(SynthProfile(seed=23, n_subjects=6), sets=(SetId.S1, SetId.S2))
-    result = compare_sets(
-        corpus, 1, "mean_speed", (SetId.S1, SetId.S2), test="rank-sum"
-    )
-    assert 0.0 <= result.p <= 1.0
+    cell = _one_cell(corpus, 1, "mean_speed", (SetId.S1, SetId.S2), test="rank-sum")
+    assert 0.0 <= cell.p <= 1.0
+    assert cell.method == "normal-approx" and cell.n_effective == 12
+    a, b = np.array([3.0, 1.0, 4.0, 1.5]), np.array([9.0, 2.0, 6.0, 5.0])
+    for alternative in ("two-sided", "greater", "less"):
+        assert compare_sets(a, b, test="rank-sum", alternative=alternative) == rank_sum_test(
+            a, b, alternative
+        )
 
 
 @pytest.mark.parametrize(
@@ -313,19 +336,19 @@ def test_unknown_test_or_alternative_is_rejected_before_pairing(test, alternativ
     # Only S1 exists, so no cell has a subject pair to test.
     corpus = generate_corpus(SynthProfile(seed=21, n_subjects=2), sets=(SetId.S1,))
     pair = (SetId.S1, SetId.S2)
+    missing = np.full(2, np.nan)
     with pytest.raises(ValueError, match=message):
-        compare_sets(corpus, 1, "mean_speed", pair, test=test, alternative=alternative)
+        compare_sets(missing, missing, test=test, alternative=alternative)
     with pytest.raises(ValueError, match=message):
         build_matrix(corpus, [(1, "mean_speed")], [pair], test=test, alternative=alternative)
 
 
-def test_compare_sets_without_table_extracts_the_named_feature():
+def test_build_matrix_without_table_extracts_the_named_feature():
     corpus = generate_corpus(SynthProfile(seed=23, n_subjects=6), sets=(SetId.S1, SetId.S2))
     pair = (SetId.S1, SetId.S2)
     table = feature_table(corpus, ["pendown_mean_speed"])
-    assert compare_sets(corpus, 1, "pendown_mean_speed", pair) == compare_sets(
-        corpus, 1, "pendown_mean_speed", pair, table=table
-    )
+    rows = [(1, "pendown_mean_speed")]
+    assert build_matrix(corpus, rows, [pair]) == build_matrix(corpus, rows, [pair], table=table)
 
 
 # --- matrix -----------------------------------------------------------------
@@ -435,6 +458,69 @@ def test_matrix_p_values_invariant_to_uniform_spatial_scaling():
     rows = default_rows(tasks=(1, 2), catalog=DEFAULT_CATALOG)
     pairs = [(SetId.S1, SetId.S2)]
     assert build_matrix(corpus, rows, pairs) == build_matrix(scaled, rows, pairs)
+
+
+# Short records on a coarse grid, so feature values tie within and across
+# sets; a record may be missing or too short to extract (2 samples).
+_PRESSURES = (0, 0, 50, 150, 500, 700)
+
+
+@st.composite
+def matrix_cases(draw):
+    n_subjects = draw(st.integers(1, 12))
+    tasks = draw(st.lists(st.sampled_from(TASK_IDS), min_size=1, max_size=3, unique=True))
+    sets = draw(st.lists(st.sampled_from(ALL_SETS), min_size=1, max_size=5, unique=True))
+    corpus = StudyCorpus()
+    # Subjects are added in a shuffled order; the matrix pairs them sorted.
+    for subject in draw(st.permutations([f"S{i:02d}" for i in range(n_subjects)])):
+        for set_id in sets:
+            for task in tasks:
+                kind = draw(st.sampled_from(["record"] * 6 + ["dropped", "failed"]))
+                if kind == "dropped":
+                    continue
+                n = 2 if kind == "failed" else draw(st.integers(3, 7))
+                pressure = draw(st.lists(st.sampled_from(_PRESSURES), min_size=n, max_size=n))
+                coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+                corpus.add(
+                    make_record(
+                        pressure, x=draw(coords), y=draw(coords),
+                        subject=subject, set_id=set_id, task=task,
+                    )
+                )
+    row = st.tuples(st.sampled_from(tasks + [draw(st.sampled_from(TASK_IDS))]),
+                    st.sampled_from(full_catalog()))
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    pairs = draw(st.lists(st.sampled_from(canonical_set_pairs()), min_size=1, max_size=4))
+    return corpus, rows, pairs
+
+
+def _cell_bits(cell):
+    if cell is None:
+        return None
+    return (
+        struct.pack("<d", cell.p), cell.n_effective, cell.method, cell.ties_present, cell.low_n
+    )
+
+
+@given(
+    matrix_cases(),
+    st.sampled_from(TESTS),
+    st.sampled_from(["two-sided", "greater", "less"]),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_build_matrix_matches_reference_bit_for_bit(case, test, alternative, with_table):
+    corpus, rows, pairs = case
+    kwargs = {"test": test, "alternative": alternative}
+    if with_table:
+        kwargs["table"] = feature_table(corpus, sorted({f for _, f in rows}))
+    got = build_matrix(corpus, rows, pairs, **kwargs)
+    want = reference_build_matrix(corpus, rows, pairs, **kwargs)
+    assert (got.rows, got.pairs, got.alpha) == (want.rows, want.pairs, want.alpha)
+    assert [[_cell_bits(c) for c in row] for row in got.cells] == [
+        [_cell_bits(c) for c in row] for row in want.cells
+    ]
+    assert got == want
 
 
 def test_default_rows_cover_tasks_and_catalog():
