@@ -197,7 +197,7 @@ class InkSignal:
             arr = np.asarray(getattr(self, name))
             if arr.ndim != 1:
                 raise ShapeError(f"channel {name} must be one-dimensional")
-            if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            if arr.size and arr.dtype.kind not in "iu":
                 rounded = np.rint(arr)
                 if not np.array_equal(rounded, arr):
                     raise RangeError(f"channel {name} holds non-integer values")
@@ -213,9 +213,8 @@ class InkSignal:
             raise TooShortError(f"a signal needs at least 2 samples, got {n}")
         for name, (lo, hi) in _CHANNEL_BOUNDS.items():
             arr = getattr(self, name)
-            bad = np.nonzero((arr < lo) | (arr > hi))[0]
-            if bad.size:
-                i = int(bad[0])
+            if np.minimum.reduce(arr) < lo or np.maximum.reduce(arr) > hi:
+                i = int(np.nonzero((arr < lo) | (arr > hi))[0][0])
                 raise RangeError(
                     f"{name} value {int(arr[i])} at sample {i} outside [{lo}, {hi}]"
                 )
@@ -593,7 +592,10 @@ def _parse_aux_file(path: Path) -> AuxRecord:
                 values[name] = ascii_float(token)
             except ValueError:
                 raise FormatError(f"{path}: aux field {name} is not a number: {token!r}")
-    return AuxRecord(**values)
+    try:
+        return AuxRecord(**values)
+    except RangeError as exc:
+        raise RangeError(f"{path}: {exc}") from exc
 
 
 def load_corpus(directory: str | Path) -> StudyCorpus:

@@ -13,12 +13,17 @@ keyed by that tuple, and raw draws never depend on perturbation parameters,
 so changing for example ``pressure_shift`` moves pressures without touching
 the trajectory. Adding a subject never perturbs other subjects' data.
 
-Draws are batched per stage in a fixed order: each per-sample stage is one
-draw covering all strokes of the record, and the strokes are built as rows
-of padded arrays. A ``Generator`` stream gives the same values in one draw as
-in one draw per stroke, and every per-sample expression keeps its operand
-order, so the output is bit-identical to building the record stroke by
-stroke.
+Records are assembled one subject at a time: ``generate_corpus`` builds
+all records of a subject in one pass, and ``generate_task`` is that pass for
+a batch of one. Each record still draws from its own stream, per stage in a
+fixed order, each per-sample stage in one draw covering all strokes of the
+record; the strokes of every record in the batch are then rows of shared
+zero-padded arrays. A ``Generator`` stream gives the same values in one draw
+as in one draw per stroke, and every per-sample expression groups its
+operations as the per-stroke form does (floating-point addition and
+multiplication commute but do not associate), so a record is the same
+whether built alone or with its subject, and bit-identical to building it
+stroke by stroke.
 
 Per-set perturbations:
 
@@ -163,109 +168,12 @@ def generate_task(
 ) -> TaskRecord:
     """Generate one record: pen-down arcs separated by pressure-zero gaps.
 
-    Identical inputs yield bit-identical records.
+    Identical inputs yield bit-identical records, the same as the record
+    with this key in ``generate_corpus``.
     """
     if task not in TASK_IDS:
         raise ConfigError(f"task must be in 1..9, got {task}")
-    traits = _subject_traits(profile.seed, subject_id)
-    pert = profile.perturbation(set_id)
-    rng = _stream(profile.seed, "record", subject_id, set_id.value, task)
-
-    # Stage 1: structure. Raw integer draws; perturbations applied afterwards
-    # so identical keys give identical draws whatever the parameters are.
-    n_strokes = int(profile.stroke_count + rng.integers(0, _EXTRA_STROKES))
-    stroke_len = rng.integers(_STROKE_LEN_RANGE[0], _STROKE_LEN_RANGE[1] + 1, size=n_strokes)
-    gap_lo = max(1, profile.air_gap_len // 4)
-    gap_hi = max(gap_lo + 1, 2 * profile.air_gap_len - gap_lo)
-    raw_gaps = rng.integers(gap_lo, gap_hi + 1, size=max(n_strokes - 1, 0))
-    gaps = np.maximum(1, np.rint(raw_gaps * pert.air_inflation).astype(np.int64))
-
-    # Stage 2: trajectory draws. A per-sample draw covers all strokes at once.
-    n_down = int(stroke_len.sum())
-    headings0 = rng.uniform(0.0, 2.0 * math.pi, size=n_strokes)
-    curvature = rng.normal(0.0, _CURVATURE_SD, size=n_strokes)
-    stroke_speed_mult = np.exp(rng.normal(0.0, _STROKE_SPEED_SD, size=n_strokes))
-    heading_noise = rng.standard_normal(n_down)
-    speed_noise = rng.standard_normal(n_down)
-    jump_angle = rng.uniform(0.0, 2.0 * math.pi, size=max(n_strokes - 1, 0))
-    jump_spread = rng.uniform(0.3, 0.8, size=max(n_strokes - 1, 0))
-
-    # Stage 3: pressure noise, one value per pen-down sample.
-    pressure_noise = rng.standard_normal(n_down)
-
-    # Stroke i is row i of zero-padded (n_strokes, max_len) arrays; a cumsum
-    # along a row adds in the same order as over the stroke alone.
-    col = np.arange(stroke_len.max())
-    down = col < stroke_len[:, None]
-
-    def by_stroke(flat: np.ndarray) -> np.ndarray:
-        rows = np.zeros(down.shape)
-        rows[down] = flat
-        return rows
-
-    base_v = profile.base_speed * traits.tempo * pert.speed_scale
-    theta = headings0[:, None] + np.cumsum(
-        curvature[:, None] + _HEADING_STEP_SD * by_stroke(heading_noise), axis=1
-    )
-    v = (base_v * traits.amp_scale * stroke_speed_mult)[:, None] * np.exp(
-        _SAMPLE_SPEED_SD * by_stroke(speed_noise)
-    )
-    # walk[0] and walk[1]: x and y offsets from each stroke's start.
-    walk = np.cumsum(v * np.stack([np.cos(theta), np.sin(theta)]), axis=2)
-
-    # Pressure rises and falls within the stroke; clamp keeps pen-down
-    # samples strictly positive so perturbing pressure never edits timing.
-    arc = np.sin(math.pi * (col + 0.5) / stroke_len[:, None])
-    level = profile.base_pressure_level * traits.pressure_scale
-    p_raw = np.rint(level * arc * np.exp(_PRESSURE_NOISE_SD * by_stroke(pressure_noise)))
-    pen = np.clip(p_raw + pert.pressure_shift, 1, PRESSURE_MAX)
-
-    # Each stroke starts where the jump after the previous one lands. Row i's
-    # gap runs from stroke i's end to that target; the last row has none.
-    walk_end = walk[:, np.arange(n_strokes), stroke_len - 1].T.tolist()
-    jumps = (base_v * traits.amp_scale * gaps * jump_spread).tolist()
-    angles = jump_angle.tolist()
-    starts, ends, targets = [], [], []
-    pos_x, pos_y = float(traits.origin_x), float(traits.origin_y)
-    for i, (walk_x, walk_y) in enumerate(walk_end):
-        starts.append((pos_x, pos_y))
-        pos_x, pos_y = pos_x + walk_x, pos_y + walk_y
-        ends.append((pos_x, pos_y))
-        if i < n_strokes - 1:
-            pos_x = pos_x + jumps[i] * math.cos(angles[i])
-            pos_y = pos_y + jumps[i] * math.sin(angles[i])
-        targets.append((pos_x, pos_y))
-    starts, ends, targets = (np.array(a).T[:, :, None] for a in (starts, ends, targets))
-
-    # Gap samples sit strictly between the stroke end and next start. The
-    # row-major gather yields stroke 0, gap 0, stroke 1, ..., last stroke.
-    gap_len = np.append(gaps, 0)
-    step = np.arange(1, gap_len.max() + 1)
-    frac = step / (gap_len[:, None] + 1)
-    keep = np.concatenate([down, step <= gap_len[:, None]], axis=1)
-    xy = np.concatenate([starts + walk, ends + (targets - ends) * frac], axis=2)[:, keep]
-    p = np.concatenate([pen, np.zeros(frac.shape)], axis=1)[keep]
-
-    # Stage 4: positional jitter, drawn last because its size depends on the
-    # (inflation-dependent) record length.
-    if pert.jitter_sd > 0:
-        xy = xy + pert.jitter_sd * rng.standard_normal(xy.shape)
-
-    x, y = np.rint(xy).astype(np.int64)
-    signal = InkSignal(
-        x=x,
-        y=y,
-        pressure=p.astype(np.int64),
-        azimuth=np.full(x.size, traits.azimuth, dtype=np.int64),
-        altitude=np.full(x.size, traits.altitude, dtype=np.int64),
-    )
-    return TaskRecord(
-        subject_id=subject_id,
-        set_id=set_id,
-        task=task,
-        signal=signal,
-        metadata={"generator": "synthetic"},
-    )
+    return _generate_subject(profile, subject_id, [(set_id, task)])[0]
 
 
 def generate_corpus(
@@ -273,11 +181,205 @@ def generate_corpus(
 ) -> StudyCorpus:
     """Generate the full n_subjects x sets x 9-tasks corpus in memory."""
     corpus = StudyCorpus()
+    keys = [(set_id, task) for set_id in sets for task in TASK_IDS]
     for subject_id in profile.subject_ids():
-        for set_id in sets:
-            for task in TASK_IDS:
-                corpus.add(generate_task(profile, subject_id, set_id, task))
+        for record in _generate_subject(profile, subject_id, keys):
+            corpus.add(record)
     return corpus
+
+
+# Row L - _STROKE_LEN_RANGE[0] holds sin(pi * (col + 0.5) / L), the pressure
+# arc of a stroke of length L: it depends on nothing but the length.
+_ARC = np.sin(
+    math.pi
+    * (np.arange(_STROKE_LEN_RANGE[1]) + 0.5)
+    / np.arange(_STROKE_LEN_RANGE[0], _STROKE_LEN_RANGE[1] + 1)[:, None]
+)
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts end to end; a batch of one skips the copy."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _generate_subject(
+    profile: SynthProfile, subject_id: str, keys: list[tuple[SetId, int]]
+) -> list[TaskRecord]:
+    """Build the records ``keys`` of one subject in one padded pass.
+
+    Each record draws from its own stream, in the same order whatever else
+    is in the batch. The arithmetic then runs on the strokes of all records
+    at once, one stroke per row of zero-padded arrays.
+    """
+    traits = _subject_traits(profile.seed, subject_id)
+    gap_lo = max(1, profile.air_gap_len // 4)
+    gap_hi = max(gap_lo + 1, 2 * profile.air_gap_len - gap_lo)
+
+    # Stage 1, structure: raw integer draws; perturbations are applied
+    # afterwards, so identical keys give identical draws whatever the
+    # parameters are. Stage 2, trajectory: each per-sample draw covers all
+    # strokes of the record. Stage 3: pressure noise. Stage 4, jitter, comes
+    # last from the kept stream, once the record's length is known.
+    rngs, draws = [], []
+    # Per stroke row: speed, pressure shift, whether a gap follows; per gap:
+    # speed and air inflation.
+    row_v, row_shift, has_gap, gap_v, gap_inflation = [], [], [], [], []
+    for set_id, task in keys:
+        pert = profile.perturbation(set_id)
+        rng = _stream(profile.seed, "record", subject_id, set_id.value, task)
+        n = int(profile.stroke_count + rng.integers(0, _EXTRA_STROKES))
+        stroke_len = rng.integers(_STROKE_LEN_RANGE[0], _STROKE_LEN_RANGE[1] + 1, size=n)
+        raw_gaps = rng.integers(gap_lo, gap_hi + 1, size=n - 1)
+        headings0 = rng.uniform(0.0, 2.0 * math.pi, size=n)
+        curvature = rng.normal(0.0, _CURVATURE_SD, size=n)
+        stroke_speed = rng.normal(0.0, _STROKE_SPEED_SD, size=n)
+        n_down = int(stroke_len.sum())
+        # Heading noise, then speed noise.
+        noise = rng.standard_normal(2 * n_down)
+        jump_angle = rng.uniform(0.0, 2.0 * math.pi, size=n - 1)
+        jump_spread = rng.uniform(0.3, 0.8, size=n - 1)
+        pressure_noise = rng.standard_normal(n_down)
+        draws.append(
+            (
+                stroke_len, raw_gaps, headings0, curvature, stroke_speed, noise[:n_down],
+                noise[n_down:], jump_angle, jump_spread, pressure_noise,
+            )
+        )
+        rngs.append((rng, pert.jitter_sd))
+        # base_v * amp_scale, multiplied in the per-record order.
+        v = profile.base_speed * traits.tempo * pert.speed_scale * traits.amp_scale
+        row_v += [v] * n
+        row_shift += [pert.pressure_shift] * n
+        has_gap += [True] * (n - 1) + [False]
+        gap_v += [v] * (n - 1)
+        gap_inflation += [pert.air_inflation] * (n - 1)
+    (
+        stroke_len, raw_gaps, headings0, curvature, stroke_speed, heading_noise,
+        speed_noise, jump_angle, jump_spread, pressure_noise,
+    ) = (_concat(parts) for parts in zip(*draws))
+    del draws
+    gaps = np.maximum(1, np.rint(raw_gaps * np.array(gap_inflation)).astype(np.int64))
+    gap_len = np.zeros(stroke_len.size, dtype=np.int64)
+    gap_len[np.array(has_gap)] = gaps
+
+    # Row r holds stroke r, then the gap after it. The row-major gather of
+    # ``keep`` yields stroke 0, gap 0, stroke 1, ..., last stroke, record
+    # after record. A cumsum along a row adds in the same order as over the
+    # stroke alone.
+    col = np.arange(stroke_len.max())
+    step = np.arange(1, gap_len.max() + 1)
+    down = col < stroke_len[:, None]
+    keep = np.concatenate([down, step <= gap_len[:, None]], axis=1)
+
+    def by_stroke(flat: np.ndarray) -> np.ndarray:
+        rows = np.zeros(down.shape)
+        rows[down] = flat
+        return rows
+
+    # Pressure rises and falls within the stroke; clamp keeps pen-down
+    # samples strictly positive so perturbing pressure never edits timing.
+    p = np.zeros(keep.shape)
+    level = profile.base_pressure_level * traits.pressure_scale
+    np.clip(
+        np.rint(
+            level
+            * _ARC[stroke_len - _STROKE_LEN_RANGE[0], : col.size]
+            * np.exp(_PRESSURE_NOISE_SD * by_stroke(pressure_noise))
+        )
+        + np.array(row_shift, dtype=np.float64)[:, None],
+        1,
+        PRESSURE_MAX,
+        out=p[:, : col.size],
+    )
+    p = p[keep].astype(np.int64)
+    # Padded planes cost a few hundred KiB each for a whole subject, so
+    # inputs are dropped as soon as they are used.
+    del pressure_noise
+
+    # Sine and cosine are the costly part, so padding stays at zero.
+    theta = headings0[:, None] + np.cumsum(
+        curvature[:, None] + _HEADING_STEP_SD * by_stroke(heading_noise), axis=1
+    )
+    heading = np.zeros((2, *down.shape))
+    np.cos(theta, out=heading[0], where=down)
+    np.sin(theta, out=heading[1], where=down)
+    heading *= (np.array(row_v) * np.exp(stroke_speed))[:, None] * np.exp(
+        _SAMPLE_SPEED_SD * by_stroke(speed_noise)
+    )
+    del theta, heading_noise, speed_noise
+    # walk[0] and walk[1]: x and y offsets from each stroke's start, built
+    # in place in the stroke columns of xy.
+    xy = np.empty((2, *keep.shape))
+    walk = xy[:, :, : col.size]
+    np.cumsum(heading, axis=2, out=walk)
+    del heading
+
+    # Each stroke starts where the jump after the previous one lands, and a
+    # record's first stroke at the subject's origin. Row r's gap runs from
+    # stroke r's end to that target; a record's last row has none.
+    walk_end = walk[:, np.arange(stroke_len.size), stroke_len - 1].T.tolist()
+    jumps = (np.array(gap_v) * gaps * jump_spread).tolist()
+    angles = jump_angle.tolist()
+    origin_x, origin_y = float(traits.origin_x), float(traits.origin_y)
+    pos_x, pos_y = origin_x, origin_y
+    corners, lengths = [], []
+    length = j = 0
+    row_len = (stroke_len + gap_len).tolist()
+    for (walk_x, walk_y), n, gap_follows in zip(walk_end, row_len, has_gap):
+        start_x, start_y = pos_x, pos_y
+        pos_x, pos_y = pos_x + walk_x, pos_y + walk_y
+        length += n
+        if gap_follows:
+            target_x = pos_x + jumps[j] * math.cos(angles[j])
+            target_y = pos_y + jumps[j] * math.sin(angles[j])
+            corners.append((start_x, start_y, pos_x, pos_y, target_x, target_y))
+            pos_x, pos_y = target_x, target_y
+            j += 1
+        else:
+            corners.append((start_x, start_y, pos_x, pos_y, pos_x, pos_y))
+            lengths.append(length)
+            length = 0
+            pos_x, pos_y = origin_x, origin_y
+    corners = np.array(corners).T[:, :, None]
+    starts, ends, targets = corners[0:2], corners[2:4], corners[4:6]
+
+    # Gap samples sit strictly between the stroke end and next start.
+    walk += starts
+    gap_xy = xy[:, :, col.size :]
+    np.multiply(targets - ends, step / (gap_len[:, None] + 1), out=gap_xy)
+    gap_xy += ends
+    x, y = xy[0][keep], xy[1][keep]
+    del xy, walk, gap_xy
+
+    bounds = []
+    start = 0
+    for (rng, jitter_sd), n in zip(rngs, lengths):
+        if jitter_sd > 0:
+            jitter = jitter_sd * rng.standard_normal((2, n))
+            x[start : start + n] += jitter[0]
+            y[start : start + n] += jitter[1]
+        bounds.append((start, n))
+        start += n
+
+    x, y = np.rint(x).astype(np.int64), np.rint(y).astype(np.int64)
+    azimuth = np.full(max(lengths), traits.azimuth, dtype=np.int64)
+    altitude = np.full(max(lengths), traits.altitude, dtype=np.int64)
+    return [
+        TaskRecord(
+            subject_id=subject_id,
+            set_id=set_id,
+            task=task,
+            signal=InkSignal(
+                x=x[start : start + n],
+                y=y[start : start + n],
+                pressure=p[start : start + n],
+                azimuth=azimuth[:n],
+                altitude=altitude[:n],
+            ),
+            metadata={"generator": "synthetic"},
+        )
+        for (set_id, task), (start, n) in zip(keys, bounds)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,14 @@ match them bit for bit:
   production null distribution, normal tail and result type;
 - ``reference_build_matrix`` keeps the matrix build that re-pairs subjects
   through the feature table in every cell, and reuses the production rank
-  tests and matrix types.
+  tests and matrix types;
+- ``ReferenceInkSignal`` keeps the channel checks of ``model.InkSignal``
+  from before they were reduced to one min/max pair per bounded channel.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +43,15 @@ from inkfatigue.features import (
     feature_table,
     full_catalog,
 )
-from inkfatigue.model import PRESSURE_MAX, TASK_IDS, InkSignal, TaskRecord, validate_task_id
+from inkfatigue.model import (
+    _CHANNEL_BOUNDS,
+    _CHANNELS,
+    PRESSURE_MAX,
+    TASK_IDS,
+    InkSignal,
+    TaskRecord,
+    validate_task_id,
+)
 from inkfatigue.stats import (
     EXACT_MAX_N,
     LOW_N_THRESHOLD,
@@ -159,6 +170,46 @@ def enumerate_signed_rank_p(diffs, alternative="two-sided"):
             lo = m - hi
             count += (w >= hi - eps) or (w <= lo + eps)
     return min(1.0, count / total)
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceInkSignal:
+    """``model.InkSignal``'s fields and channel checks, with ``np.issubdtype``
+    and one ``np.nonzero`` scan per bounded channel."""
+
+    x: np.ndarray
+    y: np.ndarray
+    pressure: np.ndarray
+    azimuth: np.ndarray
+    altitude: np.ndarray
+
+    def __post_init__(self):
+        for name in _CHANNELS:
+            arr = np.asarray(getattr(self, name))
+            if arr.ndim != 1:
+                raise ShapeError(f"channel {name} must be one-dimensional")
+            if arr.size and not np.issubdtype(arr.dtype, np.integer):
+                rounded = np.rint(arr)
+                if not np.array_equal(rounded, arr):
+                    raise RangeError(f"channel {name} holds non-integer values")
+                arr = rounded
+            arr = arr.astype(np.int64, copy=True)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        n = self.x.size
+        for name in _CHANNELS[1:]:
+            if getattr(self, name).size != n:
+                raise ShapeError("all channels must have the same length")
+        if n < 2:
+            raise TooShortError(f"a signal needs at least 2 samples, got {n}")
+        for name, (lo, hi) in _CHANNEL_BOUNDS.items():
+            arr = getattr(self, name)
+            bad = np.nonzero((arr < lo) | (arr > hi))[0]
+            if bad.size:
+                i = int(bad[0])
+                raise RangeError(
+                    f"{name} value {int(arr[i])} at sample {i} outside [{lo}, {hi}]"
+                )
 
 
 def reference_generate_task(profile, subject_id, set_id, task):

@@ -112,6 +112,18 @@ def test_non_utf8_file_is_a_one_line_data_error(corpus_dir, tmp_path, capsys, co
     assert err.count("\n") == 1 and err.startswith(f"error: {bad}: not UTF-8 text")
 
 
+@pytest.mark.parametrize("command", ["validate", "extract"])
+def test_aux_value_out_of_range_is_a_one_line_error_naming_the_file(
+    corpus_dir, tmp_path, capsys, command
+):
+    aux = corpus_dir / "U02" / "S3" / "aux.tsv"
+    aux.write_text("lactate\tflight_time\tforce\tvelocity\trpe\n-0.5\t0.5\t700\t1.5\t2\n")
+    out = ["--out", str(tmp_path / "o")] if command == "extract" else []
+    assert main([command, "--corpus", str(corpus_dir), *out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {aux}: aux field lactate must be finite and >= 0, got -0.5\n"
+
+
 def test_validate_empty_dir_warns_but_passes(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -41,6 +41,7 @@ from inkfatigue.model import _BODY_RE, _NON_C_SPACES, _check_body, _diagnose, _r
 from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus
 
 from conftest import lax_numbers, random_record
+from oracles import ReferenceInkSignal
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,6 +110,59 @@ def test_signal_rejects_out_of_range_channel():
             azimuth=np.zeros(3, dtype=int),
             altitude=np.zeros(3, dtype=int),
         )
+
+
+_INPUT_DTYPES = (np.int64, np.uint8, np.bool_, np.float64)
+_DEFECTS = (None, None, "low", "high", "fraction", "2-D", "length")
+
+
+@st.composite
+def channel_inputs(draw):
+    """Five channels of n samples, each int64, uint8, bool or float, with at
+    most one defect in one channel: values just past a bound or fractional
+    values at up to three random samples, a 2-D shape or another length.
+    n < 2 gives a too-short signal. uint8 and bool keep only the low bits."""
+    n = draw(st.integers(0, 8))
+    columns = [
+        draw(arrays(np.int64, n, elements=st.integers(max(lo, -(2**53)), min(hi, 2**53))))
+        for lo, hi in _CHANNEL_RANGES
+    ]
+    defect = draw(st.sampled_from(_DEFECTS))
+    k = draw(st.sampled_from(range(2 if defect in ("low", "high") else 0, 5)))
+    if n and defect in ("low", "high", "fraction"):
+        at = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        lo, hi = _CHANNEL_RANGES[k]
+        if defect == "fraction":
+            columns[k] = columns[k] + 0.5 * np.isin(np.arange(n), at)
+        else:
+            columns[k][at] = lo - 1 if defect == "low" else hi + 1
+    elif defect == "length":
+        columns[k] = columns[k][: draw(st.integers(0, n))] if n else np.arange(1)
+    for j, column in enumerate(columns):
+        if column.dtype == np.int64:
+            dtype = draw(st.sampled_from(_INPUT_DTYPES))
+            columns[j] = (column & (1 if dtype is np.bool_ else 0xFF)).astype(dtype) if dtype in (
+                np.uint8, np.bool_
+            ) else column.astype(dtype)
+    if defect == "2-D":
+        columns[k] = columns[k].reshape(draw(st.sampled_from([(1, n), (n, 1)])))
+    return columns
+
+
+def _construct(cls, channels):
+    """The converted channels, or the type and message of the error."""
+    try:
+        signal = cls(*(c.copy() for c in channels))
+    except InkError as exc:
+        return type(exc), str(exc)
+    arrays_ = [getattr(signal, name) for name in model._CHANNELS]
+    return [(a.dtype, a.flags.writeable, a.tolist()) for a in arrays_]
+
+
+@given(channel_inputs())
+@settings(max_examples=400, deadline=None)
+def test_signal_checks_match_the_reference(channels):
+    assert _construct(InkSignal, channels) == _construct(ReferenceInkSignal, channels)
 
 
 def test_signal_is_immutable(rng):

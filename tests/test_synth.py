@@ -179,6 +179,43 @@ def test_generator_matches_per_stroke_reference(
     )
 
 
+perturbations = st.builds(
+    Perturbation,
+    speed_scale=st.floats(0.1, 3.0),
+    pressure_shift=st.integers(-3000, 3000),
+    air_inflation=st.floats(0.01, 3.0),
+    jitter_sd=st.just(0.0) | st.floats(0.01, 5.0),
+)
+
+
+@st.composite
+def corpus_profiles(draw):
+    """A profile of 1-3 subjects, a random subset of the sets in random
+    order, and a different perturbation drawn for each set."""
+    sets = draw(st.lists(st.sampled_from(ALL_SETS), min_size=1, max_size=5, unique=True))
+    profile = SynthProfile(
+        seed=draw(st.integers(0, 2**32)),
+        n_subjects=draw(st.integers(1, 3)),
+        stroke_count=draw(st.integers(1, 12)),
+        air_gap_len=draw(st.integers(1, 60)),
+        perturbations={set_id: draw(perturbations) for set_id in sets},
+    )
+    return profile, tuple(sets)
+
+
+@given(corpus_profiles(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_corpus_matches_per_record_reference(profile_sets, data):
+    profile, sets = profile_sets
+    corpus = generate_corpus(profile, sets)
+    keys = [(s, set_id, t) for s in profile.subject_ids() for set_id in sets for t in TASK_IDS]
+    assert len(corpus) == len(keys)
+    for key in keys:
+        assert corpus.get(*key) == reference_generate_task(profile, *key)
+    key = data.draw(st.sampled_from(keys))
+    assert generate_task(profile, *key) == corpus.get(*key)
+
+
 def test_generate_task_rejects_bad_task():
     with pytest.raises(ConfigError):
         generate_task(SynthProfile(), "U01", SetId.S1, 0)
