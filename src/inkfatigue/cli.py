@@ -105,7 +105,7 @@ _FLAG_ONLY = ("profile", "matrix", "config")
 def _read_config(path: Path) -> dict[str, object]:
     try:
         text = read_text(path)
-    except FormatError as exc:
+    except (FormatError, IsADirectoryError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -188,7 +188,7 @@ def cmd_validate(args, parser) -> int:
     for path in files:
         try:
             text = read_text(path)
-        except FormatError as exc:
+        except (FormatError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             errors += 1
             continue
@@ -364,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except InkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that cannot be read or written; the error names it
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,8 +23,10 @@ Data lines follow the headers and hold five whitespace-separated integers:
 x y pressure azimuth altitude. Each is an ASCII integer with an optional
 sign, ``[+-]?[0-9]+``; x and y must fit in int64. Lines end at any
 ``str.splitlines`` boundary, and no line may be blank. The parser checks
-ASCII sample text against this grammar in one vectorized pass over byte
-classes, and other text with the grammar regex; both checks are exact.
+plain sample text (ASCII whose spaces and line breaks C's ``isspace``
+knows) in one vectorized pass over byte classes. Other text, such as a
+non-ASCII space or the separators ``\\x1c``-``\\x1f``, is checked line by
+line, which is slower; both paths accept the same grammar.
 Directory layout for a corpus:
 
     <corpus>/<subject>/<set>/task<k>.ink
@@ -76,41 +78,26 @@ _SUBJECT_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 _HEADER_KEY_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 _REQUIRED_HEADERS = ("subject", "set", "task")
 
-# The task file grammar. Line breaks are those of str.splitlines; spaces are
-# the other str.isspace characters, which is what re's \s matches. Digits,
-# spaces and line breaks are disjoint, so each line matches one way only.
+# Header lines. Line breaks are those of str.splitlines; spaces are the other
+# str.isspace characters, which is what re's \s matches.
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_EOL = rf"(?:\r\n|[{_LINE_BREAKS}])"
 _SPACE = rf"[^\S{_LINE_BREAKS}]"
-_INT = r"[+-]?[0-9]+"
-_SAMPLE_LINE = rf"{_SPACE}*{_INT}" + rf"{_SPACE}+{_INT}" * 4 + rf"{_SPACE}*"
-_HEADER_LINE_RE = re.compile(rf"{_SPACE}*#[^{_LINE_BREAKS}]*(?:{_EOL}|\Z)")
-_BODY_RE = re.compile(rf"(?:{_SAMPLE_LINE}{_EOL})*(?:{_SAMPLE_LINE})?")
-_INT_RE = re.compile(_INT)
+_HEADER_LINE_RE = re.compile(rf"{_SPACE}*#[^{_LINE_BREAKS}]*(?:\r\n|[{_LINE_BREAKS}]|\Z)")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 _FLOAT_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-# The ASCII spaces and line breaks of the grammar that C's isspace() does not know.
-_NON_C_SPACES = "\x1c\x1d\x1e\x1f"
 
-# Byte classes of the same grammar, for ASCII text. The characters that C's
-# isspace() does not know have classes of their own, 2 above the class they
-# fold onto.
-_DIGIT_CLASS, _SIGN_CLASS, _SPACE_CLASS, _BREAK_CLASS = range(4)
-_NON_C_SPACE_CLASS, _NON_C_BREAK_CLASS, _OTHER_CLASS = range(4, 7)
-
-
-def _byte_class(c: str) -> int:
-    """The class of the ASCII character ``c`` in the sample grammar."""
-    if c in "+-":
-        return _SIGN_CLASS
-    if c in "0123456789":
-        return _DIGIT_CLASS
-    fold = 2 if c in _NON_C_SPACES else 0
-    if c in _LINE_BREAKS:
-        return _BREAK_CLASS + fold
-    return _SPACE_CLASS + fold if c.isspace() else _OTHER_CLASS
-
-
-_BYTE_CLASSES = bytes(_byte_class(chr(i)) if i < 128 else _OTHER_CLASS for i in range(256))
+# Byte classes of the sample grammar in plain text: ASCII whose spaces and
+# line breaks C's isspace() knows. Everything else, \x1c-\x1f included, is
+# "other".
+_DIGIT_CLASS, _SIGN_CLASS, _SPACE_CLASS, _BREAK_CLASS, _OTHER_CLASS = range(5)
+_BYTE_CLASSES = bytes(
+    _DIGIT_CLASS if c in b"0123456789"
+    else _SIGN_CLASS if c in b"+-"
+    else _SPACE_CLASS if c in b" \t"
+    else _BREAK_CLASS if c in b"\n\r\x0b\x0c"
+    else _OTHER_CLASS
+    for c in range(256)
+)
 
 
 class Category(str, enum.Enum):
@@ -151,21 +138,9 @@ class SetId(str, enum.Enum):
     def order(self) -> int:
         return int(self.value[1])
 
-    @property
-    def acquisition_label(self) -> str:
-        return _SET_LABELS[self]
-
     def __lt__(self, other: "SetId") -> bool:  # type: ignore[override]
         return self.order < other.order
 
-
-_SET_LABELS = {
-    SetId.S1: "Ph1-Pre-Fa",
-    SetId.S2: "Ph1-Post-Fa",
-    SetId.S3: "Ph2-Pre-Fa",
-    SetId.S4: "Ph2-Post-Fa",
-    SetId.S5: "Ph3-Post-Fa",
-}
 
 ALL_SETS = tuple(SetId)
 
@@ -409,52 +384,39 @@ def parse_task_file(text: str) -> TaskRecord:
     while match := _HEADER_LINE_RE.match(text, pos):
         _add_header(headers, match.group().strip(), len(headers) + 1)
         pos = match.end()
+    body = text[pos:]
+    if not _check_body(body):
+        _diagnose(text)  # raises the first defect, or confirms the grammar
+        body = " ".join(body.split())
+    flat = np.fromstring(body, dtype=np.int64, sep=" ")
+    if flat.size and (flat.min() == _INT64_BOUNDS[0] or flat.max() == _INT64_BOUNDS[1]):
+        _diagnose(text)  # np.fromstring clamps out-of-range values to these
     try:
-        signal = InkSignal(*_sample_columns(text[pos:]))
-    except (InkError, OverflowError, ValueError):
+        signal = InkSignal(*flat.reshape(-1, 5).T)
+    except InkError:
         _diagnose(text)  # names the first defect in line order
         raise
     return _record(headers, signal)
 
 
-def _sample_columns(body: str) -> np.ndarray:
-    """The five channel columns of the sample lines ``body``."""
-    matches, c_readable = _check_body(body)
-    if not matches:
-        raise FormatError("sample lines break the grammar")
-    if not c_readable:
-        # np.fromstring would stop at such a character (U+00A0, \x1c, ...).
-        body = " ".join(body.split())
-    flat = np.fromstring(body, dtype=np.int64, sep=" ")
-    if flat.size and (flat.min() == _INT64_BOUNDS[0] or flat.max() == _INT64_BOUNDS[1]):
-        # fromstring clamps out-of-range values to these; this raises instead.
-        flat = np.array(body.split()).astype(np.int64)
-    return flat.reshape(-1, 5).T
+def _check_body(body: str) -> bool:
+    """Whether ``body`` is plain text (ASCII with no separator C's isspace()
+    does not know) that holds only sample lines of the grammar.
 
-
-def _check_body(body: str) -> tuple[bool, bool]:
-    """Whether ``_BODY_RE.fullmatch(body)`` succeeds, and whether
-    np.fromstring can read ``body`` as it is: ASCII with no ``_NON_C_SPACES``.
-
-    Non-ASCII text goes to the regex. ASCII text is checked in one pass over
-    an array of byte classes: with each "\\r\\n" folded into one break and a
-    space put in front, the body matches when every byte is in the grammar,
-    every sign follows a separator and precedes a digit, every break ends a
-    line of exactly 5 tokens, and the last break is followed by nothing or by
-    one line of 5.
+    The check is one pass over an array of byte classes: with each "\\r\\n"
+    folded into one break and a space put in front, the body matches when
+    every byte is in the grammar, every sign follows a separator and precedes
+    a digit, every break ends a line of exactly 5 tokens, and the last break
+    is followed by nothing or by one line of 5.
     """
     if not body.isascii():
-        return bool(_BODY_RE.fullmatch(body)), False
+        return False
     raw = b" " + body.encode("ascii")
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b" \n")
     cls = np.frombuffer(raw.translate(_BYTE_CLASSES), dtype=np.uint8)
-    top = int(np.maximum.reduce(cls))
-    if top == _OTHER_CLASS:
-        return False, False
-    c_readable = top < _NON_C_SPACE_CLASS
-    if not c_readable:
-        cls = np.where(cls >= _NON_C_SPACE_CLASS, cls - 2, cls)
+    if np.maximum.reduce(cls) == _OTHER_CLASS:
+        return False
     token = cls < _SPACE_CLASS
     # The index of the separator in front of each token.
     starts = np.flatnonzero(token[1:] > token[:-1])
@@ -464,21 +426,22 @@ def _check_body(body: str) -> tuple[bool, bool]:
         or np.logical_or.reduce(token[signs - 1])
         or np.logical_or.reduce(cls[signs + 1] != _DIGIT_CLASS)
     ):
-        return False, c_readable
+        return False
     breaks = np.flatnonzero(cls == _BREAK_CLASS)
     n_lines = breaks.size
     if not np.array_equal(np.searchsorted(starts, breaks), np.arange(5, 5 * n_lines + 1, 5)):
-        return False, c_readable
+        return False
     last_line = starts.size - 5 * n_lines
     ends_at_break = (breaks[-1] if n_lines else 0) == cls.size - 1
-    return bool(last_line == 5 or (last_line == 0 and ends_at_break)), c_readable
+    return bool(last_line == 5 or (last_line == 0 and ends_at_break))
 
 
 def _diagnose(text: str) -> dict[str, str]:
     """Raise the error for the first defect of a task file, in line order.
 
-    This reference loop builds diagnostics only: it accepts exactly what
-    parse_task_file accepts up to the TaskRecord checks, and returns the
+    This line-by-line loop is the reference path of parse_task_file, for
+    text the byte-class check does not take and for naming defects. It
+    accepts exactly the grammar, up to the TaskRecord checks, and returns the
     headers of a file without a defect.
     """
     headers: dict[str, str] = {}

@@ -333,10 +333,15 @@ def build_matrix(
     features = sorted(
         {f for _, f in norm_rows}, key=lambda f: (catalog_order.get(f, len(catalog_order)), f)
     )
-    if table is None:
-        table = feature_table(corpus, features)
     set_ids = list(dict.fromkeys(s for pair in pairs for s in pair))
     tasks = sorted({t for t, _ in norm_rows})
+    if table is None:
+        # Extract only the records that some cell reads.
+        used = StudyCorpus()
+        for record in corpus.records():
+            if record.task in tasks and record.set_id in set_ids:
+                used.add(record)
+        table = feature_table(used, features)
     # One float64 column per (set, task, feature), subjects in corpus order:
     # [set, task, feature, subject], NaN where a record is missing or failed.
     columns = np.full((len(set_ids), len(tasks), len(features), len(corpus.subjects)), np.nan)

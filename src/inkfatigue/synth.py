@@ -361,7 +361,15 @@ def _generate_subject(
         bounds.append((start, n))
         start += n
 
-    x, y = np.rint(x).astype(np.int64), np.rint(y).astype(np.int64)
+    try:
+        # An out-of-range or NaN cast raises here instead of writing garbage.
+        with np.errstate(invalid="raise"):
+            x, y = np.rint(x).astype(np.int64), np.rint(y).astype(np.int64)
+    except FloatingPointError:
+        raise ConfigError(
+            f"subject {subject_id}: synthetic x or y leaves the int64 range; "
+            "base_speed, speed_scale or jitter_sd is too large"
+        )
     azimuth = np.full(max(lengths), traits.azimuth, dtype=np.int64)
     altitude = np.full(max(lengths), traits.altitude, dtype=np.int64)
     return [

@@ -19,10 +19,14 @@ match them bit for bit:
   tests and matrix types;
 - ``ReferenceInkSignal`` keeps the channel checks of ``model.InkSignal``
   from before they were reduced to one min/max pair per bounded channel.
+
+``SAMPLE_BODY_RE`` is the sample-line grammar of a task file as one regex,
+the oracle of the parser's byte-class check.
 """
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +174,17 @@ def enumerate_signed_rank_p(diffs, alternative="two-sided"):
             lo = m - hi
             count += (w >= hi - eps) or (w <= lo + eps)
     return min(1.0, count / total)
+
+
+# Line breaks are those of str.splitlines; spaces are the other str.isspace
+# characters, which is what re's \s matches. Digits, spaces and line breaks
+# are disjoint, so each line matches one way only.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_EOL = rf"(?:\r\n|[{_LINE_BREAKS}])"
+_SPACE = rf"[^\S{_LINE_BREAKS}]"
+_INT = r"[+-]?[0-9]+"
+_SAMPLE_LINE = rf"{_SPACE}*{_INT}" + rf"{_SPACE}+{_INT}" * 4 + rf"{_SPACE}*"
+SAMPLE_BODY_RE = re.compile(rf"(?:{_SAMPLE_LINE}{_EOL})*(?:{_SAMPLE_LINE})?")
 
 
 @dataclass(frozen=True, eq=False)

@@ -77,6 +77,28 @@ def test_synth_bad_profile_is_data_error(tmp_path):
     assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "x")]) == 1
 
 
+def test_synth_pen_past_int64_is_a_one_line_data_error(tmp_path, capsys):
+    profile = write_profile(tmp_path, PROFILE_ONE + "base_speed = 1e19\n")
+    out = tmp_path / "x"
+    assert main(["synth", "--profile", str(profile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "int64" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "extract"])
+def test_out_naming_an_existing_file_is_a_one_line_error(corpus_dir, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("")
+    if command == "synth":
+        source = ["--profile", str(write_profile(tmp_path, PROFILE_ONE))]
+    else:
+        source = ["--corpus", str(corpus_dir)]
+    assert main([command, *source, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(out) in err
+
+
 # --- validate ----------------------------------------------------------------
 
 
@@ -101,6 +123,32 @@ def test_validate_reports_non_utf8_file_and_keeps_checking(corpus_dir, capsys):
     assert f"error: {bad}: not UTF-8 text" in err
     assert "task2.ink" in err
     assert "2 invalid file(s) out of 90" in err
+
+
+def test_validate_reports_a_directory_named_like_a_task_file_and_keeps_checking(
+    corpus_dir, capsys
+):
+    folder = corpus_dir / "U01" / "S1" / "task2.ink"
+    folder.unlink()
+    folder.mkdir()
+    (corpus_dir / "U02" / "S3" / "task2.ink").write_text("garbage\n")
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("error: ") and str(folder) in lines[0]
+    assert "task2.ink" in lines[1]
+    assert lines[2] == "2 invalid file(s) out of 90"
+
+
+@pytest.mark.parametrize("command", ["extract", "compare"])
+def test_directory_named_like_a_task_file_is_a_one_line_data_error(
+    corpus_dir, tmp_path, capsys, command
+):
+    folder = corpus_dir / "U02" / "S3" / "task2.ink"
+    folder.unlink()
+    folder.mkdir()
+    assert main([command, "--corpus", str(corpus_dir), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(folder) in err
 
 
 @pytest.mark.parametrize("command", ["extract", "compare"])
@@ -405,6 +453,26 @@ def test_non_utf8_input_file_is_a_one_line_error(tmp_path, capsys, argv, code):
     assert main([a.format(bad=bad, out=out) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"error: {bad}: not UTF-8 text: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["report", "--matrix", "{dir}", "--out", "{out}"], 1),
+        (["synth", "--profile", "{dir}", "--out", "{out}"], 1),
+        (["extract", "--config", "{dir}", "--out", "{out}"], 2),
+    ],
+    ids=["report-matrix", "synth-profile", "config"],
+)
+def test_directory_as_input_file_is_a_one_line_error(tmp_path, capsys, argv, code):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "o"
+    assert main([a.format(dir=folder, out=out) for a in argv]) == code
+    err = capsys.readouterr().err
+    prefix = "usage error: " if code == 2 else "error: "
+    assert err.count("\n") == 1 and err.startswith(prefix) and str(folder) in err
     assert not out.exists()
 
 

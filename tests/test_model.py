@@ -37,11 +37,11 @@ from inkfatigue.model import (
     write_corpus,
 )
 from inkfatigue import model
-from inkfatigue.model import _BODY_RE, _NON_C_SPACES, _check_body, _diagnose, _record
+from inkfatigue.model import _check_body, _diagnose, _record
 from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus
 
 from conftest import lax_numbers, random_record
-from oracles import ReferenceInkSignal
+from oracles import SAMPLE_BODY_RE, ReferenceInkSignal
 
 DATA = Path(__file__).parent / "data"
 
@@ -213,8 +213,6 @@ def test_task_record_rejects_bad_task():
 
 def test_set_order_and_labels():
     assert SetId.S1 < SetId.S2 < SetId.S3 < SetId.S4 < SetId.S5
-    assert SetId.S1.acquisition_label == "Ph1-Pre-Fa"
-    assert SetId.S5.acquisition_label == "Ph3-Post-Fa"
 
 
 # --- parsing ---------------------------------------------------------------
@@ -554,11 +552,17 @@ def test_parser_and_diagnostic_loop_agree_on_mutated_files(seed, mutations):
     assert _outcome(parse_task_file, text) == _outcome(_reference_parse, text)
 
 
-# --- the byte-class grammar check against the grammar regex ----------------
+# --- the two parse paths against the grammar regex --------------------------
 
-_ASCII_SPACES = " \t\x1f"
-_ASCII_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
-_EDIT_CHARS = "0++--#._\x85\xa0\u2028\u3000\u0663" + _ASCII_SPACES + "".join(_ASCII_BREAKS)
+# Separators of plain text, which the byte-class check reads, and the others,
+# which go to the line-by-line reference path.
+_C_SPACES = " \t"
+_C_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c"]
+_OTHER_SPACES = "\x1f\xa0\u3000"
+_OTHER_BREAKS = ["\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_EDIT_CHARS = "0++--#._\x85\xa0\u2028\u3000\u0663" + _C_SPACES + _OTHER_SPACES + "".join(
+    _C_BREAKS + _OTHER_BREAKS
+)
 
 
 def _token(signs, value):
@@ -570,28 +574,37 @@ def _token(signs, value):
     )
 
 
-# x and y take any sign and values up to and past int64; the bounded channels
-# stay in range, so that a matching body usually parses.
-_XY_TOKEN = _token(
-    ["", "", "+", "-"],
-    st.one_of(st.integers(0, 999), st.integers(0, 10**6), st.sampled_from([2**63 - 1, 2**63])),
-)
-_CHANNEL_TOKEN = _token(["", "", "+"], st.integers(0, 90))
+_XY_SIGNS = ["", "", "+", "-"]
+_SMALL_XY = st.integers(0, 999) | st.integers(0, 10**6)
+# Values at and past the int64 bounds, with any sign.
+_BIG_XY = _SMALL_XY | st.sampled_from([2**63 - 1, 2**63, 2**63 + 1])
+# The bounded channels stay in range but for a few tokens.
+_CHANNEL_TOKEN = _token(["", "", "+"], st.sampled_from([*range(91), 91, 2048]))
 
 
 @st.composite
 def sample_bodies(draw):
-    """Sample lines of 4 to 6 signed, zero-padded tokens joined by every
-    ASCII space and break, with padding, doubled separators and up to two
-    one-character edits (insert, replace or delete)."""
-    pad = st.text(st.sampled_from(_ASCII_SPACES), max_size=2)
-    gap = st.text(st.sampled_from(_ASCII_SPACES), min_size=1, max_size=2)
+    """Sample lines of signed, zero-padded tokens joined by the separators of
+    plain text, with padding, doubled separators and up to two one-character
+    edits (insert, replace or delete). Some bodies also use the other
+    separators, x and y tokens at and past the int64 bounds, or lines of 4 or
+    6 tokens, blank lines and ``#`` lines."""
+    plain, big, odd = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    spaces = _C_SPACES if plain else _C_SPACES + _OTHER_SPACES
+    breaks = _C_BREAKS if plain else _C_BREAKS + _OTHER_BREAKS
+    xy_token = _token(_XY_SIGNS, _BIG_XY if big else _SMALL_XY)
+    pad = st.text(st.sampled_from(spaces), max_size=2)
+    gap = st.text(st.sampled_from(spaces), min_size=1, max_size=2)
     body = ""
     for _ in range(draw(st.integers(0, 6))):
-        n = draw(st.sampled_from([4, 5, 5, 5, 5, 5, 5, 6]))
-        tokens = [draw(_XY_TOKEN if j < 2 else _CHANNEL_TOKEN) for j in range(n)]
-        line = draw(pad) + "".join(t + draw(gap) for t in tokens[:-1]) + tokens[-1] + draw(pad)
-        body += line + draw(st.sampled_from(_ASCII_BREAKS))
+        n = draw(st.sampled_from([5, 5, 5, 4, 6, 0, "#"] if odd else [5]))
+        if n == "#":
+            line = draw(pad) + "#note=1"
+        else:
+            tokens = [draw(xy_token if j < 2 else _CHANNEL_TOKEN) for j in range(n)]
+            line = draw(pad) + "".join(t + draw(gap) for t in tokens[:-1])
+            line += (tokens[-1] if tokens else "") + draw(pad)
+        body += line + draw(st.sampled_from(breaks))
     body += draw(st.sampled_from(["", "", "1 2 3 4 5", "1\t2 3 4 5 ", " ", "\t\x1f"]))
     for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         i = draw(st.integers(0, len(body)))
@@ -601,25 +614,31 @@ def sample_bodies(draw):
     return body
 
 
-def _regex_check(body):
-    """The grammar check as a full regex match plus a scan for the spaces
-    that np.fromstring cannot read."""
-    return bool(_BODY_RE.fullmatch(body)), body.isascii() and not any(
-        c in body for c in _NON_C_SPACES
-    )
+def _assert_check_is_the_regex_on_plain_text(body):
+    plain = body.isascii() and not any(c in body for c in "\x1c\x1d\x1e\x1f")
+    assert _check_body(body) == (plain and bool(SAMPLE_BODY_RE.fullmatch(body)))
 
 
-def _assert_checks_agree(body):
-    matches, c_readable = _check_body(body)
-    want_match, want_readable = _regex_check(body)
-    assert matches == want_match
-    assert not matches or c_readable == want_readable
+def _assert_parse_paths_agree(body):
+    """The record or error of the byte-class path is that of the reference
+    path, which the parser takes for every body the check refuses."""
+    text = "#subject=U1\n#set=S1\n#task=3\n" + body
+    got = _outcome(parse_task_file, text)
+    with mock.patch.object(model, "_check_body", lambda body: False):
+        want = _outcome(parse_task_file, text)
+    assert got == want
 
 
 @given(sample_bodies())
 @settings(max_examples=500, deadline=None)
 def test_byte_class_check_equals_the_grammar_regex(body):
-    _assert_checks_agree(body)
+    _assert_check_is_the_regex_on_plain_text(body)
+
+
+@given(sample_bodies())
+@settings(max_examples=500, deadline=None)
+def test_parse_agrees_with_the_reference_path(body):
+    _assert_parse_paths_agree(body)
 
 
 @pytest.mark.parametrize(
@@ -631,20 +650,21 @@ def test_byte_class_check_equals_the_grammar_regex(body):
         "1 2 3 4 +-5", "1 2 3 4 5\x1c6 7 8 9 10\x1f", "1 2 3 4 5\x1e\x1f",
         "1 2 3 4 5\x0b1 2 3 4 5\x0c", "1 2 3 4 5#", "1.0 2 3 4 5", "1_0 2 3 4 5",
         "1 2 3 4 5\x85", "1 2 3 4 5\u2028", "1\xa02 3 4 5", "\u0663 2 3 4 5",
+        "1\t2\x0b3 4 5\r\n6 7 8 9 10\x0c11 12 13 14 15",
+        "1 2 3 4 5\x1d6 7 8 9 10\u2029", "1\u30002 3 4 5\n6 7 8 9 10",
+        "9223372036854775807 -9223372036854775808 3 4 5\n1 2 3 4 5\n",
+        "9223372036854775807\xa0-9223372036854775808 3 4 5\n1 2 3 4 5\n",
+        "9223372036854775808 2 3 4 5\n1 2 3 4 5\n",
+        "1 -9223372036854775809 3 4 5\n1 2 3 4 5\n",
+        "-0009223372036854775808 +0 00 0 0\n1 2 3 4 5\n",
+        "1 2 3 4 5\n\n1 2 3 4 5\n", "1 2 3 4 5\n \t\n1 2 3 4 5\n",
+        "1 2 3 4 5\n#late=1\n1 2 3 4 5\n", "#note=1\n1 2 3 4 5\n1 2 3 4 5\n",
+        "1 2 3 4 5\n1 2 2048 4 5\n", "1 2 3 4 5\x851 2 2048 4 5\n",
     ],
 )
 def test_byte_class_check_on_edge_bodies(body):
-    _assert_checks_agree(body)
-
-
-@given(sample_bodies())
-@settings(max_examples=250, deadline=None)
-def test_parse_agrees_with_the_grammar_regex_path(body):
-    text = "#subject=U1\n#set=S1\n#task=3\n" + body
-    got = _outcome(parse_task_file, text)
-    with mock.patch.object(model, "_check_body", _regex_check):
-        want = _outcome(parse_task_file, text)
-    assert got == want
+    _assert_check_is_the_regex_on_plain_text(body)
+    _assert_parse_paths_agree(body)
 
 
 # --- corpus loading --------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inkfatigue import features
 from inkfatigue.errors import EmptyInputError, InsufficientDataError, RangeError
 from inkfatigue.features import DEFAULT_CATALOG, feature_table, full_catalog
 from inkfatigue.model import ALL_SETS, TASK_IDS, SetId, StudyCorpus
@@ -521,6 +522,25 @@ def test_build_matrix_matches_reference_bit_for_bit(case, test, alternative, wit
         [_cell_bits(c) for c in row] for row in want.cells
     ]
     assert got == want
+
+
+def test_build_matrix_extracts_only_the_records_its_cells_read(monkeypatch):
+    corpus = generate_corpus(SynthProfile(seed=12, n_subjects=3))
+    extracted = []
+    extract = features.extract_features
+
+    def counting_extract(record, catalog):
+        extracted.append(record.key)
+        return extract(record, catalog)
+
+    monkeypatch.setattr(features, "extract_features", counting_extract)
+    build_matrix(corpus, [(2, "mean_speed"), (7, "time_in_air")], [(SetId.S1, SetId.S4)])
+    assert sorted(extracted, key=lambda k: (k[0], k[1].order, k[2])) == [
+        (subject, set_id, task)
+        for subject in corpus.subjects
+        for set_id in (SetId.S1, SetId.S4)
+        for task in (2, 7)
+    ]
 
 
 def test_default_rows_cover_tasks_and_catalog():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +221,25 @@ def test_corpus_matches_per_record_reference(profile_sets, data):
 def test_generate_task_rejects_bad_task():
     with pytest.raises(ConfigError):
         generate_task(SynthProfile(), "U01", SetId.S1, 0)
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        SynthProfile(seed=1, n_subjects=1, base_speed=1e19),
+        SynthProfile(seed=1, n_subjects=1, base_speed=1e300),
+        SynthProfile(seed=1, n_subjects=1, perturbations={SetId.S1: Perturbation(jitter_sd=1e300)}),
+    ],
+    ids=["speed-1e19", "speed-1e300", "jitter-1e300"],
+)
+def test_pen_moved_past_int64_is_a_config_error(profile):
+    # Casting such coordinates to int64 would write garbage, not fail.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="int64"):
+            generate_task(profile, "U01", SetId.S1, 1)
+        with pytest.raises(ConfigError, match="int64"):
+            generate_corpus(profile)
 
 
 # --- profile files -----------------------------------------------------------
