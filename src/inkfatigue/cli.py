@@ -25,8 +25,11 @@ from pathlib import Path
 from . import features as features_mod
 from . import reporting
 from .errors import FormatError, InkError
+# parse_task_file stays bound here because perfbench/tracer.py patches it by
+# name in this module.
 from .model import (
-    SetId, ascii_float, load_corpus, parse_task_file, read_text, record_path, write_corpus
+    SetId, ascii_float, load_corpus, parse_task_file, read_task_file, read_text, record_path,
+    write_corpus,
 )
 from .protocol import canonical_set_pairs, parse_pair_label, summarize_recovery
 from .stats import TESTS, build_matrix, default_rows
@@ -105,7 +108,7 @@ _FLAG_ONLY = ("profile", "matrix", "config")
 def _read_config(path: Path) -> dict[str, object]:
     try:
         text = read_text(path)
-    except (FormatError, IsADirectoryError) as exc:
+    except (FormatError, OSError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -145,10 +148,16 @@ def _resolve(args: argparse.Namespace, key: str, fallback):
 
 
 def _out_dir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
+    """The output directory; a file at it or on the way to it is an error,
+    raised before any work. Nothing is created here."""
     out = _resolve(args, "out", os.environ.get(ENV_OUT))
     if not out:
         parser.error(f"--out is required (or set {ENV_OUT})")
-    return Path(out)
+    out = Path(out)
+    existing = next((p for p in (out, *out.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
+    return out
 
 
 def _corpus_dir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
@@ -187,26 +196,11 @@ def cmd_validate(args, parser) -> int:
     keys: dict[tuple, Path] = {}
     for path in files:
         try:
-            text = read_text(path)
-        except (FormatError, OSError) as exc:
+            record = read_task_file(path, keys)
+        except (InkError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             errors += 1
             continue
-        try:
-            record = parse_task_file(text)
-        except InkError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            errors += 1
-            continue
-        if record.key in keys:
-            print(
-                f"error: {path}: duplicate of {keys[record.key]} "
-                f"(subject={record.subject_id} set={record.set_id.value} task={record.task})",
-                file=sys.stderr,
-            )
-            errors += 1
-            continue
-        keys[record.key] = path
         expected = record_path(record)
         if path.relative_to(corpus_dir) != expected:
             print(
@@ -269,8 +263,8 @@ def cmd_compare(args, parser) -> int:
 
 
 def cmd_synth(args, parser) -> int:
-    profile = load_profile(Path(args.profile))
     out = _out_dir(args, parser)
+    profile = load_profile(Path(args.profile))
     corpus = generate_corpus(profile)
     written = write_corpus(corpus, out)
     print(f"wrote {len(written)} task file(s) under {out}")

@@ -216,9 +216,6 @@ class FeatureVector:
     def __getitem__(self, name: str) -> float:
         return self.values[name]
 
-    def __iter__(self):
-        return iter(self.values)
-
 
 def full_catalog() -> tuple[str, ...]:
     """Every known feature name, default catalog first."""

@@ -239,10 +239,6 @@ class TaskRecord:
     def key(self) -> tuple[str, SetId, int]:
         return (self.subject_id, self.set_id, self.task)
 
-    @property
-    def category(self) -> Category:
-        return TASK_CATEGORIES[self.task]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TaskRecord):
             return NotImplemented
@@ -325,9 +321,6 @@ class StudyCorpus:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    def __contains__(self, key: tuple[str, SetId, int]) -> bool:
-        return key in self._records
 
     def gaps(self) -> list[tuple[str, SetId, int]]:
         """Missing (subject, set, task) cells against the full 5x9 grid of
@@ -561,24 +554,39 @@ def _parse_aux_file(path: Path) -> AuxRecord:
         raise RangeError(f"{path}: {exc}") from exc
 
 
+def read_task_file(path: Path, seen: dict[tuple[str, SetId, int], Path]) -> TaskRecord:
+    """Read and parse one task file, then note its path under its key in
+    ``seen``. Every error names the file; a key already in ``seen`` raises
+    DuplicateError naming both files."""
+    text = read_text(path)
+    try:
+        record = parse_task_file(text)
+    except InkError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    if record.key in seen:
+        subject, set_id, task = record.key
+        raise DuplicateError(
+            f"{path}: duplicate of {seen[record.key]} "
+            f"(subject={subject} set={set_id.value} task={task})"
+        )
+    seen[record.key] = path
+    return record
+
+
 def load_corpus(directory: str | Path) -> StudyCorpus:
     """Load every ``*.ink`` file under ``directory`` into a StudyCorpus.
 
     Files are visited in lexicographic path order so the result is
     deterministic. Header content (not the path) is authoritative for the
     record key. Parse errors propagate with the file path attached; duplicate
-    keys raise DuplicateError. Use ``corpus.gaps()`` for the missing-cell
-    report.
+    keys raise DuplicateError naming both files. Use ``corpus.gaps()`` for
+    the missing-cell report.
     """
     directory = Path(directory)
     corpus = StudyCorpus()
+    seen: dict[tuple[str, SetId, int], Path] = {}
     for path in sorted(directory.rglob("*.ink")):
-        text = read_text(path)
-        try:
-            record = parse_task_file(text)
-        except InkError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
-        corpus.add(record)
+        corpus.add(read_task_file(path, seen))
     for path in sorted(directory.rglob("aux.tsv")):
         rel = path.relative_to(directory)
         if len(rel.parts) != 3:

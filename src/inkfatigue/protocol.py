@@ -3,7 +3,8 @@
 The assessment protocol takes five measurement sets S1..S5 (rest baseline,
 after a jump test, before and after an all-out cycling bout, and after a
 short recovery). Handwriting comparisons run over the ten ordered set pairs;
-recovery is summarized per task category from the comparison matrix.
+recovery is summarized per task category from the significant cells that
+``ComparisonMatrix.mask`` reports.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Mapping
 
 from .errors import RangeError
 from .model import Category, SetId
-from .stats import Cell, ComparisonMatrix, MatrixRow
+from .stats import ComparisonMatrix
 
 __all__ = [
     "CategoryCount",
@@ -109,42 +110,30 @@ class RecoverySummary:
     scope: str = "catalog-subset"
 
 
-def _column_counts(
-    rows: tuple[MatrixRow, ...],
-    column_cells: list[Cell | None],
-    alpha: float,
-) -> dict[Category, CategoryCount]:
-    grouped: dict[Category, list[tuple[int, str]]] = {c: [] for c in Category}
-    for row, cell in zip(rows, column_cells):
-        if cell is not None and cell.p < alpha:
-            grouped[row.category].append((row.task, row.feature))
-    return {
-        category: CategoryCount(len(cells), tuple(cells))
-        for category, cells in grouped.items()
-    }
-
-
 def summarize_recovery(matrix: ComparisonMatrix, alpha: float = 0.05) -> RecoverySummary:
     """Count significant cells per category for each against-baseline column.
 
-    Columns absent from the matrix are skipped. The S4-S5 column, when
-    present, is summarized across all categories combined as the
-    ``no_recovery`` count.
+    Significance is ``matrix.mask(alpha)``. Columns absent from the matrix are
+    skipped. The S4-S5 column, when present, is summarized across all
+    categories combined as the ``no_recovery`` count.
     """
     if not 0.0 <= alpha <= 1.0:
         raise RangeError(f"alpha must lie in [0, 1], got {alpha}")
-    columns = {}
-    for pair in BASELINE_PAIRS:
-        if pair in matrix.pairs:
-            columns[pair_label(pair)] = _column_counts(
-                matrix.rows, matrix.column(pair), alpha
-            )
-    no_recovery = None
-    if RECOVERY_PAIR in matrix.pairs:
-        sig = [
+    mask = matrix.mask(alpha)
+
+    def significant(pair, category=None) -> CategoryCount:
+        j = matrix.pairs.index(pair)
+        cells = tuple(
             (row.task, row.feature)
-            for row, cell in zip(matrix.rows, matrix.column(RECOVERY_PAIR))
-            if cell is not None and cell.p < alpha
-        ]
-        no_recovery = CategoryCount(len(sig), tuple(sig))
+            for row, mask_row in zip(matrix.rows, mask)
+            if mask_row[j] and (category is None or row.category is category)
+        )
+        return CategoryCount(len(cells), cells)
+
+    columns = {
+        pair_label(pair): {category: significant(pair, category) for category in Category}
+        for pair in BASELINE_PAIRS
+        if pair in matrix.pairs
+    }
+    no_recovery = significant(RECOVERY_PAIR) if RECOVERY_PAIR in matrix.pairs else None
     return RecoverySummary(alpha=alpha, columns=columns, no_recovery=no_recovery)

@@ -2,10 +2,12 @@
 
 Comparison matrices render as TSV (one row per task/feature, one column per
 set pair), JSON (full cell detail, reloadable), and markdown (significant
-cells in bold). Feature tables render as TSV/JSON/markdown in catalog column
-order, one row per record; a record whose extraction failed renders NA values
-(JSON ``null``). All renderers are deterministic: identical inputs yield
-identical bytes.
+cells in bold). The significance TSV and the bold cells read
+``ComparisonMatrix.mask``, the one place that compares p with alpha. Feature
+tables render as TSV/JSON/markdown in catalog column order, one row per
+record; a record whose extraction failed renders NA values (JSON ``null``).
+Every TSV and markdown table goes through one writer per format. All
+renderers are deterministic: identical inputs yield identical bytes.
 
 Raw feature values are per-sample quantities; only the markdown feature view
 converts speeds and accelerations to per-second units for readability.
@@ -37,49 +39,53 @@ def _fmt(value: float) -> str:
     return repr(float(value)) if isinstance(value, float) else str(value)
 
 
+def _tsv(header: Sequence[str], rows) -> str:
+    return "".join("\t".join(fields) + "\n" for fields in (header, *rows))
+
+
+def _markdown(header: Sequence[str], rows) -> str:
+    lines = ["| " + " | ".join(fields) + " |" for fields in (header, *rows)]
+    lines.insert(1, "|" + "|".join(["---"] * len(header)) + "|")
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Comparison matrix
 # ---------------------------------------------------------------------------
 
 
+def _matrix_layout(matrix: ComparisonMatrix, prefix: Sequence[str], cell_rows):
+    """Header and rows of a matrix view: the task-type, task and feature
+    columns named by ``prefix``, then one column per set pair whose fields
+    come from ``cell_rows``, one list per matrix row."""
+    header = [*prefix, *(pair_label(p) for p in matrix.pairs)]
+    rows = (
+        [row.category.value, str(row.task), row.feature, *fields]
+        for row, fields in zip(matrix.rows, cell_rows)
+    )
+    return header, rows
+
+
+_TSV_PREFIX = ("task_type", "task", "feature")
+
+
 def matrix_to_tsv(matrix: ComparisonMatrix) -> str:
-    header = ["task_type", "task", "feature"] + [pair_label(p) for p in matrix.pairs]
-    lines = ["\t".join(header)]
-    for row, cells in zip(matrix.rows, matrix.cells):
-        fields = [row.category.value, str(row.task), row.feature]
-        fields += [NA if c is None else _fmt(c.p) for c in cells]
-        lines.append("\t".join(fields))
-    return "\n".join(lines) + "\n"
+    cell_rows = ([NA if c is None else _fmt(c.p) for c in cells] for cells in matrix.cells)
+    return _tsv(*_matrix_layout(matrix, _TSV_PREFIX, cell_rows))
 
 
 def mask_to_tsv(matrix: ComparisonMatrix, alpha: float | None = None) -> str:
     """Boolean significance table parallel to the p-value TSV."""
-    header = ["task_type", "task", "feature"] + [pair_label(p) for p in matrix.pairs]
-    lines = ["\t".join(header)]
-    for row, mask_row in zip(matrix.rows, matrix.mask(alpha)):
-        fields = [row.category.value, str(row.task), row.feature]
-        fields += ["true" if m else "false" for m in mask_row]
-        lines.append("\t".join(fields))
-    return "\n".join(lines) + "\n"
+    mask_rows = (["true" if m else "false" for m in row] for row in matrix.mask(alpha))
+    return _tsv(*_matrix_layout(matrix, _TSV_PREFIX, mask_rows))
 
 
 def matrix_to_markdown(matrix: ComparisonMatrix, alpha: float | None = None) -> str:
-    a = matrix.alpha if alpha is None else alpha
-    header = ["Task type", "Task", "Feature"] + [pair_label(p) for p in matrix.pairs]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join(["---"] * len(header)) + "|",
-    ]
-    for row, cells in zip(matrix.rows, matrix.cells):
-        fields = [row.category.value, str(row.task), row.feature]
-        for cell in cells:
-            if cell is None:
-                fields.append(NA)
-            else:
-                text = f"{cell.p:.4g}"
-                fields.append(f"**{text}**" if cell.p < a else text)
-        lines.append("| " + " | ".join(fields) + " |")
-    return "\n".join(lines) + "\n"
+    cell_rows = []
+    for cells, mask_row in zip(matrix.cells, matrix.mask(alpha)):
+        texts = [NA if c is None else f"{c.p:.4g}" for c in cells]
+        cell_rows.append([f"**{t}**" if m else t for t, m in zip(texts, mask_row)])
+    return _markdown(*_matrix_layout(matrix, ("Task type", "Task", "Feature"), cell_rows))
 
 
 def matrix_to_json(matrix: ComparisonMatrix) -> str:
@@ -197,7 +203,7 @@ def load_matrix_tsv(text: str, alpha: float = 0.05) -> ComparisonMatrix:
     if not lines:
         raise FormatError("matrix TSV is empty")
     header = lines[0].split("\t")
-    if header[:3] != ["task_type", "task", "feature"]:
+    if tuple(header[:3]) != _TSV_PREFIX:
         raise FormatError("matrix TSV must start with task_type, task, feature columns")
     pairs = tuple(parse_pair_label(label) for label in header[3:])
     rows = []
@@ -247,14 +253,11 @@ def _table_rows(table: FeatureTable):
 
 
 def features_to_tsv(table: FeatureTable, catalog: Sequence[str]) -> str:
-    header = ["subject", "set", "task", *catalog, "degenerate"]
-    lines = ["\t".join(header)]
+    rows = []
     for (subject, set_id, task), vector in _table_rows(table):
-        fields = [subject, set_id.value, str(task)]
-        fields += [NA if vector.values is None else _fmt(vector[name]) for name in catalog]
-        fields.append(",".join(sorted(vector.flags)))
-        lines.append("\t".join(fields))
-    return "\n".join(lines) + "\n"
+        values = [NA if vector.values is None else _fmt(vector[name]) for name in catalog]
+        rows.append([subject, set_id.value, str(task), *values, ",".join(sorted(vector.flags))])
+    return _tsv(["subject", "set", "task", *catalog, "degenerate"], rows)
 
 
 def features_to_json(table: FeatureTable, catalog: Sequence[str]) -> str:
@@ -273,31 +276,22 @@ def features_to_json(table: FeatureTable, catalog: Sequence[str]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+#: Markdown column-label suffix by display scale.
+_UNIT_SUFFIX = {SAMPLE_RATE_HZ: " (units/s)", SAMPLE_RATE_HZ**2: " (units/s^2)"}
+
+
 def features_to_markdown(table: FeatureTable, catalog: Sequence[str]) -> str:
     """Markdown feature table with speeds/accelerations shown per second."""
-
-    def label(name: str) -> str:
-        if PER_SECOND_SCALE.get(name) == SAMPLE_RATE_HZ:
-            return f"{name} (units/s)"
-        if PER_SECOND_SCALE.get(name) == SAMPLE_RATE_HZ**2:
-            return f"{name} (units/s^2)"
-        return name
-
-    header = ["subject", "set", "task", *(label(n) for n in catalog)]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join(["---"] * len(header)) + "|",
-    ]
+    labels = [name + _UNIT_SUFFIX.get(PER_SECOND_SCALE.get(name), "") for name in catalog]
+    scales = [PER_SECOND_SCALE.get(name, 1.0) for name in catalog]
+    rows = []
     for (subject, set_id, task), vector in _table_rows(table):
-        fields = [subject, set_id.value, str(task)]
-        for name in catalog:
-            if vector.values is None:
-                fields.append(NA)
-                continue
-            value = vector[name] * PER_SECOND_SCALE.get(name, 1.0)
-            fields.append(f"{value:.6g}")
-        lines.append("| " + " | ".join(fields) + " |")
-    return "\n".join(lines) + "\n"
+        values = [
+            NA if vector.values is None else f"{vector[name] * scale:.6g}"
+            for name, scale in zip(catalog, scales)
+        ]
+        rows.append([subject, set_id.value, str(task), *values])
+    return _markdown(["subject", "set", "task", *labels], rows)
 
 
 # ---------------------------------------------------------------------------

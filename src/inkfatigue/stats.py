@@ -285,16 +285,14 @@ class ComparisonMatrix:
     alpha: float = 0.05
 
     def mask(self, alpha: float | None = None) -> list[list[bool]]:
-        """Significance mask: True where p < alpha (NA cells are False)."""
+        """Significance mask: True where p < alpha (NA cells are False),
+        alpha defaulting to the matrix's own. The mask TSV, the markdown bold
+        cells and the recovery summary all read it."""
         a = self.alpha if alpha is None else alpha
         return [
             [cell is not None and cell.p < a for cell in row_cells]
             for row_cells in self.cells
         ]
-
-    def column(self, pair: tuple[SetId, SetId]) -> list[Cell | None]:
-        j = self.pairs.index(pair)
-        return [row_cells[j] for row_cells in self.cells]
 
 
 def default_rows(

@@ -47,6 +47,8 @@ import numpy as np
 from .errors import ConfigError
 from .model import (
     ALL_SETS,
+    ALTITUDE_MAX,
+    AZIMUTH_MAX,
     InkSignal,
     PRESSURE_MAX,
     SetId,
@@ -156,8 +158,8 @@ def _subject_traits(seed: int, subject_id: str) -> _SubjectTraits:
         amp_scale=float(np.exp(_SUBJECT_AMP_SD * z[0])),
         pressure_scale=float(np.exp(_SUBJECT_PRESSURE_SD * z[1])),
         tempo=float(np.exp(_SUBJECT_TEMPO_SD * z[2])),
-        azimuth=int(np.clip(round(200 + 50 * z[3]), 0, 359)),
-        altitude=int(np.clip(round(55 + 9 * z[4]), 0, 90)),
+        azimuth=int(np.clip(round(200 + 50 * z[3]), 0, AZIMUTH_MAX)),
+        altitude=int(np.clip(round(55 + 9 * z[4]), 0, ALTITUDE_MAX)),
         origin_x=int(rng.integers(2000, 6001)),
         origin_y=int(rng.integers(2000, 6001)),
     )

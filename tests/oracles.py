@@ -18,7 +18,15 @@ match them bit for bit:
   through the feature table in every cell, and reuses the production rank
   tests and matrix types;
 - ``ReferenceInkSignal`` keeps the channel checks of ``model.InkSignal``
-  from before they were reduced to one min/max pair per bounded channel.
+  from before they were reduced to one min/max pair per bounded channel;
+- ``reference_matrix_to_tsv``, ``reference_mask_to_tsv``,
+  ``reference_matrix_to_markdown``, ``reference_features_to_tsv``,
+  ``reference_features_to_markdown`` and ``reference_summarize_recovery``
+  keep the table renderers and the recovery summary from before they shared
+  one TSV writer, one markdown writer and ``ComparisonMatrix.mask``: each
+  renderer wrote its own framing, and the markdown bold cells and the
+  recovery counts each compared p with alpha themselves. The one change is
+  that ``ComparisonMatrix.column`` is spelled out as ``_column``.
 
 ``SAMPLE_BODY_RE`` is the sample-line grammar of a task file as one regex,
 the oracle of the parser's byte-class check.
@@ -51,11 +59,21 @@ from inkfatigue.model import (
     _CHANNEL_BOUNDS,
     _CHANNELS,
     PRESSURE_MAX,
+    SAMPLE_RATE_HZ,
     TASK_IDS,
+    Category,
     InkSignal,
     TaskRecord,
     validate_task_id,
 )
+from inkfatigue.protocol import (
+    BASELINE_PAIRS,
+    RECOVERY_PAIR,
+    CategoryCount,
+    RecoverySummary,
+    pair_label,
+)
+from inkfatigue.reporting import NA, PER_SECOND_SCALE
 from inkfatigue.stats import (
     EXACT_MAX_N,
     LOW_N_THRESHOLD,
@@ -696,3 +714,138 @@ def reference_build_matrix(
         cells=tuple(all_cells),
         alpha=alpha,
     )
+
+
+# ---------------------------------------------------------------------------
+# Table renderers and the recovery summary, each with its own framing and
+# its own p < alpha test
+# ---------------------------------------------------------------------------
+
+
+def _fmt(value: float) -> str:
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def _column(matrix, pair):
+    j = matrix.pairs.index(pair)
+    return [row_cells[j] for row_cells in matrix.cells]
+
+
+def reference_matrix_to_tsv(matrix: ComparisonMatrix) -> str:
+    header = ["task_type", "task", "feature"] + [pair_label(p) for p in matrix.pairs]
+    lines = ["\t".join(header)]
+    for row, cells in zip(matrix.rows, matrix.cells):
+        fields = [row.category.value, str(row.task), row.feature]
+        fields += [NA if c is None else _fmt(c.p) for c in cells]
+        lines.append("\t".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def reference_mask_to_tsv(matrix: ComparisonMatrix, alpha: float | None = None) -> str:
+    """Boolean significance table parallel to the p-value TSV."""
+    header = ["task_type", "task", "feature"] + [pair_label(p) for p in matrix.pairs]
+    lines = ["\t".join(header)]
+    for row, mask_row in zip(matrix.rows, matrix.mask(alpha)):
+        fields = [row.category.value, str(row.task), row.feature]
+        fields += ["true" if m else "false" for m in mask_row]
+        lines.append("\t".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def reference_matrix_to_markdown(matrix: ComparisonMatrix, alpha: float | None = None) -> str:
+    a = matrix.alpha if alpha is None else alpha
+    header = ["Task type", "Task", "Feature"] + [pair_label(p) for p in matrix.pairs]
+    lines = [
+        "| " + " | ".join(header) + " |",
+        "|" + "|".join(["---"] * len(header)) + "|",
+    ]
+    for row, cells in zip(matrix.rows, matrix.cells):
+        fields = [row.category.value, str(row.task), row.feature]
+        for cell in cells:
+            if cell is None:
+                fields.append(NA)
+            else:
+                text = f"{cell.p:.4g}"
+                fields.append(f"**{text}**" if cell.p < a else text)
+        lines.append("| " + " | ".join(fields) + " |")
+    return "\n".join(lines) + "\n"
+
+
+def _table_rows(table):
+    for key in sorted(table, key=lambda k: (k[0], k[1].order, k[2])):
+        yield key, table[key]
+
+
+def reference_features_to_tsv(table, catalog) -> str:
+    header = ["subject", "set", "task", *catalog, "degenerate"]
+    lines = ["\t".join(header)]
+    for (subject, set_id, task), vector in _table_rows(table):
+        fields = [subject, set_id.value, str(task)]
+        fields += [NA if vector.values is None else _fmt(vector[name]) for name in catalog]
+        fields.append(",".join(sorted(vector.flags)))
+        lines.append("\t".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+def reference_features_to_markdown(table, catalog) -> str:
+    """Markdown feature table with speeds/accelerations shown per second."""
+
+    def label(name: str) -> str:
+        if PER_SECOND_SCALE.get(name) == SAMPLE_RATE_HZ:
+            return f"{name} (units/s)"
+        if PER_SECOND_SCALE.get(name) == SAMPLE_RATE_HZ**2:
+            return f"{name} (units/s^2)"
+        return name
+
+    header = ["subject", "set", "task", *(label(n) for n in catalog)]
+    lines = [
+        "| " + " | ".join(header) + " |",
+        "|" + "|".join(["---"] * len(header)) + "|",
+    ]
+    for (subject, set_id, task), vector in _table_rows(table):
+        fields = [subject, set_id.value, str(task)]
+        for name in catalog:
+            if vector.values is None:
+                fields.append(NA)
+                continue
+            value = vector[name] * PER_SECOND_SCALE.get(name, 1.0)
+            fields.append(f"{value:.6g}")
+        lines.append("| " + " | ".join(fields) + " |")
+    return "\n".join(lines) + "\n"
+
+
+def _column_counts(rows, column_cells, alpha):
+    grouped = {c: [] for c in Category}
+    for row, cell in zip(rows, column_cells):
+        if cell is not None and cell.p < alpha:
+            grouped[row.category].append((row.task, row.feature))
+    return {
+        category: CategoryCount(len(cells), tuple(cells))
+        for category, cells in grouped.items()
+    }
+
+
+def reference_summarize_recovery(matrix: ComparisonMatrix, alpha: float = 0.05) -> RecoverySummary:
+    """Count significant cells per category for each against-baseline column.
+
+    Columns absent from the matrix are skipped. The S4-S5 column, when
+    present, is summarized across all categories combined as the
+    ``no_recovery`` count.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise RangeError(f"alpha must lie in [0, 1], got {alpha}")
+    columns = {}
+    for pair in BASELINE_PAIRS:
+        if pair in matrix.pairs:
+            columns[pair_label(pair)] = _column_counts(
+                matrix.rows, _column(matrix, pair), alpha
+            )
+    no_recovery = None
+    if RECOVERY_PAIR in matrix.pairs:
+        sig = [
+            (row.task, row.feature)
+            for row, cell in zip(matrix.rows, _column(matrix, RECOVERY_PAIR))
+            if cell is not None and cell.p < alpha
+        ]
+        no_recovery = CategoryCount(len(sig), tuple(sig))
+    return RecoverySummary(alpha=alpha, columns=columns, no_recovery=no_recovery)

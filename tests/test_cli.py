@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from inkfatigue import cli
 from inkfatigue.cli import _alpha_arg, main
 from inkfatigue.features import DEFAULT_CATALOG
 
@@ -97,6 +98,45 @@ def test_out_naming_an_existing_file_is_a_one_line_error(corpus_dir, tmp_path, c
     assert main([command, *source, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and str(out) in err
+
+
+@pytest.mark.parametrize("command", ["synth", "extract", "compare"])
+@pytest.mark.parametrize("through", [False, True], ids=["file", "through-file"])
+def test_out_blocked_by_a_file_fails_before_any_work(
+    corpus_dir, tmp_path, capsys, monkeypatch, command, through
+):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "sub" if through else taken
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "generate_corpus", refuse)
+    monkeypatch.setattr(cli, "load_corpus", refuse)
+    if command == "synth":
+        source = ["--profile", str(write_profile(tmp_path, PROFILE_ONE))]
+    else:
+        source = ["--corpus", str(corpus_dir)]
+    assert main([command, *source, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out}: {taken} is not a directory\n"
+    assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "extract", "compare"])
+def test_duplicate_key_error_names_both_files(corpus_dir, tmp_path, capsys, command):
+    original = corpus_dir / "U01" / "S1" / "task1.ink"
+    copy = corpus_dir / "U01" / "S1" / "task1_copy.ink"
+    copy.write_bytes(original.read_bytes())
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+    assert main([command, "--corpus", str(corpus_dir), *out]) == 1
+    err = capsys.readouterr().err
+    line = f"error: {copy}: duplicate of {original} (subject=U01 set=S1 task=1)\n"
+    if command == "validate":
+        assert err == line + "1 invalid file(s) out of 91\n"
+    else:
+        assert err == line
 
 
 # --- validate ----------------------------------------------------------------
@@ -415,6 +455,15 @@ def test_config_with_unknown_key_is_usage_error(corpus_dir, tmp_path):
     config.write_text("nonsense = 1\n")
     assert main(["compare", "--config", str(config), "--corpus", str(corpus_dir),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    out = tmp_path / "o"
+    assert main(["extract", "--config", str(missing), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error: ") and str(missing) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

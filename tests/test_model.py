@@ -708,9 +708,11 @@ def test_duplicate_key_raises(tmp_path):
     corpus = generate_corpus(SynthProfile(seed=6, n_subjects=1))
     write_corpus(corpus, tmp_path)
     original = tmp_path / "U01" / "S1" / "task1.ink"
-    shutil.copy(original, tmp_path / "U01" / "S1" / "copy_of_task1.ink")
-    with pytest.raises(DuplicateError):
+    copy = tmp_path / "U01" / "S1" / "copy_of_task1.ink"
+    shutil.copy(original, copy)
+    with pytest.raises(DuplicateError) as err:
         load_corpus(tmp_path)
+    assert str(err.value) == f"{original}: duplicate of {copy} (subject=U01 set=S1 task=1)"
 
 
 def test_parse_error_carries_path(tmp_path):

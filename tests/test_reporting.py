@@ -2,10 +2,17 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from inkfatigue.errors import FormatError, RangeError
-from inkfatigue.features import DEFAULT_CATALOG, feature_table
-from inkfatigue.model import SetId
+from inkfatigue.features import (
+    DEFAULT_CATALOG,
+    EXTRACTION_FAILED,
+    FeatureVector,
+    feature_table,
+    full_catalog,
+)
+from inkfatigue.model import ALL_SETS, TASK_IDS, SetId
 from inkfatigue.protocol import canonical_set_pairs, summarize_recovery
 from inkfatigue.reporting import (
     PER_SECOND_SCALE,
@@ -21,8 +28,17 @@ from inkfatigue.reporting import (
     recovery_to_json,
     recovery_to_text,
 )
-from inkfatigue.stats import build_matrix, default_rows
+from inkfatigue.stats import Cell, ComparisonMatrix, MatrixRow, build_matrix, default_rows
 from inkfatigue.synth import SynthProfile, generate_corpus
+
+from oracles import (
+    reference_features_to_markdown,
+    reference_features_to_tsv,
+    reference_mask_to_tsv,
+    reference_matrix_to_markdown,
+    reference_matrix_to_tsv,
+    reference_summarize_recovery,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -296,3 +312,81 @@ def test_recovery_rendering(reference_matrix):
     assert "catalog-subset" in text
     assert "S1-S5" in text
     assert "S4-S5" in text
+
+
+# --- one significance rule, one table layout ---------------------------------
+
+
+@st.composite
+def matrices_and_alphas(draw):
+    """A matrix of drawn p-value lists over 1 to 10 pairs, and a render alpha
+    that is omitted (None) or given. The p-values favour 0, 1, the smallest
+    subnormal and the alphas in play, so that ``p == alpha`` comes up."""
+    matrix_alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    alpha = draw(st.none() | st.sampled_from([0.0, 1.0, 0.05]) | st.floats(0.0, 1.0))
+    pairs = draw(
+        st.lists(st.sampled_from(canonical_set_pairs()), min_size=1, max_size=10, unique=True)
+    )
+    row = st.builds(MatrixRow, st.sampled_from(TASK_IDS), st.sampled_from(full_catalog()))
+    rows = draw(st.lists(row, max_size=12))
+    specials = [0.0, 1.0, 5e-324, 0.05, matrix_alpha] + ([] if alpha is None else [alpha])
+    p_values = st.sampled_from(specials) | st.floats(0.0, 1.0)
+    cell_rows = draw(
+        st.lists(
+            st.lists(st.none() | p_values, min_size=len(pairs), max_size=len(pairs)),
+            min_size=len(rows),
+            max_size=len(rows),
+        )
+    )
+    cells = tuple(tuple(None if p is None else Cell(p=p) for p in ps) for ps in cell_rows)
+    matrix = ComparisonMatrix(
+        rows=tuple(rows), pairs=tuple(pairs), cells=cells, alpha=matrix_alpha
+    )
+    return matrix, alpha
+
+
+@given(matrices_and_alphas())
+@settings(max_examples=150, deadline=None)
+def test_matrix_views_and_recovery_match_their_reference_forms(drawn):
+    matrix, alpha = drawn
+    given_alpha = () if alpha is None else (alpha,)
+    assert matrix_to_tsv(matrix) == reference_matrix_to_tsv(matrix)
+    assert mask_to_tsv(matrix, *given_alpha) == reference_mask_to_tsv(matrix, *given_alpha)
+    assert matrix_to_markdown(matrix, *given_alpha) == reference_matrix_to_markdown(
+        matrix, *given_alpha
+    )
+    assert summarize_recovery(matrix, *given_alpha) == reference_summarize_recovery(
+        matrix, *given_alpha
+    )
+
+
+@st.composite
+def feature_tables(draw):
+    """A feature table with failed and flagged records over a drawn catalog
+    subset, ``pendown_`` features included."""
+    catalog = draw(st.lists(st.sampled_from(full_catalog()), max_size=8, unique=True))
+    key = st.tuples(
+        st.sampled_from(["U01", "U02", "a-7", "Z_9"]),
+        st.sampled_from(ALL_SETS),
+        st.sampled_from(TASK_IDS),
+    )
+    value = st.floats() | st.integers(-(10**6), 10**6)
+    flags = st.frozensets(st.sampled_from(full_catalog()), max_size=3)
+    table = {}
+    for k in draw(st.lists(key, max_size=8, unique=True)):
+        if draw(st.booleans()):
+            table[k] = FeatureVector(
+                values=None, flags=frozenset({EXTRACTION_FAILED}), error="too short"
+            )
+        else:
+            values = {name: draw(value) for name in catalog}
+            table[k] = FeatureVector(values=values, flags=draw(flags))
+    return table, catalog
+
+
+@given(feature_tables())
+@settings(max_examples=100, deadline=None)
+def test_feature_views_match_their_reference_forms(drawn):
+    table, catalog = drawn
+    assert features_to_tsv(table, catalog) == reference_features_to_tsv(table, catalog)
+    assert features_to_markdown(table, catalog) == reference_features_to_markdown(table, catalog)

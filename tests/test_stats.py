@@ -561,9 +561,9 @@ def test_reference_matrix_counts_increase_with_exercise_load():
     matrix = load_matrix_tsv((DATA / "reference_matrix.tsv").read_text())
     counts = []
     for pair in canonical_set_pairs()[:4]:  # S1-S2 ... S1-S5
-        column = matrix.column(pair)
-        counts.append(sum(cell.p < 0.05 for cell in column))
+        j = matrix.pairs.index(pair)
+        counts.append(sum(cells[j].p < 0.05 for cells in matrix.cells))
     assert counts == [2, 6, 11, 16]
     assert counts == sorted(counts)  # monotone growth against baseline
-    s4s5 = matrix.column((SetId.S4, SetId.S5))
-    assert sum(cell.p < 0.05 for cell in s4s5) == 0
+    s4s5 = matrix.pairs.index((SetId.S4, SetId.S5))
+    assert sum(cells[s4s5].p < 0.05 for cells in matrix.cells) == 0
