@@ -259,8 +259,8 @@ def extract_features(
     if not wanted.isdisjoint(_KINEMATIC_NAMES):
         pool.update(zip(_KINEMATIC_NAMES, _kinematics(x, y)))
     if "mean_abs_dp" in wanted or "mean_abs_ddp" in wanted:
-        # Integer sums below 2**53 are exact, so dividing them matches
-        # ndarray.mean's float sum bit for bit.
+        # int16 differences stay within +-2 * PRESSURE_MAX; np.add.reduce sums them
+        # in the platform integer, exact below 2**53, so each quotient is mean()'s.
         dp = p[1:] - p[:-1]
         pool["mean_abs_dp"] = float(np.add.reduce(np.abs(dp)) / (n - 1))
         pool["mean_abs_ddp"] = float(np.add.reduce(np.abs(dp[1:] - dp[:-1])) / (n - 2))

@@ -1,10 +1,10 @@
 """Ink data model: pen-tablet recordings, task taxonomy, and corpus I/O.
 
 A recording is a uniformly sampled pen time series (100 Hz) with five integer
-channels per sample: x, y, pressure, azimuth, altitude. There are no stored
-timestamps; the sample index is the clock. Recordings are grouped into a study
-corpus keyed by (subject, set, task), where a "set" is one full assessment
-(S1..S5) and tasks 1..9 cover three categories of handwriting exercises.
+channels per sample: x, y (int64), pressure, azimuth, altitude (int16). There
+are no stored timestamps; the sample index is the clock. Recordings are grouped
+into a study corpus keyed by (subject, set, task), where a "set" is one full
+assessment (S1..S5) and tasks 1..9 cover three categories of exercises.
 
 File format (one file per task execution, UTF-8):
 
@@ -70,6 +70,9 @@ _CHANNEL_BOUNDS: Mapping[str, tuple[int, int]] = {
     "azimuth": (0, AZIMUTH_MAX),
     "altitude": (0, ALTITUDE_MAX),
 }
+
+#: Storage dtype of each channel: int16 holds each bounded range and its second differences.
+CHANNEL_DTYPES = dict.fromkeys(_CHANNELS, np.int64) | dict.fromkeys(_CHANNEL_BOUNDS, np.int16)
 
 _INT64_BOUNDS = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
 
@@ -157,7 +160,9 @@ def validate_task_id(task: int) -> int:
 class InkSignal:
     """Array-backed, immutable pen time series at a fixed 100 Hz clock.
 
-    Channels are int64 numpy arrays of equal length >= 2. Equality is
+    Channels are read-only arrays of equal length >= 2, in ``CHANNEL_DTYPES``.
+    Checks see the values as given, so a bounded channel is narrowed only
+    after its bounds check and no value wraps into range. Equality is
     structural over all channels.
     """
 
@@ -176,9 +181,7 @@ class InkSignal:
                 rounded = np.rint(arr)
                 if not np.array_equal(rounded, arr):
                     raise RangeError(f"channel {name} holds non-integer values")
-                arr = rounded
-            arr = arr.astype(np.int64, copy=True)
-            arr.setflags(write=False)
+                arr = rounded.astype(np.int64)  # the values that the checks below see
             object.__setattr__(self, name, arr)
         n = self.x.size
         for name in _CHANNELS[1:]:
@@ -193,6 +196,10 @@ class InkSignal:
                 raise RangeError(
                     f"{name} value {int(arr[i])} at sample {i} outside [{lo}, {hi}]"
                 )
+        for name, dtype in CHANNEL_DTYPES.items():
+            arr = getattr(self, name).astype(dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return int(self.x.size)

@@ -49,6 +49,7 @@ from .model import (
     ALL_SETS,
     ALTITUDE_MAX,
     AZIMUTH_MAX,
+    CHANNEL_DTYPES,
     InkSignal,
     PRESSURE_MAX,
     SetId,
@@ -293,7 +294,7 @@ def _generate_subject(
         PRESSURE_MAX,
         out=p[:, : col.size],
     )
-    p = p[keep].astype(np.int64)
+    p = p[keep].astype(CHANNEL_DTYPES["pressure"])
     # Padded planes cost a few hundred KiB each for a whole subject, so
     # inputs are dropped as soon as they are used.
     del pressure_noise
@@ -372,8 +373,8 @@ def _generate_subject(
             f"subject {subject_id}: synthetic x or y leaves the int64 range; "
             "base_speed, speed_scale or jitter_sd is too large"
         )
-    azimuth = np.full(max(lengths), traits.azimuth, dtype=np.int64)
-    altitude = np.full(max(lengths), traits.altitude, dtype=np.int64)
+    azimuth = np.full(max(lengths), traits.azimuth, dtype=CHANNEL_DTYPES["azimuth"])
+    altitude = np.full(max(lengths), traits.altitude, dtype=CHANNEL_DTYPES["altitude"])
     return [
         TaskRecord(
             subject_id=subject_id,

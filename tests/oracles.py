@@ -18,7 +18,9 @@ match them bit for bit:
   through the feature table in every cell, and reuses the production rank
   tests and matrix types;
 - ``ReferenceInkSignal`` keeps the channel checks of ``model.InkSignal``
-  from before they were reduced to one min/max pair per bounded channel;
+  from before they were reduced to one min/max pair per bounded channel.
+  Its checks see int64 values; it then stores each bounded channel as
+  int16, the narrow storage of ``model.InkSignal``;
 - ``reference_matrix_to_tsv``, ``reference_mask_to_tsv``,
   ``reference_matrix_to_markdown``, ``reference_features_to_tsv``,
   ``reference_features_to_markdown`` and ``reference_summarize_recovery``
@@ -208,7 +210,8 @@ SAMPLE_BODY_RE = re.compile(rf"(?:{_SAMPLE_LINE}{_EOL})*(?:{_SAMPLE_LINE})?")
 @dataclass(frozen=True, eq=False)
 class ReferenceInkSignal:
     """``model.InkSignal``'s fields and channel checks, with ``np.issubdtype``
-    and one ``np.nonzero`` scan per bounded channel."""
+    and one ``np.nonzero`` scan per bounded channel. The checks run on int64
+    values; only then does each bounded channel become int16."""
 
     x: np.ndarray
     y: np.ndarray
@@ -243,6 +246,10 @@ class ReferenceInkSignal:
                 raise RangeError(
                     f"{name} value {int(arr[i])} at sample {i} outside [{lo}, {hi}]"
                 )
+        for name in _CHANNEL_BOUNDS:
+            arr = getattr(self, name).astype(np.int16)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def reference_generate_task(profile, subject_id, set_id, task):

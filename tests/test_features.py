@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from inkfatigue.errors import EmptyInputError, RangeError, ShapeError, TooShortError
 from inkfatigue.features import (
@@ -22,7 +22,7 @@ from inkfatigue.features import (
     time_down,
     time_in_air,
 )
-from inkfatigue.model import SetId
+from inkfatigue.model import PRESSURE_MAX, InkSignal, SetId, TaskRecord
 from inkfatigue.synth import SynthProfile, generate_corpus, generate_task
 
 from conftest import make_record
@@ -595,6 +595,67 @@ def test_extract_features_matches_reference_bit_for_bit(record, catalog):
     assert got.flags == want.flags
     for name in COUNT_FEATURES & set(catalog):
         assert type(got.values[name]) is int
+
+
+# --- exactness on the narrow pressure channel --------------------------------
+
+
+def _wide_record(pressure, x, y):
+    """A record whose channels are int64 arrays built from the given lists.
+    It skips InkSignal's checks and narrowing, so nothing in it was ever
+    int16."""
+    signal = object.__new__(InkSignal)
+    n = len(pressure)
+    for name, values in zip(
+        ("x", "y", "pressure", "azimuth", "altitude"), (x, y, pressure, [200] * n, [60] * n)
+    ):
+        object.__setattr__(signal, name, np.array(values, dtype=np.int64))
+    return TaskRecord("U01", SetId.S1, 1, signal)
+
+
+@st.composite
+def pressure_extremes(draw):
+    """(pressure, x, y) lists of 3 to 200 samples. Pressure is drawn from the
+    whole range, alternates 0 and PRESSURE_MAX (|ddp| = 2 * PRESSURE_MAX), or
+    is all 0 or all PRESSURE_MAX; long mixed and alternating series take the
+    sum of |dp| past the int16 range."""
+    n = draw(st.integers(3, 200))
+    kind = draw(st.sampled_from(["mixed", "alternating", "zero", "full"]))
+    if kind == "mixed":
+        values = st.integers(0, PRESSURE_MAX) | st.sampled_from([0, PRESSURE_MAX])
+        pressure = draw(st.lists(values, min_size=n, max_size=n))
+    elif kind == "alternating":
+        first = draw(st.integers(0, 1))
+        pressure = [PRESSURE_MAX * ((i + first) % 2) for i in range(n)]
+    else:
+        pressure = [0 if kind == "zero" else PRESSURE_MAX] * n
+    coords = st.lists(st.integers(-5000, 5000), min_size=n, max_size=n)
+    return pressure, draw(coords), draw(coords)
+
+
+_ALTERNATING = [0, PRESSURE_MAX] * 200
+
+
+@given(pressure_extremes())
+@example(([0, PRESSURE_MAX, 0], [0, 1, 2], [0, 5, 1]))
+@example(([PRESSURE_MAX] * 3, [0, 1, 2], [0, 5, 1]))
+@example(([0] * 400, list(range(400)), list(range(400))))
+@example((_ALTERNATING, list(range(400)), [0] * 400))
+@settings(max_examples=100, deadline=None)
+def test_features_on_narrow_pressure_equal_features_on_int64_pressure(case):
+    pressure, x, y = case
+    catalog = full_catalog()
+    got = extract_features(make_record(pressure, x=x, y=y), catalog)
+    want = extract_features(_wide_record(pressure, x, y), catalog)
+    assert _bits(got) == _bits(want)
+    assert got.flags == want.flags
+
+
+def test_alternating_pressure_passes_the_int16_range_in_sums():
+    # The long example above: both difference sums leave int16 and stay exact.
+    vector = extract_features(make_record(_ALTERNATING), ("mean_abs_dp", "mean_abs_ddp"))
+    assert vector["mean_abs_dp"] == PRESSURE_MAX and vector["mean_abs_ddp"] == 2 * PRESSURE_MAX
+    assert PRESSURE_MAX * (len(_ALTERNATING) - 1) > np.iinfo(np.int16).max
 
 
 @pytest.mark.parametrize(

@@ -113,15 +113,24 @@ def test_signal_rejects_out_of_range_channel():
 
 
 _INPUT_DTYPES = (np.int64, np.uint8, np.bool_, np.float64)
+# Values past the low or the high bound of [lo, hi]. All but lo - 1 and
+# hi + 1 are wrapped by an int16 cast: to 0, to hi or to hi + 1.
+_PAST_BOUND = {
+    "low": lambda lo, hi: [lo - 1, lo - 2**16, -(2**31), -(2**53)],
+    "high": lambda lo, hi: [hi + 1, hi + 1 + 2**16, hi + 2**16, 2**31, 2**53, 65536.0],
+}
 _DEFECTS = (None, None, "low", "high", "fraction", "2-D", "length")
 
 
 @st.composite
 def channel_inputs(draw):
     """Five channels of n samples, each int64, uint8, bool or float, with at
-    most one defect in one channel: values just past a bound or fractional
-    values at up to three random samples, a 2-D shape or another length.
-    n < 2 gives a too-short signal. uint8 and bool keep only the low bits."""
+    most one defect in one channel: values past a bound or fractional values
+    at up to three random samples, a 2-D shape or another length. A value
+    past a bound is either just past it or one that an int16 cast wraps into
+    or near the range (``_PAST_BOUND``), so a channel narrowed before its
+    bounds check would pass. n < 2 gives a too-short signal. uint8 and bool
+    keep only the low bits."""
     n = draw(st.integers(0, 8))
     columns = [
         draw(arrays(np.int64, n, elements=st.integers(max(lo, -(2**53)), min(hi, 2**53))))
@@ -135,7 +144,10 @@ def channel_inputs(draw):
         if defect == "fraction":
             columns[k] = columns[k] + 0.5 * np.isin(np.arange(n), at)
         else:
-            columns[k][at] = lo - 1 if defect == "low" else hi + 1
+            value = draw(st.sampled_from(_PAST_BOUND[defect](lo, hi)))
+            if isinstance(value, float):
+                columns[k] = columns[k].astype(np.float64)
+            columns[k][at] = value
     elif defect == "length":
         columns[k] = columns[k][: draw(st.integers(0, n))] if n else np.arange(1)
     for j, column in enumerate(columns):
@@ -163,6 +175,29 @@ def _construct(cls, channels):
 @settings(max_examples=400, deadline=None)
 def test_signal_checks_match_the_reference(channels):
     assert _construct(InkSignal, channels) == _construct(ReferenceInkSignal, channels)
+
+
+@pytest.mark.parametrize("name", list(model._CHANNEL_BOUNDS))
+def test_bounded_channel_dtype_holds_its_range_and_second_differences(name):
+    # Features take first and second differences of the stored dtype without
+    # widening, so it must hold +-2 * (hi - lo) as well as [lo, hi].
+    lo, hi = model._CHANNEL_BOUNDS[name]
+    info = np.iinfo(model.CHANNEL_DTYPES[name])
+    assert info.min <= lo and hi <= info.max
+    assert info.min <= -2 * (hi - lo) and 2 * (hi - lo) <= info.max
+
+
+def _bytes_per_sample(signal):
+    return sum(getattr(signal, name).nbytes for name in model._CHANNELS) / len(signal)
+
+
+def test_every_signal_stores_22_bytes_per_sample():
+    # x and y int64, pressure, azimuth and altitude int16: 8 + 8 + 2 + 2 + 2.
+    synthesized = generate_corpus(SynthProfile(n_subjects=1), sets=(SetId.S1,))
+    parsed = parse_task_file(serialize_task(next(synthesized.records())))
+    from_lists = InkSignal([0, 1, 2], [3, 4, 5], [0, 2047, 9], [0, 359, 1], [0, 90, 2])
+    signals = [r.signal for r in synthesized.records()] + [parsed.signal, from_lists]
+    assert [_bytes_per_sample(s) for s in signals] == [22.0] * len(signals)
 
 
 def test_signal_is_immutable(rng):
@@ -326,6 +361,24 @@ def test_parse_value_beyond_int64_is_a_range_error(sample, message):
     text = f"#subject=U1\n#set=S1\n#task=3\n1 2 3 4 5\n{sample}\n"
     with pytest.raises(RangeError, match=message) as err:
         parse_task_file(text)
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "sample,message",
+    [
+        ("1 2 65536 4 5", r"pressure value 65536 outside \[0, 2047\]"),
+        ("1 2 3 65895 5", r"azimuth value 65895 outside \[0, 359\]"),
+        ("1 2 3 4 -65446", r"altitude value -65446 outside \[0, 90\]"),
+    ],
+)
+@pytest.mark.parametrize("space", [" ", "\xa0"], ids=["byte-class", "line-loop"])
+def test_parse_value_that_int16_wraps_into_range_is_a_range_error(sample, message, space):
+    # As int16, these values are 0, 359 and 90: in range.
+    body = f"1 2 3 4 5\n{sample.replace(' ', space)}\n"
+    assert _check_body(body) == (space == " ")
+    with pytest.raises(RangeError, match=message) as err:
+        parse_task_file("#subject=U1\n#set=S1\n#task=3\n" + body)
     assert err.value.line == 5
 
 
