@@ -4,7 +4,7 @@ A recording is a uniformly sampled pen time series (100 Hz) with five integer
 channels per sample: x, y (int64), pressure, azimuth, altitude (int16). There
 are no stored timestamps; the sample index is the clock. Recordings are grouped
 into a study corpus keyed by (subject, set, task), where a "set" is one full
-assessment (S1..S5) and tasks 1..9 cover three categories of exercises.
+assessment (S1..S5) and tasks 1..9 cover three categories of handwriting exercises.
 
 File format (one file per task execution, UTF-8):
 
