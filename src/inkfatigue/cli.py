@@ -355,10 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except argparse.ArgumentTypeError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except InkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # a path that cannot be read or written; the error names it
+    except (InkError, OSError) as exc:  # OSError names the path it cannot read or write
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

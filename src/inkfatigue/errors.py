@@ -1,35 +1,26 @@
 """Exception hierarchy shared across the package.
 
 Everything raised on bad data derives from :class:`InkError` so callers can
-catch one type at pipeline boundaries (the CLI maps it to exit code 1).
+catch one type at pipeline boundaries (the CLI maps it to exit code 1). Any
+``InkError`` may carry the 1-based line number of the offending line, which
+then prefixes its message as ``line N:``.
 """
 
 
 class InkError(Exception):
     """Base class for all domain errors raised by this package."""
 
-
-class FormatError(InkError):
-    """A task file (or profile/config file) is malformed.
-
-    Carries the 1-based line number of the offending line when known.
-    """
-
     def __init__(self, message: str, line: int | None = None):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
+
+
+class FormatError(InkError):
+    """A task file (or profile/config file) is malformed."""
 
 
 class RangeError(InkError):
     """A value lies outside its documented range (channel, parameter, p-value)."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
 
 
 class TooShortError(InkError):

@@ -75,6 +75,7 @@ _CHANNEL_BOUNDS: Mapping[str, tuple[int, int]] = {
 CHANNEL_DTYPES = dict.fromkeys(_CHANNELS, np.int64) | dict.fromkeys(_CHANNEL_BOUNDS, np.int16)
 
 _INT64_BOUNDS = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
+_INT64_SAFE = frozenset(np.dtype(c) for c in "?bBhHiIlLqQ" if np.can_cast(c, np.int64))
 
 # Subject ids appear in file paths, so keep them path-safe.
 _SUBJECT_RE = re.compile(r"[A-Za-z0-9_.\-]+")
@@ -161,8 +162,9 @@ class InkSignal:
     """Array-backed, immutable pen time series at a fixed 100 Hz clock.
 
     Channels are read-only arrays of equal length >= 2, in ``CHANNEL_DTYPES``.
-    Checks see the values as given, so a bounded channel is narrowed only
-    after its bounds check and no value wraps into range. Equality is
+    x and y must fit int64, as they must in files. Checks see the values as
+    given and come before any cast, so no value wraps into range, and an
+    error names the value as given (``inf``, not -2**63). Equality is
     structural over all channels.
     """
 
@@ -177,11 +179,9 @@ class InkSignal:
             arr = np.asarray(getattr(self, name))
             if arr.ndim != 1:
                 raise ShapeError(f"channel {name} must be one-dimensional")
-            if arr.size and arr.dtype.kind not in "iu":
-                rounded = np.rint(arr)
-                if not np.array_equal(rounded, arr):
-                    raise RangeError(f"channel {name} holds non-integer values")
-                arr = rounded.astype(np.int64)  # the values that the checks below see
+            # A fraction leaves a remainder in (0, 1]; nan and inf leave nan.
+            if arr.dtype.kind not in "iu" and any(0 < v % 1 for v in arr.tolist()):
+                raise RangeError(f"channel {name} holds non-integer values")
             object.__setattr__(self, name, arr)
         n = self.x.size
         for name in _CHANNELS[1:]:
@@ -189,13 +189,20 @@ class InkSignal:
                 raise ShapeError("all channels must have the same length")
         if n < 2:
             raise TooShortError(f"a signal needs at least 2 samples, got {n}")
-        for name, (lo, hi) in _CHANNEL_BOUNDS.items():
+        for name in _CHANNELS:
             arr = getattr(self, name)
-            if np.minimum.reduce(arr) < lo or np.maximum.reduce(arr) > hi:
-                i = int(np.nonzero((arr < lo) | (arr > hi))[0][0])
-                raise RangeError(
-                    f"{name} value {int(arr[i])} at sample {i} outside [{lo}, {hi}]"
-                )
+            lo, hi = _CHANNEL_BOUNDS.get(name, _INT64_BOUNDS)
+            # An x or y of an integer type up to int64 needs no check; an integer
+            # bounded channel takes one min/max pair.
+            if arr.dtype in _INT64_SAFE and (
+                name not in _CHANNEL_BOUNDS
+                or lo <= np.minimum.reduce(arr) and np.maximum.reduce(arr) <= hi
+            ):
+                continue
+            # Python numbers compare exactly, so 2**63, inf and nan are named as given.
+            for i, v in enumerate(arr.tolist()):
+                if not lo <= v <= hi:
+                    raise RangeError(f"{name} value {v} at sample {i} outside [{lo}, {hi}]")
         for name, dtype in CHANNEL_DTYPES.items():
             arr = getattr(self, name).astype(dtype)
             arr.setflags(write=False)
@@ -295,7 +302,6 @@ class StudyCorpus:
     def __init__(self):
         self._records: dict[tuple[str, SetId, int], TaskRecord] = {}
         self._aux: dict[tuple[str, SetId], AuxRecord] = {}
-        self._subjects: tuple[str, ...] | None = None
 
     def add(self, record: TaskRecord) -> None:
         if record.key in self._records:
@@ -304,7 +310,6 @@ class StudyCorpus:
                 f"duplicate record for subject={subject} set={set_id.value} task={task}"
             )
         self._records[record.key] = record
-        self._subjects = None
 
     def set_aux(self, subject_id: str, set_id: SetId, aux: AuxRecord) -> None:
         self._aux[(subject_id, set_id)] = aux
@@ -317,9 +322,7 @@ class StudyCorpus:
 
     @property
     def subjects(self) -> tuple[str, ...]:
-        if self._subjects is None:
-            self._subjects = tuple(sorted({k[0] for k in self._records}))
-        return self._subjects
+        return tuple(sorted({k[0] for k in self._records}))
 
     def records(self) -> Iterator[TaskRecord]:
         """All records in deterministic (subject, set, task) order."""

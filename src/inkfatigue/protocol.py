@@ -2,19 +2,20 @@
 
 The assessment protocol takes five measurement sets S1..S5 (rest baseline,
 after a jump test, before and after an all-out cycling bout, and after a
-short recovery). Handwriting comparisons run over the ten ordered set pairs;
-recovery is summarized per task category from the significant cells that
-``ComparisonMatrix.mask`` reports.
+short recovery). Handwriting comparisons run over the ten ordered set pairs,
+every set with each later one; recovery is summarized per task category
+from the significant cells that ``ComparisonMatrix.mask`` reports.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import RangeError
-from .model import Category, SetId
+from .model import ALL_SETS, Category, SetId
 from .stats import ComparisonMatrix
 
 __all__ = [
@@ -31,18 +32,7 @@ __all__ = [
 
 GRAVITY = 9.81  # m/s^2, default only; callers may pass their own constant
 
-_CANONICAL_PAIRS = (
-    (SetId.S1, SetId.S2),
-    (SetId.S1, SetId.S3),
-    (SetId.S1, SetId.S4),
-    (SetId.S1, SetId.S5),
-    (SetId.S2, SetId.S3),
-    (SetId.S2, SetId.S4),
-    (SetId.S2, SetId.S5),
-    (SetId.S3, SetId.S4),
-    (SetId.S3, SetId.S5),
-    (SetId.S4, SetId.S5),
-)
+_CANONICAL_PAIRS = tuple(itertools.combinations(ALL_SETS, 2))
 
 #: Columns compared against the rest baseline S1.
 BASELINE_PAIRS = _CANONICAL_PAIRS[:4]

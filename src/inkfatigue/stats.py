@@ -148,17 +148,6 @@ def wilcoxon_signed_rank(
     zeros = int((d == 0).sum())
     d = d[d != 0]
     n = int(d.size)
-    if n == 0:
-        return TestResult(
-            statistic=0.0,
-            n_effective=0,
-            p=1.0,
-            method="exact",
-            ties_present=False,
-            zeros_dropped=zeros,
-            alternative=alternative,
-        )
-
     ranks, tie_counts = _midranks(np.abs(d))
     w = float(ranks[d > 0].sum())
     ties = bool(tie_counts.size != n)

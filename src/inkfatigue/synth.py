@@ -429,7 +429,7 @@ def parse_profile(text: str) -> SynthProfile:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
+            raise ConfigError(f"expected key = value, got {raw!r}", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             if key in _GLOBAL_KEYS:
@@ -438,20 +438,25 @@ def parse_profile(text: str) -> SynthProfile:
             if key.startswith("set."):
                 parts = key.split(".")
                 if len(parts) != 3 or parts[2] not in _SET_KEYS:
-                    raise ConfigError(f"line {lineno}: unknown per-set key {key!r}")
+                    raise ConfigError(f"unknown per-set key {key!r}", line=lineno)
                 try:
                     set_id = SetId(parts[1])
                 except ValueError:
-                    raise ConfigError(f"line {lineno}: unknown set {parts[1]!r}")
+                    raise ConfigError(f"unknown set {parts[1]!r}", line=lineno)
                 per_set.setdefault(set_id, {})[parts[2]] = _SET_KEYS[parts[2]](value)
                 continue
         except ValueError:
-            raise ConfigError(f"line {lineno}: bad value {value!r} for {key}")
-        raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            raise ConfigError(f"bad value {value!r} for {key}", line=lineno)
+        raise ConfigError(f"unknown key {key!r}", line=lineno)
 
     perturbations = {s: Perturbation(**kw) for s, kw in per_set.items()}  # type: ignore[arg-type]
     return SynthProfile(perturbations=perturbations, **globals_)  # type: ignore[arg-type]
 
 
 def load_profile(path: str | Path) -> SynthProfile:
-    return parse_profile(read_text(Path(path)))
+    """Read and parse a profile file; every error names the file."""
+    text = read_text(Path(path))
+    try:
+        return parse_profile(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -18,9 +18,9 @@ match them bit for bit:
   through the feature table in every cell, and reuses the production rank
   tests and matrix types;
 - ``ReferenceInkSignal`` keeps the channel checks of ``model.InkSignal``
-  from before they were reduced to one min/max pair per bounded channel.
-  Its checks see int64 values; it then stores each bounded channel as
-  int16, the narrow storage of ``model.InkSignal``;
+  as plain-Python loops over each channel's values as given, without the
+  min/max pair per bounded channel. It then stores x and y as int64 and
+  each bounded channel as int16, the storage of ``model.InkSignal``;
 - ``reference_matrix_to_tsv``, ``reference_mask_to_tsv``,
   ``reference_matrix_to_markdown``, ``reference_features_to_tsv``,
   ``reference_features_to_markdown`` and ``reference_summarize_recovery``
@@ -209,9 +209,11 @@ SAMPLE_BODY_RE = re.compile(rf"(?:{_SAMPLE_LINE}{_EOL})*(?:{_SAMPLE_LINE})?")
 
 @dataclass(frozen=True, eq=False)
 class ReferenceInkSignal:
-    """``model.InkSignal``'s fields and channel checks, with ``np.issubdtype``
-    and one ``np.nonzero`` scan per bounded channel. The checks run on int64
-    values; only then does each bounded channel become int16."""
+    """``model.InkSignal``'s fields and channel checks, over Python lists.
+    Python compares int, float and bool exactly, so every value is checked
+    and named as given: x and y must fit int64, and nan and inf lie outside
+    every range. Only after every check does each channel become an array,
+    int64 for x and y and int16 for the bounded channels."""
 
     x: np.ndarray
     y: np.ndarray
@@ -220,34 +222,31 @@ class ReferenceInkSignal:
     altitude: np.ndarray
 
     def __post_init__(self):
+        values = {}
         for name in _CHANNELS:
             arr = np.asarray(getattr(self, name))
             if arr.ndim != 1:
                 raise ShapeError(f"channel {name} must be one-dimensional")
-            if arr.size and not np.issubdtype(arr.dtype, np.integer):
-                rounded = np.rint(arr)
-                if not np.array_equal(rounded, arr):
-                    raise RangeError(f"channel {name} holds non-integer values")
-                arr = rounded
-            arr = arr.astype(np.int64, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        n = self.x.size
+            values[name] = arr.tolist()
+            if any(
+                isinstance(v, float) and math.isfinite(v) and not v.is_integer()
+                for v in values[name]
+            ):
+                raise RangeError(f"channel {name} holds non-integer values")
+        n = len(values["x"])
         for name in _CHANNELS[1:]:
-            if getattr(self, name).size != n:
+            if len(values[name]) != n:
                 raise ShapeError("all channels must have the same length")
         if n < 2:
             raise TooShortError(f"a signal needs at least 2 samples, got {n}")
-        for name, (lo, hi) in _CHANNEL_BOUNDS.items():
-            arr = getattr(self, name)
-            bad = np.nonzero((arr < lo) | (arr > hi))[0]
-            if bad.size:
-                i = int(bad[0])
-                raise RangeError(
-                    f"{name} value {int(arr[i])} at sample {i} outside [{lo}, {hi}]"
-                )
-        for name in _CHANNEL_BOUNDS:
-            arr = getattr(self, name).astype(np.int16)
+        for name in _CHANNELS:
+            lo, hi = _CHANNEL_BOUNDS.get(name, (-(2**63), 2**63 - 1))
+            bad = [i for i, v in enumerate(values[name]) if not lo <= v <= hi]
+            if bad:
+                v = values[name][bad[0]]
+                raise RangeError(f"{name} value {v} at sample {bad[0]} outside [{lo}, {hi}]")
+        for name in _CHANNELS:
+            arr = np.array(values[name], dtype=np.int16 if name in _CHANNEL_BOUNDS else np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

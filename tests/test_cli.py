@@ -73,9 +73,14 @@ def test_synth_single_subject_writes_45_files(tmp_path):
     assert sum(1 for _ in out.rglob("*.ink")) == 45
 
 
-def test_synth_bad_profile_is_data_error(tmp_path):
-    profile = write_profile(tmp_path, "stroke_count = 0")
-    assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "x")]) == 1
+def test_synth_bad_profile_is_data_error(tmp_path, capsys):
+    for text, message in [
+        ("stroke_count = 0", "stroke_count must be >= 1, got 0"),
+        ("seed = 1\nbogus = 2\n", "line 2: unknown key 'bogus'"),
+    ]:
+        profile = write_profile(tmp_path, text)
+        assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: {profile}: {message}\n"
 
 
 def test_synth_pen_past_int64_is_a_one_line_data_error(tmp_path, capsys):

@@ -112,7 +112,7 @@ def test_signal_rejects_out_of_range_channel():
         )
 
 
-_INPUT_DTYPES = (np.int64, np.uint8, np.bool_, np.float64)
+_INPUT_DTYPES = (np.int64, np.uint8, np.uint64, np.bool_, np.float64, object)
 # Values past the low or the high bound of [lo, hi]. All but lo - 1 and
 # hi + 1 are wrapped by an int16 cast: to 0, to hi or to hi + 1.
 _PAST_BOUND = {
@@ -124,13 +124,14 @@ _DEFECTS = (None, None, "low", "high", "fraction", "2-D", "length")
 
 @st.composite
 def channel_inputs(draw):
-    """Five channels of n samples, each int64, uint8, bool or float, with at
-    most one defect in one channel: values past a bound or fractional values
-    at up to three random samples, a 2-D shape or another length. A value
-    past a bound is either just past it or one that an int16 cast wraps into
-    or near the range (``_PAST_BOUND``), so a channel narrowed before its
-    bounds check would pass. n < 2 gives a too-short signal. uint8 and bool
-    keep only the low bits."""
+    """Five channels of n samples, each int64, uint8, uint64, bool, float or
+    object (Python ints), with at most one defect in one channel: values past
+    a bound or fractional values at up to three random samples, a 2-D shape
+    or another length. A value past a bound is either just past it or one
+    that an int16 cast wraps into or near the range (``_PAST_BOUND``), so a
+    channel narrowed before its bounds check would pass. n < 2 gives a
+    too-short signal. uint8 and bool keep only the low bits; uint64 wraps a
+    negative value past int64."""
     n = draw(st.integers(0, 8))
     columns = [
         draw(arrays(np.int64, n, elements=st.integers(max(lo, -(2**53)), min(hi, 2**53))))
@@ -175,6 +176,68 @@ def _construct(cls, channels):
 @settings(max_examples=400, deadline=None)
 def test_signal_checks_match_the_reference(channels):
     assert _construct(InkSignal, channels) == _construct(ReferenceInkSignal, channels)
+
+
+@pytest.mark.parametrize(
+    "channel, value, shown",
+    [
+        ("x", np.array([2**63, 0], dtype=np.uint64), "9223372036854775808"),
+        ("x", np.array([2.0**63, 0.0]), "9.223372036854776e+18"),
+        ("x", np.array([1e20, 0.0]), "1e+20"),
+        ("x", np.array([np.inf, 0.0]), "inf"),
+        ("pressure", np.array([np.inf, 0.0]), "inf"),
+        ("pressure", np.array([-np.inf, 0.0]), "-inf"),
+        ("x", [2**70, 0], "1180591620717411303424"),
+    ],
+)
+def test_signal_names_a_value_its_channel_cannot_hold_as_given(channel, value, shown):
+    channels = dict.fromkeys(model._CHANNELS, np.array([0, 1])) | {channel: value}
+    lo, hi = model._CHANNEL_BOUNDS.get(channel, model._INT64_BOUNDS)
+    with pytest.raises(RangeError) as err:
+        InkSignal(**channels)
+    assert str(err.value) == f"{channel} value {shown} at sample 0 outside [{lo}, {hi}]"
+
+
+def _as_object_array(values):
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+_SMALL = st.integers(-2, 400)
+_CHANNEL_KINDS = {
+    "int64": (st.one_of(_SMALL, st.integers(-(2**63), 2**63 - 1)), np.int64),
+    "uint64": (st.one_of(st.integers(0, 400), st.integers(0, 2**64 - 1)), np.uint64),
+    "float": (st.one_of(_SMALL.map(float), st.floats()), np.float64),
+    "bool": (st.booleans(), np.bool_),
+    "object": (st.one_of(_SMALL, st.integers(-(2**70), 2**70), st.floats()), object),
+}
+
+
+@st.composite
+def any_channels(draw):
+    """Five channels of n samples, each int64, uint64, float, bool or object
+    (Python ints and floats), with values in and far past every bound."""
+    n = draw(st.integers(0, 6))
+    channels = []
+    for _ in model._CHANNELS:
+        elements, dtype = _CHANNEL_KINDS[draw(st.sampled_from(sorted(_CHANNEL_KINDS)))]
+        values = draw(st.lists(elements, min_size=n, max_size=n))
+        channels.append(_as_object_array(values) if dtype is object else np.array(values, dtype))
+    return channels
+
+
+@given(any_channels())
+@settings(max_examples=400, deadline=None)
+def test_signal_stores_exactly_the_integers_given_or_raises(channels):
+    try:
+        signal = InkSignal(*(c.copy() for c in channels))
+    except InkError:
+        return
+    for name, given_ in zip(model._CHANNELS, channels):
+        stored = getattr(signal, name).tolist()
+        assert all(type(v) is int for v in stored)
+        assert stored == given_.tolist()  # Python compares int, float and bool exactly
 
 
 @pytest.mark.parametrize("name", list(model._CHANNEL_BOUNDS))

@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -54,11 +55,18 @@ def test_five_positive_distinct_differences():
     assert not result.ties_present
 
 
-def test_all_zero_differences():
-    result = wilcoxon_signed_rank([(2.0, 2.0)] * 6)
-    assert result.n_effective == 0
-    assert result.p == 1.0
-    assert result.zeros_dropped == 6
+@pytest.mark.parametrize("alternative", ["two-sided", "greater", "less"])
+@pytest.mark.parametrize("zeros", [1, 6, 25, 26, 40])
+def test_all_zero_differences(zeros, alternative):
+    # 26 and 40 zeros lie past EXACT_MAX_N; with nothing left to rank the
+    # result is still the exact p of 1.0.
+    result = wilcoxon_signed_rank([(2.0, 2.0)] * zeros, alternative=alternative)
+    assert astuple(result) == (0.0, 0, 1.0, "exact", False, zeros, alternative)
+    assert (type(result.statistic), type(result.p)) == (float, float)
+    cell = _one_cell(
+        constant_corpus(zeros), 1, "max_speed", (SetId.S1, SetId.S2), alternative=alternative
+    )
+    assert cell == Cell(p=1.0, n_effective=0, method="exact", ties_present=False, low_n=True)
 
 
 def test_zero_differences_are_dropped():
