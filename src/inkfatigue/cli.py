@@ -124,10 +124,9 @@ def _read_config(path: Path) -> dict[str, object]:
             values[key] = _OPTIONS[key].get("type", str)(value)
         except argparse.ArgumentTypeError as exc:
             raise argparse.ArgumentTypeError(f"{path}:{lineno}: {exc}")
-    for key, option in _OPTIONS.items():
-        choices = option.get("choices")
-        if choices and key in values and values[key] not in choices:
-            raise argparse.ArgumentTypeError(f"{path}: {key} must be one of {choices}")
+        choices = _OPTIONS[key].get("choices")
+        if choices and values[key] not in choices:
+            raise argparse.ArgumentTypeError(f"{path}:{lineno}: {key} must be one of {choices}")
     return values
 
 

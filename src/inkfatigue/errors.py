@@ -32,7 +32,7 @@ class EmptyInputError(InkError):
 
 
 class ShapeError(InkError):
-    """Paired series have mismatched lengths."""
+    """Signal channels have mismatched lengths, or a channel or series is not 1-D."""
 
 
 class DuplicateError(InkError):

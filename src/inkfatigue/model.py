@@ -179,8 +179,13 @@ class InkSignal:
             arr = np.asarray(getattr(self, name))
             if arr.ndim != 1:
                 raise ShapeError(f"channel {name} must be one-dimensional")
-            # A fraction leaves a remainder in (0, 1]; nan and inf leave nan.
-            if arr.dtype.kind not in "iu" and any(0 < v % 1 for v in arr.tolist()):
+            # A fraction leaves a remainder in (0, 1]; nan and inf leave nan;
+            # a non-number has no remainder and raises TypeError.
+            try:
+                fraction = arr.dtype.kind not in "iu" and any(0 < v % 1 for v in arr.tolist())
+            except TypeError:
+                raise RangeError(f"channel {name} holds non-number values") from None
+            if fraction:
                 raise RangeError(f"channel {name} holds non-integer values")
             object.__setattr__(self, name, arr)
         n = self.x.size
@@ -217,7 +222,7 @@ class InkSignal:
         return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _CHANNELS)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TaskRecord:
     """One task execution: who wrote, in which set, which task, plus the ink."""
 
@@ -252,17 +257,6 @@ class TaskRecord:
     @property
     def key(self) -> tuple[str, SetId, int]:
         return (self.subject_id, self.set_id, self.task)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TaskRecord):
-            return NotImplemented
-        return (
-            self.subject_id == other.subject_id
-            and self.set_id == other.set_id
-            and self.task == other.task
-            and dict(self.metadata) == dict(other.metadata)
-            and self.signal == other.signal
-        )
 
 
 @dataclass(frozen=True)
@@ -326,7 +320,7 @@ class StudyCorpus:
 
     def records(self) -> Iterator[TaskRecord]:
         """All records in deterministic (subject, set, task) order."""
-        for key in sorted(self._records, key=lambda k: (k[0], k[1].order, k[2])):
+        for key in sorted(self._records):
             yield self._records[key]
 
     def __len__(self) -> int:

@@ -6,8 +6,11 @@ cells in bold). The significance TSV and the bold cells read
 ``ComparisonMatrix.mask``, the one place that compares p with alpha. Feature
 tables render as TSV/JSON/markdown in catalog column order, one row per
 record; a record whose extraction failed renders NA values (JSON ``null``).
-Every TSV and markdown table goes through one writer per format. All
-renderers are deterministic: identical inputs yield identical bytes.
+Every TSV and markdown table goes through one writer per format. The cells
+of ``matrix.json`` and all of ``recovery.json`` are the ``Cell`` and
+``RecoverySummary`` fields as declared, so adding a field changes those
+files. All renderers are deterministic: identical inputs yield identical
+bytes.
 
 Raw feature values are per-sample quantities; only the markdown feature view
 converts speeds and accelerations to per-second units for readability.
@@ -97,18 +100,7 @@ def matrix_to_json(matrix: ComparisonMatrix) -> str:
                 "task": row.task,
                 "feature": row.feature,
                 "category": row.category.value,
-                "cells": [
-                    None
-                    if cell is None
-                    else {
-                        "p": cell.p,
-                        "n_effective": cell.n_effective,
-                        "method": cell.method,
-                        "ties_present": cell.ties_present,
-                        "low_n": cell.low_n,
-                    }
-                    for cell in cells
-                ],
+                "cells": [None if cell is None else vars(cell) for cell in cells],
             }
             for row, cells in zip(matrix.rows, matrix.cells)
         ],
@@ -247,14 +239,9 @@ def load_matrix_tsv(text: str, alpha: float = 0.05) -> ComparisonMatrix:
 # Feature tables
 # ---------------------------------------------------------------------------
 
-def _table_rows(table: FeatureTable):
-    for key in sorted(table, key=lambda k: (k[0], k[1].order, k[2])):
-        yield key, table[key]
-
-
 def features_to_tsv(table: FeatureTable, catalog: Sequence[str]) -> str:
     rows = []
-    for (subject, set_id, task), vector in _table_rows(table):
+    for (subject, set_id, task), vector in sorted(table.items()):
         values = [NA if vector.values is None else _fmt(vector[name]) for name in catalog]
         rows.append([subject, set_id.value, str(task), *values, ",".join(sorted(vector.flags))])
     return _tsv(["subject", "set", "task", *catalog, "degenerate"], rows)
@@ -271,7 +258,7 @@ def features_to_json(table: FeatureTable, catalog: Sequence[str]) -> str:
             else {name: vector[name] for name in catalog},
             "degenerate": sorted(vector.flags),
         }
-        for (subject, set_id, task), vector in _table_rows(table)
+        for (subject, set_id, task), vector in sorted(table.items())
     ]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -285,7 +272,7 @@ def features_to_markdown(table: FeatureTable, catalog: Sequence[str]) -> str:
     labels = [name + _UNIT_SUFFIX.get(PER_SECOND_SCALE.get(name), "") for name in catalog]
     scales = [PER_SECOND_SCALE.get(name, 1.0) for name in catalog]
     rows = []
-    for (subject, set_id, task), vector in _table_rows(table):
+    for (subject, set_id, task), vector in sorted(table.items()):
         values = [
             NA if vector.values is None else f"{vector[name] * scale:.6g}"
             for name, scale in zip(catalog, scales)
@@ -300,27 +287,7 @@ def features_to_markdown(table: FeatureTable, catalog: Sequence[str]) -> str:
 
 
 def recovery_to_json(summary: RecoverySummary) -> str:
-    payload = {
-        "alpha": summary.alpha,
-        "scope": summary.scope,
-        "columns": {
-            label: {
-                category.value: {
-                    "count": cc.count,
-                    "cells": [[task, feature] for task, feature in cc.cells],
-                }
-                for category, cc in by_category.items()
-            }
-            for label, by_category in summary.columns.items()
-        },
-        "no_recovery": None
-        if summary.no_recovery is None
-        else {
-            "count": summary.no_recovery.count,
-            "cells": [[task, feature] for task, feature in summary.no_recovery.cells],
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(summary, default=vars, indent=2, sort_keys=True) + "\n"
 
 
 def recovery_to_text(summary: RecoverySummary) -> str:

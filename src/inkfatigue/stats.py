@@ -337,7 +337,10 @@ def build_matrix(
             for t, task in enumerate(tasks):
                 vec = table.get((subject, set_id, task))
                 if vec is not None and vec.values is not None:
-                    columns[s, t, :, i] = [vec.values[f] for f in features]
+                    try:
+                        columns[s, t, :, i] = [vec.values[f] for f in features]
+                    except KeyError as exc:
+                        raise RangeError(f"feature table has no values for {exc.args[0]}")
 
     matrix_rows = tuple(MatrixRow(t, f) for t, f in norm_rows)
     all_cells = []

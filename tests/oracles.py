@@ -28,13 +28,17 @@ match them bit for bit:
   one TSV writer, one markdown writer and ``ComparisonMatrix.mask``: each
   renderer wrote its own framing, and the markdown bold cells and the
   recovery counts each compared p with alpha themselves. The one change is
-  that ``ComparisonMatrix.column`` is spelled out as ``_column``.
+  that ``ComparisonMatrix.column`` is spelled out as ``_column``;
+- ``reference_matrix_to_json`` and ``reference_recovery_to_json`` keep the
+  JSON writers that named every field of ``Cell``, ``RecoverySummary`` and
+  ``CategoryCount`` by hand.
 
 ``SAMPLE_BODY_RE`` is the sample-line grammar of a task file as one regex,
 the oracle of the parser's byte-class check.
 """
 
 import itertools
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -228,6 +232,8 @@ class ReferenceInkSignal:
             if arr.ndim != 1:
                 raise ShapeError(f"channel {name} must be one-dimensional")
             values[name] = arr.tolist()
+            if not all(isinstance(v, (int, float)) for v in values[name]):
+                raise RangeError(f"channel {name} holds non-number values")
             if any(
                 isinstance(v, float) and math.isfinite(v) and not v.is_integer()
                 for v in values[name]
@@ -855,3 +861,60 @@ def reference_summarize_recovery(matrix: ComparisonMatrix, alpha: float = 0.05) 
         ]
         no_recovery = CategoryCount(len(sig), tuple(sig))
     return RecoverySummary(alpha=alpha, columns=columns, no_recovery=no_recovery)
+
+
+# ---------------------------------------------------------------------------
+# JSON writers that name every field of the dataclasses they write
+# ---------------------------------------------------------------------------
+
+
+def reference_matrix_to_json(matrix: ComparisonMatrix) -> str:
+    payload = {
+        "alpha": matrix.alpha,
+        "pairs": [pair_label(p) for p in matrix.pairs],
+        "rows": [
+            {
+                "task": row.task,
+                "feature": row.feature,
+                "category": row.category.value,
+                "cells": [
+                    None
+                    if cell is None
+                    else {
+                        "p": cell.p,
+                        "n_effective": cell.n_effective,
+                        "method": cell.method,
+                        "ties_present": cell.ties_present,
+                        "low_n": cell.low_n,
+                    }
+                    for cell in cells
+                ],
+            }
+            for row, cells in zip(matrix.rows, matrix.cells)
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def reference_recovery_to_json(summary: RecoverySummary) -> str:
+    payload = {
+        "alpha": summary.alpha,
+        "scope": summary.scope,
+        "columns": {
+            label: {
+                category.value: {
+                    "count": cc.count,
+                    "cells": [[task, feature] for task, feature in cc.cells],
+                }
+                for category, cc in by_category.items()
+            }
+            for label, by_category in summary.columns.items()
+        },
+        "no_recovery": None
+        if summary.no_recovery is None
+        else {
+            "count": summary.no_recovery.count,
+            "cells": [[task, feature] for task, feature in summary.no_recovery.cells],
+        },
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

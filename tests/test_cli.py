@@ -478,8 +478,9 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
         ("alpha = x\n", 1, "alpha must be a number, got 'x'"),
         ("# comment\nfeatures = bogus\n", 2, "unknown feature(s): bogus"),
         ("alpha = 0.1\n\npairs = S2-S1\n", 3, "set pair must be ordered ascending, got 'S2-S1'"),
+        ("sided = three\n", 1, "sided must be one of ('two', 'one')"),
     ],
-    ids=["alpha-range", "alpha-number", "features", "pairs"],
+    ids=["alpha-range", "alpha-number", "features", "pairs", "sided"],
 )
 def test_config_value_of_wrong_type_names_file_and_line(corpus_dir, tmp_path, capsys, text, line, message):
     config = tmp_path / "bad.cfg"
@@ -580,7 +581,7 @@ set.S4.air_inflation = 1.5
 # Any change to an artifact, message, usage or help line, or exit code moves
 # one of them. Help lines wrap at COLUMNS, which the test fixes.
 PINNED_TREE_SHA256 = "a51b6d37871bc02f33a2d9b39e27ef4cec7bc156048c075b289ca687fba0b7cf"
-PINNED_TRANSCRIPT_SHA256 = "e0ab9b0046fc665436c02bfdd7aa89ad20f9a4347f697536c541842b441f84ac"
+PINNED_TRANSCRIPT_SHA256 = "3d78cb3374485db08a8eac894d0880dab67727fc3b16906b8d754d77e2cdbf14"
 
 
 def _pin_invocations() -> list[list[str]]:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import shutil
@@ -204,6 +205,19 @@ def _as_object_array(values):
     return out
 
 
+@pytest.mark.parametrize(
+    "value",
+    [np.array(["0", "1"]), _as_object_array([None, 0]), np.array([0j, 1j])],
+    ids=["str", "None", "complex"],
+)
+@pytest.mark.parametrize("channel", ["x", "pressure"])
+@pytest.mark.parametrize("cls", [InkSignal, ReferenceInkSignal])
+def test_signal_rejects_a_channel_of_non_numbers(cls, channel, value):
+    channels = dict.fromkeys(model._CHANNELS, np.array([0, 1])) | {channel: value}
+    with pytest.raises(RangeError, match=f"^channel {channel} holds non-number values$"):
+        cls(**channels)
+
+
 _SMALL = st.integers(-2, 400)
 _CHANNEL_KINDS = {
     "int64": (st.one_of(_SMALL, st.integers(-(2**63), 2**63 - 1)), np.int64),
@@ -307,6 +321,25 @@ def test_task_record_rejects_bad_task():
     )
     with pytest.raises(RangeError):
         TaskRecord("U1", SetId.S1, 10, sig)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("subject_id", "U2"),
+        ("set_id", SetId.S2),
+        ("task", 2),
+        ("signal", signal_with(pressure=1)),
+        ("metadata", {"device": "b"}),
+    ],
+)
+def test_task_records_are_equal_exactly_when_every_field_is(field, value):
+    record = TaskRecord("U1", SetId.S1, 1, signal_with(), {"device": "a"})
+    assert record == TaskRecord("U1", SetId.S1, 1, signal_with(), {"device": "a"})
+    assert record != dataclasses.replace(record, **{field: value})
+    assert (record == record.key) is False
+    with pytest.raises(TypeError):
+        hash(record)
 
 
 def test_set_order_and_labels():

@@ -35,8 +35,10 @@ from oracles import (
     reference_features_to_markdown,
     reference_features_to_tsv,
     reference_mask_to_tsv,
+    reference_matrix_to_json,
     reference_matrix_to_markdown,
     reference_matrix_to_tsv,
+    reference_recovery_to_json,
     reference_summarize_recovery,
 )
 
@@ -319,9 +321,11 @@ def test_recovery_rendering(reference_matrix):
 
 @st.composite
 def matrices_and_alphas(draw):
-    """A matrix of drawn p-value lists over 1 to 10 pairs, and a render alpha
-    that is omitted (None) or given. The p-values favour 0, 1, the smallest
-    subnormal and the alphas in play, so that ``p == alpha`` comes up."""
+    """A matrix of drawn cells over 1 to 10 pairs, and a render alpha that is
+    omitted (None) or given. A cell is NA, a p-value alone (as loaded from a
+    TSV) or a p-value with every other ``Cell`` field drawn. The p-values
+    favour 0, 1, the smallest subnormal and the alphas in play, so that
+    ``p == alpha`` comes up."""
     matrix_alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     alpha = draw(st.none() | st.sampled_from([0.0, 1.0, 0.05]) | st.floats(0.0, 1.0))
     pairs = draw(
@@ -331,14 +335,23 @@ def matrices_and_alphas(draw):
     rows = draw(st.lists(row, max_size=12))
     specials = [0.0, 1.0, 5e-324, 0.05, matrix_alpha] + ([] if alpha is None else [alpha])
     p_values = st.sampled_from(specials) | st.floats(0.0, 1.0)
+    full_cells = st.builds(
+        Cell,
+        p_values,
+        st.none() | st.integers(0, 10**6),
+        st.sampled_from([None, "exact", "normal-approx"]),
+        st.none() | st.booleans(),
+        st.booleans(),
+    )
+    cell = st.none() | p_values.map(Cell) | full_cells
     cell_rows = draw(
         st.lists(
-            st.lists(st.none() | p_values, min_size=len(pairs), max_size=len(pairs)),
+            st.lists(cell, min_size=len(pairs), max_size=len(pairs)),
             min_size=len(rows),
             max_size=len(rows),
         )
     )
-    cells = tuple(tuple(None if p is None else Cell(p=p) for p in ps) for ps in cell_rows)
+    cells = tuple(tuple(cs) for cs in cell_rows)
     matrix = ComparisonMatrix(
         rows=tuple(rows), pairs=tuple(pairs), cells=cells, alpha=matrix_alpha
     )
@@ -355,9 +368,10 @@ def test_matrix_views_and_recovery_match_their_reference_forms(drawn):
     assert matrix_to_markdown(matrix, *given_alpha) == reference_matrix_to_markdown(
         matrix, *given_alpha
     )
-    assert summarize_recovery(matrix, *given_alpha) == reference_summarize_recovery(
-        matrix, *given_alpha
-    )
+    summary = summarize_recovery(matrix, *given_alpha)
+    assert summary == reference_summarize_recovery(matrix, *given_alpha)
+    assert matrix_to_json(matrix) == reference_matrix_to_json(matrix)
+    assert recovery_to_json(summary) == reference_recovery_to_json(summary)
 
 
 @st.composite

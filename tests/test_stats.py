@@ -360,6 +360,14 @@ def test_build_matrix_without_table_extracts_the_named_feature():
     assert build_matrix(corpus, rows, [pair]) == build_matrix(corpus, rows, [pair], table=table)
 
 
+@pytest.mark.parametrize("feature", ["entropy_x", "nonsense"])
+def test_build_matrix_names_a_row_feature_its_table_lacks(feature):
+    corpus = generate_corpus(SynthProfile(seed=23, n_subjects=2), sets=(SetId.S1, SetId.S2))
+    table = feature_table(corpus, ["mean_speed"])
+    with pytest.raises(RangeError, match=f"^feature table has no values for {feature}$"):
+        build_matrix(corpus, [(1, feature)], [(SetId.S1, SetId.S2)], table=table)
+
+
 # --- matrix -----------------------------------------------------------------
 
 
