@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -233,20 +233,24 @@ class TaskRecord:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not _SUBJECT_RE.fullmatch(self.subject_id):
+        if not (isinstance(self.subject_id, str) and _SUBJECT_RE.fullmatch(self.subject_id)):
             raise FormatError(
                 f"subject id {self.subject_id!r} must be non-empty and use only "
                 "letters, digits, '_', '.', '-'"
             )
-        validate_task_id(self.task)
+        if not isinstance(self.set_id, SetId):
+            raise RangeError(f"set id must be a SetId, got {self.set_id!r}")
+        object.__setattr__(self, "task", validate_task_id(self.task))
         object.__setattr__(self, "metadata", dict(self.metadata))
         # Each rule keeps the header line of serialize_task re-parsing to
         # the same key and value.
         for k, v in self.metadata.items():
-            if not _HEADER_KEY_RE.fullmatch(k):
+            if not (isinstance(k, str) and _HEADER_KEY_RE.fullmatch(k)):
                 raise FormatError(f"metadata key {k!r} is not header-safe")
             if k in _REQUIRED_HEADERS:
                 raise FormatError(f"metadata key {k!r} is reserved for the record key")
+            if not isinstance(v, str):
+                raise FormatError(f"metadata value for {k!r} must be a string, got {v!r}")
             if "".join(v.splitlines()) != v:
                 raise FormatError(f"metadata value for {k!r} contains a line break")
             if v != v.strip():
@@ -283,7 +287,7 @@ class AuxRecord:
                 raise RangeError(f"aux field {name} must be finite and >= 0, got {v}")
 
 
-AUX_FIELDS = ("lactate", "flight_time", "force", "velocity", "rpe")
+AUX_FIELDS = tuple(f.name for f in fields(AuxRecord))
 
 
 class StudyCorpus:

@@ -51,7 +51,7 @@ def pair_label(pair: tuple[SetId, SetId]) -> str:
 
 
 def parse_pair_label(label: str) -> tuple[SetId, SetId]:
-    parts = label.split("-")
+    parts = label.split("-") if isinstance(label, str) else ()
     if len(parts) != 2:
         raise RangeError(f"set pair must look like S1-S2, got {label!r}")
     try:

@@ -10,7 +10,9 @@ Every TSV and markdown table goes through one writer per format. The cells
 of ``matrix.json`` and all of ``recovery.json`` are the ``Cell`` and
 ``RecoverySummary`` fields as declared, so adding a field changes those
 files. All renderers are deterministic: identical inputs yield identical
-bytes.
+bytes. ``Cell`` and ``MatrixRow`` own the rules for their fields; the two
+matrix readers build them, check a row's category against its task, and
+name the row (JSON) or line (TSV) of an error.
 
 Raw feature values are per-sample quantities; only the markdown feature view
 converts speeds and accelerations to per-second units for readability.
@@ -22,9 +24,9 @@ import json
 from pathlib import Path
 from typing import Sequence
 
-from .errors import FormatError, RangeError
+from .errors import FormatError, InkError, RangeError
 from .features import FeatureTable, full_catalog
-from .model import Category, SAMPLE_RATE_HZ, TASK_CATEGORIES, ascii_float
+from .model import Category, SAMPLE_RATE_HZ, ascii_float
 from .protocol import RecoverySummary, pair_label, parse_pair_label
 from .stats import Cell, ComparisonMatrix, MatrixRow
 
@@ -108,50 +110,23 @@ def matrix_to_json(matrix: ComparisonMatrix) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-_METHODS = (None, "exact", "normal-approx")
-
-
-def _is_number(value) -> bool:
-    # JSON true/false load as bool, a subclass of int: never a number here.
-    return type(value) in (int, float)
-
-
-def _cell_from_json(c: dict, number: int, column: int) -> Cell:
-    """One matrix JSON cell, each field checked by type and range."""
-    p, n_effective = c["p"], c.get("n_effective")
-    method, ties_present, low_n = c.get("method"), c.get("ties_present"), c.get("low_n", False)
-    checks = (
-        (_is_number(p) and 0 <= p <= 1, "p must be a number in [0, 1]", p),
-        (
-            n_effective is None or (type(n_effective) is int and n_effective >= 0),
-            "n_effective must be a non-negative integer or null",
-            n_effective,
-        ),
-        (method in _METHODS, "method must be 'exact', 'normal-approx' or null", method),
-        (
-            ties_present is None or type(ties_present) is bool,
-            "ties_present must be a boolean or null",
-            ties_present,
-        ),
-        (type(low_n) is bool, "low_n must be a boolean", low_n),
-    )
-    for ok, rule, value in checks:
-        if not ok:
-            raise FormatError(f"matrix JSON row {number}: cell {column} {rule}, got {value!r}")
-    return Cell(
-        p=float(p),
-        n_effective=n_effective,
-        method=method,
-        ties_present=ties_present,
-        low_n=low_n,
-    )
+def _matrix_row(task, feature, category) -> MatrixRow:
+    """A matrix row as a reader finds it; a category, when not None, must
+    be the task's."""
+    row = MatrixRow(task=task, feature=feature)
+    if category is not None and category != row.category.value:
+        raise FormatError(f"task {task} belongs to {row.category.value}, row says {category!r}")
+    return row
 
 
 def matrix_from_json(text: str) -> ComparisonMatrix:
+    """Load ``matrix_to_json`` output. Rows and cells check their own fields;
+    an error names the row and cell it comes from. A row's category may be
+    missing or null."""
     try:
         payload = json.loads(text)
         alpha = payload["alpha"]
-        if not (_is_number(alpha) and 0 < alpha < 1):
+        if type(alpha) not in (int, float) or not 0 < alpha < 1:
             raise FormatError(
                 f"matrix JSON: alpha must lie strictly between 0 and 1, got {alpha!r}"
             )
@@ -159,30 +134,29 @@ def matrix_from_json(text: str) -> ComparisonMatrix:
         rows = []
         cells = []
         for number, row in enumerate(payload["rows"], start=1):
-            task = row["task"]
-            if type(task) is not int or task not in TASK_CATEGORIES:
-                raise FormatError(
-                    f"matrix JSON row {number}: task must be an integer in 1..9, got {task!r}"
-                )
+            where = f"matrix JSON row {number}"
+            try:
+                rows.append(_matrix_row(row["task"], row["feature"], row.get("category")))
+            except InkError as exc:
+                raise FormatError(f"{where}: {exc}") from exc
             if len(row["cells"]) != len(pairs):
                 raise FormatError(
-                    f"matrix JSON row {number} has {len(row['cells'])} cells, "
-                    f"expected {len(pairs)}"
+                    f"{where} has {len(row['cells'])} cells, expected {len(pairs)}"
                 )
-            rows.append(MatrixRow(task=task, feature=row["feature"]))
-            cells.append(
-                tuple(
-                    None if c is None else _cell_from_json(c, number, column)
-                    for column, c in enumerate(row["cells"], start=1)
-                )
-            )
+            row_cells = []
+            for column, cell in enumerate(row["cells"], start=1):
+                try:
+                    row_cells.append(None if cell is None else Cell(**cell))
+                except RangeError as exc:
+                    raise FormatError(f"{where}: cell {column} {exc}") from exc
+            cells.append(tuple(row_cells))
         return ComparisonMatrix(
             rows=tuple(rows),
             pairs=pairs,
             cells=tuple(cells),
             alpha=float(alpha),
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"not a valid matrix JSON document: {exc}")
 
 
@@ -202,35 +176,25 @@ def load_matrix_tsv(text: str, alpha: float = 0.05) -> ComparisonMatrix:
     cells = []
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
-        if len(fields) != 3 + len(pairs):
-            raise FormatError(
-                f"expected {3 + len(pairs)} fields, got {len(fields)}", line=lineno
-            )
-        category, task_text, feature = fields[:3]
-        if not (task_text.isascii() and task_text.isdigit()):
-            raise FormatError(f"task must be an integer, got {task_text!r}", line=lineno)
-        task = int(task_text)
-        if task not in TASK_CATEGORIES:
-            raise FormatError(f"task must be in 1..9, got {task}", line=lineno)
-        if TASK_CATEGORIES[task].value != category:
-            raise FormatError(
-                f"task {task} belongs to {TASK_CATEGORIES[task].value}, "
-                f"row says {category!r}",
-                line=lineno,
-            )
-        row_cells = []
-        for label, token in zip(header[3:], fields[3:]):
-            if token == NA:
-                row_cells.append(None)
-                continue
-            try:
-                p = ascii_float(token)
-            except ValueError:
-                raise FormatError(f"bad p-value {token!r} under {label}", line=lineno)
-            if not 0.0 <= p <= 1.0:
-                raise RangeError(f"p-value {p} outside [0, 1]", line=lineno)
-            row_cells.append(Cell(p=p))
-        rows.append(MatrixRow(task=task, feature=feature))
+        try:
+            if len(fields) != 3 + len(pairs):
+                raise FormatError(f"expected {3 + len(pairs)} fields, got {len(fields)}")
+            category, task_text, feature = fields[:3]
+            if not (task_text.isascii() and task_text.isdigit()):
+                raise FormatError(f"task must be an integer, got {task_text!r}")
+            rows.append(_matrix_row(int(task_text), feature, category))
+            row_cells = []
+            for label, token in zip(header[3:], fields[3:]):
+                if token == NA:
+                    row_cells.append(None)
+                    continue
+                try:
+                    p = ascii_float(token)
+                except ValueError:
+                    raise FormatError(f"bad p-value {token!r} under {label}")
+                row_cells.append(Cell(p=p))
+        except InkError as exc:
+            raise type(exc)(str(exc), line=lineno) from exc
         cells.append(tuple(row_cells))
     return ComparisonMatrix(rows=tuple(rows), pairs=pairs, cells=tuple(cells), alpha=alpha)
 

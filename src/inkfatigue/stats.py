@@ -13,7 +13,9 @@ A matrix run reads the feature table once into value columns, one float64
 array per (set, task, feature) with subjects in corpus order and NaN for a
 missing record or a failed extraction. Each (task, feature) row and set pair
 column is then one ``compare_sets`` call on two such columns, which excludes
-the subjects that are NaN in either.
+the subjects that are NaN in either. ``Cell`` and ``MatrixRow`` own the rules
+for their fields, so a matrix built here and one loaded from a file pass the
+same checks.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, RangeError
 from .features import DEFAULT_CATALOG, FeatureTable, feature_table
-from .model import Category, SetId, StudyCorpus, TASK_CATEGORIES, validate_task_id
+from .model import Category, SetId, StudyCorpus, TASK_CATEGORIES, TASK_IDS, validate_task_id
 
 EXACT_MAX_N = 25
 
@@ -236,8 +238,17 @@ def compare_sets(
 
 @dataclass(frozen=True)
 class MatrixRow:
+    """One (task, feature) row; a task that is not an int in 1..9 or a
+    feature that is not a string raises RangeError."""
+
     task: int
     feature: str
+
+    def __post_init__(self):
+        if type(self.task) is not int or self.task not in TASK_CATEGORIES:
+            raise RangeError(f"task must be an integer in 1..9, got {self.task!r}")
+        if type(self.feature) is not str:
+            raise RangeError(f"feature must be a string, got {self.feature!r}")
 
     @property
     def category(self) -> Category:
@@ -247,7 +258,8 @@ class MatrixRow:
 @dataclass(frozen=True)
 class Cell:
     """One matrix cell. ``n_effective`` may be None for matrices loaded from
-    p-value tables that carry no sample-size information."""
+    p-value tables that carry no sample-size information. A field of the
+    wrong type or range raises RangeError; ``p`` is stored as a float."""
 
     p: float
     n_effective: int | None = None
@@ -256,8 +268,30 @@ class Cell:
     low_n: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise RangeError(f"p-value {self.p} outside [0, 1]")
+        p, n, ties = self.p, self.n_effective, self.ties_present
+        checks = (
+            (
+                isinstance(p, (int, float)) and not isinstance(p, bool) and 0 <= p <= 1,
+                "p must be a number in [0, 1]",
+                p,
+            ),
+            (
+                n is None or (type(n) is int and n >= 0),
+                "n_effective must be a non-negative integer or null",
+                n,
+            ),
+            (
+                self.method in (None, "exact", "normal-approx"),
+                "method must be 'exact', 'normal-approx' or null",
+                self.method,
+            ),
+            (ties is None or type(ties) is bool, "ties_present must be a boolean or null", ties),
+            (type(self.low_n) is bool, "low_n must be a boolean", self.low_n),
+        )
+        for ok, rule, value in checks:
+            if not ok:
+                raise RangeError(f"{rule}, got {value!r}")
+        object.__setattr__(self, "p", float(p))
 
 
 @dataclass(frozen=True)
@@ -284,12 +318,9 @@ class ComparisonMatrix:
         ]
 
 
-def default_rows(
-    tasks: Sequence[int] = tuple(sorted(TASK_CATEGORIES)),
-    catalog: Sequence[str] = DEFAULT_CATALOG,
-) -> list[tuple[int, str]]:
+def default_rows(catalog: Sequence[str] = DEFAULT_CATALOG) -> list[tuple[int, str]]:
     """Row spec covering every task and catalog feature, in canonical order."""
-    return [(task, feature) for task in sorted(tasks) for feature in catalog]
+    return [(task, feature) for task in TASK_IDS for feature in catalog]
 
 
 def build_matrix(

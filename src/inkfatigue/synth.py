@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -397,21 +397,14 @@ def _generate_subject(
 # Profile files
 # ---------------------------------------------------------------------------
 
-_GLOBAL_KEYS = {
-    "seed": ascii_int,
-    "n_subjects": ascii_int,
-    "base_speed": ascii_float,
-    "base_pressure_level": ascii_int,
-    "stroke_count": ascii_int,
-    "air_gap_len": ascii_int,
-}
+def _readers(cls) -> dict:
+    """The ASCII reader of each int or float field of a profile dataclass."""
+    readers = {"int": ascii_int, "float": ascii_float}
+    return {f.name: readers[f.type] for f in fields(cls) if f.type in readers}
 
-_SET_KEYS = {
-    "speed_scale": ascii_float,
-    "pressure_shift": ascii_int,
-    "air_inflation": ascii_float,
-    "jitter_sd": ascii_float,
-}
+
+_PROFILE_READERS = _readers(SynthProfile)
+_PERTURBATION_READERS = _readers(Perturbation)
 
 
 def parse_profile(text: str) -> SynthProfile:
@@ -432,18 +425,18 @@ def parse_profile(text: str) -> SynthProfile:
             raise ConfigError(f"expected key = value, got {raw!r}", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            if key in _GLOBAL_KEYS:
-                globals_[key] = _GLOBAL_KEYS[key](value)
+            if key in _PROFILE_READERS:
+                globals_[key] = _PROFILE_READERS[key](value)
                 continue
             if key.startswith("set."):
                 parts = key.split(".")
-                if len(parts) != 3 or parts[2] not in _SET_KEYS:
+                if len(parts) != 3 or parts[2] not in _PERTURBATION_READERS:
                     raise ConfigError(f"unknown per-set key {key!r}", line=lineno)
                 try:
                     set_id = SetId(parts[1])
                 except ValueError:
                     raise ConfigError(f"unknown set {parts[1]!r}", line=lineno)
-                per_set.setdefault(set_id, {})[parts[2]] = _SET_KEYS[parts[2]](value)
+                per_set.setdefault(set_id, {})[parts[2]] = _PERTURBATION_READERS[parts[2]](value)
                 continue
         except ValueError:
             raise ConfigError(f"bad value {value!r} for {key}", line=lineno)

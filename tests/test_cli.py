@@ -411,6 +411,103 @@ def test_report_bad_matrix_is_a_one_line_error_and_writes_nothing(
     assert not out.exists()
 
 
+# A valid matrix.json: a full cell, an NA cell, p-only cells, and a row with
+# no category.
+_REPORT_MATRIX = json.dumps({
+    "alpha": 0.05,
+    "pairs": ["S1-S2", "S4-S5"],
+    "rows": [
+        {
+            "task": 1, "feature": "mean_speed", "category": "Cognitive",
+            "cells": [
+                {"p": 0.01, "n_effective": 7, "method": "exact", "ties_present": False,
+                 "low_n": False},
+                None,
+            ],
+        },
+        {"task": 6, "feature": "time_in_air", "cells": [{"p": 0.5}, {"p": 1}]},
+    ],
+})
+
+
+def _report_matrix_with(path, value) -> str:
+    """``_REPORT_MATRIX`` with the value at ``path`` (keys and indices) replaced."""
+    doc = json.loads(_REPORT_MATRIX)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "path,value,error",
+    [
+        (("pairs", 0), 5, "set pair must look like S1-S2, got 5"),
+        (("pairs", 0), None, "set pair must look like S1-S2, got None"),
+        (("rows", 0, "feature"), 5, "matrix JSON row 1: feature must be a string, got 5"),
+        (
+            ("rows", 0, "category"),
+            "Mechanical",
+            "matrix JSON row 1: task 1 belongs to Cognitive, row says 'Mechanical'",
+        ),
+    ],
+    ids=["pair-5", "pair-null", "feature-5", "category-wrong"],
+)
+def test_report_bad_row_field_is_a_one_line_error_naming_the_file(
+    tmp_path, capsys, path, value, error
+):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(_report_matrix_with(path, value))
+    out = tmp_path / "o"
+    assert main(["report", "--matrix", str(matrix), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {matrix}: {error}\n"
+    assert not out.exists()
+
+
+_CELL_FIELDS = ("p", "n_effective", "method", "ties_present", "low_n")
+
+# Where a drawn value replaces the valid one: alpha, a pair label, a row's
+# task, feature or category (row 2 has none), a cell, a cell field, or the
+# pairs, rows or cells container.
+_REPORT_FIELD_PATHS = [
+    ("alpha",), ("pairs",), ("pairs", 0), ("pairs", 1), ("rows",),
+    ("rows", 0, "task"), ("rows", 0, "feature"), ("rows", 0, "category"),
+    ("rows", 1, "category"), ("rows", 0, "cells"), ("rows", 0, "cells", 0),
+    *(("rows", 0, "cells", 0, name) for name in _CELL_FIELDS),
+    ("rows", 1, "cells", 1, "p"),
+]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(
+        ["S1-S2", "S1-S3", "S2-S1", "S1-S6", "Cognitive", "Mechanical", "exact", "bogus"]
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_CELL_FIELDS) | st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(st.sampled_from(_REPORT_FIELD_PATHS), _JSON_VALUES)
+@example(("pairs", 0), 5)
+@example(("pairs", 0), None)
+@example(("rows", 0, "feature"), 5)
+@settings(max_examples=300, deadline=None)
+def test_report_on_any_json_value_in_any_field_exits_0_or_1_with_one_line(path, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        matrix = Path(tmp) / "m.json"
+        matrix.write_text(_report_matrix_with(path, value))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, err = _stderr_of(["report", "--matrix", str(matrix), "--out", f"{tmp}/o"])
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1
+        assert err.startswith(f"error: {matrix}: ") and err.count("\n") == 1
+        assert err.endswith("\n")
+
+
 # --- flags, env, config ---------------------------------------------------------
 
 

@@ -324,6 +324,45 @@ def test_task_record_rejects_bad_task():
 
 
 @pytest.mark.parametrize(
+    "key, error, message",
+    [
+        (
+            (7, SetId.S1, 1),
+            FormatError,
+            "subject id 7 must be non-empty and use only letters, digits, '_', '.', '-'",
+        ),
+        (("U1", "S1", 1), RangeError, "set id must be a SetId, got 'S1'"),
+        (("U1", None, 1), RangeError, "set id must be a SetId, got None"),
+    ],
+)
+def test_task_record_checks_the_types_of_its_key(key, error, message):
+    with pytest.raises(error) as info:
+        TaskRecord(*key, signal_with())
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "metadata, message",
+    [
+        ({"note": 5}, "metadata value for 'note' must be a string, got 5"),
+        ({"note": None}, "metadata value for 'note' must be a string, got None"),
+        ({"note": b"a"}, "metadata value for 'note' must be a string, got b'a'"),
+        ({5: "a"}, "metadata key 5 is not header-safe"),
+    ],
+)
+def test_task_record_checks_the_types_of_its_metadata(metadata, message):
+    with pytest.raises(FormatError) as info:
+        TaskRecord("U1", SetId.S1, 1, signal_with(), metadata)
+    assert str(info.value) == message
+
+
+def test_task_record_stores_a_numpy_task_as_int():
+    record = TaskRecord("U1", SetId.S1, np.int64(3), signal_with())
+    assert type(record.task) is int and record.task == 3
+    assert parse_task_file(serialize_task(record)) == record
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("subject_id", "U2"),

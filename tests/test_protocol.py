@@ -51,6 +51,13 @@ def test_parse_pair_label_rejects_bad_labels(label):
         parse_pair_label(label)
 
 
+@pytest.mark.parametrize("label", [5, None, ["S1", "S2"], ("S1", "S2"), b"S1-S2"])
+def test_parse_pair_label_refuses_a_label_that_is_not_a_string(label):
+    with pytest.raises(RangeError) as info:
+        parse_pair_label(label)
+    assert str(info.value) == f"set pair must look like S1-S2, got {label!r}"
+
+
 # --- task taxonomy -----------------------------------------------------------
 
 

@@ -28,7 +28,7 @@ from inkfatigue.reporting import (
     recovery_to_json,
     recovery_to_text,
 )
-from inkfatigue.stats import Cell, ComparisonMatrix, MatrixRow, build_matrix, default_rows
+from inkfatigue.stats import Cell, ComparisonMatrix, MatrixRow, build_matrix
 from inkfatigue.synth import SynthProfile, generate_corpus
 
 from oracles import (
@@ -48,7 +48,7 @@ DATA = Path(__file__).parent / "data"
 @pytest.fixture(scope="module")
 def small_matrix():
     corpus = generate_corpus(SynthProfile(seed=40, n_subjects=4))
-    rows = default_rows(tasks=(1, 6), catalog=("mean_speed", "time_in_air"))
+    rows = [(1, "mean_speed"), (1, "time_in_air"), (6, "mean_speed"), (6, "time_in_air")]
     return build_matrix(corpus, rows, canonical_set_pairs())
 
 
@@ -95,6 +95,14 @@ def test_matrix_json_rejects_garbage():
         matrix_from_json('{"alpha": 0.05}')
 
 
+@pytest.mark.parametrize("where", ["document", "cells"])
+def test_matrix_json_nested_past_the_parser_depth_is_a_format_error(where):
+    deep = "[" * 100_000 + "]" * 100_000
+    text = deep if where == "document" else _matrix_json(3, f"[{deep}]")
+    with pytest.raises(FormatError, match="not a valid matrix JSON document: maximum recursion"):
+        matrix_from_json(text)
+
+
 def _matrix_json(task, cells='[{"p": 0.5}]'):
     return (
         '{"alpha": 0.05, "pairs": ["S1-S2"], "rows": '
@@ -118,6 +126,33 @@ def test_matrix_json_accepts_every_task_and_na_cells():
     for task in range(1, 10):
         loaded = matrix_from_json(_matrix_json(task, "[null]"))
         assert loaded.rows[0].task == task and loaded.cells == ((None,),)
+
+
+@pytest.mark.parametrize(
+    "category, message",
+    [
+        ('"Cognitive"', "task 3 belongs to FineMotor, row says 'Cognitive'"),
+        ("3", "task 3 belongs to FineMotor, row says 3"),
+    ],
+)
+def test_matrix_json_category_must_be_the_tasks(category, message):
+    text = _matrix_json(3).replace('"task": 3', f'"task": 3, "category": {category}')
+    with pytest.raises(FormatError) as exc:
+        matrix_from_json(text)
+    assert str(exc.value) == f"matrix JSON row 1: {message}"
+    for given_category in ('"FineMotor"', "null"):
+        right = _matrix_json(3).replace('"task": 3', f'"task": 3, "category": {given_category}')
+        assert matrix_from_json(right) == matrix_from_json(_matrix_json(3))
+
+
+@pytest.mark.parametrize("feature", ["5", "null", '["mean_speed"]'])
+def test_matrix_json_feature_must_be_a_string(feature):
+    text = _matrix_json(3).replace('"mean_speed"', feature)
+    with pytest.raises(FormatError) as exc:
+        matrix_from_json(text)
+    assert str(exc.value) == (
+        f"matrix JSON row 1: feature must be a string, got {json.loads(feature)!r}"
+    )
 
 
 def _matrix_json_cell(**fields):
@@ -227,6 +262,26 @@ def test_load_matrix_tsv_diagnostics():
         load_matrix_tsv(good_header + "Cognitive\t1\tmean_speed\t1.5\n")
     loaded = load_matrix_tsv(good_header + "Cognitive\t1\tmean_speed\tNA\n")
     assert loaded.cells[0][0] is None
+
+
+@pytest.mark.parametrize(
+    "row, error, message",
+    [
+        ("Cognitive\t12\tmean_speed\t0.5", RangeError, "task must be an integer in 1..9, got 12"),
+        ("Cognitive\t1\tmean_speed\t1.5", RangeError, "p must be a number in [0, 1], got 1.5"),
+        ("Cognitive\t1\tmean_speed\t1e999", RangeError, "p must be a number in [0, 1], got inf"),
+        (
+            "Mechanical\t1\tmean_speed\t0.5",
+            FormatError,
+            "task 1 belongs to Cognitive, row says 'Mechanical'",
+        ),
+    ],
+)
+def test_load_matrix_tsv_names_the_line_of_a_row_or_cell_error(row, error, message):
+    text = f"task_type\ttask\tfeature\tS1-S2\nCognitive\t1\tmean_speed\t0.5\n{row}\n"
+    with pytest.raises(error) as info:
+        load_matrix_tsv(text)
+    assert type(info.value) is error and str(info.value) == f"line 3: {message}"
 
 
 @pytest.mark.parametrize("task", ["+1", " 1", "1 ", "\u0663", "1_0", "", "1.0"])

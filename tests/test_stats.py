@@ -472,7 +472,7 @@ def test_matrix_p_values_invariant_to_uniform_spatial_scaling():
                 metadata=dict(record.metadata),
             )
         )
-    rows = default_rows(tasks=(1, 2), catalog=DEFAULT_CATALOG)
+    rows = [(task, feature) for task in (1, 2) for feature in DEFAULT_CATALOG]
     pairs = [(SetId.S1, SetId.S2)]
     assert build_matrix(corpus, rows, pairs) == build_matrix(scaled, rows, pairs)
 
@@ -568,6 +568,49 @@ def test_default_rows_cover_tasks_and_catalog():
 def test_cell_rejects_bad_p():
     with pytest.raises(RangeError):
         Cell(p=1.5)
+
+
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [
+        ("p", 1.5, "p must be a number in [0, 1]"),
+        ("p", math.nan, "p must be a number in [0, 1]"),
+        ("p", True, "p must be a number in [0, 1]"),
+        ("p", "0.5", "p must be a number in [0, 1]"),
+        ("n_effective", -1, "n_effective must be a non-negative integer or null"),
+        ("n_effective", np.int64(3), "n_effective must be a non-negative integer or null"),
+        ("method", "bogus", "method must be 'exact', 'normal-approx' or null"),
+        ("ties_present", 1, "ties_present must be a boolean or null"),
+        ("low_n", None, "low_n must be a boolean"),
+    ],
+)
+def test_cell_checks_its_own_fields(field, value, rule):
+    fields = {"p": 0.5, field: value}
+    with pytest.raises(RangeError) as info:
+        Cell(**fields)
+    assert str(info.value) == f"{rule}, got {value!r}"
+
+
+@pytest.mark.parametrize("p", [0, 1, np.float64(0.25)])
+def test_cell_stores_p_as_a_float(p):
+    cell = Cell(p=p)
+    assert type(cell.p) is float and cell.p == p
+
+
+@pytest.mark.parametrize(
+    "task, feature, message",
+    [
+        (0, "mean_speed", "task must be an integer in 1..9, got 0"),
+        (True, "mean_speed", "task must be an integer in 1..9, got True"),
+        (np.int64(3), "mean_speed", f"task must be an integer in 1..9, got {np.int64(3)!r}"),
+        (3, 5, "feature must be a string, got 5"),
+        (3, None, "feature must be a string, got None"),
+    ],
+)
+def test_matrix_row_checks_its_own_fields(task, feature, message):
+    with pytest.raises(RangeError) as info:
+        MatrixRow(task, feature)
+    assert str(info.value) == message
 
 
 # --- published-matrix significance pattern ----------------------------------
