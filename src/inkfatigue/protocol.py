@@ -18,18 +18,6 @@ from .errors import RangeError
 from .model import ALL_SETS, Category, SetId
 from .stats import ComparisonMatrix
 
-__all__ = [
-    "CategoryCount",
-    "GRAVITY",
-    "RecoverySummary",
-    "canonical_set_pairs",
-    "jump_height",
-    "pair_label",
-    "parse_pair_label",
-    "power_output",
-    "summarize_recovery",
-]
-
 GRAVITY = 9.81  # m/s^2, default only; callers may pass their own constant
 
 _CANONICAL_PAIRS = tuple(itertools.combinations(ALL_SETS, 2))

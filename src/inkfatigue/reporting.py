@@ -10,9 +10,10 @@ Every TSV and markdown table goes through one writer per format. The cells
 of ``matrix.json`` and all of ``recovery.json`` are the ``Cell`` and
 ``RecoverySummary`` fields as declared, so adding a field changes those
 files. All renderers are deterministic: identical inputs yield identical
-bytes. ``Cell`` and ``MatrixRow`` own the rules for their fields; the two
-matrix readers build them, check a row's category against its task, and
-name the row (JSON) or line (TSV) of an error.
+bytes. ``Cell``, ``MatrixRow`` and ``ComparisonMatrix`` own the rules for
+their fields and shape; the two matrix readers only build them, check a
+row's category against its task, and name the row (JSON) or file line (TSV)
+of a field error and the reader (``matrix JSON:``) of a shape error.
 
 Raw feature values are per-sample quantities; only the markdown feature view
 converts speeds and accelerations to per-second units for readability.
@@ -119,43 +120,36 @@ def _matrix_row(task, feature, category) -> MatrixRow:
     return row
 
 
+def _array(value, name: str) -> list:
+    if type(value) is not list:
+        raise FormatError(f"{name} must be an array, got {value!r}")
+    return value
+
+
 def matrix_from_json(text: str) -> ComparisonMatrix:
-    """Load ``matrix_to_json`` output. Rows and cells check their own fields;
-    an error names the row and cell it comes from. A row's category may be
-    missing or null."""
+    """Load ``matrix_to_json`` output: ``pairs``, ``rows`` and each row's
+    ``cells`` are arrays. An error in a row or cell field names the row and
+    cell, and one in the matrix's shape is prefixed ``matrix JSON:``. A row's
+    category may be missing or null."""
     try:
         payload = json.loads(text)
-        alpha = payload["alpha"]
-        if type(alpha) not in (int, float) or not 0 < alpha < 1:
-            raise FormatError(
-                f"matrix JSON: alpha must lie strictly between 0 and 1, got {alpha!r}"
-            )
-        pairs = tuple(parse_pair_label(p) for p in payload["pairs"])
-        rows = []
-        cells = []
-        for number, row in enumerate(payload["rows"], start=1):
-            where = f"matrix JSON row {number}"
+        pairs = tuple(parse_pair_label(p) for p in _array(payload["pairs"], "matrix JSON: pairs"))
+        rows, cells = [], []
+        for number, row in enumerate(_array(payload["rows"], "matrix JSON: rows"), start=1):
+            column = ""
             try:
                 rows.append(_matrix_row(row["task"], row["feature"], row.get("category")))
-            except InkError as exc:
-                raise FormatError(f"{where}: {exc}") from exc
-            if len(row["cells"]) != len(pairs):
-                raise FormatError(
-                    f"{where} has {len(row['cells'])} cells, expected {len(pairs)}"
-                )
-            row_cells = []
-            for column, cell in enumerate(row["cells"], start=1):
-                try:
+                row_cells = []
+                for i, cell in enumerate(_array(row["cells"], "cells"), start=1):
+                    column = f"cell {i} "
                     row_cells.append(None if cell is None else Cell(**cell))
-                except RangeError as exc:
-                    raise FormatError(f"{where}: cell {column} {exc}") from exc
+            except InkError as exc:
+                raise FormatError(f"matrix JSON row {number}: {column}{exc}") from exc
             cells.append(tuple(row_cells))
-        return ComparisonMatrix(
-            rows=tuple(rows),
-            pairs=pairs,
-            cells=tuple(cells),
-            alpha=float(alpha),
-        )
+        try:
+            return ComparisonMatrix(tuple(rows), pairs, tuple(cells), payload["alpha"])
+        except RangeError as exc:
+            raise FormatError(f"matrix JSON: {exc}") from exc
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"not a valid matrix JSON document: {exc}")
 
@@ -164,39 +158,38 @@ def load_matrix_tsv(text: str, alpha: float = 0.05) -> ComparisonMatrix:
     """Load a p-value table in the matrix TSV layout.
 
     Cells carry p-values only (no sample sizes); NA cells load as None.
+    Blank lines are skipped; an error names its line in the file.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise FormatError("matrix TSV is empty")
-    header = lines[0].split("\t")
+    header = lines[0][1].split("\t")
     if tuple(header[:3]) != _TSV_PREFIX:
         raise FormatError("matrix TSV must start with task_type, task, feature columns")
     pairs = tuple(parse_pair_label(label) for label in header[3:])
-    rows = []
-    cells = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    rows, cells = [], []
+    for lineno, line in lines[1:]:
         fields = line.split("\t")
         try:
-            if len(fields) != 3 + len(pairs):
-                raise FormatError(f"expected {3 + len(pairs)} fields, got {len(fields)}")
+            if len(fields) != len(header):
+                raise FormatError(f"expected {len(header)} fields, got {len(fields)}")
             category, task_text, feature = fields[:3]
             if not (task_text.isascii() and task_text.isdigit()):
                 raise FormatError(f"task must be an integer, got {task_text!r}")
             rows.append(_matrix_row(int(task_text), feature, category))
             row_cells = []
             for label, token in zip(header[3:], fields[3:]):
-                if token == NA:
-                    row_cells.append(None)
-                    continue
                 try:
-                    p = ascii_float(token)
+                    row_cells.append(None if token == NA else Cell(p=ascii_float(token)))
                 except ValueError:
                     raise FormatError(f"bad p-value {token!r} under {label}")
-                row_cells.append(Cell(p=p))
         except InkError as exc:
             raise type(exc)(str(exc), line=lineno) from exc
         cells.append(tuple(row_cells))
-    return ComparisonMatrix(rows=tuple(rows), pairs=pairs, cells=tuple(cells), alpha=alpha)
+    try:
+        return ComparisonMatrix(rows=tuple(rows), pairs=pairs, cells=tuple(cells), alpha=alpha)
+    except RangeError as exc:
+        raise RangeError(f"matrix TSV: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -13,15 +13,15 @@ A matrix run reads the feature table once into value columns, one float64
 array per (set, task, feature) with subjects in corpus order and NaN for a
 missing record or a failed extraction. Each (task, feature) row and set pair
 column is then one ``compare_sets`` call on two such columns, which excludes
-the subjects that are NaN in either. ``Cell`` and ``MatrixRow`` own the rules
-for their fields, so a matrix built here and one loaded from a file pass the
-same checks.
+the subjects that are NaN in either. ``Cell``, ``MatrixRow`` and
+``ComparisonMatrix`` own the rules for their fields and shape, so a matrix
+built here and one loaded from a file pass the same checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, RangeError
 from .features import DEFAULT_CATALOG, FeatureTable, feature_table
-from .model import Category, SetId, StudyCorpus, TASK_CATEGORIES, TASK_IDS, validate_task_id
+from .model import Category, SetId, StudyCorpus, TASK_CATEGORIES, TASK_IDS
 
 EXACT_MAX_N = 25
 
@@ -298,14 +298,43 @@ class Cell:
 class ComparisonMatrix:
     """P-values for (task, feature) rows across ordered set-pair columns.
 
-    ``cells[i][j]`` matches ``rows[i]`` and ``pairs[j]``; None marks a cell
-    with no computable test (rendered NA).
+    ``cells[i][j]``, a ``Cell`` or None (no computable test, rendered NA),
+    matches ``rows[i]`` and ``pairs[j]``. Rows and pairs are distinct, pairs
+    ascend and alpha is a float in (0, 1); anything else raises RangeError.
     """
 
     rows: tuple[MatrixRow, ...]
     pairs: tuple[tuple[SetId, SetId], ...]
     cells: tuple[tuple[Cell | None, ...], ...]
     alpha: float = 0.05
+
+    def __post_init__(self):
+        alpha, rows, pairs, cells = self.alpha, self.rows, self.pairs, self.cells
+        if not isinstance(alpha, float) or not 0 < alpha < 1:
+            raise RangeError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+        for pair in pairs:
+            of_sets = type(pair) is tuple and tuple(map(type, pair)) == (SetId, SetId)
+            if not (of_sets and pair[0] < pair[1]):
+                raise RangeError(f"set pair must be a tuple of two ascending SetIds, got {pair!r}")
+        if len(set(pairs)) < len(pairs):
+            a, b = next(pair for i, pair in enumerate(pairs) if pair in pairs[:i])
+            raise RangeError(f"duplicate set pair {a.value}-{b.value}")
+        for row in rows:
+            if type(row) is not MatrixRow:
+                raise RangeError(f"row must be a MatrixRow, got {row!r}")
+        if len(set(rows)) < len(rows):
+            row = next(row for i, row in enumerate(rows) if row in rows[:i])
+            raise RangeError(f"duplicate row for task {row.task} and feature {row.feature!r}")
+        if len(cells) != len(rows):
+            raise RangeError(f"cells must hold one tuple per row, got {len(cells)} for {len(rows)}")
+        for number, row_cells in enumerate(cells, start=1):
+            if type(row_cells) is not tuple:
+                raise RangeError(f"row {number} cells must be a tuple, got {row_cells!r}")
+            if len(row_cells) != len(pairs):
+                raise RangeError(f"row {number} has {len(row_cells)} cells, expected {len(pairs)}")
+            for cell in row_cells:
+                if cell is not None and cell.__class__ is not Cell:
+                    raise RangeError(f"row {number}: cell must be a Cell or None, got {cell!r}")
 
     def mask(self, alpha: float | None = None) -> list[list[bool]]:
         """Significance mask: True where p < alpha (NA cells are False),
@@ -337,22 +366,17 @@ def build_matrix(
 
     Cells without any complete subject pair become None instead of aborting
     the run. Row order is normalized to task ascending, then catalog order for
-    features; duplicate rows collapse.
+    features; duplicate rows collapse, but duplicate pairs are a RangeError.
     """
     if not rows:
         raise EmptyInputError("row spec must name at least one (task, feature)")
-    if not 0.0 < alpha < 1.0:
-        raise RangeError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    catalog_order = {name: i for i, name in enumerate(DEFAULT_CATALOG)}
-    norm_rows = sorted(
-        {(validate_task_id(t), f) for t, f in rows},
-        key=lambda r: (r[0], catalog_order.get(r[1], len(catalog_order)), r[1]),
-    )
-    features = sorted(
-        {f for _, f in norm_rows}, key=lambda f: (catalog_order.get(f, len(catalog_order)), f)
-    )
+    empty = ComparisonMatrix(rows=(), pairs=tuple(pairs), cells=(), alpha=alpha)
+    row_set = {MatrixRow(t, f) for t, f in rows}
+    order = {name: i for i, name in enumerate(DEFAULT_CATALOG)}
+    features = sorted({r.feature for r in row_set}, key=lambda f: (order.get(f, len(order)), f))
+    matrix_rows = tuple(sorted(row_set, key=lambda r: (r.task, features.index(r.feature))))
     set_ids = list(dict.fromkeys(s for pair in pairs for s in pair))
-    tasks = sorted({t for t, _ in norm_rows})
+    tasks = sorted({r.task for r in row_set})
     if table is None:
         # Extract only the records that some cell reads.
         used = StudyCorpus()
@@ -373,10 +397,9 @@ def build_matrix(
                     except KeyError as exc:
                         raise RangeError(f"feature table has no values for {exc.args[0]}")
 
-    matrix_rows = tuple(MatrixRow(t, f) for t, f in norm_rows)
     all_cells = []
-    for task, feature in norm_rows:
-        by_set = columns[:, tasks.index(task), features.index(feature)]
+    for row in matrix_rows:
+        by_set = columns[:, tasks.index(row.task), features.index(row.feature)]
         row_cells: list[Cell | None] = []
         for set_a, set_b in pairs:
             try:
@@ -397,9 +420,4 @@ def build_matrix(
                 )
             )
         all_cells.append(tuple(row_cells))
-    return ComparisonMatrix(
-        rows=matrix_rows,
-        pairs=tuple(pairs),
-        cells=tuple(all_cells),
-        alpha=alpha,
-    )
+    return replace(empty, rows=matrix_rows, cells=tuple(all_cells))

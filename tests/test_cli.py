@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,6 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 from inkfatigue import cli
 from inkfatigue.cli import _alpha_arg, main
 from inkfatigue.features import DEFAULT_CATALOG
+from inkfatigue.reporting import matrix_from_json, matrix_to_json
+from inkfatigue.stats import Cell
 
 from conftest import lax_numbers
 
@@ -387,24 +390,43 @@ def test_report_rerenders_saved_matrix(corpus_dir, tmp_path):
     assert json.loads((rep_out / "recovery.json").read_text())["alpha"] == 0.01
 
 
+def _json_row(task="1", cells='[{"p": 0.5}]'):
+    """One matrix JSON row of task ``task`` and feature mean_speed."""
+    return f'{{"task": {task}, "feature": "mean_speed", "cells": {cells}}}'
+
+
 @pytest.mark.parametrize(
-    "alpha,task,cells,error",
+    "alpha,pairs,rows,error",
     [
-        ("0.05", "12", '[{"p": 0.5}]', "matrix JSON row 1: task must be an integer in 1..9, got 12"),
-        ("0.05", "true", '[{"p": 0.5}]', "matrix JSON row 1: task must be an integer in 1..9, got True"),
-        ("0.05", "1", '[{"p": 0.5}, {"p": 0.1}]', "matrix JSON row 1 has 2 cells, expected 1"),
-        ("5.0", "1", '[{"p": 0.5}]', "matrix JSON: alpha must lie strictly between 0 and 1, got 5.0"),
+        ("0.05", '["S1-S2"]', _json_row("12"), "matrix JSON row 1: task must be an integer in 1..9, got 12"),
+        ("0.05", '["S1-S2"]', _json_row("true"), "matrix JSON row 1: task must be an integer in 1..9, got True"),
+        ("0.05", '["S1-S2"]', _json_row(cells='[{"p": 0.5}, {"p": 0.1}]'), "matrix JSON: row 1 has 2 cells, expected 1"),
+        ("5.0", '["S1-S2"]', _json_row(), "matrix JSON: alpha must lie strictly between 0 and 1, got 5.0"),
+        ("0.05", '{"S1-S2": 1}', _json_row(), "matrix JSON: pairs must be an array, got {'S1-S2': 1}"),
+        ("0.05", '"S1-S2"', _json_row(), "matrix JSON: pairs must be an array, got 'S1-S2'"),
+        (
+            "0.05",
+            '["S1-S2", "S1-S2"]',
+            _json_row(cells='[{"p": 0.5}, {"p": 0.1}]'),
+            "matrix JSON: duplicate set pair S1-S2",
+        ),
+        (
+            "0.05",
+            '["S1-S2"]',
+            _json_row() + ", " + _json_row(cells='[{"p": 0.01}]'),
+            "matrix JSON: duplicate row for task 1 and feature 'mean_speed'",
+        ),
     ],
-    ids=["task-12", "task-true", "extra-cell", "alpha-5"],
+    ids=[
+        "task-12", "task-true", "extra-cell", "alpha-5",
+        "object-pairs", "string-pairs", "duplicate-pairs", "duplicate-rows",
+    ],
 )
 def test_report_bad_matrix_is_a_one_line_error_and_writes_nothing(
-    tmp_path, capsys, alpha, task, cells, error
+    tmp_path, capsys, alpha, pairs, rows, error
 ):
     matrix = tmp_path / "m.json"
-    matrix.write_text(
-        f'{{"alpha": {alpha}, "pairs": ["S1-S2"], "rows": '
-        f'[{{"task": {task}, "feature": "mean_speed", "cells": {cells}}}]}}'
-    )
+    matrix.write_text(f'{{"alpha": {alpha}, "pairs": {pairs}, "rows": [{rows}]}}')
     out = tmp_path / "o"
     assert main(["report", "--matrix", str(matrix), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {matrix}: {error}\n"
@@ -489,19 +511,46 @@ _JSON_VALUES = st.recursive(
 )
 
 
+_CELL_DEFAULTS = {
+    f.name: f.default for f in dataclasses.fields(Cell) if f.default is not dataclasses.MISSING
+}
+
+
+def _assert_written_back_as_given(text: str) -> None:
+    """``matrix_to_json`` of the matrix loaded from ``text`` is ``text``'s
+    document, up to key order, a missing or null category and cell fields
+    left out at their defaults."""
+    given = json.loads(text)
+    written = json.loads(matrix_to_json(matrix_from_json(text)))
+    for given_row, written_row in zip(given["rows"], written["rows"]):
+        if given_row.get("category") is None:
+            given_row.pop("category", None)
+            written_row.pop("category")
+        given_row["cells"] = [
+            None if cell is None else {**_CELL_DEFAULTS, **cell} for cell in given_row["cells"]
+        ]
+    assert written == given
+
+
 @given(st.sampled_from(_REPORT_FIELD_PATHS), _JSON_VALUES)
 @example(("pairs", 0), 5)
 @example(("pairs", 0), None)
 @example(("rows", 0, "feature"), 5)
+@example(("pairs",), {"S1-S2": 1, "S4-S5": 2})
+@example(("pairs",), ["S1-S2", "S1-S2"])
 @settings(max_examples=300, deadline=None)
 def test_report_on_any_json_value_in_any_field_exits_0_or_1_with_one_line(path, value):
+    """A run exits 0 only on a document that ``matrix_to_json`` writes back
+    as given; otherwise it exits 1 with one line naming the file."""
+    text = _report_matrix_with(path, value)
     with tempfile.TemporaryDirectory() as tmp:
         matrix = Path(tmp) / "m.json"
-        matrix.write_text(_report_matrix_with(path, value))
+        matrix.write_text(text)
         with contextlib.redirect_stdout(io.StringIO()):
             code, err = _stderr_of(["report", "--matrix", str(matrix), "--out", f"{tmp}/o"])
     if code == 0:
         assert err == ""
+        _assert_written_back_as_given(text)
     else:
         assert code == 1
         assert err.startswith(f"error: {matrix}: ") and err.count("\n") == 1

@@ -155,6 +155,31 @@ def test_matrix_json_feature_must_be_a_string(feature):
     )
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            _matrix_json(3).replace('["S1-S2"]', '{"S1-S2": 1}'),
+            "matrix JSON: pairs must be an array, got {'S1-S2': 1}",
+        ),
+        (
+            _matrix_json(3).replace('["S1-S2"]', '"S1-S2"'),
+            "matrix JSON: pairs must be an array, got 'S1-S2'",
+        ),
+        (
+            '{"alpha": 0.05, "pairs": ["S1-S2"], "rows": {"task": 3}}',
+            "matrix JSON: rows must be an array, got {'task': 3}",
+        ),
+        (_matrix_json(3, '{"p": 0.5}'), "matrix JSON row 1: cells must be an array, got {'p': 0.5}"),
+    ],
+    ids=["object-pairs", "string-pairs", "object-rows", "object-cells"],
+)
+def test_matrix_json_pairs_rows_and_cells_must_be_arrays(text, message):
+    with pytest.raises(FormatError) as exc:
+        matrix_from_json(text)
+    assert str(exc.value) == message
+
+
 def _matrix_json_cell(**fields):
     cell = {"p": 0.5, "n_effective": 7, "method": "exact", "ties_present": False, "low_n": False}
     cell.update(fields)
@@ -284,6 +309,33 @@ def test_load_matrix_tsv_names_the_line_of_a_row_or_cell_error(row, error, messa
     assert type(info.value) is error and str(info.value) == f"line 3: {message}"
 
 
+def test_load_matrix_tsv_names_the_file_line_after_blank_lines():
+    text = "task_type\ttask\tfeature\tS1-S2\n\n  \nCognitive\t1\tmean_speed\t0.5\n"
+    text += "Cognitive\t2\tmean_speed\tbad\n"
+    with pytest.raises(FormatError) as info:
+        load_matrix_tsv(text)
+    assert str(info.value) == "line 5: bad p-value 'bad' under S1-S2"
+
+
+@pytest.mark.parametrize(
+    "header, rows, alpha, message",
+    [
+        ("S1-S2\tS1-S2", ["0.5\t0.1"], 0.05, "duplicate set pair S1-S2"),
+        ("S1-S2", ["0.5", "0.01"], 0.05, "duplicate row for task 1 and feature 'mean_speed'"),
+        ("S1-S2", ["0.5"], 7.0, "alpha must lie strictly between 0 and 1, got 7.0"),
+        ("S1-S2", ["0.5"], 0, "alpha must lie strictly between 0 and 1, got 0"),
+        ("S1-S2", ["0.5"], True, "alpha must lie strictly between 0 and 1, got True"),
+    ],
+    ids=["duplicate-pairs", "duplicate-rows", "alpha-7", "alpha-0", "alpha-true"],
+)
+def test_load_matrix_tsv_checks_the_matrix_shape_and_alpha(header, rows, alpha, message):
+    text = f"task_type\ttask\tfeature\t{header}\n"
+    text += "".join(f"Cognitive\t1\tmean_speed\t{cells}\n" for cells in rows)
+    with pytest.raises(RangeError) as info:
+        load_matrix_tsv(text, alpha=alpha)
+    assert str(info.value) == f"matrix TSV: {message}"
+
+
 @pytest.mark.parametrize("task", ["+1", " 1", "1 ", "\u0663", "1_0", "", "1.0"])
 def test_load_matrix_tsv_task_is_ascii_digits(task):
     text = f"task_type\ttask\tfeature\tS1-S2\nCognitive\t{task}\tmean_speed\t0.5\n"
@@ -387,7 +439,7 @@ def matrices_and_alphas(draw):
         st.lists(st.sampled_from(canonical_set_pairs()), min_size=1, max_size=10, unique=True)
     )
     row = st.builds(MatrixRow, st.sampled_from(TASK_IDS), st.sampled_from(full_catalog()))
-    rows = draw(st.lists(row, max_size=12))
+    rows = draw(st.lists(row, max_size=12, unique=True))
     specials = [0.0, 1.0, 5e-324, 0.05, matrix_alpha] + ([] if alpha is None else [alpha])
     p_values = st.sampled_from(specials) | st.floats(0.0, 1.0)
     full_cells = st.builds(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inkfatigue import features
+from inkfatigue import features, stats
 from inkfatigue.errors import EmptyInputError, InsufficientDataError, RangeError
 from inkfatigue.features import DEFAULT_CATALOG, feature_table, full_catalog
 from inkfatigue.model import ALL_SETS, TASK_IDS, SetId, StudyCorpus
@@ -454,6 +454,67 @@ def test_build_matrix_rejects_empty_rows_and_bad_alpha():
         build_matrix(corpus, [(1, "mean_speed")], canonical_set_pairs(), alpha=1.0)
 
 
+@pytest.mark.parametrize(
+    "alpha, pairs",
+    [
+        (1.0, [(SetId.S1, SetId.S2)]),
+        (0.05, [(SetId.S1, SetId.S2), (SetId.S1, SetId.S2)]),
+        (0.05, [(SetId.S2, SetId.S1)]),
+    ],
+    ids=["alpha-1", "duplicate-pairs", "descending-pair"],
+)
+def test_build_matrix_rejects_alpha_and_pairs_before_extraction(monkeypatch, alpha, pairs):
+    def refuse(*args, **kwargs):
+        raise AssertionError("features extracted before alpha and pairs were checked")
+
+    monkeypatch.setattr(stats, "feature_table", refuse)
+    corpus = generate_corpus(SynthProfile(seed=29, n_subjects=2), sets=(SetId.S1, SetId.S2))
+    with pytest.raises(RangeError):
+        build_matrix(corpus, [(1, "mean_speed")], pairs, alpha=alpha)
+
+
+_ROW = (MatrixRow(1, "mean_speed"),)
+_PAIR = ((SetId.S1, SetId.S2),)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"cells": ((0.3,),)}, "row 1: cell must be a Cell or None, got 0.3"),
+        (
+            {"pairs": ((SetId.S2, SetId.S1),)},
+            "set pair must be a tuple of two ascending SetIds, got "
+            "(<SetId.S2: 'S2'>, <SetId.S1: 'S1'>)",
+        ),
+        (
+            {"pairs": (("S1", "S2"),)},
+            "set pair must be a tuple of two ascending SetIds, got ('S1', 'S2')",
+        ),
+        ({"alpha": True}, "alpha must lie strictly between 0 and 1, got True"),
+        ({"alpha": "0.05"}, "alpha must lie strictly between 0 and 1, got '0.05'"),
+        ({"cells": ((),)}, "row 1 has 0 cells, expected 1"),
+        ({"cells": ([None],)}, "row 1 cells must be a tuple, got [None]"),
+        ({"cells": ()}, "cells must hold one tuple per row, got 0 for 1"),
+        ({"rows": ((1, "mean_speed"),)}, "row must be a MatrixRow, got (1, 'mean_speed')"),
+        (
+            {"rows": _ROW * 2, "cells": ((None,), (None,))},
+            "duplicate row for task 1 and feature 'mean_speed'",
+        ),
+        ({"pairs": _PAIR * 2, "cells": ((None, None),)}, "duplicate set pair S1-S2"),
+    ],
+    ids=[
+        "non-cell", "descending-pair", "string-pair", "bool-alpha", "string-alpha",
+        "short-cell-row", "list-cell-row", "missing-cell-row", "tuple-row",
+        "duplicate-rows", "duplicate-pairs",
+    ],
+)
+def test_comparison_matrix_checks_its_own_shape(fields, message):
+    given = {"rows": _ROW, "pairs": _PAIR, "cells": ((Cell(p=0.5),),), **fields}
+    with pytest.raises(RangeError) as info:
+        ComparisonMatrix(**given)
+    assert str(info.value) == message
+
+
 def test_matrix_p_values_invariant_to_uniform_spatial_scaling():
     profile = SynthProfile(seed=30, n_subjects=4)
     corpus = generate_corpus(profile, sets=(SetId.S1, SetId.S2))
@@ -531,6 +592,10 @@ def test_build_matrix_matches_reference_bit_for_bit(case, test, alternative, wit
     kwargs = {"test": test, "alternative": alternative}
     if with_table:
         kwargs["table"] = feature_table(corpus, sorted({f for _, f in rows}))
+    if len(set(pairs)) < len(pairs):
+        with pytest.raises(RangeError, match="duplicate set pair"):
+            build_matrix(corpus, rows, pairs, **kwargs)
+        return
     got = build_matrix(corpus, rows, pairs, **kwargs)
     want = reference_build_matrix(corpus, rows, pairs, **kwargs)
     assert (got.rows, got.pairs, got.alpha) == (want.rows, want.pairs, want.alpha)
