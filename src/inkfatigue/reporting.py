@@ -21,6 +21,7 @@ converts speeds and accelerations to per-second units for readability.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Sequence
@@ -126,23 +127,42 @@ def _array(value, name: str) -> list:
     return value
 
 
+_CELL_FIELDS = frozenset(f.name for f in dataclasses.fields(Cell))
+
+
+def _cell(value) -> Cell | None:
+    """A matrix JSON cell: null, or an object of ``Cell`` fields."""
+    if value is None:
+        return None
+    if type(value) is not dict:
+        raise FormatError(f"must be an object or null, got {value!r}")
+    if not _CELL_FIELDS.issuperset(value):
+        raise FormatError(f"has unknown field {min(value.keys() - _CELL_FIELDS)!r}")
+    return Cell(**value)
+
+
 def matrix_from_json(text: str) -> ComparisonMatrix:
-    """Load ``matrix_to_json`` output: ``pairs``, ``rows`` and each row's
-    ``cells`` are arrays. An error in a row or cell field names the row and
-    cell, and one in the matrix's shape is prefixed ``matrix JSON:``. A row's
-    category may be missing or null."""
+    """Load ``matrix_to_json`` output: an object whose ``pairs``, ``rows``
+    and each row's ``cells`` are arrays, each row an object and each cell an
+    object of ``Cell`` fields or null. An error in a row or cell names the
+    row and cell, and one in the matrix's shape is prefixed ``matrix JSON:``.
+    A row's category may be missing or null."""
     try:
         payload = json.loads(text)
+        if type(payload) is not dict:
+            raise FormatError("matrix JSON: document must be an object")
         pairs = tuple(parse_pair_label(p) for p in _array(payload["pairs"], "matrix JSON: pairs"))
         rows, cells = [], []
         for number, row in enumerate(_array(payload["rows"], "matrix JSON: rows"), start=1):
             column = ""
             try:
+                if type(row) is not dict:
+                    raise FormatError(f"must be an object, got {row!r}")
                 rows.append(_matrix_row(row["task"], row["feature"], row.get("category")))
                 row_cells = []
                 for i, cell in enumerate(_array(row["cells"], "cells"), start=1):
                     column = f"cell {i} "
-                    row_cells.append(None if cell is None else Cell(**cell))
+                    row_cells.append(_cell(cell))
             except InkError as exc:
                 raise FormatError(f"matrix JSON row {number}: {column}{exc}") from exc
             cells.append(tuple(row_cells))

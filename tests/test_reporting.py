@@ -180,6 +180,28 @@ def test_matrix_json_pairs_rows_and_cells_must_be_arrays(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"alpha": 0.05, "pairs": ["S1-S2"], "rows": [5]}',
+            "matrix JSON row 1: must be an object, got 5",
+        ),
+        (_matrix_json(3, "[5]"), "matrix JSON row 1: cell 1 must be an object or null, got 5"),
+        (
+            _matrix_json(3, '[{"p": 0.5, "q": 1}]'),
+            "matrix JSON row 1: cell 1 has unknown field 'q'",
+        ),
+        ('[{"alpha": 0.05}]', "matrix JSON: document must be an object"),
+    ],
+    ids=["number-row", "number-cell", "unknown-cell-field", "array-document"],
+)
+def test_matrix_json_wrong_types_name_the_row_and_cell(text, message):
+    with pytest.raises(FormatError) as exc:
+        matrix_from_json(text)
+    assert str(exc.value) == message
+
+
 def _matrix_json_cell(**fields):
     cell = {"p": 0.5, "n_effective": 7, "method": "exact", "ties_present": False, "low_n": False}
     cell.update(fields)

@@ -1,10 +1,12 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from inkfatigue.errors import ConfigError
+from inkfatigue.errors import ConfigError, RangeError
 from inkfatigue.features import extract_features
 from inkfatigue.model import ALL_SETS, SetId, TASK_IDS, parse_task_file, serialize_task
 from inkfatigue.synth import (
@@ -221,6 +223,117 @@ def test_corpus_matches_per_record_reference(profile_sets, data):
 def test_generate_task_rejects_bad_task():
     with pytest.raises(ConfigError):
         generate_task(SynthProfile(), "U01", SetId.S1, 0)
+
+
+@pytest.mark.parametrize("task", [True, 3.0])
+def test_generate_task_rejects_a_task_that_is_not_an_integer(task):
+    profile = SynthProfile(seed=5)
+    # Built first, so the task's records are held when the bad one is asked for.
+    generate_task(profile, "U01", SetId.S1, 2)
+    with pytest.raises(RangeError, match=f"task id must be an integer, got {task!r}"):
+        generate_task(profile, "U01", SetId.S1, task)
+
+
+def test_repeated_key_gives_a_new_record_with_its_own_metadata():
+    profile = SynthProfile(seed=6)
+    first = [generate_task(profile, "U02", SetId.S3, task) for task in (4, 4, 5)]
+    again = generate_task(profile, "U02", SetId.S3, 5)
+    for a, b in (first[:2], (first[2], again)):
+        assert a == b and a is not b
+        assert a.metadata is not b.metadata
+        a.metadata["note"] = "edited"
+        assert "note" not in b.metadata
+
+
+def test_int64_overflow_in_another_task_of_the_set_does_not_fail_this_one():
+    # At this speed tasks 1 and 5 of U01 in S1 stay inside int64; the other
+    # seven leave it.
+    profile = SynthProfile(seed=1, n_subjects=1, base_speed=1e17)
+    for task in TASK_IDS:
+        if task in (1, 5):
+            record = generate_task(profile, "U01", SetId.S1, task)
+            assert record == reference_generate_task(profile, "U01", SetId.S1, task)
+        else:
+            with pytest.raises(ConfigError, match="int64"):
+                generate_task(profile, "U01", SetId.S1, task)
+
+
+def test_threads_sharing_held_tasks_each_get_correct_records_once():
+    profile = SynthProfile(seed=8, n_subjects=2)
+    keys = [(s, set_id, t) for s in ("U01", "U02") for set_id in (SetId.S1, SetId.S2) for t in TASK_IDS]
+    want = {key: reference_generate_task(profile, *key) for key in keys}
+    got, errors = [], []
+    start = threading.Barrier(4)
+
+    def work(order):
+        start.wait(timeout=60)
+        try:
+            for key in order * 5:
+                got.append((key, generate_task(profile, *key)))
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(order,)) for order in (keys, keys, keys[::-1], keys[::-1])]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(got) == 4 * 5 * len(keys)
+    assert all(record == want[key] for key, record in got)
+    assert len({id(record) for _, record in got}) == len(got)
+
+
+@st.composite
+def call_sequences(draw):
+    """Calls of ``generate_task`` on two profiles: runs of shuffled tasks of
+    one (profile, subject, set), with repeated tasks, ``np.int64`` tasks,
+    calls for other keys and in-place perturbation edits in between."""
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        key = (
+            draw(st.integers(0, 1)),
+            draw(st.sampled_from(["U01", "U02"])),
+            draw(st.sampled_from([SetId.S1, SetId.S4])),
+        )
+        tasks = draw(st.permutations(TASK_IDS))[: draw(st.integers(1, 9))]
+        tasks += draw(st.lists(st.sampled_from(tasks), max_size=2))
+        for task in draw(st.permutations(tasks)):
+            between = draw(st.sampled_from([None, None, None, None, "edit", "other"]))
+            if between == "edit":
+                steps.append(("edit", key[0], key[2], draw(perturbations)))
+            elif between == "other":
+                other = (draw(st.integers(0, 1)), "U03", SetId.S2, draw(st.sampled_from(TASK_IDS)))
+                steps.append(("call", *other))
+            if draw(st.booleans()):
+                task = np.int64(task)
+            steps.append(("call", *key, task))
+    return steps
+
+
+@given(st.integers(0, 2**32), st.integers(0, 2**32), call_sequences())
+@settings(max_examples=30, deadline=None)
+def test_any_call_sequence_matches_the_per_record_reference(seed_a, seed_b, steps):
+    profiles = [
+        SynthProfile(seed=seed_a, n_subjects=3, perturbations={SetId.S4: Perturbation(speed_scale=0.7)}),
+        SynthProfile(seed=seed_b, n_subjects=3),
+    ]
+    handed_out = []
+    for kind, which, *rest in steps:
+        profile = profiles[which]
+        if kind == "edit":
+            set_id, perturbation = rest
+            profile.perturbations[set_id] = perturbation
+            continue
+        record = generate_task(profile, *rest)
+        assert record == reference_generate_task(profile, *rest)
+        handed_out.append(record)
+    assert len({id(record) for record in handed_out}) == len(handed_out)
 
 
 @pytest.mark.parametrize(
