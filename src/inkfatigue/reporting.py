@@ -138,6 +138,8 @@ def _cell(value) -> Cell | None:
         raise FormatError(f"must be an object or null, got {value!r}")
     if not _CELL_FIELDS.issuperset(value):
         raise FormatError(f"has unknown field {min(value.keys() - _CELL_FIELDS)!r}")
+    if "p" not in value:
+        raise FormatError("is missing field 'p'")
     return Cell(**value)
 
 
@@ -165,12 +167,16 @@ def matrix_from_json(text: str) -> ComparisonMatrix:
                     row_cells.append(_cell(cell))
             except InkError as exc:
                 raise FormatError(f"matrix JSON row {number}: {column}{exc}") from exc
+            except KeyError as exc:
+                raise FormatError(f"matrix JSON row {number}: missing field {exc}") from exc
             cells.append(tuple(row_cells))
         try:
             return ComparisonMatrix(tuple(rows), pairs, tuple(cells), payload["alpha"])
         except RangeError as exc:
             raise FormatError(f"matrix JSON: {exc}") from exc
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except KeyError as exc:
+        raise FormatError(f"matrix JSON: missing field {exc}") from exc
+    except (TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"not a valid matrix JSON document: {exc}")
 
 

@@ -15,16 +15,16 @@ the trajectory. Adding a subject never perturbs other subjects' data.
 
 Records are assembled one subject at a time: ``generate_corpus`` builds
 all records of a subject in one pass, and ``generate_task`` builds the nine
-tasks of its subject and set in one such pass, returns the one asked for and
-holds the other eight for the calls that ask for them next. Each record
-still draws from its own stream, per stage in a fixed order, each per-sample
-stage in one draw covering all strokes of the record; the strokes of every record in the batch are then rows of shared
-zero-padded arrays. A ``Generator`` stream gives the same values in one draw
-as in one draw per stroke, and every per-sample expression groups its
-operations as the per-stroke form does (floating-point addition and
-multiplication commute but do not associate), so a record is the same
-whether built alone or with its subject, and bit-identical to building it
-stroke by stroke.
+tasks of its subject and set in one such pass and caches them until the
+next (profile, subject, set) is asked for. Each record still draws from its
+own stream, per stage in a fixed order, each per-sample stage in one draw
+covering all strokes of the record; the strokes of every record in the
+batch are then rows of shared zero-padded arrays. A ``Generator`` stream
+gives the same values in one draw as in one draw per stroke, and every
+per-sample expression groups its operations as the per-stroke form does
+(floating-point addition and multiplication commute but do not associate),
+so a record is the same whether built alone or with its subject, and
+bit-identical to building it stroke by stroke.
 
 Per-set perturbations:
 
@@ -41,11 +41,12 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, RangeError
 from .model import (
     ALL_SETS,
     ALTITUDE_MAX,
@@ -102,7 +103,7 @@ IDENTITY = Perturbation()
 
 @dataclass(frozen=True)
 class SynthProfile:
-    """Parameters of the generator: baseline motion plus per-set perturbations."""
+    """Generator parameters, a hashable value: baseline motion, read-only per-set perturbations."""
 
     seed: int = 0
     n_subjects: int = 20
@@ -110,9 +111,12 @@ class SynthProfile:
     base_pressure_level: int = 1100
     stroke_count: int = 8
     air_gap_len: int = 24  # mean in-air gap, samples
-    perturbations: Mapping[SetId, Perturbation] = field(default_factory=dict)
+    perturbations: Mapping[SetId, Perturbation] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
+        # Streams are keyed by str(seed): True and 1.0 equal 1 but print otherwise.
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.n_subjects < 1:
             raise ConfigError(f"n_subjects must be >= 1, got {self.n_subjects}")
         if self.stroke_count < 1:
@@ -126,7 +130,11 @@ class SynthProfile:
             )
         if self.air_gap_len < 1:
             raise ConfigError(f"air_gap_len must be >= 1, got {self.air_gap_len}")
-        object.__setattr__(self, "perturbations", dict(self.perturbations))
+        perturbations = dict(self.perturbations)
+        for k, v in perturbations.items():
+            if not (isinstance(k, SetId) and isinstance(v, Perturbation)):
+                raise ConfigError(f"perturbations map a SetId to a Perturbation, got {k!r}: {v!r}")
+        object.__setattr__(self, "perturbations", MappingProxyType(perturbations))
 
     def perturbation(self, set_id: SetId) -> Perturbation:
         return self.perturbations.get(set_id, IDENTITY)
@@ -168,11 +176,13 @@ def _subject_traits(seed: int, subject_id: str) -> _SubjectTraits:
     )
 
 
-# The tasks of the last (profile, subject, set) that ``generate_task`` built
-# and has not handed out yet: (profile, a copy of it taken at build time,
-# subject id, set, {task: record}). It is replaced in one assignment, so a
-# reader never pairs one key with another key's records.
-_held: tuple = (None, None, None, None, {})
+@functools.lru_cache(maxsize=1, typed=True)
+def _set_records(profile: SynthProfile, subject_id: str, set_id: SetId) -> tuple | None:
+    """The nine tasks of a subject and set from one pass; None if any leaves the int64 range."""
+    try:
+        return tuple(_generate_subject(profile, subject_id, [(set_id, t) for t in TASK_IDS]))
+    except ConfigError:
+        return None
 
 
 def generate_task(
@@ -181,39 +191,19 @@ def generate_task(
     """Generate one record: pen-down arcs separated by pressure-zero gaps.
 
     Identical inputs yield bit-identical records, the same as the record
-    with this key in ``generate_corpus``. A lone cold call builds all nine
-    tasks of its subject and set in one pass (about 2 ms, five to eight
-    times the cost of one record built alone) and returns the one asked
-    for. The next calls for the same profile object, unchanged, the same
-    subject and the same set take the other eight, each once; a task asked
-    for again is built alone.
+    with this key in ``generate_corpus``. A call builds all nine tasks of
+    its subject and set in one pass (about 2 ms, five to eight times the
+    cost of one record built alone) and caches them, so the next calls for
+    an equal profile, the same subject and the same set cost a copy of the
+    record. Every call returns its own ``TaskRecord`` and metadata dict.
     """
-    global _held
     if task not in TASK_IDS:
         raise ConfigError(f"task must be in 1..9, got {task}")
     task = validate_task_id(task)
-    held_profile, snapshot, held_subject, held_set, records = _held
-    if (
-        held_profile is profile
-        and held_set is set_id
-        and type(subject_id) is str
-        and subject_id == held_subject
-        and profile == snapshot
-    ):
-        record = records.pop(task, None)
-        if record is not None:
-            return record
+    records = _set_records(profile, subject_id, set_id)
+    if records is None:
         return _generate_subject(profile, subject_id, [(set_id, task)])[0]
-    snapshot = replace(profile)
-    try:
-        batch = _generate_subject(profile, subject_id, [(set_id, t) for t in TASK_IDS])
-    except ConfigError:
-        # Another task of the set may leave the int64 range when this one does not.
-        return _generate_subject(profile, subject_id, [(set_id, task)])[0]
-    records = dict(zip(TASK_IDS, batch))
-    record = records.pop(task)
-    _held = (profile, snapshot, subject_id, set_id, records)
-    return record
+    return replace(records[task - 1])
 
 
 def generate_corpus(
@@ -251,6 +241,9 @@ def _generate_subject(
     is in the batch. The arithmetic then runs on the strokes of all records
     at once, one stroke per row of zero-padded arrays.
     """
+    for set_id, _ in keys:
+        if not isinstance(set_id, SetId):
+            raise RangeError(f"set id must be a SetId, got {set_id!r}")
     traits = _subject_traits(profile.seed, subject_id)
     gap_lo = max(1, profile.air_gap_len // 4)
     gap_hi = max(gap_lo + 1, 2 * profile.air_gap_len - gap_lo)

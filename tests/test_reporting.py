@@ -193,8 +193,27 @@ def test_matrix_json_pairs_rows_and_cells_must_be_arrays(text, message):
             "matrix JSON row 1: cell 1 has unknown field 'q'",
         ),
         ('[{"alpha": 0.05}]', "matrix JSON: document must be an object"),
+        (_matrix_json(3, "[{}]"), "matrix JSON row 1: cell 1 is missing field 'p'"),
+        (
+            _matrix_json(3, '[null, {"low_n": false}]').replace('["S1-S2"]', '["S1-S2", "S1-S3"]'),
+            "matrix JSON row 1: cell 2 is missing field 'p'",
+        ),
+        (
+            _matrix_json(3).replace('[{"task"', '[{"task": 3, "feature": "f", "cells": [null]}, {"task"')
+            .replace('"feature": "mean_speed", ', ""),
+            "matrix JSON row 2: missing field 'feature'",
+        ),
+        (_matrix_json(3).replace('"task": 3, ', ""), "matrix JSON row 1: missing field 'task'"),
+        (_matrix_json(3).replace(', "cells": [{"p": 0.5}]', ""), "matrix JSON row 1: missing field 'cells'"),
+        (_matrix_json(3).replace('"alpha": 0.05, ', ""), "matrix JSON: missing field 'alpha'"),
+        (_matrix_json(3).replace('"pairs": ["S1-S2"], ', ""), "matrix JSON: missing field 'pairs'"),
+        ('{"alpha": 0.05, "pairs": ["S1-S2"]}', "matrix JSON: missing field 'rows'"),
     ],
-    ids=["number-row", "number-cell", "unknown-cell-field", "array-document"],
+    ids=[
+        "number-row", "number-cell", "unknown-cell-field", "array-document", "empty-cell",
+        "cell-2-without-p", "row-2-without-feature", "row-without-task", "row-without-cells",
+        "no-alpha", "no-pairs", "no-rows",
+    ],
 )
 def test_matrix_json_wrong_types_name_the_row_and_cell(text, message):
     with pytest.raises(FormatError) as exc:

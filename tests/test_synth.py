@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import warnings
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from inkfatigue import synth
 from inkfatigue.errors import ConfigError, RangeError
 from inkfatigue.features import extract_features
 from inkfatigue.model import ALL_SETS, SetId, TASK_IDS, parse_task_file, serialize_task
@@ -147,6 +149,55 @@ def test_degenerate_profiles_rejected():
         Perturbation(pressure_shift=1.5)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+        ({"seed": "1"}, "seed must be an integer, got '1'"),
+        (
+            {"perturbations": {"S9": Perturbation(speed_scale=0.5)}},
+            f"perturbations map a SetId to a Perturbation, got 'S9': {Perturbation(speed_scale=0.5)!r}",
+        ),
+        (
+            {"perturbations": {"S1": Perturbation(speed_scale=0.5)}},
+            f"perturbations map a SetId to a Perturbation, got 'S1': {Perturbation(speed_scale=0.5)!r}",
+        ),
+        (
+            {"perturbations": {SetId.S2: {"speed_scale": 0.5}}},
+            f"perturbations map a SetId to a Perturbation, got {SetId.S2!r}: {{'speed_scale': 0.5}}",
+        ),
+    ],
+    ids=["bool-seed", "float-seed", "str-seed", "unknown-set", "str-set", "dict-perturbation"],
+)
+def test_profile_refuses_a_seed_or_perturbation_it_would_not_apply_as_given(fields, message):
+    with pytest.raises(ConfigError) as exc:
+        SynthProfile(**fields)
+    assert str(exc.value) == message
+
+
+def test_profile_perturbations_are_a_read_only_copy():
+    given = {SetId.S2: Perturbation(jitter_sd=1.5)}
+    profile = SynthProfile(seed=12, perturbations=given)
+    given[SetId.S3] = Perturbation(speed_scale=0.5)
+    with pytest.raises(TypeError):
+        profile.perturbations[SetId.S1] = Perturbation(speed_scale=0.5)
+    assert dict(profile.perturbations) == {SetId.S2: Perturbation(jitter_sd=1.5)}
+
+
+def test_equal_profiles_hash_equal_and_share_records():
+    def make():
+        perturbations = {SetId.S2: Perturbation(jitter_sd=1.5)}
+        return SynthProfile(seed=np.int64(12), n_subjects=2, perturbations=perturbations)
+
+    a, b = make(), make()
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != dataclasses.replace(b, perturbations={})
+    for profile, task in ((a, 1), (b, 2), (a, 3), (b, 1)):
+        record = generate_task(profile, "U02", SetId.S2, task)
+        assert record == reference_generate_task(profile, "U02", SetId.S2, task)
+
+
 @given(
     seed=st.integers(0, 2**32),
     subject=st.sampled_from(["U01", "U02", "U17"]),
@@ -225,6 +276,23 @@ def test_generate_task_rejects_bad_task():
         generate_task(SynthProfile(), "U01", SetId.S1, 0)
 
 
+def test_a_set_id_that_is_not_a_set_id_is_a_range_error_before_any_draw(monkeypatch):
+    profile = SynthProfile(seed=9, n_subjects=1)
+    generate_task(profile, "U01", SetId.S1, 1)  # the SetId.S1 tasks of U01 are now cached
+    monkeypatch.setattr(synth, "_stream", lambda *key: pytest.fail(f"drew {key}"))
+    for call, bad in (
+        (lambda: generate_task(profile, "U01", "S1", 2), "S1"),
+        (lambda: generate_task(profile, "U02", "S1", 2), "S1"),
+        (lambda: generate_corpus(profile, sets=("S1",)), "S1"),
+        (lambda: generate_corpus(profile, sets=(SetId.S1, "S2")), "S2"),
+    ):
+        with pytest.raises(RangeError) as exc:
+            call()
+        assert str(exc.value) == f"set id must be a SetId, got {bad!r}"
+    # Still cached, so this draws nothing.
+    assert generate_task(profile, "U01", SetId.S1, 2) == reference_generate_task(profile, "U01", SetId.S1, 2)
+
+
 @pytest.mark.parametrize("task", [True, 3.0])
 def test_generate_task_rejects_a_task_that_is_not_an_integer(task):
     profile = SynthProfile(seed=5)
@@ -293,7 +361,7 @@ def test_threads_sharing_held_tasks_each_get_correct_records_once():
 def call_sequences(draw):
     """Calls of ``generate_task`` on two profiles: runs of shuffled tasks of
     one (profile, subject, set), with repeated tasks, ``np.int64`` tasks,
-    calls for other keys and in-place perturbation edits in between."""
+    calls for other keys and perturbation changes in between."""
     steps = []
     for _ in range(draw(st.integers(1, 4))):
         key = (
@@ -328,7 +396,9 @@ def test_any_call_sequence_matches_the_per_record_reference(seed_a, seed_b, step
         profile = profiles[which]
         if kind == "edit":
             set_id, perturbation = rest
-            profile.perturbations[set_id] = perturbation
+            profiles[which] = dataclasses.replace(
+                profile, perturbations={**profile.perturbations, set_id: perturbation}
+            )
             continue
         record = generate_task(profile, *rest)
         assert record == reference_generate_task(profile, *rest)
