@@ -130,14 +130,18 @@ def _array(value, name: str) -> list:
 _CELL_FIELDS = frozenset(f.name for f in dataclasses.fields(Cell))
 
 
+def _known_fields(value: dict, known: frozenset | set, where: str = "") -> None:
+    if not known.issuperset(value):
+        raise FormatError(f"{where}has unknown field {min(value.keys() - known)!r}")
+
+
 def _cell(value) -> Cell | None:
     """A matrix JSON cell: null, or an object of ``Cell`` fields."""
     if value is None:
         return None
     if type(value) is not dict:
         raise FormatError(f"must be an object or null, got {value!r}")
-    if not _CELL_FIELDS.issuperset(value):
-        raise FormatError(f"has unknown field {min(value.keys() - _CELL_FIELDS)!r}")
+    _known_fields(value, _CELL_FIELDS)
     if "p" not in value:
         raise FormatError("is missing field 'p'")
     return Cell(**value)
@@ -146,13 +150,14 @@ def _cell(value) -> Cell | None:
 def matrix_from_json(text: str) -> ComparisonMatrix:
     """Load ``matrix_to_json`` output: an object whose ``pairs``, ``rows``
     and each row's ``cells`` are arrays, each row an object and each cell an
-    object of ``Cell`` fields or null. An error in a row or cell names the
-    row and cell, and one in the matrix's shape is prefixed ``matrix JSON:``.
-    A row's category may be missing or null."""
+    object of ``Cell`` fields or null, none with a field it does not write. An
+    error in a row or cell names the row and cell, and one in the matrix's
+    shape is prefixed ``matrix JSON:``. A row's category may be missing or null."""
     try:
         payload = json.loads(text)
         if type(payload) is not dict:
             raise FormatError("matrix JSON: document must be an object")
+        _known_fields(payload, {"alpha", "pairs", "rows"}, "matrix JSON: ")
         pairs = tuple(parse_pair_label(p) for p in _array(payload["pairs"], "matrix JSON: pairs"))
         rows, cells = [], []
         for number, row in enumerate(_array(payload["rows"], "matrix JSON: rows"), start=1):
@@ -160,6 +165,7 @@ def matrix_from_json(text: str) -> ComparisonMatrix:
             try:
                 if type(row) is not dict:
                     raise FormatError(f"must be an object, got {row!r}")
+                _known_fields(row, {"task", "feature", "category", "cells"})
                 rows.append(_matrix_row(row["task"], row["feature"], row.get("category")))
                 row_cells = []
                 for i, cell in enumerate(_array(row["cells"], "cells"), start=1):
@@ -170,10 +176,9 @@ def matrix_from_json(text: str) -> ComparisonMatrix:
             except KeyError as exc:
                 raise FormatError(f"matrix JSON row {number}: missing field {exc}") from exc
             cells.append(tuple(row_cells))
-        try:
-            return ComparisonMatrix(tuple(rows), pairs, tuple(cells), payload["alpha"])
-        except RangeError as exc:
-            raise FormatError(f"matrix JSON: {exc}") from exc
+        return ComparisonMatrix(tuple(rows), pairs, tuple(cells), payload["alpha"])
+    except RangeError as exc:
+        raise FormatError(f"matrix JSON: {exc}") from exc
     except KeyError as exc:
         raise FormatError(f"matrix JSON: missing field {exc}") from exc
     except (TypeError, ValueError, RecursionError) as exc:

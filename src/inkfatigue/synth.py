@@ -13,18 +13,19 @@ keyed by that tuple, and raw draws never depend on perturbation parameters,
 so changing for example ``pressure_shift`` moves pressures without touching
 the trajectory. Adding a subject never perturbs other subjects' data.
 
-Records are assembled one subject at a time: ``generate_corpus`` builds
-all records of a subject in one pass, and ``generate_task`` builds the nine
-tasks of its subject and set in one such pass and caches them until the
-next (profile, subject, set) is asked for. Each record still draws from its
-own stream, per stage in a fixed order, each per-sample stage in one draw
-covering all strokes of the record; the strokes of every record in the
-batch are then rows of shared zero-padded arrays. A ``Generator`` stream
-gives the same values in one draw as in one draw per stroke, and every
-per-sample expression groups its operations as the per-stroke form does
-(floating-point addition and multiplication commute but do not associate),
-so a record is the same whether built alone or with its subject, and
-bit-identical to building it stroke by stroke.
+Records are built one subject and set at a time. ``generate_task`` is the
+one entry point: it builds the nine tasks of its (profile, subject, set) in
+one pass, under that set's one perturbation, and caches them until the next
+(profile, subject, set) is asked for; ``generate_corpus`` asks for every
+record through it in that order. Each record still draws from its own
+stream, per stage in a fixed order, each per-sample stage in one draw
+covering all strokes of the record; the strokes of the nine records are then
+rows of shared zero-padded arrays. A ``Generator`` stream gives the same
+values in one draw as in one draw per stroke, and every per-sample
+expression groups its operations as the per-stroke form does (floating-point
+addition and multiplication commute but do not associate), so a record is
+the same whether built alone or with its set, and bit-identical to building
+it stroke by stroke.
 
 Per-set perturbations:
 
@@ -42,7 +43,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -78,6 +79,15 @@ _SUBJECT_PRESSURE_SD = 0.05
 _SUBJECT_TEMPO_SD = 0.04
 
 
+def _check_int_fields(value) -> None:
+    """Each ``int`` field holds an integer and no bool: str(seed) keys the
+    streams, and True or 1.0 equal 1 but print otherwise."""
+    for f in fields(value):
+        v = getattr(value, f.name)
+        if f.type == "int" and (not isinstance(v, (int, np.integer)) or isinstance(v, bool)):
+            raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Perturbation:
     """Per-set deviation from baseline handwriting."""
@@ -88,14 +98,13 @@ class Perturbation:
     jitter_sd: float = 0.0
 
     def __post_init__(self):
+        _check_int_fields(self)
         if not (math.isfinite(self.speed_scale) and self.speed_scale > 0):
             raise ConfigError(f"speed_scale must be > 0, got {self.speed_scale}")
         if not (math.isfinite(self.air_inflation) and self.air_inflation > 0):
             raise ConfigError(f"air_inflation must be > 0, got {self.air_inflation}")
         if not math.isfinite(self.jitter_sd) or self.jitter_sd < 0:
             raise ConfigError(f"jitter_sd must be >= 0, got {self.jitter_sd}")
-        if not isinstance(self.pressure_shift, (int, np.integer)):
-            raise ConfigError(f"pressure_shift must be an integer, got {self.pressure_shift!r}")
 
 
 IDENTITY = Perturbation()
@@ -114,9 +123,7 @@ class SynthProfile:
     perturbations: Mapping[SetId, Perturbation] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
-        # Streams are keyed by str(seed): True and 1.0 equal 1 but print otherwise.
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        _check_int_fields(self)
         if self.n_subjects < 1:
             raise ConfigError(f"n_subjects must be >= 1, got {self.n_subjects}")
         if self.stroke_count < 1:
@@ -180,7 +187,7 @@ def _subject_traits(seed: int, subject_id: str) -> _SubjectTraits:
 def _set_records(profile: SynthProfile, subject_id: str, set_id: SetId) -> tuple | None:
     """The nine tasks of a subject and set from one pass; None if any leaves the int64 range."""
     try:
-        return tuple(_generate_subject(profile, subject_id, [(set_id, t) for t in TASK_IDS]))
+        return tuple(_generate_set(profile, subject_id, set_id, TASK_IDS))
     except ConfigError:
         return None
 
@@ -190,8 +197,8 @@ def generate_task(
 ) -> TaskRecord:
     """Generate one record: pen-down arcs separated by pressure-zero gaps.
 
-    Identical inputs yield bit-identical records, the same as the record
-    with this key in ``generate_corpus``. A call builds all nine tasks of
+    Identical inputs yield bit-identical records; ``generate_corpus`` builds
+    every record through this function. A call builds all nine tasks of
     its subject and set in one pass (about 2 ms, five to eight times the
     cost of one record built alone) and caches them, so the next calls for
     an equal profile, the same subject and the same set cost a copy of the
@@ -202,20 +209,29 @@ def generate_task(
     task = validate_task_id(task)
     records = _set_records(profile, subject_id, set_id)
     if records is None:
-        return _generate_subject(profile, subject_id, [(set_id, task)])[0]
+        return _generate_set(profile, subject_id, set_id, [task])[0]
     return replace(records[task - 1])
 
 
 def generate_corpus(
     profile: SynthProfile, sets: tuple[SetId, ...] = ALL_SETS
 ) -> StudyCorpus:
-    """Generate the full n_subjects x sets x 9-tasks corpus in memory."""
+    """Generate the full n_subjects x sets x 9-tasks corpus in memory, each
+    record through ``generate_task``, so one pass builds a set's nine tasks.
+    The set ids are checked before anything is drawn."""
+    sets = tuple(map(_checked_set_id, sets))
     corpus = StudyCorpus()
-    keys = [(set_id, task) for set_id in sets for task in TASK_IDS]
     for subject_id in profile.subject_ids():
-        for record in _generate_subject(profile, subject_id, keys):
-            corpus.add(record)
+        for set_id in sets:
+            for task in TASK_IDS:
+                corpus.add(generate_task(profile, subject_id, set_id, task))
     return corpus
+
+
+def _checked_set_id(set_id: SetId) -> SetId:
+    if not isinstance(set_id, SetId):
+        raise RangeError(f"set id must be a SetId, got {set_id!r}")
+    return set_id
 
 
 # Row L - _STROKE_LEN_RANGE[0] holds sin(pi * (col + 0.5) / L), the pressure
@@ -227,24 +243,20 @@ _ARC = np.sin(
 )
 
 
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts end to end; a batch of one skips the copy."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _generate_subject(
-    profile: SynthProfile, subject_id: str, keys: list[tuple[SetId, int]]
+def _generate_set(
+    profile: SynthProfile, subject_id: str, set_id: SetId, tasks: Sequence[int]
 ) -> list[TaskRecord]:
-    """Build the records ``keys`` of one subject in one padded pass.
+    """Build the records ``tasks`` of one subject and set in one padded pass.
 
     Each record draws from its own stream, in the same order whatever else
     is in the batch. The arithmetic then runs on the strokes of all records
     at once, one stroke per row of zero-padded arrays.
     """
-    for set_id, _ in keys:
-        if not isinstance(set_id, SetId):
-            raise RangeError(f"set id must be a SetId, got {set_id!r}")
+    _checked_set_id(set_id)
     traits = _subject_traits(profile.seed, subject_id)
+    pert = profile.perturbation(set_id)
+    # base_v * amp_scale, multiplied in the per-record order.
+    v = profile.base_speed * traits.tempo * pert.speed_scale * traits.amp_scale
     gap_lo = max(1, profile.air_gap_len // 4)
     gap_hi = max(gap_lo + 1, 2 * profile.air_gap_len - gap_lo)
 
@@ -254,11 +266,8 @@ def _generate_subject(
     # strokes of the record. Stage 3: pressure noise. Stage 4, jitter, comes
     # last from the kept stream, once the record's length is known.
     rngs, draws = [], []
-    # Per stroke row: speed, pressure shift, whether a gap follows; per gap:
-    # speed and air inflation.
-    row_v, row_shift, has_gap, gap_v, gap_inflation = [], [], [], [], []
-    for set_id, task in keys:
-        pert = profile.perturbation(set_id)
+    has_gap = []  # per stroke row: whether a gap follows
+    for task in tasks:
         rng = _stream(profile.seed, "record", subject_id, set_id.value, task)
         n = int(profile.stroke_count + rng.integers(0, _EXTRA_STROKES))
         stroke_len = rng.integers(_STROKE_LEN_RANGE[0], _STROKE_LEN_RANGE[1] + 1, size=n)
@@ -278,20 +287,14 @@ def _generate_subject(
                 noise[n_down:], jump_angle, jump_spread, pressure_noise,
             )
         )
-        rngs.append((rng, pert.jitter_sd))
-        # base_v * amp_scale, multiplied in the per-record order.
-        v = profile.base_speed * traits.tempo * pert.speed_scale * traits.amp_scale
-        row_v += [v] * n
-        row_shift += [pert.pressure_shift] * n
+        rngs.append(rng)
         has_gap += [True] * (n - 1) + [False]
-        gap_v += [v] * (n - 1)
-        gap_inflation += [pert.air_inflation] * (n - 1)
     (
         stroke_len, raw_gaps, headings0, curvature, stroke_speed, heading_noise,
         speed_noise, jump_angle, jump_spread, pressure_noise,
-    ) = (_concat(parts) for parts in zip(*draws))
+    ) = (np.concatenate(parts) for parts in zip(*draws))
     del draws
-    gaps = np.maximum(1, np.rint(raw_gaps * np.array(gap_inflation)).astype(np.int64))
+    gaps = np.maximum(1, np.rint(raw_gaps * pert.air_inflation).astype(np.int64))
     gap_len = np.zeros(stroke_len.size, dtype=np.int64)
     gap_len[np.array(has_gap)] = gaps
 
@@ -319,13 +322,13 @@ def _generate_subject(
             * _ARC[stroke_len - _STROKE_LEN_RANGE[0], : col.size]
             * np.exp(_PRESSURE_NOISE_SD * by_stroke(pressure_noise))
         )
-        + np.array(row_shift, dtype=np.float64)[:, None],
+        + pert.pressure_shift,
         1,
         PRESSURE_MAX,
         out=p[:, : col.size],
     )
     p = p[keep].astype(CHANNEL_DTYPES["pressure"])
-    # Padded planes cost a few hundred KiB each for a whole subject, so
+    # Padded planes cost about 100 KiB each for a set's nine records, so
     # inputs are dropped as soon as they are used.
     del pressure_noise
 
@@ -336,7 +339,7 @@ def _generate_subject(
     heading = np.zeros((2, *down.shape))
     np.cos(theta, out=heading[0], where=down)
     np.sin(theta, out=heading[1], where=down)
-    heading *= (np.array(row_v) * np.exp(stroke_speed))[:, None] * np.exp(
+    heading *= (v * np.exp(stroke_speed))[:, None] * np.exp(
         _SAMPLE_SPEED_SD * by_stroke(speed_noise)
     )
     del theta, heading_noise, speed_noise
@@ -351,7 +354,7 @@ def _generate_subject(
     # record's first stroke at the subject's origin. Row r's gap runs from
     # stroke r's end to that target; a record's last row has none.
     walk_end = walk[:, np.arange(stroke_len.size), stroke_len - 1].T.tolist()
-    jumps = (np.array(gap_v) * gaps * jump_spread).tolist()
+    jumps = (v * gaps * jump_spread).tolist()
     angles = jump_angle.tolist()
     origin_x, origin_y = float(traits.origin_x), float(traits.origin_y)
     pos_x, pos_y = origin_x, origin_y
@@ -381,29 +384,22 @@ def _generate_subject(
     gap_xy = xy[:, :, col.size :]
     np.multiply(targets - ends, step / (gap_len[:, None] + 1), out=gap_xy)
     gap_xy += ends
-    x, y = xy[0][keep], xy[1][keep]
-    del xy, walk, gap_xy
-
-    bounds = []
-    start = 0
-    for (rng, jitter_sd), n in zip(rngs, lengths):
-        if jitter_sd > 0:
-            jitter = jitter_sd * rng.standard_normal((2, n))
-            x[start : start + n] += jitter[0]
-            y[start : start + n] += jitter[1]
-        bounds.append((start, n))
-        start += n
+    del walk, gap_xy
+    xy = np.compress(keep.ravel(), xy.reshape(2, -1), axis=1)
+    if pert.jitter_sd > 0:
+        unit = [rng.standard_normal((2, n)) for rng, n in zip(rngs, lengths)]
+        xy += pert.jitter_sd * np.concatenate(unit, axis=1)
 
     # Casting a value outside the int64 range would write garbage; NaN fails
     # both comparisons.
-    np.rint(x, out=x)
-    np.rint(y, out=y)
-    if not all(-(2.0**63) <= v.min() and v.max() < 2.0**63 for v in (x, y)):
+    np.rint(xy, out=xy)
+    if not (-(2.0**63) <= xy.min() and xy.max() < 2.0**63):
         raise ConfigError(
             f"subject {subject_id}: synthetic x or y leaves the int64 range; "
             "base_speed, speed_scale or jitter_sd is too large"
         )
-    x, y = x.astype(np.int64), y.astype(np.int64)
+    x, y = xy.astype(np.int64)
+    starts = np.cumsum([0, *lengths]).tolist()
     azimuth = np.full(max(lengths), traits.azimuth, dtype=CHANNEL_DTYPES["azimuth"])
     altitude = np.full(max(lengths), traits.altitude, dtype=CHANNEL_DTYPES["altitude"])
     return [
@@ -412,15 +408,12 @@ def _generate_subject(
             set_id=set_id,
             task=task,
             signal=InkSignal(
-                x=x[start : start + n],
-                y=y[start : start + n],
-                pressure=p[start : start + n],
-                azimuth=azimuth[:n],
-                altitude=altitude[:n],
+                x=x[start : start + n], y=y[start : start + n], pressure=p[start : start + n],
+                azimuth=azimuth[:n], altitude=altitude[:n],
             ),
             metadata={"generator": "synthetic"},
         )
-        for (set_id, task), (start, n) in zip(keys, bounds)
+        for task, start, n in zip(tasks, starts, lengths)
     ]
 
 

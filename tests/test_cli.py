@@ -465,8 +465,8 @@ def _report_matrix_with(path, value) -> str:
 @pytest.mark.parametrize(
     "path,value,error",
     [
-        (("pairs", 0), 5, "set pair must look like S1-S2, got 5"),
-        (("pairs", 0), None, "set pair must look like S1-S2, got None"),
+        (("pairs", 0), 5, "matrix JSON: set pair must look like S1-S2, got 5"),
+        (("pairs", 0), None, "matrix JSON: set pair must look like S1-S2, got None"),
         (("rows", 0, "feature"), 5, "matrix JSON row 1: feature must be a string, got 5"),
         (
             ("rows", 0, "category"),
@@ -491,9 +491,10 @@ _CELL_FIELDS = ("p", "n_effective", "method", "ties_present", "low_n")
 
 # Where a drawn value replaces the valid one: alpha, a pair label, a row's
 # task, feature or category (row 2 has none), a cell, a cell field, or the
-# pairs, rows or cells container.
+# pairs, rows or cells container; or where it lands in a field of no known
+# name, of the document or of a row.
 _REPORT_FIELD_PATHS = [
-    ("alpha",), ("pairs",), ("pairs", 0), ("pairs", 1), ("rows",),
+    ("alpha",), ("pairs",), ("pairs", 0), ("pairs", 1), ("rows",), ("zzz",), ("rows", 0, "zzz"),
     ("rows", 0, "task"), ("rows", 0, "feature"), ("rows", 0, "category"),
     ("rows", 1, "category"), ("rows", 0, "cells"), ("rows", 0, "cells", 0),
     *(("rows", 0, "cells", 0, name) for name in _CELL_FIELDS),

@@ -208,11 +208,20 @@ def test_matrix_json_pairs_rows_and_cells_must_be_arrays(text, message):
         (_matrix_json(3).replace('"alpha": 0.05, ', ""), "matrix JSON: missing field 'alpha'"),
         (_matrix_json(3).replace('"pairs": ["S1-S2"], ', ""), "matrix JSON: missing field 'pairs'"),
         ('{"alpha": 0.05, "pairs": ["S1-S2"]}', "matrix JSON: missing field 'rows'"),
+        (_matrix_json(3).replace('"cells"', '"zzz": 1, "cells"'), "matrix JSON row 1: has unknown field 'zzz'"),
+        (_matrix_json(3).replace('"alpha"', '"zzz": 1, "alpha"'), "matrix JSON: has unknown field 'zzz'"),
+        (_matrix_json(3).replace('["S1-S2"]', "[5]"), "matrix JSON: set pair must look like S1-S2, got 5"),
+        (
+            _matrix_json(3).replace('"S1-S2"', '"S2-S1"'),
+            "matrix JSON: set pair must be ordered ascending, got 'S2-S1'",
+        ),
+        (_matrix_json(3).replace('"S1-S2"', '"S1-S9"'), "matrix JSON: unknown set in pair 'S1-S9'"),
     ],
     ids=[
         "number-row", "number-cell", "unknown-cell-field", "array-document", "empty-cell",
         "cell-2-without-p", "row-2-without-feature", "row-without-task", "row-without-cells",
-        "no-alpha", "no-pairs", "no-rows",
+        "no-alpha", "no-pairs", "no-rows", "unknown-row-field", "unknown-document-field",
+        "number-pair", "descending-pair", "unknown-set-pair",
     ],
 )
 def test_matrix_json_wrong_types_name_the_row_and_cell(text, message):

@@ -147,6 +147,8 @@ def test_degenerate_profiles_rejected():
         Perturbation(jitter_sd=-0.5)
     with pytest.raises(ConfigError):
         Perturbation(pressure_shift=1.5)
+    with pytest.raises(ConfigError, match="^pressure_shift must be an integer, got True$"):
+        Perturbation(pressure_shift=True)
 
 
 @pytest.mark.parametrize(
@@ -155,6 +157,10 @@ def test_degenerate_profiles_rejected():
         ({"seed": True}, "seed must be an integer, got True"),
         ({"seed": 1.0}, "seed must be an integer, got 1.0"),
         ({"seed": "1"}, "seed must be an integer, got '1'"),
+        ({"n_subjects": 2.0}, "n_subjects must be an integer, got 2.0"),
+        ({"stroke_count": True}, "stroke_count must be an integer, got True"),
+        ({"air_gap_len": "24"}, "air_gap_len must be an integer, got '24'"),
+        ({"base_pressure_level": 1100.0}, "base_pressure_level must be an integer, got 1100.0"),
         (
             {"perturbations": {"S9": Perturbation(speed_scale=0.5)}},
             f"perturbations map a SetId to a Perturbation, got 'S9': {Perturbation(speed_scale=0.5)!r}",
@@ -168,12 +174,23 @@ def test_degenerate_profiles_rejected():
             f"perturbations map a SetId to a Perturbation, got {SetId.S2!r}: {{'speed_scale': 0.5}}",
         ),
     ],
-    ids=["bool-seed", "float-seed", "str-seed", "unknown-set", "str-set", "dict-perturbation"],
+    ids=[
+        "bool-seed", "float-seed", "str-seed", "float-n_subjects", "bool-stroke_count",
+        "str-air_gap_len", "float-pressure-level", "unknown-set", "str-set", "dict-perturbation",
+    ],
 )
 def test_profile_refuses_a_seed_or_perturbation_it_would_not_apply_as_given(fields, message):
     with pytest.raises(ConfigError) as exc:
         SynthProfile(**fields)
     assert str(exc.value) == message
+
+
+def test_int_fields_accept_numpy_integers():
+    profile = SynthProfile(
+        seed=np.int64(3), n_subjects=np.int32(1), stroke_count=np.int16(2),
+        perturbations={SetId.S2: Perturbation(pressure_shift=np.int64(-40))},
+    )
+    assert len(generate_corpus(profile, sets=(SetId.S2,))) == 9
 
 
 def test_profile_perturbations_are_a_read_only_copy():
@@ -291,6 +308,29 @@ def test_a_set_id_that_is_not_a_set_id_is_a_range_error_before_any_draw(monkeypa
         assert str(exc.value) == f"set id must be a SetId, got {bad!r}"
     # Still cached, so this draws nothing.
     assert generate_task(profile, "U01", SetId.S1, 2) == reference_generate_task(profile, "U01", SetId.S1, 2)
+
+
+def test_generate_corpus_builds_every_record_through_generate_task(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return generate_task(*args)
+
+    monkeypatch.setattr(synth, "generate_task", counted)
+    sets = (SetId.S3, SetId.S1)
+    corpus = generate_corpus(SynthProfile(seed=44, n_subjects=2), sets)
+    assert len(corpus) == len(calls) == 2 * 2 * 9
+    assert calls == [(s, set_id, t) for s in ("U01", "U02") for set_id in sets for t in TASK_IDS]
+
+
+def test_generate_corpus_checks_every_set_id_before_any_draw(monkeypatch):
+    # A seed no other test uses, so no record or trait of it is cached.
+    profile = SynthProfile(seed=4_000_019, n_subjects=2)
+    monkeypatch.setattr(synth, "_stream", lambda *key: pytest.fail(f"drew {key}"))
+    with pytest.raises(RangeError) as exc:
+        generate_corpus(profile, sets=(SetId.S1, "S2"))
+    assert str(exc.value) == "set id must be a SetId, got 'S2'"
 
 
 @pytest.mark.parametrize("task", [True, 3.0])
