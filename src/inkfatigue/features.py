@@ -252,10 +252,10 @@ def extract_features(
         pool["entropy_x"] = _entropy_bits(_value_counts(x, x_lo, x_span), n)
         pool["entropy_y"] = _entropy_bits(_value_counts(y, y_lo, y_span), n)
         pool["entropy_p"] = _entropy_bits(np.bincount(p), n)
-    if max(x_span, y_span) >= 1 << 62:
-        # int64 second differences of such a span could wrap: take the
-        # differences exactly, over Python ints.
-        x, y = x.astype(object), y.astype(object)
+    # Differences are taken in int64, widening int32 x and y once; the one overflow
+    # rule: int64 second differences of a 2**62 span could wrap, so use Python ints.
+    wide = object if max(x_span, y_span) >= 1 << 62 else np.int64
+    x, y = x.astype(wide, copy=False), y.astype(wide, copy=False)
     if not wanted.isdisjoint(_KINEMATIC_NAMES):
         pool.update(zip(_KINEMATIC_NAMES, _kinematics(x, y)))
     if "mean_abs_dp" in wanted or "mean_abs_ddp" in wanted:

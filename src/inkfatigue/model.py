@@ -1,10 +1,10 @@
 """Ink data model: pen-tablet recordings, task taxonomy, and corpus I/O.
 
 A recording is a uniformly sampled pen time series (100 Hz) with five integer
-channels per sample: x, y (int64), pressure, azimuth, altitude (int16). There
-are no stored timestamps; the sample index is the clock. Recordings are grouped
-into a study corpus keyed by (subject, set, task), where a "set" is one full
-assessment (S1..S5) and tasks 1..9 cover three categories of handwriting exercises.
+channels per sample: x, y (int32 when both fit, else int64), pressure, azimuth,
+altitude (int16). There are no stored timestamps; the sample index is the clock.
+Recordings are grouped into a study corpus keyed by (subject, set, task), where
+a "set" is one full assessment (S1..S5) and tasks 1..9 cover three task categories.
 
 File format (one file per task execution, UTF-8):
 
@@ -38,6 +38,7 @@ auxiliary scalars (lactate, flight_time, force, velocity, rpe; ``NA`` allowed).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import re
 from dataclasses import dataclass, field, fields
@@ -72,10 +73,13 @@ _CHANNEL_BOUNDS: Mapping[str, tuple[int, int]] = {
 }
 
 #: Storage dtype of each channel: int16 holds each bounded range and its second differences.
-CHANNEL_DTYPES = dict.fromkeys(_CHANNELS, np.int64) | dict.fromkeys(_CHANNEL_BOUNDS, np.int16)
+CHANNEL_DTYPES = dict.fromkeys(_CHANNELS, np.int32) | dict.fromkeys(_CHANNEL_BOUNDS, np.int16)
+WIDE_CHANNEL_DTYPES = CHANNEL_DTYPES | dict.fromkeys(("x", "y"), np.int64)  # x or y past int32
 
 _INT64_BOUNDS = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
+_INT32_BOUNDS = (int(np.iinfo(CHANNEL_DTYPES["x"]).min), int(np.iinfo(CHANNEL_DTYPES["x"]).max))
 _INT64_SAFE = frozenset(np.dtype(c) for c in "?bBhHiIlLqQ" if np.can_cast(c, np.int64))
+_INT32_SAFE = frozenset(d for d in _INT64_SAFE if np.can_cast(d, CHANNEL_DTYPES["x"]))
 
 # Subject ids appear in file paths, so keep them path-safe.
 _SUBJECT_RE = re.compile(r"[A-Za-z0-9_.\-]+")
@@ -161,11 +165,11 @@ def validate_task_id(task: int) -> int:
 class InkSignal:
     """Array-backed, immutable pen time series at a fixed 100 Hz clock.
 
-    Channels are read-only arrays of equal length >= 2, in ``CHANNEL_DTYPES``.
-    x and y must fit int64, as they must in files. Checks see the values as
-    given and come before any cast, so no value wraps into range, and an
-    error names the value as given (``inf``, not -2**63). Equality is
-    structural over all channels.
+    Channels are read-only arrays of equal length >= 2, in ``CHANNEL_DTYPES``,
+    or ``WIDE_CHANNEL_DTYPES`` if x or y holds a value past int32. x and y must
+    fit int64, as in files. Checks see the values as given and come before any
+    cast, so no value wraps into range, and an error names the value as given
+    (``inf``, not -2**63). Equality is structural over all channels.
     """
 
     x: np.ndarray
@@ -208,7 +212,13 @@ class InkSignal:
             for i, v in enumerate(arr.tolist()):
                 if not lo <= v <= hi:
                     raise RangeError(f"{name} value {v} at sample {i} outside [{lo}, {hi}]")
-        for name, dtype in CHANNEL_DTYPES.items():
+        # Integer types up to int32 fit it as they are; others take a min/max pair.
+        lo, hi = _INT32_BOUNDS
+        wide = not all(
+            a.dtype in _INT32_SAFE or lo <= np.minimum.reduce(a) and np.maximum.reduce(a) <= hi
+            for a in (self.x, self.y)
+        )
+        for name, dtype in (WIDE_CHANNEL_DTYPES if wide else CHANNEL_DTYPES).items():
             arr = getattr(self, name).astype(dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -333,13 +343,8 @@ class StudyCorpus:
     def gaps(self) -> list[tuple[str, SetId, int]]:
         """Missing (subject, set, task) cells against the full 5x9 grid of
         every subject present in the corpus."""
-        out = []
-        for subject in self.subjects:
-            for set_id in ALL_SETS:
-                for task in TASK_IDS:
-                    if (subject, set_id, task) not in self._records:
-                        out.append((subject, set_id, task))
-        return out
+        keys = itertools.product(self.subjects, ALL_SETS, TASK_IDS)
+        return [key for key in keys if key not in self._records]
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +395,11 @@ def parse_task_file(text: str) -> TaskRecord:
         _diagnose(text)  # raises the first defect, or confirms the grammar
         body = " ".join(body.split())
     flat = np.fromstring(body, dtype=np.int64, sep=" ")
-    if flat.size and (flat.min() == _INT64_BOUNDS[0] or flat.max() == _INT64_BOUNDS[1]):
+    lo, hi = (flat.min(), flat.max()) if flat.size else (0, 0)
+    if lo == _INT64_BOUNDS[0] or hi == _INT64_BOUNDS[1]:
         _diagnose(text)  # np.fromstring clamps out-of-range values to these
+    if _INT32_BOUNDS[0] <= lo and hi <= _INT32_BOUNDS[1]:
+        flat = flat.astype(CHANNEL_DTYPES["x"])  # then InkSignal scans no x or y
     try:
         signal = InkSignal(*flat.reshape(-1, 5).T)
     except InkError:

@@ -41,6 +41,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -59,6 +60,7 @@ from .model import (
     StudyCorpus,
     TASK_IDS,
     TaskRecord,
+    WIDE_CHANNEL_DTYPES,
     ascii_float,
     ascii_int,
     read_text,
@@ -79,13 +81,14 @@ _SUBJECT_PRESSURE_SD = 0.05
 _SUBJECT_TEMPO_SD = 0.04
 
 
-def _check_int_fields(value) -> None:
-    """Each ``int`` field holds an integer and no bool: str(seed) keys the
-    streams, and True or 1.0 equal 1 but print otherwise."""
+def _check_number_fields(value) -> None:
+    """Each ``int`` field holds an integer and each ``float`` field a real number,
+    never a bool: str(seed) keys the streams, and True or 1.0 equal 1 but print otherwise."""
     for f in fields(value):
         v = getattr(value, f.name)
-        if f.type == "int" and (not isinstance(v, (int, np.integer)) or isinstance(v, bool)):
-            raise ConfigError(f"{f.name} must be an integer, got {v!r}")
+        kind, what = (Integral, "an integer") if f.type == "int" else (Real, "a number")
+        if f.type in ("int", "float") and (not isinstance(v, kind) or isinstance(v, bool)):
+            raise ConfigError(f"{f.name} must be {what}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,7 @@ class Perturbation:
     jitter_sd: float = 0.0
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_number_fields(self)
         if not (math.isfinite(self.speed_scale) and self.speed_scale > 0):
             raise ConfigError(f"speed_scale must be > 0, got {self.speed_scale}")
         if not (math.isfinite(self.air_inflation) and self.air_inflation > 0):
@@ -123,7 +126,7 @@ class SynthProfile:
     perturbations: Mapping[SetId, Perturbation] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_number_fields(self)
         if self.n_subjects < 1:
             raise ConfigError(f"n_subjects must be >= 1, got {self.n_subjects}")
         if self.stroke_count < 1:
@@ -327,7 +330,7 @@ def _generate_set(
         PRESSURE_MAX,
         out=p[:, : col.size],
     )
-    p = p[keep].astype(CHANNEL_DTYPES["pressure"])
+    p = np.compress(keep.ravel(), p.ravel()).astype(CHANNEL_DTYPES["pressure"])
     # Padded planes cost about 100 KiB each for a set's nine records, so
     # inputs are dropped as soon as they are used.
     del pressure_noise
@@ -391,14 +394,16 @@ def _generate_set(
         xy += pert.jitter_sd * np.concatenate(unit, axis=1)
 
     # Casting a value outside the int64 range would write garbage; NaN fails
-    # both comparisons.
+    # both comparisons. A set inside int32 is cast to it: InkSignal scans none.
     np.rint(xy, out=xy)
-    if not (-(2.0**63) <= xy.min() and xy.max() < 2.0**63):
+    lo, hi = xy.min(), xy.max()
+    if not (-(2.0**63) <= lo and hi < 2.0**63):
         raise ConfigError(
             f"subject {subject_id}: synthetic x or y leaves the int64 range; "
             "base_speed, speed_scale or jitter_sd is too large"
         )
-    x, y = xy.astype(np.int64)
+    dtypes = CHANNEL_DTYPES if -(2.0**31) <= lo and hi < 2.0**31 else WIDE_CHANNEL_DTYPES
+    x, y = xy.astype(dtypes["x"])
     starts = np.cumsum([0, *lengths]).tolist()
     azimuth = np.full(max(lengths), traits.azimuth, dtype=CHANNEL_DTYPES["azimuth"])
     altitude = np.full(max(lengths), traits.altitude, dtype=CHANNEL_DTYPES["altitude"])

@@ -10,7 +10,7 @@ match them bit for bit:
   synthetic-ink generator and reuses the generator's key streams, subject
   traits and shape constants;
 - ``reference_extract_features`` keeps the per-feature extractor, built from
-  separate helper calls;
+  separate helper calls, over x and y widened to int64;
 - ``reference_wilcoxon_signed_rank`` and ``reference_rank_sum_test`` keep
   the rank tests with one ``np.unique`` per tie question, and reuse the
   production null distribution, normal tail and result type;
@@ -19,8 +19,9 @@ match them bit for bit:
   tests and matrix types;
 - ``ReferenceInkSignal`` keeps the channel checks of ``model.InkSignal``
   as plain-Python loops over each channel's values as given, without the
-  min/max pair per bounded channel. It then stores x and y as int64 and
-  each bounded channel as int16, the storage of ``model.InkSignal``;
+  min/max pair per bounded channel. It then stores x and y as int32 when
+  every value of both fits, else both as int64, and each bounded channel
+  as int16, the storage of ``model.InkSignal``;
 - ``reference_matrix_to_tsv``, ``reference_mask_to_tsv``,
   ``reference_matrix_to_markdown``, ``reference_features_to_tsv``,
   ``reference_features_to_markdown`` and ``reference_summarize_recovery``
@@ -216,8 +217,9 @@ class ReferenceInkSignal:
     """``model.InkSignal``'s fields and channel checks, over Python lists.
     Python compares int, float and bool exactly, so every value is checked
     and named as given: x and y must fit int64, and nan and inf lie outside
-    every range. Only after every check does each channel become an array,
-    int64 for x and y and int16 for the bounded channels."""
+    every range. Only after every check does each channel become an array:
+    int16 for the bounded channels, and for x and y int32 when every value
+    of both lies in [-2**31, 2**31 - 1], else int64."""
 
     x: np.ndarray
     y: np.ndarray
@@ -251,8 +253,10 @@ class ReferenceInkSignal:
             if bad:
                 v = values[name][bad[0]]
                 raise RangeError(f"{name} value {v} at sample {bad[0]} outside [{lo}, {hi}]")
+        narrow = all(-(2**31) <= v <= 2**31 - 1 for v in values["x"] + values["y"])
         for name in _CHANNELS:
-            arr = np.array(values[name], dtype=np.int16 if name in _CHANNEL_BOUNDS else np.int64)
+            dtype = np.int16 if name in _CHANNEL_BOUNDS else np.int32 if narrow else np.int64
+            arr = np.array(values[name], dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -490,17 +494,18 @@ def reference_extract_features(record, catalog=DEFAULT_CATALOG):
     if unknown:
         raise RangeError(f"unknown feature name(s): {', '.join(unknown)}")
 
-    p = sig.pressure
+    # x and y may be stored as int32, whose differences could wrap.
+    x, y, p = sig.x.astype(np.int64), sig.y.astype(np.int64), sig.pressure
     wanted = set(catalog)
     flags = set()
     pool = {}
 
     if wanted & {"entropy_x", "entropy_y", "entropy_p"}:
-        pool["entropy_x"] = _shifted_entropy(sig.x)
-        pool["entropy_y"] = _shifted_entropy(sig.y)
+        pool["entropy_x"] = _shifted_entropy(x)
+        pool["entropy_y"] = _shifted_entropy(y)
         pool["entropy_p"] = _entropy(p, PRESSURE_MAX + 1)
     if wanted & _KINEMATIC_NAMES:
-        pool.update(_kinematic_stats(sig.x, sig.y))
+        pool.update(_kinematic_stats(x, y))
     if "mean_abs_dp" in wanted:
         pool["mean_abs_dp"] = float(np.abs(np.diff(p)).mean())
     if "mean_abs_ddp" in wanted:
@@ -526,7 +531,7 @@ def reference_extract_features(record, catalog=DEFAULT_CATALOG):
                 pool[name] = 0.0
                 flags.add(name)
         else:
-            stats = _kinematic_stats(sig.x[mask], sig.y[mask])
+            stats = _kinematic_stats(x[mask], y[mask])
             for name in PENDOWN_CATALOG:
                 pool[name] = stats[name.removeprefix("pendown_")]
 

@@ -651,6 +651,49 @@ def test_features_on_narrow_pressure_equal_features_on_int64_pressure(case):
     assert got.flags == want.flags
 
 
+_INT32_ENDS = (-(2**31), 2**31 - 1)
+
+
+@st.composite
+def int32_coordinates(draw):
+    """(pressure, x, y) lists of 3 to 200 samples whose x and y fit int32:
+    anywhere in it, at its ends, or alternating -2**31 and 2**31 - 1, where
+    int32 first and second differences would wrap."""
+    n = draw(st.integers(3, 200))
+    pressure = draw(st.lists(st.sampled_from([0, 1, 700, PRESSURE_MAX]), min_size=n, max_size=n))
+    channels = []
+    for _ in "xy":
+        kind = draw(st.sampled_from(["anywhere", "ends", "alternating"]))
+        if kind == "alternating":
+            first = draw(st.integers(0, 1))
+            channels.append([_INT32_ENDS[(i + first) % 2] for i in range(n)])
+        else:
+            values = st.integers(*_INT32_ENDS)
+            if kind == "ends":
+                values = values | st.sampled_from(_INT32_ENDS)
+            channels.append(draw(st.lists(values, min_size=n, max_size=n)))
+    return pressure, *channels
+
+
+@given(int32_coordinates())
+@example(([1] * 4, [-(2**31), 2**31 - 1] * 2, [2**31 - 1, -(2**31)] * 2))
+@example(([0, 1, 1, 1, 0], [-(2**31), 2**31 - 1] * 2 + [0], [0] * 5))
+@settings(max_examples=100, deadline=None)
+def test_features_on_int32_coordinates_equal_features_on_int64_coordinates(case):
+    pressure, x, y = case
+    catalog = full_catalog()
+    record = make_record(pressure, x=x, y=y)
+    assert (record.signal.x.dtype, record.signal.y.dtype) == (np.int32, np.int32)
+    got = extract_features(record, catalog)
+    want = extract_features(_wide_record(pressure, x, y), catalog)
+    assert _bits(got) == _bits(want)
+    assert got.flags == want.flags
+    # The reference's dense entropy histograms cannot hold such spans.
+    kinematic = KINEMATICS + PENDOWN_CATALOG
+    got_bits = _bits(got)
+    assert _bits(reference_extract_features(record, kinematic)) == {k: got_bits[k] for k in kinematic}
+
+
 def test_alternating_pressure_passes_the_int16_range_in_sums():
     # The long example above: both difference sums leave int16 and stay exact.
     vector = extract_features(make_record(_ALTERNATING), ("mean_abs_dp", "mean_abs_ddp"))

@@ -268,13 +268,22 @@ def _bytes_per_sample(signal):
     return sum(getattr(signal, name).nbytes for name in model._CHANNELS) / len(signal)
 
 
-def test_every_signal_stores_22_bytes_per_sample():
-    # x and y int64, pressure, azimuth and altitude int16: 8 + 8 + 2 + 2 + 2.
+def test_signals_store_14_bytes_per_sample_when_x_and_y_fit_int32_else_22():
+    # x and y int32, pressure, azimuth and altitude int16: 4 + 4 + 2 + 2 + 2.
     synthesized = generate_corpus(SynthProfile(n_subjects=1), sets=(SetId.S1,))
     parsed = parse_task_file(serialize_task(next(synthesized.records())))
-    from_lists = InkSignal([0, 1, 2], [3, 4, 5], [0, 2047, 9], [0, 359, 1], [0, 90, 2])
+    bounded = [[0, 2047, 9], [0, 359, 1], [0, 90, 2]]
+    from_lists = InkSignal([-(2**31), 1, 2], [3, 4, 2**31 - 1], *bounded)
     signals = [r.signal for r in synthesized.records()] + [parsed.signal, from_lists]
-    assert [_bytes_per_sample(s) for s in signals] == [22.0] * len(signals)
+    assert [_bytes_per_sample(s) for s in signals] == [14.0] * len(signals)
+    # One x or y past int32 stores both as int64: 8 + 8 + 2 + 2 + 2.
+    for x, y in [([0, 2**31, 2], [3, 4, 5]), ([0, 1, 2], [3, -(2**31) - 1, 5])]:
+        signal = InkSignal(x, y, *bounded)
+        parsed = parse_task_file(serialize_task(TaskRecord("U1", SetId.S1, 1, signal))).signal
+        for s in (signal, parsed):
+            assert (s.x.dtype, s.y.dtype) == (np.int64, np.int64)
+            assert _bytes_per_sample(s) == 22.0
+        assert parsed == signal
 
 
 def test_signal_is_immutable(rng):

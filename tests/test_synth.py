@@ -185,6 +185,51 @@ def test_profile_refuses_a_seed_or_perturbation_it_would_not_apply_as_given(fiel
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "cls, fields, message",
+    [
+        (SynthProfile, {"base_speed": True}, "base_speed must be a number, got True"),
+        (SynthProfile, {"base_speed": "14"}, "base_speed must be a number, got '14'"),
+        (SynthProfile, {"base_speed": None}, "base_speed must be a number, got None"),
+        (Perturbation, {"speed_scale": True}, "speed_scale must be a number, got True"),
+        (Perturbation, {"air_inflation": np.True_}, f"air_inflation must be a number, got {np.True_!r}"),
+        (Perturbation, {"jitter_sd": "1"}, "jitter_sd must be a number, got '1'"),
+        (Perturbation, {"jitter_sd": 1j}, "jitter_sd must be a number, got 1j"),
+    ],
+    ids=[
+        "bool-base_speed", "str-base_speed", "none-base_speed", "bool-speed_scale",
+        "numpy-bool-air_inflation", "str-jitter_sd", "complex-jitter_sd",
+    ],
+)
+def test_float_fields_refuse_bools_and_non_numbers(cls, fields, message):
+    with pytest.raises(ConfigError) as exc:
+        cls(**fields)
+    assert str(exc.value) == message
+
+
+def test_float_fields_accept_ints_and_numpy_floats():
+    profile = SynthProfile(
+        n_subjects=1, base_speed=14, perturbations={SetId.S2: Perturbation(
+            speed_scale=np.float32(0.5), air_inflation=2, jitter_sd=np.float64(1.5)
+        )},
+    )
+    assert len(generate_corpus(profile, sets=(SetId.S2,))) == 9
+
+
+def test_a_set_past_int32_stores_each_record_by_its_own_values():
+    # At this speed task 2 leaves int32 and the other tasks stay inside it.
+    profile = SynthProfile(seed=3, n_subjects=1, base_speed=1e7)
+    dtypes = []
+    for task in TASK_IDS:
+        record = generate_task(profile, "U01", SetId.S1, task)
+        values = record.signal.x.tolist() + record.signal.y.tolist()
+        fits = all(-(2**31) <= v < 2**31 for v in values)
+        assert record.signal.x.dtype == record.signal.y.dtype == (np.int32 if fits else np.int64)
+        assert record == reference_generate_task(profile, "U01", SetId.S1, task)
+        dtypes.append(record.signal.x.dtype)
+    assert set(dtypes) == {np.dtype(np.int32), np.dtype(np.int64)}
+
+
 def test_int_fields_accept_numpy_integers():
     profile = SynthProfile(
         seed=np.int64(3), n_subjects=np.int32(1), stroke_count=np.int16(2),
