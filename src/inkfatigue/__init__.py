@@ -6,6 +6,8 @@ summarize recovery. A deterministic synthetic-ink generator makes the whole
 pipeline verifiable end to end.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     DuplicateError,
@@ -58,47 +60,8 @@ from .synth import Perturbation, SynthProfile, generate_corpus, generate_task
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuxRecord",
-    "Category",
-    "Cell",
-    "ComparisonMatrix",
-    "ConfigError",
-    "DEFAULT_CATALOG",
-    "DuplicateError",
-    "EmptyInputError",
-    "FeatureVector",
-    "FormatError",
-    "InkError",
-    "InkSignal",
-    "InsufficientDataError",
-    "MatrixRow",
-    "PENDOWN_CATALOG",
-    "Perturbation",
-    "RangeError",
-    "RecoverySummary",
-    "SetId",
-    "ShapeError",
-    "StudyCorpus",
-    "SynthProfile",
-    "TaskRecord",
-    "TestResult",
-    "TooShortError",
-    "build_matrix",
-    "canonical_set_pairs",
-    "compare_sets",
-    "default_rows",
-    "extract_features",
-    "feature_table",
-    "generate_corpus",
-    "generate_task",
-    "jump_height",
-    "load_corpus",
-    "parse_task_file",
-    "power_output",
-    "rank_sum_test",
-    "serialize_task",
-    "summarize_recovery",
-    "wilcoxon_signed_rank",
-    "write_corpus",
-]
+# Every public name imported above, so each is written once.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

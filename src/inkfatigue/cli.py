@@ -234,10 +234,9 @@ def cmd_extract(args, parser) -> int:
     }[config.fmt]
     path = reporting.write_text(config.out / name, render(table, config.features))
     print(f"wrote {path} ({len(table)} record(s))")
-    failed = [(key, vector.error) for key, vector in table.items() if vector.values is None]
-    for (subject, set_id, task), message in failed:
+    for (subject, set_id, task), message in table.errors.items():
         print(f"error: {subject}/{set_id.value}/task{task}: {message}", file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if table.errors else 0
 
 
 def cmd_compare(args, parser) -> int:

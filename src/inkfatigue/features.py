@@ -9,6 +9,10 @@ Units: one sample interval is the time unit (the 100 Hz clock is constant and
 the downstream tests are rank-based, so per-second conversion is cosmetic and
 lives in report rendering only). Speeds are tablet units per sample,
 accelerations tablet units per sample squared, times are sample counts.
+
+``feature_table`` fills one columnar ``FeatureTable`` per corpus, a float64
+row per record from ``extract_features``; matrices and renderers read its
+columns.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ _KNOWN_NAMES = frozenset(DEFAULT_CATALOG + PENDOWN_CATALOG)
 
 MIN_SIGNAL_LEN = 3
 
-#: Flag of a record whose extraction failed; its vector holds no values.
+#: Flag rendered for a record whose extraction failed; its row holds no values.
 EXTRACTION_FAILED = "extraction-failed"
 
 
@@ -200,18 +204,17 @@ def normalized_time_up(pressure) -> float:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Named scalar features of one task record.
+    """Named scalar features of one task record, as ``extract_features``
+    returns them.
 
-    ``values`` preserves catalog order. ``flags`` names features whose value
-    came from a degenerate-input rule (for example no in-air stroke), so rank
-    tests never see NaN but diagnostics stay honest. A record whose
-    extraction failed has ``values`` None, the ``extraction-failed`` flag and
-    the failure message in ``error``.
+    ``values`` preserves catalog order; count features are ints. ``flags``
+    names features whose value came from a degenerate-input rule (for
+    example no in-air stroke), so rank tests never see NaN but diagnostics
+    stay honest.
     """
 
-    values: Mapping[str, float] | None
+    values: Mapping[str, float]
     flags: frozenset[str] = frozenset()
-    error: str | None = None
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
@@ -293,19 +296,39 @@ def extract_features(
     return FeatureVector(values=values, flags=frozenset(f for f in flags if f in wanted))
 
 
-FeatureTable = Mapping[tuple[str, SetId, int], FeatureVector]
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """Read-only ``values`` (float64, a NaN row for a failed record) and
+    ``flags`` (degenerate-input rule) by [record, feature], for ``keys`` in
+    corpus order and ``catalog`` in column order; ``errors`` maps the key of
+    each failed record to its message."""
+
+    keys: tuple[tuple[str, SetId, int], ...]
+    catalog: tuple[str, ...]
+    values: np.ndarray
+    flags: np.ndarray
+    errors: Mapping[tuple[str, SetId, int], str]
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 def feature_table(corpus, catalog: Sequence[str] = DEFAULT_CATALOG) -> FeatureTable:
-    """Extract features for every record of a corpus, keyed like the corpus.
-
-    Every record gets an entry. One too short to extract maps to a vector
-    with no values, flagged ``extraction-failed``, carrying the error message.
-    """
-    table = {}
-    for record in corpus.records():
+    """Extract features for every record of a corpus, a row each, filled by
+    catalog name; a record too short to extract keeps a NaN row."""
+    catalog = tuple(catalog)
+    records = list(corpus.records())
+    values = np.full((len(records), len(catalog)), np.nan)
+    flags = np.zeros(values.shape, dtype=bool)
+    errors = {}
+    for row, record in enumerate(records):
         try:
-            table[record.key] = extract_features(record, catalog)
+            vector = extract_features(record, catalog)
         except TooShortError as exc:
-            table[record.key] = FeatureVector(None, frozenset({EXTRACTION_FAILED}), str(exc))
-    return table
+            errors[record.key] = str(exc)
+            continue
+        values[row] = [vector[name] for name in catalog]
+        if vector.flags:
+            flags[row] = [name in vector.flags for name in catalog]
+    values.flags.writeable = flags.flags.writeable = False
+    return FeatureTable(tuple(r.key for r in records), catalog, values, flags, errors)

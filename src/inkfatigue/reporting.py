@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import FormatError, InkError, RangeError
-from .features import FeatureTable, full_catalog
+from .features import COUNT_FEATURES, EXTRACTION_FAILED, FeatureTable, full_catalog
 from .model import Category, SAMPLE_RATE_HZ, ascii_float
 from .protocol import RecoverySummary, pair_label, parse_pair_label
 from .stats import Cell, ComparisonMatrix, MatrixRow
@@ -40,10 +40,6 @@ PER_SECOND_SCALE = {
 }
 
 NA = "NA"
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _tsv(header: Sequence[str], rows) -> str:
@@ -77,7 +73,7 @@ _TSV_PREFIX = ("task_type", "task", "feature")
 
 
 def matrix_to_tsv(matrix: ComparisonMatrix) -> str:
-    cell_rows = ([NA if c is None else _fmt(c.p) for c in cells] for cells in matrix.cells)
+    cell_rows = ([NA if c is None else repr(c.p) for c in cells] for cells in matrix.cells)
     return _tsv(*_matrix_layout(matrix, _TSV_PREFIX, cell_rows))
 
 
@@ -227,11 +223,23 @@ def load_matrix_tsv(text: str, alpha: float = 0.05) -> ComparisonMatrix:
 # Feature tables
 # ---------------------------------------------------------------------------
 
+def _feature_rows(table: FeatureTable, catalog: Sequence[str]):
+    """Key, ``catalog`` values (None if failed; counts as ints) and sorted flags of each row."""
+    columns = [table.catalog.index(name) for name in catalog]
+    counts = [name in COUNT_FEATURES for name in catalog]
+    for key, row, flags in zip(table.keys, table.values[:, columns].tolist(), table.flags.tolist()):
+        if key in table.errors:
+            yield key, None, [EXTRACTION_FAILED]
+        else:
+            values = [int(v) if count else v for v, count in zip(row, counts)]
+            yield key, values, sorted(n for n, flag in zip(table.catalog, flags) if flag)
+
+
 def features_to_tsv(table: FeatureTable, catalog: Sequence[str]) -> str:
     rows = []
-    for (subject, set_id, task), vector in sorted(table.items()):
-        values = [NA if vector.values is None else _fmt(vector[name]) for name in catalog]
-        rows.append([subject, set_id.value, str(task), *values, ",".join(sorted(vector.flags))])
+    for (subject, set_id, task), values, flags in _feature_rows(table, catalog):
+        texts = [NA] * len(catalog) if values is None else list(map(repr, values))
+        rows.append([subject, set_id.value, str(task), *texts, ",".join(flags)])
     return _tsv(["subject", "set", "task", *catalog, "degenerate"], rows)
 
 
@@ -241,12 +249,10 @@ def features_to_json(table: FeatureTable, catalog: Sequence[str]) -> str:
             "subject": subject,
             "set": set_id.value,
             "task": task,
-            "values": None
-            if vector.values is None
-            else {name: vector[name] for name in catalog},
-            "degenerate": sorted(vector.flags),
+            "values": None if values is None else dict(zip(catalog, values)),
+            "degenerate": flags,
         }
-        for (subject, set_id, task), vector in sorted(table.items())
+        for (subject, set_id, task), values, flags in _feature_rows(table, catalog)
     ]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -260,12 +266,11 @@ def features_to_markdown(table: FeatureTable, catalog: Sequence[str]) -> str:
     labels = [name + _UNIT_SUFFIX.get(PER_SECOND_SCALE.get(name), "") for name in catalog]
     scales = [PER_SECOND_SCALE.get(name, 1.0) for name in catalog]
     rows = []
-    for (subject, set_id, task), vector in sorted(table.items()):
-        values = [
-            NA if vector.values is None else f"{vector[name] * scale:.6g}"
-            for name, scale in zip(catalog, scales)
+    for (subject, set_id, task), values, _ in _feature_rows(table, catalog):
+        texts = [NA] * len(catalog) if values is None else [
+            f"{v * scale:.6g}" for v, scale in zip(values, scales)
         ]
-        rows.append([subject, set_id.value, str(task), *values])
+        rows.append([subject, set_id.value, str(task), *texts])
     return _markdown(["subject", "set", "task", *labels], rows)
 
 

@@ -9,17 +9,19 @@ over the rank set); otherwise a normal approximation with tie-corrected
 variance and a 0.5 continuity correction is used. n_effective == 0 yields
 p = 1.0.
 
-A matrix run reads the feature table once into value columns, one float64
-array per (set, task, feature) with subjects in corpus order and NaN for a
-missing record or a failed extraction. Each (task, feature) row and set pair
-column is then one ``compare_sets`` call on two such columns, which excludes
-the subjects that are NaN in either. ``Cell``, ``MatrixRow`` and
-``ComparisonMatrix`` own the rules for their fields and shape, so a matrix
-built here and one loaded from a file pass the same checks.
+A matrix run gathers the columnar feature table once, by row index, into
+one float64 array ``[set, task, subject, feature]`` with subjects in corpus
+order and NaN for a missing record or a failed extraction. Each (task,
+feature) row and set pair column is then one ``compare_sets`` call on two
+subject columns of it, which excludes the subjects that are NaN in either.
+``Cell``, ``MatrixRow`` and ``ComparisonMatrix`` own the rules for their
+fields and shape, so a matrix built here and one loaded from a file pass the
+same checks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -367,6 +369,8 @@ def build_matrix(
     Cells without any complete subject pair become None instead of aborting
     the run. Row order is normalized to task ascending, then catalog order for
     features; duplicate rows collapse, but duplicate pairs are a RangeError.
+    A ``table`` replaces the extraction; a row feature outside its catalog is
+    a RangeError.
     """
     if not rows:
         raise EmptyInputError("row spec must name at least one (task, feature)")
@@ -384,22 +388,21 @@ def build_matrix(
             if record.task in tasks and record.set_id in set_ids:
                 used.add(record)
         table = feature_table(used, features)
-    # One float64 column per (set, task, feature), subjects in corpus order:
-    # [set, task, feature, subject], NaN where a record is missing or failed.
-    columns = np.full((len(set_ids), len(tasks), len(features), len(corpus.subjects)), np.nan)
-    for i, subject in enumerate(corpus.subjects):
-        for s, set_id in enumerate(set_ids):
-            for t, task in enumerate(tasks):
-                vec = table.get((subject, set_id, task))
-                if vec is not None and vec.values is not None:
-                    try:
-                        columns[s, t, :, i] = [vec.values[f] for f in features]
-                    except KeyError as exc:
-                        raise RangeError(f"feature table has no values for {exc.args[0]}")
+    missing = [f for f in features if f not in table.catalog]
+    if missing:
+        raise RangeError(f"feature table has no values for {missing[0]}")
+    # One gather by table row into [set, task, subject, feature], subjects in
+    # corpus order; a missing record reads the NaN row appended last.
+    row_of = {key: i for i, key in enumerate(table.keys)}
+    grid = itertools.product(set_ids, tasks, corpus.subjects)
+    index = [row_of.get((subject, s, t), -1) for s, t, subject in grid]
+    values = table.values[:, [table.catalog.index(f) for f in features]]
+    shape = (len(set_ids), len(tasks), len(corpus.subjects), len(features))
+    columns = np.vstack((values, np.full(len(features), np.nan)))[index].reshape(shape)
 
     all_cells = []
     for row in matrix_rows:
-        by_set = columns[:, tasks.index(row.task), features.index(row.feature)]
+        by_set = columns[:, tasks.index(row.task), :, features.index(row.feature)]
         row_cells: list[Cell | None] = []
         for set_a, set_b in pairs:
             try:

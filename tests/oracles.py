@@ -10,12 +10,16 @@ match them bit for bit:
   synthetic-ink generator and reuses the generator's key streams, subject
   traits and shape constants;
 - ``reference_extract_features`` keeps the per-feature extractor, built from
-  separate helper calls, over x and y widened to int64;
+  separate helper calls, over x and y widened to int64, with the coordinate
+  entropies counted by a ``Counter`` of the distinct values;
 - ``reference_wilcoxon_signed_rank`` and ``reference_rank_sum_test`` keep
   the rank tests with one ``np.unique`` per tie question, and reuse the
   production null distribution, normal tail and result type;
+- ``reference_feature_table`` keeps the dict feature table, one
+  ``ReferenceFeatureVector`` per record key (values None for a failed
+  extraction), filled from ``extract_features``;
 - ``reference_build_matrix`` keeps the matrix build that re-pairs subjects
-  through the feature table in every cell, and reuses the production rank
+  through that dict table in every cell, and reuses the production rank
   tests and matrix types;
 - ``ReferenceInkSignal`` keeps the channel checks of ``model.InkSignal``
   as plain-Python loops over each channel's values as given, without the
@@ -29,7 +33,8 @@ match them bit for bit:
   one TSV writer, one markdown writer and ``ComparisonMatrix.mask``: each
   renderer wrote its own framing, and the markdown bold cells and the
   recovery counts each compared p with alpha themselves. The one change is
-  that ``ComparisonMatrix.column`` is spelled out as ``_column``;
+  that ``ComparisonMatrix.column`` is spelled out as ``_column``. The
+  feature renderers read the dict table;
 - ``reference_matrix_to_json`` and ``reference_recovery_to_json`` keep the
   JSON writers that named every field of ``Cell``, ``RecoverySummary`` and
   ``CategoryCount`` by hand.
@@ -42,6 +47,7 @@ import itertools
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +62,11 @@ from inkfatigue.errors import (
 )
 from inkfatigue.features import (
     DEFAULT_CATALOG,
+    EXTRACTION_FAILED,
     MIN_SIGNAL_LEN,
     PENDOWN_CATALOG,
     FeatureVector,
-    feature_table,
+    extract_features,
     full_catalog,
 )
 from inkfatigue.model import (
@@ -463,9 +470,12 @@ def _pressure_band(pressure, n1, n2):
 
 
 def _shifted_entropy(series):
-    lo = int(series.min())
-    hi = int(series.max())
-    return _entropy(series - lo, hi - lo + 1)
+    """Entropy of the raw values as the alphabet: a ``Counter`` of the
+    distinct values, taken in ascending value order, so memory follows the
+    sample count and not the span."""
+    counter = Counter(series.tolist())
+    probs = np.array([counter[v] for v in sorted(counter)]) / series.size
+    return float(-(probs * np.log2(probs)).sum())
 
 
 def _kinematic_stats(x, y):
@@ -638,6 +648,32 @@ def reference_rank_sum_test(a_values, b_values, alternative="two-sided"):
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ReferenceFeatureVector:
+    """One entry of the dict feature table: ``values`` maps the catalog to
+    the extracted values, or is None with the ``extraction-failed`` flag
+    for a failed extraction."""
+
+    values: dict | None
+    flags: frozenset = frozenset()
+
+    def __getitem__(self, name):
+        return self.values[name]
+
+
+def reference_feature_table(corpus, catalog):
+    """The dict feature table: one ``ReferenceFeatureVector`` per record key."""
+    table = {}
+    for record in corpus.records():
+        try:
+            vector = extract_features(record, catalog)
+        except TooShortError:
+            table[record.key] = ReferenceFeatureVector(None, frozenset({EXTRACTION_FAILED}))
+        else:
+            table[record.key] = ReferenceFeatureVector(dict(vector.values), vector.flags)
+    return table
+
+
 def reference_compare_sets(
     corpus,
     task,
@@ -648,13 +684,13 @@ def reference_compare_sets(
     test="signed-rank",
     alternative="two-sided",
 ):
-    """``stats.compare_sets`` when it paired subjects through the table."""
+    """``stats.compare_sets`` when it paired subjects through the dict table."""
     validate_task_id(task)
     if test not in TESTS:
         raise ValueError(f"test must be 'signed-rank' or 'rank-sum', got {test!r}")
     _check_alternative(alternative)
     if table is None:
-        table = feature_table(corpus, [feature])
+        table = reference_feature_table(corpus, [feature])
     set_a, set_b = pair
     get = table.get
     complete = [
@@ -683,9 +719,9 @@ def reference_build_matrix(
     alpha=0.05,
     test="signed-rank",
     alternative="two-sided",
-    table=None,
 ):
-    """``stats.build_matrix`` with one ``reference_compare_sets`` per cell."""
+    """``stats.build_matrix`` with one ``reference_compare_sets`` per cell,
+    over the dict table of every row feature."""
     if not rows:
         raise EmptyInputError("row spec must name at least one (task, feature)")
     if not 0.0 < alpha < 1.0:
@@ -695,12 +731,11 @@ def reference_build_matrix(
         {(validate_task_id(t), f) for t, f in rows},
         key=lambda r: (r[0], catalog_order.get(r[1], len(catalog_order)), r[1]),
     )
-    if table is None:
-        needed = sorted(
-            {f for _, f in norm_rows},
-            key=lambda f: (catalog_order.get(f, len(catalog_order)), f),
-        )
-        table = feature_table(corpus, needed)
+    needed = sorted(
+        {f for _, f in norm_rows},
+        key=lambda f: (catalog_order.get(f, len(catalog_order)), f),
+    )
+    table = reference_feature_table(corpus, needed)
 
     matrix_rows = tuple(MatrixRow(t, f) for t, f in norm_rows)
     all_cells = []

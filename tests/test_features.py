@@ -446,14 +446,41 @@ def test_spatial_scaling_moves_only_kinematics():
 def test_feature_table_covers_corpus_and_skips_short_records():
     corpus = generate_corpus(SynthProfile(seed=19, n_subjects=2), sets=(SetId.S1,))
     corpus.add(make_record([0, 5], subject="U03"))
-    table = feature_table(corpus)
-    assert len(table) == 19
-    key = ("U01", SetId.S1, 1)
-    assert tuple(table[key].values) == DEFAULT_CATALOG
-    failed = table[("U03", SetId.S1, 1)]
-    assert failed.values is None
-    assert failed.flags == {"extraction-failed"}
-    assert failed.error == "feature extraction needs at least 3 samples, got 2"
+    corpus.add(make_record([9] * 4, subject="U04"))  # no in-air stroke: flagged
+    catalog = full_catalog()
+    table = feature_table(corpus, catalog)
+    assert len(table) == 20
+    assert table.keys == tuple(record.key for record in corpus.records())
+    assert table.catalog == catalog
+    assert table.values.shape == table.flags.shape == (20, len(catalog))
+    assert (table.values.dtype, table.flags.dtype) == (np.float64, np.bool_)
+    assert not (table.values.flags.writeable or table.flags.flags.writeable)
+    failed = ("U03", SetId.S1, 1)
+    assert table.errors == {failed: "feature extraction needs at least 3 samples, got 2"}
+    for record, values, flags in zip(corpus.records(), table.values, table.flags):
+        if record.key == failed:
+            assert np.isnan(values).all() and not flags.any()
+            continue
+        vector = extract_features(record, catalog)
+        assert values.tobytes() == np.array([vector[n] for n in catalog]).tobytes()
+        assert {n for n, f in zip(catalog, flags) if f} == vector.flags
+    assert table.flags[table.keys.index(("U04", SetId.S1, 1))].any()
+
+
+def test_feature_table_holds_about_nine_bytes_per_value():
+    # A float64 value and a bool flag per record x feature, plus the row's
+    # key; a dict of per-record vectors of Python floats took about 68.
+    corpus = generate_corpus(SynthProfile(seed=5, n_subjects=2))
+    feature_table(corpus, full_catalog())  # first-call caches stay out of the count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = feature_table(corpus, full_catalog())
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(table) == len(corpus) == 90
+    assert held <= 16 * len(corpus) * len(full_catalog())
 
 
 # --- coordinates anywhere in int64 ------------------------------------------
@@ -688,10 +715,9 @@ def test_features_on_int32_coordinates_equal_features_on_int64_coordinates(case)
     want = extract_features(_wide_record(pressure, x, y), catalog)
     assert _bits(got) == _bits(want)
     assert got.flags == want.flags
-    # The reference's dense entropy histograms cannot hold such spans.
-    kinematic = KINEMATICS + PENDOWN_CATALOG
-    got_bits = _bits(got)
-    assert _bits(reference_extract_features(record, kinematic)) == {k: got_bits[k] for k in kinematic}
+    reference = reference_extract_features(record, catalog)
+    assert _bits(got) == _bits(reference)
+    assert got.flags == reference.flags
 
 
 def test_alternating_pressure_passes_the_int16_range_in_sums():

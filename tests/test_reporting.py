@@ -1,14 +1,16 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from inkfatigue.errors import FormatError, RangeError
 from inkfatigue.features import (
+    COUNT_FEATURES,
     DEFAULT_CATALOG,
     EXTRACTION_FAILED,
-    FeatureVector,
+    FeatureTable,
     feature_table,
     full_catalog,
 )
@@ -32,6 +34,7 @@ from inkfatigue.stats import Cell, ComparisonMatrix, MatrixRow, build_matrix
 from inkfatigue.synth import SynthProfile, generate_corpus
 
 from oracles import (
+    ReferenceFeatureVector,
     reference_features_to_markdown,
     reference_features_to_tsv,
     reference_mask_to_tsv,
@@ -442,15 +445,15 @@ def test_features_json_contains_values(table):
 
 
 def test_features_markdown_converts_to_per_second(table):
-    key = ("U01", SetId.S1, 1)
-    vector = table[key]
-    text = features_to_markdown({key: vector}, ("mean_speed", "time_in_air"))
+    text = features_to_markdown(table, ("mean_speed", "time_in_air"))
     lines = text.splitlines()
     assert "mean_speed (units/s)" in lines[0]
     value_line = lines[2].split("|")
+    assert value_line[1:4] == [" U01 ", " S1 ", " 1 "]
     shown = float(value_line[4].strip())
     # cell text carries 6 significant digits
-    assert shown == pytest.approx(vector["mean_speed"] * 100.0, rel=1e-4)
+    mean_speed = table.values[0, DEFAULT_CATALOG.index("mean_speed")]
+    assert shown == pytest.approx(mean_speed * 100.0, rel=1e-4)
     assert PER_SECOND_SCALE["mean_acceleration"] == 10000.0
 
 
@@ -531,33 +534,81 @@ def test_matrix_views_and_recovery_match_their_reference_forms(drawn):
     assert recovery_to_json(summary) == reference_recovery_to_json(summary)
 
 
+def _columnar(entries, catalog) -> FeatureTable:
+    """The columnar table of a dict table whose keys are in corpus order."""
+    keys = tuple(entries)
+    values = [[np.nan if v.values is None else v[n] for n in catalog] for v in entries.values()]
+    flags = [[n in v.flags for n in catalog] for v in entries.values()]
+    return FeatureTable(
+        keys,
+        tuple(catalog),
+        np.array(values, dtype=np.float64).reshape(len(keys), len(catalog)),
+        np.array(flags, dtype=bool).reshape(len(keys), len(catalog)),
+        {k: "too short" for k, v in entries.items() if v.values is None},
+    )
+
+
 @st.composite
 def feature_tables(draw):
-    """A feature table with failed and flagged records over a drawn catalog
-    subset, ``pendown_`` features included."""
+    """A dict feature table with failed and flagged records over a drawn
+    catalog subset, ``pendown_`` features included, keys in corpus order.
+    Count features hold integers and the others floats, as extracted."""
     catalog = draw(st.lists(st.sampled_from(full_catalog()), max_size=8, unique=True))
     key = st.tuples(
         st.sampled_from(["U01", "U02", "a-7", "Z_9"]),
         st.sampled_from(ALL_SETS),
         st.sampled_from(TASK_IDS),
     )
-    value = st.floats() | st.integers(-(10**6), 10**6)
-    flags = st.frozensets(st.sampled_from(full_catalog()), max_size=3)
+    count, value = st.integers(-(10**6), 10**6), st.floats()
+    flags = st.frozensets(st.sampled_from(catalog), max_size=3) if catalog else st.just(frozenset())
     table = {}
-    for k in draw(st.lists(key, max_size=8, unique=True)):
+    for k in sorted(draw(st.lists(key, max_size=8, unique=True))):
         if draw(st.booleans()):
-            table[k] = FeatureVector(
-                values=None, flags=frozenset({EXTRACTION_FAILED}), error="too short"
-            )
+            table[k] = ReferenceFeatureVector(None, frozenset({EXTRACTION_FAILED}))
         else:
-            values = {name: draw(value) for name in catalog}
-            table[k] = FeatureVector(values=values, flags=draw(flags))
+            values = {name: draw(count if name in COUNT_FEATURES else value) for name in catalog}
+            table[k] = ReferenceFeatureVector(values, draw(flags))
     return table, catalog
 
 
 @given(feature_tables())
 @settings(max_examples=100, deadline=None)
 def test_feature_views_match_their_reference_forms(drawn):
-    table, catalog = drawn
-    assert features_to_tsv(table, catalog) == reference_features_to_tsv(table, catalog)
-    assert features_to_markdown(table, catalog) == reference_features_to_markdown(table, catalog)
+    entries, catalog = drawn
+    table = _columnar(entries, catalog)
+    assert features_to_tsv(table, catalog) == reference_features_to_tsv(entries, catalog)
+    assert features_to_markdown(table, catalog) == reference_features_to_markdown(entries, catalog)
+
+
+def test_counts_render_as_integers_and_failed_records_as_missing():
+    # Counts are float64 in the table; the views write them as extracted.
+    catalog = ("time_in_air", "mean_speed", "p_gt_100")
+    ok, failed = ("U01", SetId.S1, 1), ("U02", SetId.S1, 1)
+    table = _columnar(
+        {
+            ok: ReferenceFeatureVector({"time_in_air": 123, "mean_speed": 2.0, "p_gt_100": 0}),
+            failed: ReferenceFeatureVector(None, frozenset({EXTRACTION_FAILED})),
+        },
+        catalog,
+    )
+    assert features_to_tsv(table, catalog).splitlines()[1:] == [
+        "U01\tS1\t1\t123\t2.0\t0\t",
+        "U02\tS1\t1\tNA\tNA\tNA\textraction-failed",
+    ]
+    assert features_to_markdown(table, catalog).splitlines()[2:] == [
+        "| U01 | S1 | 1 | 123 | 200 | 0 |",
+        "| U02 | S1 | 1 | NA | NA | NA |",
+    ]
+    text = features_to_json(table, catalog)
+    # json.loads reads 123.0 as equal to 123, so the text itself is checked.
+    assert '"p_gt_100": 0,\n' in text and '"time_in_air": 123\n' in text
+    assert json.loads(text) == [
+        {
+            "subject": "U01", "set": "S1", "task": 1, "degenerate": [],
+            "values": {"time_in_air": 123, "mean_speed": 2.0, "p_gt_100": 0},
+        },
+        {
+            "subject": "U02", "set": "S1", "task": 1, "degenerate": [EXTRACTION_FAILED],
+            "values": None,
+        },
+    ]

@@ -539,8 +539,11 @@ def test_matrix_p_values_invariant_to_uniform_spatial_scaling():
 
 
 # Short records on a coarse grid, so feature values tie within and across
-# sets; a record may be missing or too short to extract (2 samples).
+# sets; a record may be missing or too short to extract (2 samples). The
+# records come from a generator on a drawn seed: one draw per case, not one
+# per sample.
 _PRESSURES = (0, 0, 50, 150, 500, 700)
+_KINDS = ("record",) * 6 + ("dropped", "failed")
 
 
 @st.composite
@@ -548,21 +551,20 @@ def matrix_cases(draw):
     n_subjects = draw(st.integers(1, 12))
     tasks = draw(st.lists(st.sampled_from(TASK_IDS), min_size=1, max_size=3, unique=True))
     sets = draw(st.lists(st.sampled_from(ALL_SETS), min_size=1, max_size=5, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     corpus = StudyCorpus()
     # Subjects are added in a shuffled order; the matrix pairs them sorted.
-    for subject in draw(st.permutations([f"S{i:02d}" for i in range(n_subjects)])):
+    for i in rng.permutation(n_subjects):
         for set_id in sets:
             for task in tasks:
-                kind = draw(st.sampled_from(["record"] * 6 + ["dropped", "failed"]))
+                kind = _KINDS[rng.integers(len(_KINDS))]
                 if kind == "dropped":
                     continue
-                n = 2 if kind == "failed" else draw(st.integers(3, 7))
-                pressure = draw(st.lists(st.sampled_from(_PRESSURES), min_size=n, max_size=n))
-                coords = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+                n = 2 if kind == "failed" else int(rng.integers(3, 8))
                 corpus.add(
                     make_record(
-                        pressure, x=draw(coords), y=draw(coords),
-                        subject=subject, set_id=set_id, task=task,
+                        rng.choice(_PRESSURES, n), x=rng.integers(-2, 3, n), y=rng.integers(-2, 3, n),
+                        subject=f"S{i:02d}", set_id=set_id, task=task,
                     )
                 )
     row = st.tuples(st.sampled_from(tasks + [draw(st.sampled_from(TASK_IDS))]),
@@ -590,13 +592,12 @@ def _cell_bits(cell):
 def test_build_matrix_matches_reference_bit_for_bit(case, test, alternative, with_table):
     corpus, rows, pairs = case
     kwargs = {"test": test, "alternative": alternative}
-    if with_table:
-        kwargs["table"] = feature_table(corpus, sorted({f for _, f in rows}))
+    table = {"table": feature_table(corpus, sorted({f for _, f in rows}))} if with_table else {}
     if len(set(pairs)) < len(pairs):
         with pytest.raises(RangeError, match="duplicate set pair"):
-            build_matrix(corpus, rows, pairs, **kwargs)
+            build_matrix(corpus, rows, pairs, **kwargs, **table)
         return
-    got = build_matrix(corpus, rows, pairs, **kwargs)
+    got = build_matrix(corpus, rows, pairs, **kwargs, **table)
     want = reference_build_matrix(corpus, rows, pairs, **kwargs)
     assert (got.rows, got.pairs, got.alpha) == (want.rows, want.pairs, want.alpha)
     assert [[_cell_bits(c) for c in row] for row in got.cells] == [
