@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import features as features_mod
@@ -32,7 +32,7 @@ from .model import (
     write_corpus,
 )
 from .protocol import canonical_set_pairs, parse_pair_label, summarize_recovery
-from .stats import TESTS, build_matrix, default_rows
+from .stats import TESTS, build_matrix, check_alpha, default_rows
 from .synth import generate_corpus, load_profile
 
 ENV_OUT = "INKFATIGUE_OUT"
@@ -56,12 +56,11 @@ class RunConfig:
 
 def _alpha_arg(text: str) -> float:
     try:
-        value = ascii_float(text)
+        return check_alpha(ascii_float(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"alpha must be a number, got {text!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie strictly in (0, 1), got {value}")
-    return value
+    except InkError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _features_arg(text: str) -> tuple[str, ...]:
@@ -232,7 +231,7 @@ def cmd_extract(args, parser) -> int:
         "json": ("features.json", reporting.features_to_json),
         "markdown": ("features.md", reporting.features_to_markdown),
     }[config.fmt]
-    path = reporting.write_text(config.out / name, render(table, config.features))
+    path = reporting.write_text(config.out / name, render(table))
     print(f"wrote {path} ({len(table)} record(s))")
     for (subject, set_id, task), message in table.errors.items():
         print(f"error: {subject}/{set_id.value}/task{task}: {message}", file=sys.stderr)
@@ -256,7 +255,7 @@ def cmd_compare(args, parser) -> int:
         "json": ("matrix.json",),
         "markdown": ("matrix.json", "matrix.md"),
     }[config.fmt]
-    _write_matrix(config.out, matrix, config.alpha, names)
+    _write_matrix(config.out, matrix, names)
     return 0
 
 
@@ -276,27 +275,27 @@ def cmd_report(args, parser) -> int:
         matrix = reporting.matrix_from_json(text)
     except InkError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
-    alpha = _resolve(args, "alpha", matrix.alpha)
+    matrix = replace(matrix, alpha=_resolve(args, "alpha", matrix.alpha))
     fmt = _resolve(args, "format", "markdown")
     names = {
         "markdown": ("matrix.md", "matrix_mask.tsv"),
         "tsv": ("matrix.tsv", "matrix_mask.tsv"),
         "json": ("matrix_mask.tsv",),
     }[fmt]
-    _write_matrix(_out_dir(args, parser), matrix, alpha, names)
+    _write_matrix(_out_dir(args, parser), matrix, names)
     return 0
 
 
-def _write_matrix(out: Path, matrix, alpha: float, names: tuple[str, ...]) -> None:
-    """Write the named matrix artifacts at ``alpha``, then the recovery summary
-    as ``recovery.json`` and ``recovery.txt``, and name each file on stdout.
-    The summary is computed first, so a bad ``alpha`` writes no file."""
-    summary = summarize_recovery(matrix, alpha)
+def _write_matrix(out: Path, matrix, names: tuple[str, ...]) -> None:
+    """Write the named matrix artifacts and the recovery summary
+    (``recovery.json``, ``recovery.txt``), all at the matrix's alpha, and name
+    each file on stdout."""
+    summary = summarize_recovery(matrix)
     render = {
         "matrix.json": lambda: reporting.matrix_to_json(matrix),
         "matrix.tsv": lambda: reporting.matrix_to_tsv(matrix),
-        "matrix_mask.tsv": lambda: reporting.mask_to_tsv(matrix, alpha),
-        "matrix.md": lambda: reporting.matrix_to_markdown(matrix, alpha),
+        "matrix_mask.tsv": lambda: reporting.mask_to_tsv(matrix),
+        "matrix.md": lambda: reporting.matrix_to_markdown(matrix),
     }
     written = [reporting.write_text(out / name, render[name]()) for name in names]
     written += [

@@ -314,9 +314,13 @@ class FeatureTable:
 
 
 def feature_table(corpus, catalog: Sequence[str] = DEFAULT_CATALOG) -> FeatureTable:
-    """Extract features for every record of a corpus, a row each, filled by
-    catalog name; a record too short to extract keeps a NaN row."""
+    """Extract features for every record of a corpus, a row each in catalog
+    order; a record too short to extract keeps a NaN row. A catalog naming a
+    feature twice is a RangeError, raised before any extraction."""
     catalog = tuple(catalog)
+    if len(set(catalog)) < len(catalog):
+        name = next(name for i, name in enumerate(catalog) if name in catalog[:i])
+        raise RangeError(f"duplicate feature {name!r} in catalog")
     records = list(corpus.records())
     values = np.full((len(records), len(catalog)), np.nan)
     flags = np.zeros(values.shape, dtype=bool)
@@ -327,7 +331,7 @@ def feature_table(corpus, catalog: Sequence[str] = DEFAULT_CATALOG) -> FeatureTa
         except TooShortError as exc:
             errors[record.key] = str(exc)
             continue
-        values[row] = [vector[name] for name in catalog]
+        values[row] = list(vector.values.values())
         if vector.flags:
             flags[row] = [name in vector.flags for name in catalog]
     values.flags.writeable = flags.flags.writeable = False

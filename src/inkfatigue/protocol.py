@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .errors import RangeError
@@ -88,16 +88,15 @@ class RecoverySummary:
     scope: str = "catalog-subset"
 
 
-def summarize_recovery(matrix: ComparisonMatrix, alpha: float = 0.05) -> RecoverySummary:
+def summarize_recovery(matrix: ComparisonMatrix, alpha: float | None = None) -> RecoverySummary:
     """Count significant cells per category for each against-baseline column.
 
-    Significance is ``matrix.mask(alpha)``. Columns absent from the matrix are
-    skipped. The S4-S5 column, when present, is summarized across all
-    categories combined as the ``no_recovery`` count.
+    Significance is ``matrix.mask()``, re-masked at ``alpha`` if given (a bad
+    one is the matrix's RangeError). Columns absent from the matrix are skipped.
+    The S4-S5 column, when present, counts all categories as ``no_recovery``.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise RangeError(f"alpha must lie in [0, 1], got {alpha}")
-    mask = matrix.mask(alpha)
+    matrix = matrix if alpha is None else replace(matrix, alpha=alpha)
+    mask = matrix.mask()
 
     def significant(pair, category=None) -> CategoryCount:
         j = matrix.pairs.index(pair)
@@ -114,4 +113,4 @@ def summarize_recovery(matrix: ComparisonMatrix, alpha: float = 0.05) -> Recover
         if pair in matrix.pairs
     }
     no_recovery = significant(RECOVERY_PAIR) if RECOVERY_PAIR in matrix.pairs else None
-    return RecoverySummary(alpha=alpha, columns=columns, no_recovery=no_recovery)
+    return RecoverySummary(alpha=matrix.alpha, columns=columns, no_recovery=no_recovery)

@@ -3,8 +3,8 @@
 Comparison matrices render as TSV (one row per task/feature, one column per
 set pair), JSON (full cell detail, reloadable), and markdown (significant
 cells in bold). The significance TSV and the bold cells read
-``ComparisonMatrix.mask``, the one place that compares p with alpha. Feature
-tables render as TSV/JSON/markdown in catalog column order, one row per
+``ComparisonMatrix.mask``, which compares p with the matrix's own alpha. Feature
+tables render as TSV/JSON/markdown in the table's catalog order, one row per
 record; a record whose extraction failed renders NA values (JSON ``null``).
 Every TSV and markdown table goes through one writer per format. The cells
 of ``matrix.json`` and all of ``recovery.json`` are the ``Cell`` and
@@ -77,15 +77,15 @@ def matrix_to_tsv(matrix: ComparisonMatrix) -> str:
     return _tsv(*_matrix_layout(matrix, _TSV_PREFIX, cell_rows))
 
 
-def mask_to_tsv(matrix: ComparisonMatrix, alpha: float | None = None) -> str:
+def mask_to_tsv(matrix: ComparisonMatrix) -> str:
     """Boolean significance table parallel to the p-value TSV."""
-    mask_rows = (["true" if m else "false" for m in row] for row in matrix.mask(alpha))
+    mask_rows = (["true" if m else "false" for m in row] for row in matrix.mask())
     return _tsv(*_matrix_layout(matrix, _TSV_PREFIX, mask_rows))
 
 
-def matrix_to_markdown(matrix: ComparisonMatrix, alpha: float | None = None) -> str:
+def matrix_to_markdown(matrix: ComparisonMatrix) -> str:
     cell_rows = []
-    for cells, mask_row in zip(matrix.cells, matrix.mask(alpha)):
+    for cells, mask_row in zip(matrix.cells, matrix.mask()):
         texts = [NA if c is None else f"{c.p:.4g}" for c in cells]
         cell_rows.append([f"**{t}**" if m else t for t, m in zip(texts, mask_row)])
     return _markdown(*_matrix_layout(matrix, ("Task type", "Task", "Feature"), cell_rows))
@@ -181,8 +181,8 @@ def matrix_from_json(text: str) -> ComparisonMatrix:
         raise FormatError(f"not a valid matrix JSON document: {exc}")
 
 
-def load_matrix_tsv(text: str, alpha: float = 0.05) -> ComparisonMatrix:
-    """Load a p-value table in the matrix TSV layout.
+def load_matrix_tsv(text: str) -> ComparisonMatrix:
+    """Load a p-value table in the matrix TSV layout, at the default alpha 0.05.
 
     Cells carry p-values only (no sample sizes); NA cells load as None.
     Blank lines are skipped; an error names its line in the file.
@@ -214,7 +214,7 @@ def load_matrix_tsv(text: str, alpha: float = 0.05) -> ComparisonMatrix:
             raise type(exc)(str(exc), line=lineno) from exc
         cells.append(tuple(row_cells))
     try:
-        return ComparisonMatrix(rows=tuple(rows), pairs=pairs, cells=tuple(cells), alpha=alpha)
+        return ComparisonMatrix(rows=tuple(rows), pairs=pairs, cells=tuple(cells))
     except RangeError as exc:
         raise RangeError(f"matrix TSV: {exc}") from exc
 
@@ -223,11 +223,10 @@ def load_matrix_tsv(text: str, alpha: float = 0.05) -> ComparisonMatrix:
 # Feature tables
 # ---------------------------------------------------------------------------
 
-def _feature_rows(table: FeatureTable, catalog: Sequence[str]):
-    """Key, ``catalog`` values (None if failed; counts as ints) and sorted flags of each row."""
-    columns = [table.catalog.index(name) for name in catalog]
-    counts = [name in COUNT_FEATURES for name in catalog]
-    for key, row, flags in zip(table.keys, table.values[:, columns].tolist(), table.flags.tolist()):
+def _feature_rows(table: FeatureTable):
+    """Key, values (None if failed; counts as ints) and sorted flags of each row."""
+    counts = [name in COUNT_FEATURES for name in table.catalog]
+    for key, row, flags in zip(table.keys, table.values.tolist(), table.flags.tolist()):
         if key in table.errors:
             yield key, None, [EXTRACTION_FAILED]
         else:
@@ -235,24 +234,24 @@ def _feature_rows(table: FeatureTable, catalog: Sequence[str]):
             yield key, values, sorted(n for n, flag in zip(table.catalog, flags) if flag)
 
 
-def features_to_tsv(table: FeatureTable, catalog: Sequence[str]) -> str:
+def features_to_tsv(table: FeatureTable) -> str:
     rows = []
-    for (subject, set_id, task), values, flags in _feature_rows(table, catalog):
-        texts = [NA] * len(catalog) if values is None else list(map(repr, values))
+    for (subject, set_id, task), values, flags in _feature_rows(table):
+        texts = [NA] * len(table.catalog) if values is None else list(map(repr, values))
         rows.append([subject, set_id.value, str(task), *texts, ",".join(flags)])
-    return _tsv(["subject", "set", "task", *catalog, "degenerate"], rows)
+    return _tsv(["subject", "set", "task", *table.catalog, "degenerate"], rows)
 
 
-def features_to_json(table: FeatureTable, catalog: Sequence[str]) -> str:
+def features_to_json(table: FeatureTable) -> str:
     payload = [
         {
             "subject": subject,
             "set": set_id.value,
             "task": task,
-            "values": None if values is None else dict(zip(catalog, values)),
+            "values": None if values is None else dict(zip(table.catalog, values)),
             "degenerate": flags,
         }
-        for (subject, set_id, task), values, flags in _feature_rows(table, catalog)
+        for (subject, set_id, task), values, flags in _feature_rows(table)
     ]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -261,13 +260,13 @@ def features_to_json(table: FeatureTable, catalog: Sequence[str]) -> str:
 _UNIT_SUFFIX = {SAMPLE_RATE_HZ: " (units/s)", SAMPLE_RATE_HZ**2: " (units/s^2)"}
 
 
-def features_to_markdown(table: FeatureTable, catalog: Sequence[str]) -> str:
+def features_to_markdown(table: FeatureTable) -> str:
     """Markdown feature table with speeds/accelerations shown per second."""
-    labels = [name + _UNIT_SUFFIX.get(PER_SECOND_SCALE.get(name), "") for name in catalog]
-    scales = [PER_SECOND_SCALE.get(name, 1.0) for name in catalog]
+    labels = [name + _UNIT_SUFFIX.get(PER_SECOND_SCALE.get(name), "") for name in table.catalog]
+    scales = [PER_SECOND_SCALE.get(name, 1.0) for name in table.catalog]
     rows = []
-    for (subject, set_id, task), values, _ in _feature_rows(table, catalog):
-        texts = [NA] * len(catalog) if values is None else [
+    for (subject, set_id, task), values, _ in _feature_rows(table):
+        texts = [NA] * len(table.catalog) if values is None else [
             f"{v * scale:.6g}" for v, scale in zip(values, scales)
         ]
         rows.append([subject, set_id.value, str(task), *texts])

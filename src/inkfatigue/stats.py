@@ -296,6 +296,13 @@ class Cell:
         object.__setattr__(self, "p", float(p))
 
 
+def check_alpha(alpha) -> float:
+    """``alpha`` if it is a float in (0, 1), the one alpha rule; else RangeError."""
+    if not isinstance(alpha, float) or not 0 < alpha < 1:
+        raise RangeError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    return alpha
+
+
 @dataclass(frozen=True)
 class ComparisonMatrix:
     """P-values for (task, feature) rows across ordered set-pair columns.
@@ -311,9 +318,8 @@ class ComparisonMatrix:
     alpha: float = 0.05
 
     def __post_init__(self):
-        alpha, rows, pairs, cells = self.alpha, self.rows, self.pairs, self.cells
-        if not isinstance(alpha, float) or not 0 < alpha < 1:
-            raise RangeError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+        check_alpha(self.alpha)
+        rows, pairs, cells = self.rows, self.pairs, self.cells
         for pair in pairs:
             of_sets = type(pair) is tuple and tuple(map(type, pair)) == (SetId, SetId)
             if not (of_sets and pair[0] < pair[1]):
@@ -338,15 +344,11 @@ class ComparisonMatrix:
                 if cell is not None and cell.__class__ is not Cell:
                     raise RangeError(f"row {number}: cell must be a Cell or None, got {cell!r}")
 
-    def mask(self, alpha: float | None = None) -> list[list[bool]]:
-        """Significance mask: True where p < alpha (NA cells are False),
-        alpha defaulting to the matrix's own. The mask TSV, the markdown bold
-        cells and the recovery summary all read it."""
-        a = self.alpha if alpha is None else alpha
-        return [
-            [cell is not None and cell.p < a for cell in row_cells]
-            for row_cells in self.cells
-        ]
+    def mask(self) -> list[list[bool]]:
+        """Significance mask at the matrix's alpha: True where p < alpha, False
+        for NA cells. The mask TSV, the markdown bold cells and the recovery
+        summary read it; ``replace(matrix, alpha=a)`` re-masks at ``a``."""
+        return [[c is not None and c.p < self.alpha for c in cells] for cells in self.cells]
 
 
 def default_rows(catalog: Sequence[str] = DEFAULT_CATALOG) -> list[tuple[int, str]]:

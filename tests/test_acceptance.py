@@ -239,6 +239,7 @@ def test_reference_matrix_layout_and_bold_pattern():
     0.05 reproduces the frozen bold-cell pattern cell for cell."""
     matrix = load_matrix_tsv((DATA / "reference_matrix.tsv").read_text())
     ok = len(matrix.rows) == 29 and matrix.pairs == tuple(canonical_set_pairs())
+    ok = ok and matrix.alpha == 0.05
 
     tsv_lines = matrix_to_tsv(matrix).splitlines()
     ok = ok and len(tsv_lines) == 30
@@ -251,14 +252,14 @@ def test_reference_matrix_layout_and_bold_pattern():
     expected = [line.split("\t")[3:] for line in expected_lines]
     got = [
         ["true" if flag else "false" for flag in row]
-        for row in matrix.mask(0.05)
+        for row in matrix.mask()
     ]
     mismatches = sum(
         a != b for exp_row, got_row in zip(expected, got) for a, b in zip(exp_row, got_row)
     )
     ok = ok and mismatches == 0
 
-    markdown = matrix_to_markdown(matrix, alpha=0.05)
+    markdown = matrix_to_markdown(matrix)
     bold_cells = markdown.count("**") // 2
     expected_bold = sum(row.count("true") for row in expected)
     ok = ok and bold_cells == expected_bold

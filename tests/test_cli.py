@@ -621,7 +621,7 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "text,line,message",
     [
-        ("alpha = 2\n", 1, "alpha must lie strictly in (0, 1), got 2.0"),
+        ("alpha = 2\n", 1, "alpha must lie strictly between 0 and 1, got 2.0"),
         ("alpha = x\n", 1, "alpha must be a number, got 'x'"),
         ("# comment\nfeatures = bogus\n", 2, "unknown feature(s): bogus"),
         ("alpha = 0.1\n\npairs = S2-S1\n", 3, "set pair must be ordered ascending, got 'S2-S1'"),
@@ -728,7 +728,7 @@ set.S4.air_inflation = 1.5
 # Any change to an artifact, message, usage or help line, or exit code moves
 # one of them. Help lines wrap at COLUMNS, which the test fixes.
 PINNED_TREE_SHA256 = "a51b6d37871bc02f33a2d9b39e27ef4cec7bc156048c075b289ca687fba0b7cf"
-PINNED_TRANSCRIPT_SHA256 = "3d78cb3374485db08a8eac894d0880dab67727fc3b16906b8d754d77e2cdbf14"
+PINNED_TRANSCRIPT_SHA256 = "477bf39325c440c699ac50bbbd830cb262020869f0f607040a1238112d972e3c"
 
 
 def _pin_invocations() -> list[list[str]]:

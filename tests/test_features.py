@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import inkfatigue.features as features_mod
 from inkfatigue.errors import EmptyInputError, RangeError, ShapeError, TooShortError
 from inkfatigue.features import (
     COUNT_FEATURES,
@@ -465,6 +466,21 @@ def test_feature_table_covers_corpus_and_skips_short_records():
         assert values.tobytes() == np.array([vector[n] for n in catalog]).tobytes()
         assert {n for n, f in zip(catalog, flags) if f} == vector.flags
     assert table.flags[table.keys.index(("U04", SetId.S1, 1))].any()
+
+
+def test_feature_table_refuses_a_repeated_feature_before_extracting(monkeypatch):
+    # Matrices and views find a column by name, and the JSON view keys values
+    # by name, so a catalog naming a feature twice is refused up front.
+    corpus = generate_corpus(SynthProfile(seed=19, n_subjects=1), sets=(SetId.S1,))
+    calls = []
+    real = features_mod.extract_features
+    monkeypatch.setattr(
+        features_mod, "extract_features", lambda *args: calls.append(args) or real(*args)
+    )
+    with pytest.raises(RangeError) as info:
+        feature_table(corpus, ("mean_speed", "time_in_air", "mean_speed"))
+    assert str(info.value) == "duplicate feature 'mean_speed' in catalog"
+    assert calls == []
 
 
 def test_feature_table_holds_about_nine_bytes_per_value():

@@ -1,3 +1,5 @@
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -140,16 +142,18 @@ def test_summary_of_all_ones_is_empty():
     assert summary.no_recovery.count == 0
 
 
-def test_summary_alpha_zero_is_empty():
-    summary = summarize_recovery(uniform_matrix(0.01), alpha=0.0)
-    for by_category in summary.columns.values():
-        assert all(cc.count == 0 for cc in by_category.values())
+def test_summary_refuses_alpha_0_and_1():
+    # The matrix's alpha rule: a float strictly between 0 and 1.
+    for alpha in (0.0, 1.0, 1, True):
+        message = f"alpha must lie strictly between 0 and 1, got {alpha!r}"
+        with pytest.raises(RangeError, match=re.escape(message)):
+            summarize_recovery(uniform_matrix(0.01), alpha)
 
 
 def test_summary_counts_are_monotone_in_alpha():
     matrix = load_matrix_tsv((DATA / "reference_matrix.tsv").read_text())
     totals = []
-    for alpha in (0.001, 0.01, 0.05, 0.2, 1.0):
+    for alpha in (0.001, 0.01, 0.05, 0.2, math.nextafter(1.0, 0)):
         summary = summarize_recovery(matrix, alpha)
         totals.append(
             sum(cc.count for by_cat in summary.columns.values() for cc in by_cat.values())

@@ -1,5 +1,8 @@
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from inkfatigue.features import (
     feature_table,
     full_catalog,
 )
-from inkfatigue.model import ALL_SETS, TASK_IDS, SetId
+from inkfatigue.model import ALL_SETS, TASK_IDS, Category, SetId
 from inkfatigue.protocol import canonical_set_pairs, summarize_recovery
 from inkfatigue.reporting import (
     PER_SECOND_SCALE,
@@ -75,7 +78,7 @@ def test_matrix_tsv_layout(small_matrix):
 
 def test_matrix_tsv_round_trip(small_matrix):
     text = matrix_to_tsv(small_matrix)
-    loaded = load_matrix_tsv(text, alpha=small_matrix.alpha)
+    loaded = load_matrix_tsv(text)
     assert [(r.task, r.feature) for r in loaded.rows] == [
         (r.task, r.feature) for r in small_matrix.rows
     ]
@@ -373,20 +376,26 @@ def test_load_matrix_tsv_names_the_file_line_after_blank_lines():
 @pytest.mark.parametrize(
     "header, rows, alpha, message",
     [
-        ("S1-S2\tS1-S2", ["0.5\t0.1"], 0.05, "duplicate set pair S1-S2"),
-        ("S1-S2", ["0.5", "0.01"], 0.05, "duplicate row for task 1 and feature 'mean_speed'"),
-        ("S1-S2", ["0.5"], 7.0, "alpha must lie strictly between 0 and 1, got 7.0"),
-        ("S1-S2", ["0.5"], 0, "alpha must lie strictly between 0 and 1, got 0"),
+        ("S1-S2\tS1-S2", ["0.5\t0.1"], None, "matrix TSV: duplicate set pair S1-S2"),
+        (
+            "S1-S2",
+            ["0.5", "0.01"],
+            None,
+            "matrix TSV: duplicate row for task 1 and feature 'mean_speed'",
+        ),
         ("S1-S2", ["0.5"], True, "alpha must lie strictly between 0 and 1, got True"),
     ],
-    ids=["duplicate-pairs", "duplicate-rows", "alpha-7", "alpha-0", "alpha-true"],
+    ids=["duplicate-pairs", "duplicate-rows", "alpha-true"],
 )
 def test_load_matrix_tsv_checks_the_matrix_shape_and_alpha(header, rows, alpha, message):
+    # A table carries no alpha: one set on the loaded matrix meets
+    # ComparisonMatrix's own check.
     text = f"task_type\ttask\tfeature\t{header}\n"
     text += "".join(f"Cognitive\t1\tmean_speed\t{cells}\n" for cells in rows)
     with pytest.raises(RangeError) as info:
-        load_matrix_tsv(text, alpha=alpha)
-    assert str(info.value) == f"matrix TSV: {message}"
+        loaded = load_matrix_tsv(text)
+        replace(loaded, alpha=alpha)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("task", ["+1", " 1", "1 ", "\u0663", "1_0", "", "1.0"])
@@ -415,13 +424,17 @@ def test_load_matrix_tsv_reads_ascii_decimal_p_values(p):
 
 
 @pytest.fixture(scope="module")
-def table():
-    corpus = generate_corpus(SynthProfile(seed=42, n_subjects=2), sets=(SetId.S1,))
+def corpus():
+    return generate_corpus(SynthProfile(seed=42, n_subjects=2), sets=(SetId.S1,))
+
+
+@pytest.fixture(scope="module")
+def table(corpus):
     return feature_table(corpus)
 
 
 def test_features_tsv_layout(table):
-    lines = features_to_tsv(table, DEFAULT_CATALOG).splitlines()
+    lines = features_to_tsv(table).splitlines()
     assert lines[0].split("\t") == ["subject", "set", "task", *DEFAULT_CATALOG, "degenerate"]
     assert len(lines) == 1 + 18
     first = lines[1].split("\t")
@@ -432,22 +445,22 @@ def test_features_tsv_layout(table):
 
 
 def test_features_tsv_deterministic(table):
-    assert features_to_tsv(table, DEFAULT_CATALOG) == features_to_tsv(table, DEFAULT_CATALOG)
+    assert features_to_tsv(table) == features_to_tsv(table)
 
 
 def test_features_json_contains_values(table):
     import json
 
-    rows = json.loads(features_to_json(table, DEFAULT_CATALOG))
+    rows = json.loads(features_to_json(table))
     assert len(rows) == 18
     assert rows[0]["subject"] == "U01"
     assert set(rows[0]["values"]) == set(DEFAULT_CATALOG)
 
 
-def test_features_markdown_converts_to_per_second(table):
-    text = features_to_markdown(table, ("mean_speed", "time_in_air"))
+def test_features_markdown_converts_to_per_second(corpus, table):
+    text = features_to_markdown(feature_table(corpus, ("mean_speed", "time_in_air")))
     lines = text.splitlines()
-    assert "mean_speed (units/s)" in lines[0]
+    assert lines[0] == "| subject | set | task | mean_speed (units/s) | time_in_air |"
     value_line = lines[2].split("|")
     assert value_line[1:4] == [" U01 ", " S1 ", " 1 "]
     shown = float(value_line[4].strip())
@@ -481,11 +494,11 @@ def test_recovery_rendering(reference_matrix):
 
 @st.composite
 def matrices_and_alphas(draw):
-    """A matrix of drawn cells over 1 to 10 pairs, and a render alpha that is
-    omitted (None) or given. A cell is NA, a p-value alone (as loaded from a
-    TSV) or a p-value with every other ``Cell`` field drawn. The p-values
-    favour 0, 1, the smallest subnormal and the alphas in play, so that
-    ``p == alpha`` comes up."""
+    """A matrix of drawn cells over 1 to 10 pairs, and an alpha to re-mask it
+    at that is omitted (None) or given, 0 and 1 included. A cell is NA, a
+    p-value alone (as loaded from a TSV) or a p-value with every other
+    ``Cell`` field drawn. The p-values favour 0, 1, the smallest subnormal
+    and the alphas in play, so that ``p == alpha`` comes up."""
     matrix_alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     alpha = draw(st.none() | st.sampled_from([0.0, 1.0, 0.05]) | st.floats(0.0, 1.0))
     pairs = draw(
@@ -518,20 +531,53 @@ def matrices_and_alphas(draw):
     return matrix, alpha
 
 
+def _reference_mask_to_tsv(matrix: ComparisonMatrix, alpha: float) -> str:
+    """``reference_mask_to_tsv`` over the reference rule (p < alpha, NA never
+    significant) instead of ``ComparisonMatrix.mask``, which takes no alpha."""
+
+    def mask(a):
+        return [[c is not None and c.p < a for c in cells] for cells in matrix.cells]
+
+    stand_in = SimpleNamespace(rows=matrix.rows, pairs=matrix.pairs, mask=mask)
+    return reference_mask_to_tsv(stand_in, alpha)
+
+
 @given(matrices_and_alphas())
 @settings(max_examples=150, deadline=None)
 def test_matrix_views_and_recovery_match_their_reference_forms(drawn):
     matrix, alpha = drawn
-    given_alpha = () if alpha is None else (alpha,)
     assert matrix_to_tsv(matrix) == reference_matrix_to_tsv(matrix)
-    assert mask_to_tsv(matrix, *given_alpha) == reference_mask_to_tsv(matrix, *given_alpha)
-    assert matrix_to_markdown(matrix, *given_alpha) == reference_matrix_to_markdown(
-        matrix, *given_alpha
-    )
-    summary = summarize_recovery(matrix, *given_alpha)
-    assert summary == reference_summarize_recovery(matrix, *given_alpha)
     assert matrix_to_json(matrix) == reference_matrix_to_json(matrix)
+    if alpha in (0.0, 1.0):
+        message = re.escape(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+        with pytest.raises(RangeError, match=message):
+            replace(matrix, alpha=alpha)
+        with pytest.raises(RangeError, match=message):
+            summarize_recovery(matrix, alpha)
+        return
+    a = matrix.alpha if alpha is None else alpha
+    at_a = replace(matrix, alpha=a)
+    assert mask_to_tsv(at_a) == _reference_mask_to_tsv(matrix, a)
+    assert matrix_to_markdown(at_a) == reference_matrix_to_markdown(matrix, a)
+    summary = summarize_recovery(matrix, alpha)
+    assert summary == summarize_recovery(at_a) == reference_summarize_recovery(matrix, a)
     assert recovery_to_json(summary) == reference_recovery_to_json(summary)
+
+
+def test_every_view_of_a_matrix_reads_its_alpha():
+    # At alpha 0.01, p = 0.03 is not significant and p = 0.005 is, in the mask
+    # TSV, the bold cells and the recovery summary alike.
+    pairs = ((SetId.S1, SetId.S2), (SetId.S1, SetId.S3))
+    cells = ((Cell(p=0.03), Cell(p=0.005)),)
+    matrix = ComparisonMatrix((MatrixRow(1, "mean_speed"),), pairs, cells, alpha=0.01)
+    assert mask_to_tsv(matrix).splitlines()[1] == "Cognitive\t1\tmean_speed\tfalse\ttrue"
+    assert matrix_to_markdown(matrix).splitlines()[2] == (
+        "| Cognitive | 1 | mean_speed | 0.03 | **0.005** |"
+    )
+    summary = summarize_recovery(matrix)
+    assert summary.alpha == 0.01
+    assert summary.columns["S1-S2"][Category.COGNITIVE].cells == ()
+    assert summary.columns["S1-S3"][Category.COGNITIVE].cells == ((1, "mean_speed"),)
 
 
 def _columnar(entries, catalog) -> FeatureTable:
@@ -576,8 +622,8 @@ def feature_tables(draw):
 def test_feature_views_match_their_reference_forms(drawn):
     entries, catalog = drawn
     table = _columnar(entries, catalog)
-    assert features_to_tsv(table, catalog) == reference_features_to_tsv(entries, catalog)
-    assert features_to_markdown(table, catalog) == reference_features_to_markdown(entries, catalog)
+    assert features_to_tsv(table) == reference_features_to_tsv(entries, catalog)
+    assert features_to_markdown(table) == reference_features_to_markdown(entries, catalog)
 
 
 def test_counts_render_as_integers_and_failed_records_as_missing():
@@ -591,15 +637,15 @@ def test_counts_render_as_integers_and_failed_records_as_missing():
         },
         catalog,
     )
-    assert features_to_tsv(table, catalog).splitlines()[1:] == [
+    assert features_to_tsv(table).splitlines()[1:] == [
         "U01\tS1\t1\t123\t2.0\t0\t",
         "U02\tS1\t1\tNA\tNA\tNA\textraction-failed",
     ]
-    assert features_to_markdown(table, catalog).splitlines()[2:] == [
+    assert features_to_markdown(table).splitlines()[2:] == [
         "| U01 | S1 | 1 | 123 | 200 | 0 |",
         "| U02 | S1 | 1 | NA | NA | NA |",
     ]
-    text = features_to_json(table, catalog)
+    text = features_to_json(table)
     # json.loads reads 123.0 as equal to 123, so the text itself is checked.
     assert '"p_gt_100": 0,\n' in text and '"time_in_air": 123\n' in text
     assert json.loads(text) == [

@@ -492,6 +492,8 @@ _PAIR = ((SetId.S1, SetId.S2),)
         ),
         ({"alpha": True}, "alpha must lie strictly between 0 and 1, got True"),
         ({"alpha": "0.05"}, "alpha must lie strictly between 0 and 1, got '0.05'"),
+        ({"alpha": 7.0}, "alpha must lie strictly between 0 and 1, got 7.0"),
+        ({"alpha": 0}, "alpha must lie strictly between 0 and 1, got 0"),
         ({"cells": ((),)}, "row 1 has 0 cells, expected 1"),
         ({"cells": ([None],)}, "row 1 cells must be a tuple, got [None]"),
         ({"cells": ()}, "cells must hold one tuple per row, got 0 for 1"),
@@ -504,6 +506,7 @@ _PAIR = ((SetId.S1, SetId.S2),)
     ],
     ids=[
         "non-cell", "descending-pair", "string-pair", "bool-alpha", "string-alpha",
+        "alpha-7", "alpha-0",
         "short-cell-row", "list-cell-row", "missing-cell-row", "tuple-row",
         "duplicate-rows", "duplicate-pairs",
     ],
