@@ -301,7 +301,9 @@ class FeatureTable:
     """Read-only ``values`` (float64, a NaN row for a failed record) and
     ``flags`` (degenerate-input rule) by [record, feature], for ``keys`` in
     corpus order and ``catalog`` in column order; ``errors`` maps the key of
-    each failed record to its message."""
+    each failed record to its message. Arrays not shaped (keys, catalog), a
+    repeated feature or key, or an error for a key outside ``keys`` raise
+    RangeError; the table holds read-only views of the arrays given."""
 
     keys: tuple[tuple[str, SetId, int], ...]
     catalog: tuple[str, ...]
@@ -309,30 +311,47 @@ class FeatureTable:
     flags: np.ndarray
     errors: Mapping[tuple[str, SetId, int], str]
 
+    def __post_init__(self):
+        shape = (len(self.keys), len(self.catalog))
+        for name in ("values", "flags"):
+            array = getattr(self, name).view()
+            if array.shape != shape:
+                raise RangeError(f"{name} must have shape {shape}, got {array.shape}")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        for what, where, items in (
+            ("feature", "catalog", self.catalog), ("key", "keys", self.keys)
+        ):
+            seen = set()
+            for item in items:
+                if item in seen:
+                    raise RangeError(f"duplicate {what} {item!r} in {where}")
+                seen.add(item)
+        for key in self.errors:
+            if key not in seen:  # the loop above ends on the keys
+                raise RangeError(f"error for {key!r}, which is not in keys")
+
     def __len__(self) -> int:
         return len(self.keys)
 
 
 def feature_table(corpus, catalog: Sequence[str] = DEFAULT_CATALOG) -> FeatureTable:
     """Extract features for every record of a corpus, a row each in catalog
-    order; a record too short to extract keeps a NaN row. A catalog naming a
-    feature twice is a RangeError, raised before any extraction."""
-    catalog = tuple(catalog)
-    if len(set(catalog)) < len(catalog):
-        name = next(name for i, name in enumerate(catalog) if name in catalog[:i])
-        raise RangeError(f"duplicate feature {name!r} in catalog")
+    order; a record too short to extract keeps a NaN row. The table checks
+    its fields, a repeated feature among them, before any extraction; its
+    rows are then filled in place."""
     records = list(corpus.records())
     values = np.full((len(records), len(catalog)), np.nan)
     flags = np.zeros(values.shape, dtype=bool)
     errors = {}
+    table = FeatureTable(tuple(r.key for r in records), tuple(catalog), values, flags, errors)
     for row, record in enumerate(records):
         try:
-            vector = extract_features(record, catalog)
+            vector = extract_features(record, table.catalog)
         except TooShortError as exc:
             errors[record.key] = str(exc)
             continue
         values[row] = list(vector.values.values())
         if vector.flags:
-            flags[row] = [name in vector.flags for name in catalog]
-    values.flags.writeable = flags.flags.writeable = False
-    return FeatureTable(tuple(r.key for r in records), catalog, values, flags, errors)
+            flags[row] = [name in vector.flags for name in table.catalog]
+    return table

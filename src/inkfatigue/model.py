@@ -153,6 +153,12 @@ class SetId(str, enum.Enum):
 ALL_SETS = tuple(SetId)
 
 
+def check_set_id(set_id: SetId) -> SetId:
+    if not isinstance(set_id, SetId):
+        raise RangeError(f"set id must be a SetId, got {set_id!r}")
+    return set_id
+
+
 def validate_task_id(task: int) -> int:
     if not isinstance(task, (int, np.integer)) or isinstance(task, bool):
         raise RangeError(f"task id must be an integer, got {task!r}")
@@ -248,8 +254,7 @@ class TaskRecord:
                 f"subject id {self.subject_id!r} must be non-empty and use only "
                 "letters, digits, '_', '.', '-'"
             )
-        if not isinstance(self.set_id, SetId):
-            raise RangeError(f"set id must be a SetId, got {self.set_id!r}")
+        check_set_id(self.set_id)
         object.__setattr__(self, "task", validate_task_id(self.task))
         object.__setattr__(self, "metadata", dict(self.metadata))
         # Each rule keeps the header line of serialize_task re-parsing to

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, RangeError
 from .features import DEFAULT_CATALOG, FeatureTable, feature_table
-from .model import Category, SetId, StudyCorpus, TASK_CATEGORIES, TASK_IDS
+from .model import Category, SetId, StudyCorpus, TASK_CATEGORIES, TASK_IDS, validate_task_id
 
 EXACT_MAX_N = 25
 
@@ -240,15 +240,14 @@ def compare_sets(
 
 @dataclass(frozen=True)
 class MatrixRow:
-    """One (task, feature) row; a task that is not an int in 1..9 or a
-    feature that is not a string raises RangeError."""
+    """One (task, feature) row; a task that ``validate_task_id`` refuses or
+    a feature that is not a string raises RangeError."""
 
     task: int
     feature: str
 
     def __post_init__(self):
-        if type(self.task) is not int or self.task not in TASK_CATEGORIES:
-            raise RangeError(f"task must be an integer in 1..9, got {self.task!r}")
+        object.__setattr__(self, "task", validate_task_id(self.task))
         if type(self.feature) is not str:
             raise RangeError(f"feature must be a string, got {self.feature!r}")
 

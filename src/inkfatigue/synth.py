@@ -17,15 +17,16 @@ Records are built one subject and set at a time. ``generate_task`` is the
 one entry point: it builds the nine tasks of its (profile, subject, set) in
 one pass, under that set's one perturbation, and caches them until the next
 (profile, subject, set) is asked for; ``generate_corpus`` asks for every
-record through it in that order. Each record still draws from its own
-stream, per stage in a fixed order, each per-sample stage in one draw
-covering all strokes of the record; the strokes of the nine records are then
-rows of shared zero-padded arrays. A ``Generator`` stream gives the same
-values in one draw as in one draw per stroke, and every per-sample
-expression groups its operations as the per-stroke form does (floating-point
-addition and multiplication commute but do not associate), so a record is
-the same whether built alone or with its set, and bit-identical to building
-it stroke by stroke.
+record through it in that order. A task whose pen leaves the int64 range is
+a ConfigError of its own and costs the other tasks of its set nothing. Each
+record still draws from its own stream, per stage in a fixed order, each
+per-sample stage in one draw covering all strokes of the record; the strokes
+of the nine records are then rows of shared zero-padded arrays. A
+``Generator`` stream gives the same values in one draw as in one draw per
+stroke, and every per-sample expression groups its operations as the
+per-stroke form does (floating-point addition and multiplication commute but
+do not associate), so a record is bit-identical to building it stroke by
+stroke.
 
 Per-set perturbations:
 
@@ -44,11 +45,11 @@ from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, RangeError
+from .errors import ConfigError
 from .model import (
     ALL_SETS,
     ALTITUDE_MAX,
@@ -63,6 +64,7 @@ from .model import (
     WIDE_CHANNEL_DTYPES,
     ascii_float,
     ascii_int,
+    check_set_id,
     read_text,
     validate_task_id,
 )
@@ -186,15 +188,6 @@ def _subject_traits(seed: int, subject_id: str) -> _SubjectTraits:
     )
 
 
-@functools.lru_cache(maxsize=1, typed=True)
-def _set_records(profile: SynthProfile, subject_id: str, set_id: SetId) -> tuple | None:
-    """The nine tasks of a subject and set from one pass; None if any leaves the int64 range."""
-    try:
-        return tuple(_generate_set(profile, subject_id, set_id, TASK_IDS))
-    except ConfigError:
-        return None
-
-
 def generate_task(
     profile: SynthProfile, subject_id: str, set_id: SetId, task: int
 ) -> TaskRecord:
@@ -202,18 +195,20 @@ def generate_task(
 
     Identical inputs yield bit-identical records; ``generate_corpus`` builds
     every record through this function. A call builds all nine tasks of
-    its subject and set in one pass (about 2 ms, five to eight times the
-    cost of one record built alone) and caches them, so the next calls for
-    an equal profile, the same subject and the same set cost a copy of the
-    record. Every call returns its own ``TaskRecord`` and metadata dict.
+    its subject and set in one pass (about 2 ms) and caches them, so the
+    next calls for an equal profile, the same subject and the same set cost
+    a copy of the record. Every call returns its own ``TaskRecord`` and
+    metadata dict. A task whose x or y leaves the int64 range is a
+    ConfigError of its own; the other tasks of its set are still returned.
     """
-    if task not in TASK_IDS:
-        raise ConfigError(f"task must be in 1..9, got {task}")
     task = validate_task_id(task)
-    records = _set_records(profile, subject_id, set_id)
-    if records is None:
-        return _generate_set(profile, subject_id, set_id, [task])[0]
-    return replace(records[task - 1])
+    record = _generate_set(profile, subject_id, set_id)[task - 1]
+    if record is None:
+        raise ConfigError(
+            f"subject {subject_id} set {set_id.value} task {task}: synthetic x or y "
+            "leaves the int64 range; base_speed, speed_scale or jitter_sd is too large"
+        )
+    return replace(record)
 
 
 def generate_corpus(
@@ -222,19 +217,13 @@ def generate_corpus(
     """Generate the full n_subjects x sets x 9-tasks corpus in memory, each
     record through ``generate_task``, so one pass builds a set's nine tasks.
     The set ids are checked before anything is drawn."""
-    sets = tuple(map(_checked_set_id, sets))
+    sets = tuple(map(check_set_id, sets))
     corpus = StudyCorpus()
     for subject_id in profile.subject_ids():
         for set_id in sets:
             for task in TASK_IDS:
                 corpus.add(generate_task(profile, subject_id, set_id, task))
     return corpus
-
-
-def _checked_set_id(set_id: SetId) -> SetId:
-    if not isinstance(set_id, SetId):
-        raise RangeError(f"set id must be a SetId, got {set_id!r}")
-    return set_id
 
 
 # Row L - _STROKE_LEN_RANGE[0] holds sin(pi * (col + 0.5) / L), the pressure
@@ -246,16 +235,17 @@ _ARC = np.sin(
 )
 
 
+@functools.lru_cache(maxsize=1, typed=True)
 def _generate_set(
-    profile: SynthProfile, subject_id: str, set_id: SetId, tasks: Sequence[int]
-) -> list[TaskRecord]:
-    """Build the records ``tasks`` of one subject and set in one padded pass.
+    profile: SynthProfile, subject_id: str, set_id: SetId
+) -> tuple[TaskRecord | None, ...]:
+    """Build the nine tasks of one subject and set in one padded pass, in
+    task order, with None for a task whose x or y leaves the int64 range.
 
-    Each record draws from its own stream, in the same order whatever else
-    is in the batch. The arithmetic then runs on the strokes of all records
-    at once, one stroke per row of zero-padded arrays.
+    Each record draws from its own stream. The arithmetic then runs on the
+    strokes of all records at once, one stroke per row of zero-padded arrays.
     """
-    _checked_set_id(set_id)
+    check_set_id(set_id)
     traits = _subject_traits(profile.seed, subject_id)
     pert = profile.perturbation(set_id)
     # base_v * amp_scale, multiplied in the per-record order.
@@ -270,7 +260,7 @@ def _generate_set(
     # last from the kept stream, once the record's length is known.
     rngs, draws = [], []
     has_gap = []  # per stroke row: whether a gap follows
-    for task in tasks:
+    for task in TASK_IDS:
         rng = _stream(profile.seed, "record", subject_id, set_id.value, task)
         n = int(profile.stroke_count + rng.integers(0, _EXTRA_STROKES))
         stroke_len = rng.integers(_STROKE_LEN_RANGE[0], _STROKE_LEN_RANGE[1] + 1, size=n)
@@ -393,21 +383,21 @@ def _generate_set(
         unit = [rng.standard_normal((2, n)) for rng, n in zip(rngs, lengths)]
         xy += pert.jitter_sd * np.concatenate(unit, axis=1)
 
-    # Casting a value outside the int64 range would write garbage; NaN fails
-    # both comparisons. A set inside int32 is cast to it: InkSignal scans none.
+    # Casting a value outside int64 would write garbage (NaN fails both
+    # comparisons), so a record holding one is zeroed and comes out None.
+    # A set inside int32 is cast to it: InkSignal scans none.
     np.rint(xy, out=xy)
-    lo, hi = xy.min(), xy.max()
-    if not (-(2.0**63) <= lo and hi < 2.0**63):
-        raise ConfigError(
-            f"subject {subject_id}: synthetic x or y leaves the int64 range; "
-            "base_speed, speed_scale or jitter_sd is too large"
-        )
-    dtypes = CHANNEL_DTYPES if -(2.0**31) <= lo and hi < 2.0**31 else WIDE_CHANNEL_DTYPES
-    x, y = xy.astype(dtypes["x"])
-    starts = np.cumsum([0, *lengths]).tolist()
+    starts = np.cumsum([0, *lengths])
+    lo = np.minimum.reduceat(xy, starts[:-1], axis=1).min(axis=0)
+    hi = np.maximum.reduceat(xy, starts[:-1], axis=1).max(axis=0)
+    inside = ((-(2.0**63) <= lo) & (hi < 2.0**63)).tolist()
+    if not all(inside):
+        xy[:, np.repeat(np.logical_not(inside), lengths)] = 0
+    narrow = -(2.0**31) <= lo.min() and hi.max() < 2.0**31
+    x, y = xy.astype((CHANNEL_DTYPES if narrow else WIDE_CHANNEL_DTYPES)["x"])
     azimuth = np.full(max(lengths), traits.azimuth, dtype=CHANNEL_DTYPES["azimuth"])
     altitude = np.full(max(lengths), traits.altitude, dtype=CHANNEL_DTYPES["altitude"])
-    return [
+    return tuple(
         TaskRecord(
             subject_id=subject_id,
             set_id=set_id,
@@ -418,8 +408,10 @@ def _generate_set(
             ),
             metadata={"generator": "synthetic"},
         )
-        for task, start, n in zip(tasks, starts, lengths)
-    ]
+        if fits
+        else None
+        for task, start, n, fits in zip(TASK_IDS, starts.tolist(), lengths, inside)
+    )
 
 
 # ---------------------------------------------------------------------------

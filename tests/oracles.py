@@ -31,8 +31,8 @@ match them bit for bit:
   ``reference_features_to_markdown`` and ``reference_summarize_recovery``
   keep the table renderers and the recovery summary from before they shared
   one TSV writer, one markdown writer and ``ComparisonMatrix.mask``: each
-  renderer wrote its own framing, and the markdown bold cells and the
-  recovery counts each compared p with alpha themselves. The one change is
+  renderer wrote its own framing, and the mask, the markdown bold cells and
+  the recovery counts each compared p with alpha themselves. The one change is
   that ``ComparisonMatrix.column`` is spelled out as ``_column``. The
   feature renderers read the dict table;
 - ``reference_matrix_to_json`` and ``reference_recovery_to_json`` keep the
@@ -793,13 +793,14 @@ def reference_matrix_to_tsv(matrix: ComparisonMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reference_mask_to_tsv(matrix: ComparisonMatrix, alpha: float | None = None) -> str:
-    """Boolean significance table parallel to the p-value TSV."""
+def reference_mask_to_tsv(matrix: ComparisonMatrix) -> str:
+    """Boolean significance table parallel to the p-value TSV: a cell is
+    significant when p < matrix.alpha, and NA never is."""
     header = ["task_type", "task", "feature"] + [pair_label(p) for p in matrix.pairs]
     lines = ["\t".join(header)]
-    for row, mask_row in zip(matrix.rows, matrix.mask(alpha)):
+    for row, cells in zip(matrix.rows, matrix.cells):
         fields = [row.category.value, str(row.task), row.feature]
-        fields += ["true" if m else "false" for m in mask_row]
+        fields += ["true" if c is not None and c.p < matrix.alpha else "false" for c in cells]
         lines.append("\t".join(fields))
     return "\n".join(lines) + "\n"
 

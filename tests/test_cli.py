@@ -398,8 +398,8 @@ def _json_row(task="1", cells='[{"p": 0.5}]'):
 @pytest.mark.parametrize(
     "alpha,pairs,rows,error",
     [
-        ("0.05", '["S1-S2"]', _json_row("12"), "matrix JSON row 1: task must be an integer in 1..9, got 12"),
-        ("0.05", '["S1-S2"]', _json_row("true"), "matrix JSON row 1: task must be an integer in 1..9, got True"),
+        ("0.05", '["S1-S2"]', _json_row("12"), "matrix JSON row 1: task id must be in 1..9, got 12"),
+        ("0.05", '["S1-S2"]', _json_row("true"), "matrix JSON row 1: task id must be an integer, got True"),
         ("0.05", '["S1-S2"]', _json_row(cells='[{"p": 0.5}, {"p": 0.1}]'), "matrix JSON: row 1 has 2 cells, expected 1"),
         ("5.0", '["S1-S2"]', _json_row(), "matrix JSON: alpha must lie strictly between 0 and 1, got 5.0"),
         ("0.05", '{"S1-S2": 1}', _json_row(), "matrix JSON: pairs must be an array, got {'S1-S2': 1}"),

@@ -13,6 +13,7 @@ from inkfatigue.errors import EmptyInputError, RangeError, ShapeError, TooShortE
 from inkfatigue.features import (
     COUNT_FEATURES,
     DEFAULT_CATALOG,
+    FeatureTable,
     PENDOWN_CATALOG,
     entropy,
     extract_features,
@@ -481,6 +482,41 @@ def test_feature_table_refuses_a_repeated_feature_before_extracting(monkeypatch)
         feature_table(corpus, ("mean_speed", "time_in_air", "mean_speed"))
     assert str(info.value) == "duplicate feature 'mean_speed' in catalog"
     assert calls == []
+
+
+_KEY = ("U01", SetId.S1, 1)
+
+
+@pytest.mark.parametrize(
+    "keys, catalog, values, flags, errors, message",
+    [
+        # Rendered as JSON, one of the two columns was dropped.
+        ((_KEY,), ("mean_speed", "mean_speed"), [[1.0, 2.0]], [[False, False]], {},
+         "duplicate feature 'mean_speed' in catalog"),
+        # Rendered as TSV, the row had one value under two names.
+        ((_KEY,), ("mean_speed", "time_down"), [[1.0]], [[False, False]], {},
+         "values must have shape (1, 2), got (1, 1)"),
+        ((_KEY,), ("mean_speed",), [[1.0]], [[False], [False]], {},
+         "flags must have shape (1, 1), got (2, 1)"),
+        ((_KEY, _KEY), ("mean_speed",), [[1.0], [2.0]], [[False], [False]], {},
+         f"duplicate key {_KEY!r} in keys"),
+        ((_KEY,), ("mean_speed",), [[1.0]], [[False]], {("U02", SetId.S1, 1): "too short"},
+         f"error for {('U02', SetId.S1, 1)!r}, which is not in keys"),
+    ],
+    ids=["repeated-feature", "narrow-values", "tall-flags", "repeated-key", "stray-error"],
+)
+def test_feature_table_checks_its_own_fields(keys, catalog, values, flags, errors, message):
+    with pytest.raises(RangeError) as info:
+        FeatureTable(keys, catalog, np.array(values), np.array(flags), errors)
+    assert str(info.value) == message
+
+
+def test_feature_table_holds_read_only_views_of_the_arrays_given():
+    values, flags = np.array([[1.0]]), np.array([[True]])
+    table = FeatureTable((_KEY,), ("mean_speed",), values, flags, {})
+    assert not (table.values.flags.writeable or table.flags.flags.writeable)
+    assert values.flags.writeable and flags.flags.writeable
+    assert table.values.tolist() == [[1.0]] and table.flags.tolist() == [[True]]
 
 
 def test_feature_table_holds_about_nine_bytes_per_value():

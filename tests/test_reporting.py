@@ -2,7 +2,6 @@ import json
 import re
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,7 +117,7 @@ def _matrix_json(task, cells='[{"p": 0.5}]'):
 
 @pytest.mark.parametrize("task", ["12", "0", "-1", "3.7", '"3"', '"\u0663"', "true", "null"])
 def test_matrix_json_task_must_be_an_integer_in_range(task):
-    with pytest.raises(FormatError, match="task must be an integer in 1..9"):
+    with pytest.raises(FormatError, match=r"task id must be (an integer|in 1\.\.9), got "):
         matrix_from_json(_matrix_json(task))
 
 
@@ -348,7 +347,7 @@ def test_load_matrix_tsv_diagnostics():
 @pytest.mark.parametrize(
     "row, error, message",
     [
-        ("Cognitive\t12\tmean_speed\t0.5", RangeError, "task must be an integer in 1..9, got 12"),
+        ("Cognitive\t12\tmean_speed\t0.5", RangeError, "task id must be in 1..9, got 12"),
         ("Cognitive\t1\tmean_speed\t1.5", RangeError, "p must be a number in [0, 1], got 1.5"),
         ("Cognitive\t1\tmean_speed\t1e999", RangeError, "p must be a number in [0, 1], got inf"),
         (
@@ -531,17 +530,6 @@ def matrices_and_alphas(draw):
     return matrix, alpha
 
 
-def _reference_mask_to_tsv(matrix: ComparisonMatrix, alpha: float) -> str:
-    """``reference_mask_to_tsv`` over the reference rule (p < alpha, NA never
-    significant) instead of ``ComparisonMatrix.mask``, which takes no alpha."""
-
-    def mask(a):
-        return [[c is not None and c.p < a for c in cells] for cells in matrix.cells]
-
-    stand_in = SimpleNamespace(rows=matrix.rows, pairs=matrix.pairs, mask=mask)
-    return reference_mask_to_tsv(stand_in, alpha)
-
-
 @given(matrices_and_alphas())
 @settings(max_examples=150, deadline=None)
 def test_matrix_views_and_recovery_match_their_reference_forms(drawn):
@@ -557,7 +545,7 @@ def test_matrix_views_and_recovery_match_their_reference_forms(drawn):
         return
     a = matrix.alpha if alpha is None else alpha
     at_a = replace(matrix, alpha=a)
-    assert mask_to_tsv(at_a) == _reference_mask_to_tsv(matrix, a)
+    assert mask_to_tsv(at_a) == reference_mask_to_tsv(at_a)
     assert matrix_to_markdown(at_a) == reference_matrix_to_markdown(matrix, a)
     summary = summarize_recovery(matrix, alpha)
     assert summary == summarize_recovery(at_a) == reference_summarize_recovery(matrix, a)

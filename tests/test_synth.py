@@ -334,8 +334,9 @@ def test_corpus_matches_per_record_reference(profile_sets, data):
 
 
 def test_generate_task_rejects_bad_task():
-    with pytest.raises(ConfigError):
+    with pytest.raises(RangeError) as exc:
         generate_task(SynthProfile(), "U01", SetId.S1, 0)
+    assert str(exc.value) == "task id must be in 1..9, got 0"
 
 
 def test_a_set_id_that_is_not_a_set_id_is_a_range_error_before_any_draw(monkeypatch):
@@ -409,6 +410,35 @@ def test_int64_overflow_in_another_task_of_the_set_does_not_fail_this_one():
         else:
             with pytest.raises(ConfigError, match="int64"):
                 generate_task(profile, "U01", SetId.S1, task)
+
+
+def test_a_set_past_int64_is_built_in_one_pass(monkeypatch):
+    # Tasks 1 and 5 of this set stay inside int64 and the other seven leave
+    # it; the nine calls still draw each record's stream once.
+    profile = SynthProfile(seed=1, n_subjects=1, base_speed=1e17)
+    generate_task(SynthProfile(seed=1, n_subjects=1), "U01", SetId.S2, 1)  # holds another set
+    drawn = []
+
+    def counted(seed, *key):
+        drawn.append(key)
+        return stream(seed, *key)
+
+    stream = synth._stream
+    monkeypatch.setattr(synth, "_stream", counted)
+    messages = []
+    for task in TASK_IDS:
+        try:
+            generate_task(profile, "U01", SetId.S1, task)
+        except ConfigError as exc:
+            messages.append(str(exc))
+    assert [key for key in drawn if key[0] == "record"] == [
+        ("record", "U01", "S1", task) for task in TASK_IDS
+    ]
+    assert messages == [
+        f"subject U01 set S1 task {task}: synthetic x or y leaves the int64 range; "
+        "base_speed, speed_scale or jitter_sd is too large"
+        for task in (2, 3, 4, 6, 7, 8, 9)
+    ]
 
 
 def test_threads_sharing_held_tasks_each_get_correct_records_once():
