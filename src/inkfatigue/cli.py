@@ -28,8 +28,8 @@ from .errors import FormatError, InkError
 # parse_task_file stays bound here because perfbench/tracer.py patches it by
 # name in this module.
 from .model import (
-    SetId, ascii_float, load_corpus, parse_task_file, read_task_file, read_text, record_path,
-    write_corpus,
+    SetId, ascii_float, load_corpus, parse_task_file, read_aux_file, read_task_file, read_text,
+    record_path, write_corpus,
 )
 from .protocol import canonical_set_pairs, parse_pair_label, summarize_recovery
 from .stats import TESTS, build_matrix, check_alpha, default_rows
@@ -205,10 +205,18 @@ def cmd_validate(args, parser) -> int:
                 f"warning: {path}: headers say this file belongs at {expected}",
                 file=sys.stderr,
             )
+    bad_aux = 0
+    for path in sorted(corpus_dir.rglob("aux.tsv")):
+        try:
+            read_aux_file(corpus_dir, path)
+        except (InkError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            bad_aux += 1
     if not files:
         print(f"warning: no task files found under {corpus_dir}", file=sys.stderr)
     if errors:
         print(f"{errors} invalid file(s) out of {len(files)}", file=sys.stderr)
+    if errors or bad_aux:
         return 1
     if keys:
         corpus = load_corpus(corpus_dir)

@@ -17,6 +17,7 @@ columns.
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -303,7 +304,8 @@ class FeatureTable:
     corpus order and ``catalog`` in column order; ``errors`` maps the key of
     each failed record to its message. Arrays not shaped (keys, catalog), a
     repeated feature or key, or an error for a key outside ``keys`` raise
-    RangeError; the table holds read-only views of the arrays given."""
+    RangeError; the table holds read-only views of the arrays and the
+    mapping given."""
 
     keys: tuple[tuple[str, SetId, int], ...]
     catalog: tuple[str, ...]
@@ -330,6 +332,7 @@ class FeatureTable:
         for key in self.errors:
             if key not in seen:  # the loop above ends on the keys
                 raise RangeError(f"error for {key!r}, which is not in keys")
+        object.__setattr__(self, "errors", types.MappingProxyType(self.errors))
 
     def __len__(self) -> int:
         return len(self.keys)

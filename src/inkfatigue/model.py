@@ -2,7 +2,8 @@
 
 A recording is a uniformly sampled pen time series (100 Hz) with five integer
 channels per sample: x, y (int32 when both fit, else int64), pressure, azimuth,
-altitude (int16). There are no stored timestamps; the sample index is the clock.
+altitude (int16; one that holds a single value is stored once, as a zero-stride
+view). There are no stored timestamps; the sample index is the clock.
 Recordings are grouped into a study corpus keyed by (subject, set, task), where
 a "set" is one full assessment (S1..S5) and tasks 1..9 cover three task categories.
 
@@ -173,7 +174,10 @@ class InkSignal:
 
     Channels are read-only arrays of equal length >= 2, in ``CHANNEL_DTYPES``,
     or ``WIDE_CHANNEL_DTYPES`` if x or y holds a value past int32. x and y must
-    fit int64, as in files. Checks see the values as given and come before any
+    fit int64, as in files. A pressure, azimuth or altitude of an integer type
+    that holds one value is stored once, as a zero-stride view of a
+    one-element copy; every other channel is a dense copy. No channel aliases
+    the caller's array. Checks see the values as given and come before any
     cast, so no value wraps into range, and an error names the value as given
     (``inf``, not -2**63). Equality is structural over all channels.
     """
@@ -204,16 +208,21 @@ class InkSignal:
                 raise ShapeError("all channels must have the same length")
         if n < 2:
             raise TooShortError(f"a signal needs at least 2 samples, got {n}")
+        constant = set()
         for name in _CHANNELS:
             arr = getattr(self, name)
             lo, hi = _CHANNEL_BOUNDS.get(name, _INT64_BOUNDS)
             # An x or y of an integer type up to int64 needs no check; an integer
-            # bounded channel takes one min/max pair.
-            if arr.dtype in _INT64_SAFE and (
-                name not in _CHANNEL_BOUNDS
-                or lo <= np.minimum.reduce(arr) and np.maximum.reduce(arr) <= hi
-            ):
-                continue
+            # bounded channel takes one min/max pair, which also tells a
+            # one-value channel.
+            if arr.dtype in _INT64_SAFE:
+                if name not in _CHANNEL_BOUNDS:
+                    continue
+                least, most = np.minimum.reduce(arr), np.maximum.reduce(arr)
+                if lo <= least and most <= hi:
+                    if least == most:
+                        constant.add(name)
+                    continue
             # Python numbers compare exactly, so 2**63, inf and nan are named as given.
             for i, v in enumerate(arr.tolist()):
                 if not lo <= v <= hi:
@@ -225,7 +234,12 @@ class InkSignal:
             for a in (self.x, self.y)
         )
         for name, dtype in (WIDE_CHANNEL_DTYPES if wide else CHANNEL_DTYPES).items():
-            arr = getattr(self, name).astype(dtype)
+            arr = getattr(self, name)
+            if name in constant:
+                # A zero-stride view of a one-element copy: the value is stored once.
+                arr = np.ndarray(n, dtype, arr[:1].astype(dtype), strides=(0,))
+            else:
+                arr = arr.astype(dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -550,7 +564,18 @@ def serialize_task(record: TaskRecord) -> str:
     return "\n".join(lines) + "\n" + ("%d %d %d %d %d\n" * len(sig)) % tuple(samples)
 
 
-def _parse_aux_file(path: Path) -> AuxRecord:
+def read_aux_file(directory: Path, path: Path) -> tuple[str, SetId, AuxRecord]:
+    """Read the aux sidecar at ``path``, which must sit at
+    ``<subject>/<set>/aux.tsv`` under the corpus ``directory``; returns the
+    subject and set of its place and its record. Every error names the file."""
+    rel = path.relative_to(directory)
+    if len(rel.parts) != 3:
+        raise FormatError(f"{path}: aux sidecar must sit at <subject>/<set>/aux.tsv")
+    subject, set_name = rel.parts[0], rel.parts[1]
+    try:
+        set_id = SetId(set_name)
+    except ValueError:
+        raise FormatError(f"{path}: directory {set_name!r} is not a set name")
     lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if len(lines) != 2:
         raise FormatError(f"{path}: aux sidecar needs a header line and one value line")
@@ -570,7 +595,7 @@ def _parse_aux_file(path: Path) -> AuxRecord:
             except ValueError:
                 raise FormatError(f"{path}: aux field {name} is not a number: {token!r}")
     try:
-        return AuxRecord(**values)
+        return subject, set_id, AuxRecord(**values)
     except RangeError as exc:
         raise RangeError(f"{path}: {exc}") from exc
 
@@ -609,15 +634,7 @@ def load_corpus(directory: str | Path) -> StudyCorpus:
     for path in sorted(directory.rglob("*.ink")):
         corpus.add(read_task_file(path, seen))
     for path in sorted(directory.rglob("aux.tsv")):
-        rel = path.relative_to(directory)
-        if len(rel.parts) != 3:
-            raise FormatError(f"{path}: aux sidecar must sit at <subject>/<set>/aux.tsv")
-        subject, set_name = rel.parts[0], rel.parts[1]
-        try:
-            set_id = SetId(set_name)
-        except ValueError:
-            raise FormatError(f"{path}: directory {set_name!r} is not a set name")
-        corpus.set_aux(subject, set_id, _parse_aux_file(path))
+        corpus.set_aux(*read_aux_file(directory, path))
     return corpus
 
 

@@ -220,6 +220,31 @@ def test_aux_value_out_of_range_is_a_one_line_error_naming_the_file(
     assert err == f"error: {aux}: aux field lactate must be finite and >= 0, got -0.5\n"
 
 
+def test_validate_reports_a_bad_aux_sidecar_next_to_bad_task_files(corpus_dir, capsys):
+    bad = corpus_dir / "U01" / "S2" / "task4.ink"
+    lines = bad.read_text().splitlines(keepends=True)
+    bad.write_text("".join(lines[:4] + ["1 2 3\n"] + lines[5:]))
+    aux = corpus_dir / "U02" / "S3" / "aux.tsv"
+    aux.write_text("lactate\tflight_time\tforce\tvelocity\trpe\nabc\t0.5\t700\t1.5\t2\n")
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 5: expected 5 integers (x y pressure azimuth altitude), got 3 fields\n"
+        f"error: {aux}: aux field lactate is not a number: 'abc'\n"
+        "1 invalid file(s) out of 90\n"
+    )
+
+
+def test_validate_reads_aux_sidecars_of_a_corpus_without_task_files(tmp_path, capsys):
+    aux = tmp_path / "U01" / "S1" / "aux.tsv"
+    aux.parent.mkdir(parents=True)
+    aux.write_text("lactate\n1\n")
+    assert main(["validate", "--corpus", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {aux}: aux header must be lactate flight_time force velocity rpe\n"
+        f"warning: no task files found under {tmp_path}\n"
+    )
+
+
 def test_validate_empty_dir_warns_but_passes(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -24,7 +24,7 @@ from inkfatigue.features import (
     time_down,
     time_in_air,
 )
-from inkfatigue.model import PRESSURE_MAX, InkSignal, SetId, TaskRecord
+from inkfatigue.model import PRESSURE_MAX, InkSignal, SetId, StudyCorpus, TaskRecord
 from inkfatigue.synth import SynthProfile, generate_corpus, generate_task
 
 from conftest import make_record
@@ -517,6 +517,17 @@ def test_feature_table_holds_read_only_views_of_the_arrays_given():
     assert not (table.values.flags.writeable or table.flags.flags.writeable)
     assert values.flags.writeable and flags.flags.writeable
     assert table.values.tolist() == [[1.0]] and table.flags.tolist() == [[True]]
+
+
+def test_feature_table_errors_are_a_read_only_view():
+    # A key added to a built table's errors would never be checked against keys.
+    corpus = StudyCorpus()
+    corpus.add(make_record([0, 5]))
+    table = feature_table(corpus, ("mean_speed",))
+    assert dict(table.errors) == {_KEY: "feature extraction needs at least 3 samples, got 2"}
+    with pytest.raises(TypeError):
+        table.errors[("U09", SetId.S1, 1)] = "x"
+    assert list(table.errors) == [_KEY]
 
 
 def test_feature_table_holds_about_nine_bytes_per_value():

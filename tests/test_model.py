@@ -3,6 +3,7 @@ import hashlib
 import re
 import shutil
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -270,6 +271,8 @@ def _bytes_per_sample(signal):
 
 def test_signals_store_14_bytes_per_sample_when_x_and_y_fit_int32_else_22():
     # x and y int32, pressure, azimuth and altitude int16: 4 + 4 + 2 + 2 + 2.
+    # nbytes is the logical size: a one-value channel, stored once as a
+    # zero-stride view, still counts 2 bytes a sample here.
     synthesized = generate_corpus(SynthProfile(n_subjects=1), sets=(SetId.S1,))
     parsed = parse_task_file(serialize_task(next(synthesized.records())))
     bounded = [[0, 2047, 9], [0, 359, 1], [0, 90, 2]]
@@ -284,6 +287,63 @@ def test_signals_store_14_bytes_per_sample_when_x_and_y_fit_int32_else_22():
             assert (s.x.dtype, s.y.dtype) == (np.int64, np.int64)
             assert _bytes_per_sample(s) == 22.0
         assert parsed == signal
+
+
+def test_synthesized_and_parsed_signals_hold_about_10_bytes_per_sample():
+    # Synth draws one azimuth and one altitude per subject, so each record
+    # stores those channels once: x and y int32 and pressure int16 remain.
+    # Counted are the array bytes numpy gives tracemalloc; dense storage of
+    # every channel holds 14.
+    generate_corpus(SynthProfile(seed=3, n_subjects=1))  # first-call caches stay out
+    arrays_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(arrays_only)
+        records = list(generate_corpus(SynthProfile(seed=4, n_subjects=1)).records())
+        records += [parse_task_file(serialize_task(r)) for r in records]
+        after = tracemalloc.take_snapshot().filter_traces(arrays_only)
+    finally:
+        tracemalloc.stop()
+    held = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert len(records) == 90
+    assert held <= 11 * sum(len(r.signal) for r in records)
+
+
+@st.composite
+def constant_or_varying_channels(draw):
+    """Five channels of n >= 2 samples as a list, int16 or int64 array; each
+    bounded channel holds one value or many, with 0 and its upper bound
+    drawn often."""
+    n = draw(st.integers(2, 6))
+    channels = {}
+    for name in model._CHANNELS:
+        lo, hi = model._CHANNEL_BOUNDS.get(name, (-1000, 1000))
+        value = st.sampled_from([lo, hi]) | st.integers(lo, hi)
+        if name in model._CHANNEL_BOUNDS and draw(st.booleans()):
+            values = [draw(value)] * n
+        else:
+            values = draw(st.lists(value, min_size=n, max_size=n))
+        kind = draw(st.sampled_from([list, np.int16, np.int64]))
+        channels[name] = values if kind is list else np.array(values, kind)
+    return channels
+
+
+@given(constant_or_varying_channels())
+@settings(max_examples=300, deadline=None)
+def test_constant_and_varying_channels_store_the_same_values_apart_from_the_caller(channels):
+    given_ = {name: list(values) for name, values in channels.items()}
+    signal = InkSignal(**channels)
+    for name, values in given_.items():
+        stored = getattr(signal, name)
+        assert stored.dtype == model.CHANNEL_DTYPES[name]
+        assert stored.tolist() == values
+        with pytest.raises(ValueError):
+            stored[-1] = 0
+    for values in channels.values():
+        values[0] += 1
+    assert all(getattr(signal, name).tolist() == values for name, values in given_.items())
+    record = TaskRecord("U01", SetId.S1, 1, signal)
+    assert parse_task_file(serialize_task(record)) == record
 
 
 def test_signal_is_immutable(rng):
