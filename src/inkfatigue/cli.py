@@ -37,7 +37,8 @@ from .synth import generate_corpus, load_profile
 
 ENV_OUT = "INKFATIGUE_OUT"
 
-_SIDED = {"two": "two-sided", "one": "greater"}
+#: ``--sided`` choices and their alternative; ``one`` is an alias of ``greater``.
+_SIDED = {"two": "two-sided", "greater": "greater", "less": "less", "one": "greater"}
 
 
 @dataclass(frozen=True)

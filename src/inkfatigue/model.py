@@ -2,8 +2,9 @@
 
 A recording is a uniformly sampled pen time series (100 Hz) with five integer
 channels per sample: x, y (int32 when both fit, else int64), pressure, azimuth,
-altitude (int16; one that holds a single value is stored once, as a zero-stride
-view). There are no stored timestamps; the sample index is the clock.
+altitude (int16; one that holds a single value is a zero-stride view into one
+shared 4 KiB table of every bounded value). There are no stored timestamps;
+the sample index is the clock.
 Recordings are grouped into a study corpus keyed by (subject, set, task), where
 a "set" is one full assessment (S1..S5) and tasks 1..9 cover three task categories.
 
@@ -42,6 +43,7 @@ import enum
 import itertools
 import math
 import re
+import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -76,6 +78,11 @@ _CHANNEL_BOUNDS: Mapping[str, tuple[int, int]] = {
 #: Storage dtype of each channel: int16 holds each bounded range and its second differences.
 CHANNEL_DTYPES = dict.fromkeys(_CHANNELS, np.int32) | dict.fromkeys(_CHANNEL_BOUNDS, np.int16)
 WIDE_CHANNEL_DTYPES = CHANNEL_DTYPES | dict.fromkeys(("x", "y"), np.int64)  # x or y past int32
+
+# The int16 values 0..PRESSURE_MAX, which cover every bounded range: a one-value
+# channel is a zero-stride view into these bytes, so it owns no memory and,
+# backed by bytes, can never be made writeable.
+_VALUE_TABLE = np.arange(PRESSURE_MAX + 1, dtype=np.int16).tobytes()
 
 _INT64_BOUNDS = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
 _INT32_BOUNDS = (int(np.iinfo(CHANNEL_DTYPES["x"]).min), int(np.iinfo(CHANNEL_DTYPES["x"]).max))
@@ -168,18 +175,20 @@ def validate_task_id(task: int) -> int:
     return int(task)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class InkSignal:
     """Array-backed, immutable pen time series at a fixed 100 Hz clock.
 
     Channels are read-only arrays of equal length >= 2, in ``CHANNEL_DTYPES``,
     or ``WIDE_CHANNEL_DTYPES`` if x or y holds a value past int32. x and y must
     fit int64, as in files. A pressure, azimuth or altitude of an integer type
-    that holds one value is stored once, as a zero-stride view of a
-    one-element copy; every other channel is a dense copy. No channel aliases
-    the caller's array. Checks see the values as given and come before any
-    cast, so no value wraps into range, and an error names the value as given
-    (``inf``, not -2**63). Equality is structural over all channels.
+    that holds one value is a zero-stride view into one shared read-only 4 KiB
+    table of the values 0..2047, so it stores nothing of its own; every other
+    channel is a dense copy. No channel aliases the caller's array. Checks see
+    the values as given and come before any cast, so no value wraps into
+    range, and an error names the value as given (``inf``, not -2**63).
+    Equality is structural over all channels. Pickling and copying rebuild
+    the signal through these checks.
     """
 
     x: np.ndarray
@@ -208,7 +217,7 @@ class InkSignal:
                 raise ShapeError("all channels must have the same length")
         if n < 2:
             raise TooShortError(f"a signal needs at least 2 samples, got {n}")
-        constant = set()
+        constant = {}
         for name in _CHANNELS:
             arr = getattr(self, name)
             lo, hi = _CHANNEL_BOUNDS.get(name, _INT64_BOUNDS)
@@ -221,7 +230,7 @@ class InkSignal:
                 least, most = np.minimum.reduce(arr), np.maximum.reduce(arr)
                 if lo <= least and most <= hi:
                     if least == most:
-                        constant.add(name)
+                        constant[name] = int(least)
                     continue
             # Python numbers compare exactly, so 2**63, inf and nan are named as given.
             for i, v in enumerate(arr.tolist()):
@@ -234,14 +243,16 @@ class InkSignal:
             for a in (self.x, self.y)
         )
         for name, dtype in (WIDE_CHANNEL_DTYPES if wide else CHANNEL_DTYPES).items():
-            arr = getattr(self, name)
             if name in constant:
-                # A zero-stride view of a one-element copy: the value is stored once.
-                arr = np.ndarray(n, dtype, arr[:1].astype(dtype), strides=(0,))
+                # Bounded channels are int16, as is the table: 2 bytes a value.
+                arr = np.ndarray(n, dtype, _VALUE_TABLE, offset=2 * constant[name], strides=(0,))
             else:
-                arr = arr.astype(dtype)
-            arr.setflags(write=False)
+                arr = getattr(self, name).astype(dtype)
+                arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __reduce__(self):
+        return InkSignal, tuple(getattr(self, n) for n in _CHANNELS)
 
     def __len__(self) -> int:
         return int(self.x.size)
@@ -252,9 +263,13 @@ class InkSignal:
         return all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _CHANNELS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
-    """One task execution: who wrote, in which set, which task, plus the ink."""
+    """One task execution: who wrote, in which set, which task, plus the ink.
+
+    ``metadata`` is a read-only mapping over the record's own copy of the
+    headers given. Pickling and copying rebuild the record through its checks.
+    """
 
     subject_id: str
     set_id: SetId
@@ -270,10 +285,10 @@ class TaskRecord:
             )
         check_set_id(self.set_id)
         object.__setattr__(self, "task", validate_task_id(self.task))
-        object.__setattr__(self, "metadata", dict(self.metadata))
+        metadata = dict(self.metadata)
         # Each rule keeps the header line of serialize_task re-parsing to
         # the same key and value.
-        for k, v in self.metadata.items():
+        for k, v in metadata.items():
             if not (isinstance(k, str) and _HEADER_KEY_RE.fullmatch(k)):
                 raise FormatError(f"metadata key {k!r} is not header-safe")
             if k in _REQUIRED_HEADERS:
@@ -286,6 +301,11 @@ class TaskRecord:
                 raise FormatError(
                     f"metadata value for {k!r} has leading or trailing whitespace"
                 )
+        object.__setattr__(self, "metadata", types.MappingProxyType(metadata))
+
+    def __reduce__(self):
+        return TaskRecord, (self.subject_id, self.set_id, self.task, self.signal,
+                            dict(self.metadata))
 
     @property
     def key(self) -> tuple[str, SetId, int]:

@@ -197,9 +197,10 @@ def generate_task(
     every record through this function. A call builds all nine tasks of
     its subject and set in one pass (about 2 ms) and caches them, so the
     next calls for an equal profile, the same subject and the same set cost
-    a copy of the record. Every call returns its own ``TaskRecord`` and
-    metadata dict. A task whose x or y leaves the int64 range is a
-    ConfigError of its own; the other tasks of its set are still returned.
+    a copy of the record. Every call returns its own ``TaskRecord``, whose
+    metadata is a read-only mapping of its own. A task whose x or y leaves
+    the int64 range is a ConfigError of its own; the other tasks of its set
+    are still returned.
     """
     task = validate_task_id(task)
     record = _generate_set(profile, subject_id, set_id)[task - 1]

@@ -378,6 +378,29 @@ def test_compare_rank_sum_and_one_sided(corpus_dir, tmp_path):
     assert payload["rows"][0]["cells"][0]["method"] == "normal-approx"
 
 
+def test_sided_less_finds_the_rise_of_time_in_air_that_greater_cannot(tmp_path):
+    # The README corpus: S4 writes slower and lifts the pen longer, so
+    # time_in_air rises from S1 to S4 and only the "less" tail sees it.
+    profile = write_profile(
+        tmp_path,
+        "seed = 7\nn_subjects = 20\nset.S4.speed_scale = 0.7\nset.S4.air_inflation = 1.5\n",
+    )
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--profile", str(profile), "--out", str(corpus)]) == 0
+    p_values = {}
+    for sided in ("less", "greater", "one"):
+        out = tmp_path / sided
+        assert main([
+            "compare", "--corpus", str(corpus), "--out", str(out), "--sided", sided,
+            "--features", "time_in_air", "--pairs", "S1-S4", "--format", "json",
+        ]) == 0
+        rows = json.loads((out / "matrix.json").read_text())["rows"]
+        p_values[sided] = {row["task"]: row["cells"][0]["p"] for row in rows}
+    for task in (1, 4, 9):
+        assert p_values["less"][task] < 0.05 < p_values["greater"][task]
+    assert p_values["one"] == p_values["greater"]
+
+
 def test_compare_perturbed_corpus_makes_s1_s4_densest_baseline_column(tmp_path):
     profile = write_profile(
         tmp_path,
@@ -650,7 +673,7 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
         ("alpha = x\n", 1, "alpha must be a number, got 'x'"),
         ("# comment\nfeatures = bogus\n", 2, "unknown feature(s): bogus"),
         ("alpha = 0.1\n\npairs = S2-S1\n", 3, "set pair must be ordered ascending, got 'S2-S1'"),
-        ("sided = three\n", 1, "sided must be one of ('two', 'one')"),
+        ("sided = three\n", 1, "sided must be one of ('two', 'greater', 'less', 'one')"),
     ],
     ids=["alpha-range", "alpha-number", "features", "pairs", "sided"],
 )
@@ -753,7 +776,7 @@ set.S4.air_inflation = 1.5
 # Any change to an artifact, message, usage or help line, or exit code moves
 # one of them. Help lines wrap at COLUMNS, which the test fixes.
 PINNED_TREE_SHA256 = "a51b6d37871bc02f33a2d9b39e27ef4cec7bc156048c075b289ca687fba0b7cf"
-PINNED_TRANSCRIPT_SHA256 = "477bf39325c440c699ac50bbbd830cb262020869f0f607040a1238112d972e3c"
+PINNED_TRANSCRIPT_SHA256 = "608e7144949b45d00f79fe8dc9e570ec37f51fc4cd1e4ce1b8420dd2450ba7fa"
 
 
 def _pin_invocations() -> list[list[str]]:

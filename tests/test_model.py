@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 import re
 import shutil
 import tempfile
@@ -40,7 +42,8 @@ from inkfatigue.model import (
 )
 from inkfatigue import model
 from inkfatigue.model import _check_body, _diagnose, _record
-from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus
+from inkfatigue import synth
+from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus, generate_task
 
 from conftest import lax_numbers, random_record
 from oracles import SAMPLE_BODY_RE, ReferenceInkSignal
@@ -352,6 +355,85 @@ def test_signal_is_immutable(rng):
         sig.x[0] = 99
 
 
+def _views_the_value_table(channel):
+    return channel.strides == (0,) and np.shares_memory(
+        channel, np.frombuffer(model._VALUE_TABLE, channel.dtype)
+    )
+
+
+def test_one_value_channels_view_one_shared_table_that_nothing_can_write():
+    first, second = (InkSignal([1, 2, 3], [4, 5, 6], [0, 9, 0], [7, 7, 7], [90] * 3)
+                     for _ in range(2))
+    for channel in (first.azimuth, first.altitude):
+        with pytest.raises(ValueError):
+            channel[0] = 1
+        with pytest.raises(ValueError):
+            channel.setflags(write=True)
+        with pytest.raises(TypeError):
+            channel.base[0] = 1
+    assert first.altitude.tolist() == [90] * 3 and first.azimuth.tolist() == [7] * 3
+    assert np.shares_memory(first.azimuth, second.azimuth)
+    assert _views_the_value_table(first.azimuth) and _views_the_value_table(first.altitude)
+    assert not _views_the_value_table(first.pressure)
+
+
+def test_signals_and_records_carry_no_instance_dict():
+    record = TaskRecord("U01", SetId.S1, 1, InkSignal([1, 2], [3, 4], [0, 5], [7, 7], [9, 9]))
+    assert not hasattr(record, "__dict__") and not hasattr(record.signal, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_pickle_and_copies_rebuild_records_through_their_checks(round_trip):
+    # Azimuth and altitude hold one value; x, y and pressure vary.
+    signal = InkSignal([1, 2, 3], [4, 5, 6], [0, 9, 0], [7, 7, 7], [90] * 3)
+    record = TaskRecord("U01", SetId.S2, 4, signal, {"device": "pen"})
+    with mock.patch.object(InkSignal, "__post_init__", autospec=True,
+                           side_effect=InkSignal.__post_init__) as signal_checks, \
+         mock.patch.object(TaskRecord, "__post_init__", autospec=True,
+                           side_effect=TaskRecord.__post_init__) as record_checks:
+        copies = round_trip(record), round_trip(signal)
+    assert record_checks.call_count == 1
+    assert signal_checks.call_count == (1 if round_trip is copy.copy else 2)
+    restored, restored_signal = copies
+    assert restored == record and restored_signal == signal
+    assert restored.metadata == {"device": "pen"}
+    with pytest.raises(TypeError):
+        restored.metadata["device"] = "a\nb"
+    for s in (restored.signal, restored_signal):
+        assert not any(getattr(s, n).flags.writeable for n in model._CHANNELS)
+        assert _views_the_value_table(s.azimuth) and _views_the_value_table(s.altitude)
+        assert s.pressure.tolist() == [0, 9, 0]
+
+
+def test_a_synthesized_record_holds_at_most_1200_bytes_of_small_objects():
+    # Small objects are the blocks under 1 KiB that tracemalloc sees: the
+    # record, its signal and metadata, the array headers and the data of
+    # short arrays. A one-value channel owns no data and records keep no
+    # instance dict, so one subject's 45 records hold about 1100 bytes each;
+    # a private one-element copy per one-value channel and a __dict__ per
+    # record and signal held about 1480.
+    generate_corpus(SynthProfile(seed=3, n_subjects=1))  # first-call caches stay out
+    profile = SynthProfile(seed=4, n_subjects=1)
+
+    def small_bytes():
+        return sum(t.size for t in tracemalloc.take_snapshot().traces if t.size < 1024)
+
+    tracemalloc.start()
+    try:
+        before = small_bytes()
+        records = [generate_task(profile, "U01", s, t) for s in ALL_SETS for t in TASK_IDS]
+        synth._generate_set.cache_clear()  # the cached set is not part of the records
+        held = small_bytes() - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 45
+    assert held <= 1200 * len(records), held / len(records)
+
+
 def test_task_record_rejects_unsafe_subject_ids():
     sig = InkSignal(
         x=np.arange(2), y=np.arange(2), pressure=np.zeros(2, dtype=int),
@@ -381,6 +463,16 @@ def test_task_record_rejects_unsafe_subject_ids():
 def test_task_record_rejects_metadata_that_cannot_round_trip(metadata):
     with pytest.raises(FormatError):
         TaskRecord("U1", SetId.S1, 1, signal_with(), metadata)
+
+
+def test_task_record_metadata_is_a_read_only_copy_so_it_stays_checked():
+    given_ = {"device": "pen"}
+    record = TaskRecord("U1", SetId.S1, 1, signal_with(), given_)
+    with pytest.raises(TypeError):
+        record.metadata["device"] = "a\nb"
+    given_["device"] = "a\nb"
+    assert record.metadata == {"device": "pen"}
+    assert parse_task_file(serialize_task(record)) == record
 
 
 def test_task_record_rejects_bad_task():

@@ -395,8 +395,9 @@ def test_repeated_key_gives_a_new_record_with_its_own_metadata():
     for a, b in (first[:2], (first[2], again)):
         assert a == b and a is not b
         assert a.metadata is not b.metadata
-        a.metadata["note"] = "edited"
-        assert "note" not in b.metadata
+        with pytest.raises(TypeError):
+            a.metadata["note"] = "edited"
+        assert "note" not in a.metadata and "note" not in b.metadata
 
 
 def test_int64_overflow_in_another_task_of_the_set_does_not_fail_this_one():
