@@ -10,8 +10,8 @@ Subcommands mirror the pipeline stages:
 
 Exit codes: 0 success, 1 data error, 2 usage error. ``--out`` defaults to the
 ``INKFATIGUE_OUT`` environment variable. A ``--config`` file can supply
-defaults for flags; explicit flags win and the override is announced on
-stderr, never applied silently.
+defaults for flags, each key at most once; explicit flags win and the
+override is announced on stderr, never applied silently.
 """
 
 from __future__ import annotations
@@ -111,6 +111,7 @@ def _read_config(path: Path) -> dict[str, object]:
     except (FormatError, OSError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
     values: dict[str, object] = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,6 +121,11 @@ def _read_config(path: Path) -> dict[str, object]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _OPTIONS or key in _FLAG_ONLY:
             raise argparse.ArgumentTypeError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in key_lines:
+            raise argparse.ArgumentTypeError(
+                f"{path}:{lineno}: {key} is already set on line {key_lines[key]}"
+            )
+        key_lines[key] = lineno
         try:
             values[key] = _OPTIONS[key].get("type", str)(value)
         except argparse.ArgumentTypeError as exc:

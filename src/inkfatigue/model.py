@@ -92,7 +92,6 @@ _INT32_SAFE = frozenset(d for d in _INT64_SAFE if np.can_cast(d, CHANNEL_DTYPES[
 # Subject ids appear in file paths, so keep them path-safe.
 _SUBJECT_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 _HEADER_KEY_RE = re.compile(r"[A-Za-z0-9_.\-]+")
-_REQUIRED_HEADERS = ("subject", "set", "task")
 
 # Header lines. Line breaks are those of str.splitlines; spaces are the other
 # str.isspace characters, which is what re's \s matches.
@@ -142,7 +141,7 @@ TASK_IDS = tuple(sorted(TASK_CATEGORIES))
 
 
 class SetId(str, enum.Enum):
-    """The five assessment sets, totally ordered by acquisition time."""
+    """The five assessment sets; a set id is its name, a str, so sets sort in acquisition order."""
 
     S1 = "S1"
     S2 = "S2"
@@ -150,15 +149,17 @@ class SetId(str, enum.Enum):
     S4 = "S4"
     S5 = "S5"
 
-    @property
-    def order(self) -> int:
-        return int(self.value[1])
-
-    def __lt__(self, other: "SetId") -> bool:  # type: ignore[override]
-        return self.order < other.order
-
 
 ALL_SETS = tuple(SetId)
+
+
+def check_subject_id(subject: str) -> str:
+    if not (isinstance(subject, str) and _SUBJECT_RE.fullmatch(subject)):
+        raise FormatError(
+            f"subject id {subject!r} must be non-empty and use only "
+            "letters, digits, '_', '.', '-'"
+        )
+    return subject
 
 
 def check_set_id(set_id: SetId) -> SetId:
@@ -167,12 +168,27 @@ def check_set_id(set_id: SetId) -> SetId:
     return set_id
 
 
+def parse_set_id(text: str) -> SetId:
+    """The set named by ``text``, as in files, directories and pair labels."""
+    try:
+        return SetId(text)
+    except ValueError:
+        raise RangeError(f"set must be one of S1..S5, got {text!r}") from None
+
+
 def validate_task_id(task: int) -> int:
     if not isinstance(task, (int, np.integer)) or isinstance(task, bool):
         raise RangeError(f"task id must be an integer, got {task!r}")
     if task not in TASK_CATEGORIES:
         raise RangeError(f"task id must be in 1..9, got {task}")
     return int(task)
+
+
+def parse_task_id(text: str) -> int:
+    """The task numbered by ``text``, which must be ASCII digits only."""
+    if not (text.isascii() and text.isdigit()):
+        raise FormatError(f"task must be an integer, got {text!r}")
+    return validate_task_id(int(text))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -278,11 +294,7 @@ class TaskRecord:
     metadata: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (isinstance(self.subject_id, str) and _SUBJECT_RE.fullmatch(self.subject_id)):
-            raise FormatError(
-                f"subject id {self.subject_id!r} must be non-empty and use only "
-                "letters, digits, '_', '.', '-'"
-            )
+        check_subject_id(self.subject_id)
         check_set_id(self.set_id)
         object.__setattr__(self, "task", validate_task_id(self.task))
         metadata = dict(self.metadata)
@@ -504,7 +516,9 @@ def _diagnose(text: str) -> dict[str, str]:
                 raise FormatError("header line after data lines", line=lineno)
             _add_header(headers, line, lineno)
             continue
-        in_header = False
+        if in_header:  # the header block ends at the first data line
+            _record_key(headers)
+            in_header = False
         fields = line.split()
         if len(fields) != 5:
             raise FormatError(
@@ -521,7 +535,8 @@ def _diagnose(text: str) -> dict[str, str]:
             if not lo <= v <= hi:
                 raise RangeError(f"{name} value {v} outside [{lo}, {hi}]", line=lineno)
         n_samples += 1
-    _record_key(headers)
+    if in_header:
+        _record_key(headers)
     if n_samples < 2:
         raise TooShortError(f"task file holds {n_samples} samples, need at least 2")
     return headers
@@ -542,30 +557,28 @@ def _add_header(headers: dict[str, str], line: str, lineno: int) -> None:
     headers[key] = value
 
 
-def _record_key(headers: Mapping[str, str]) -> tuple[SetId, int]:
-    """The set and task named by the headers, which must hold all three keys."""
-    header_end = len(headers)
-    for key in _REQUIRED_HEADERS:
-        if key not in headers:
-            raise FormatError(f"missing required header #{key}=...", line=header_end or 1)
-    set_value = headers["set"]
-    try:
-        set_id = SetId(set_value)
-    except ValueError:
-        raise FormatError(f"set must be one of S1..S5, got {set_value!r}", line=header_end)
-    task_value = headers["task"]
-    if not (task_value.isascii() and task_value.isdigit()):
-        raise FormatError(f"task must be an integer, got {task_value!r}", line=header_end)
-    task = int(task_value)
-    if task not in TASK_CATEGORIES:
-        raise FormatError(f"task must be in 1..9, got {task}", line=header_end)
-    return set_id, task
+_REQUIRED_HEADERS = {"subject": check_subject_id, "set": parse_set_id, "task": parse_task_id}
+
+
+def _record_key(headers: Mapping[str, str]) -> tuple[str, SetId, int]:
+    """The record key named by the headers, which fill lines 1..k of the file.
+    An error names the line of its header; a missing header, the last one."""
+    key = {}
+    for lineno, name in enumerate(headers, start=1):
+        if name in _REQUIRED_HEADERS:
+            try:
+                key[name] = _REQUIRED_HEADERS[name](headers[name])
+            except InkError as exc:
+                raise FormatError(str(exc), line=lineno) from exc
+    for name in _REQUIRED_HEADERS:
+        if name not in key:
+            raise FormatError(f"missing required header #{name}=...", line=len(headers) or 1)
+    return key["subject"], key["set"], key["task"]
 
 
 def _record(headers: Mapping[str, str], signal: InkSignal) -> TaskRecord:
-    set_id, task = _record_key(headers)
     metadata = {k: v for k, v in headers.items() if k not in _REQUIRED_HEADERS}
-    return TaskRecord(headers["subject"], set_id, task, signal, metadata)
+    return TaskRecord(*_record_key(headers), signal, metadata)
 
 
 def serialize_task(record: TaskRecord) -> str:
@@ -588,36 +601,29 @@ def read_aux_file(directory: Path, path: Path) -> tuple[str, SetId, AuxRecord]:
     """Read the aux sidecar at ``path``, which must sit at
     ``<subject>/<set>/aux.tsv`` under the corpus ``directory``; returns the
     subject and set of its place and its record. Every error names the file."""
+    text = read_text(path)
     rel = path.relative_to(directory)
-    if len(rel.parts) != 3:
-        raise FormatError(f"{path}: aux sidecar must sit at <subject>/<set>/aux.tsv")
-    subject, set_name = rel.parts[0], rel.parts[1]
     try:
-        set_id = SetId(set_name)
-    except ValueError:
-        raise FormatError(f"{path}: directory {set_name!r} is not a set name")
-    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
-    if len(lines) != 2:
-        raise FormatError(f"{path}: aux sidecar needs a header line and one value line")
-    header = tuple(lines[0].split())
-    if header != AUX_FIELDS:
-        raise FormatError(f"{path}: aux header must be {' '.join(AUX_FIELDS)}")
-    fields = lines[1].split()
-    if len(fields) != len(AUX_FIELDS):
-        raise FormatError(f"{path}: aux value line needs {len(AUX_FIELDS)} fields")
-    values: dict[str, float | None] = {}
-    for name, token in zip(AUX_FIELDS, fields):
-        if token == "NA":
-            values[name] = None
-        else:
+        if len(rel.parts) != 3:
+            raise FormatError("aux sidecar must sit at <subject>/<set>/aux.tsv")
+        subject, set_id = check_subject_id(rel.parts[0]), parse_set_id(rel.parts[1])
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if len(lines) != 2:
+            raise FormatError("aux sidecar needs a header line and one value line")
+        if tuple(lines[0].split()) != AUX_FIELDS:
+            raise FormatError(f"aux header must be {' '.join(AUX_FIELDS)}")
+        fields = lines[1].split()
+        if len(fields) != len(AUX_FIELDS):
+            raise FormatError(f"aux value line needs {len(AUX_FIELDS)} fields")
+        values: dict[str, float | None] = {}
+        for name, token in zip(AUX_FIELDS, fields):
             try:
-                values[name] = ascii_float(token)
+                values[name] = None if token == "NA" else ascii_float(token)
             except ValueError:
-                raise FormatError(f"{path}: aux field {name} is not a number: {token!r}")
-    try:
+                raise FormatError(f"aux field {name} is not a number: {token!r}")
         return subject, set_id, AuxRecord(**values)
-    except RangeError as exc:
-        raise RangeError(f"{path}: {exc}") from exc
+    except InkError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def read_task_file(path: Path, seen: dict[tuple[str, SetId, int], Path]) -> TaskRecord:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .errors import RangeError
-from .model import ALL_SETS, Category, SetId
+from .model import ALL_SETS, Category, SetId, parse_set_id
 from .stats import ComparisonMatrix
 
 GRAVITY = 9.81  # m/s^2, default only; callers may pass their own constant
@@ -42,10 +42,7 @@ def parse_pair_label(label: str) -> tuple[SetId, SetId]:
     parts = label.split("-") if isinstance(label, str) else ()
     if len(parts) != 2:
         raise RangeError(f"set pair must look like S1-S2, got {label!r}")
-    try:
-        a, b = SetId(parts[0]), SetId(parts[1])
-    except ValueError:
-        raise RangeError(f"unknown set in pair {label!r}")
+    a, b = parse_set_id(parts[0]), parse_set_id(parts[1])
     if not a < b:
         raise RangeError(f"set pair must be ordered ascending, got {label!r}")
     return (a, b)

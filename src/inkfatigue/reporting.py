@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .errors import FormatError, InkError, RangeError
 from .features import COUNT_FEATURES, EXTRACTION_FAILED, FeatureTable, full_catalog
-from .model import Category, SAMPLE_RATE_HZ, ascii_float
+from .model import Category, SAMPLE_RATE_HZ, ascii_float, parse_task_id
 from .protocol import RecoverySummary, pair_label, parse_pair_label
 from .stats import Cell, ComparisonMatrix, MatrixRow
 
@@ -201,9 +201,7 @@ def load_matrix_tsv(text: str) -> ComparisonMatrix:
             if len(fields) != len(header):
                 raise FormatError(f"expected {len(header)} fields, got {len(fields)}")
             category, task_text, feature = fields[:3]
-            if not (task_text.isascii() and task_text.isdigit()):
-                raise FormatError(f"task must be an integer, got {task_text!r}")
-            rows.append(_matrix_row(int(task_text), feature, category))
+            rows.append(_matrix_row(parse_task_id(task_text), feature, category))
             row_cells = []
             for label, token in zip(header[3:], fields[3:]):
                 try:

@@ -49,7 +49,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InkError
 from .model import (
     ALL_SETS,
     ALTITUDE_MAX,
@@ -65,6 +65,7 @@ from .model import (
     ascii_float,
     ascii_int,
     check_set_id,
+    parse_set_id,
     read_text,
     validate_task_id,
 )
@@ -435,10 +436,12 @@ def parse_profile(text: str) -> SynthProfile:
     Global keys: seed, n_subjects, base_speed, base_pressure_level,
     stroke_count, air_gap_len. Per-set keys: ``set.<S>.<param>`` with
     param one of speed_scale, pressure_shift, air_inflation, jitter_sd.
-    ``#`` starts a comment. Unknown keys raise ConfigError.
+    ``#`` starts a comment. An unknown key, or a key set twice, raises
+    ConfigError.
     """
     globals_: dict[str, object] = {}
     per_set: dict[SetId, dict[str, object]] = {}
+    key_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -446,6 +449,9 @@ def parse_profile(text: str) -> SynthProfile:
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {raw!r}", line=lineno)
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in key_lines:
+            raise ConfigError(f"{key} is already set on line {key_lines[key]}", line=lineno)
+        key_lines[key] = lineno
         try:
             if key in _PROFILE_READERS:
                 globals_[key] = _PROFILE_READERS[key](value)
@@ -453,15 +459,14 @@ def parse_profile(text: str) -> SynthProfile:
             if key.startswith("set."):
                 parts = key.split(".")
                 if len(parts) != 3 or parts[2] not in _PERTURBATION_READERS:
-                    raise ConfigError(f"unknown per-set key {key!r}", line=lineno)
-                try:
-                    set_id = SetId(parts[1])
-                except ValueError:
-                    raise ConfigError(f"unknown set {parts[1]!r}", line=lineno)
+                    raise ConfigError(f"unknown per-set key {key!r}")
+                set_id = parse_set_id(parts[1])
                 per_set.setdefault(set_id, {})[parts[2]] = _PERTURBATION_READERS[parts[2]](value)
                 continue
         except ValueError:
             raise ConfigError(f"bad value {value!r} for {key}", line=lineno)
+        except InkError as exc:
+            raise ConfigError(str(exc), line=lineno) from exc
         raise ConfigError(f"unknown key {key!r}", line=lineno)
 
     perturbations = {s: Perturbation(**kw) for s, kw in per_set.items()}  # type: ignore[arg-type]

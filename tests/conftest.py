@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
+from hypothesis.errors import InvalidArgument
 
 from inkfatigue.model import ALL_SETS, InkSignal, SetId, TASK_IDS, TaskRecord
+
+# Under --hypothesis-profile=ci a failing property prints the
+# @reproduce_failure line that replays it. The profile extends the "ci"
+# profile of the hypothesis versions that ship one.
+try:
+    _CI_PARENT = settings.get_profile("ci")
+except InvalidArgument:
+    _CI_PARENT = None
+settings.register_profile("ci", _CI_PARENT, print_blob=True)
 
 SUBJECT_ALPHABET = "ABCDEFGHJKMNPQRSTUVWXYZabcdefghkmnpqrstuvwxyz0123456789_.-"
 

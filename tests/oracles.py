@@ -825,7 +825,7 @@ def reference_matrix_to_markdown(matrix: ComparisonMatrix, alpha: float | None =
 
 
 def _table_rows(table):
-    for key in sorted(table, key=lambda k: (k[0], k[1].order, k[2])):
+    for key in sorted(table, key=lambda k: (k[0], int(k[1].value[1]), k[2])):
         yield key, table[key]
 
 

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -14,7 +15,9 @@ from inkfatigue import cli
 from inkfatigue.cli import _alpha_arg, main
 from inkfatigue.features import DEFAULT_CATALOG
 from inkfatigue.reporting import matrix_from_json, matrix_to_json
+from inkfatigue.model import write_corpus
 from inkfatigue.stats import Cell
+from inkfatigue.synth import SynthProfile, generate_corpus
 
 from conftest import lax_numbers
 
@@ -80,6 +83,8 @@ def test_synth_bad_profile_is_data_error(tmp_path, capsys):
     for text, message in [
         ("stroke_count = 0", "stroke_count must be >= 1, got 0"),
         ("seed = 1\nbogus = 2\n", "line 2: unknown key 'bogus'"),
+        ("seed = 1\n\nseed = 2\n", "line 3: seed is already set on line 1"),
+        ("set.S9.speed_scale = 1.0\n", "line 1: set must be one of S1..S5, got 'S9'"),
     ]:
         profile = write_profile(tmp_path, text)
         assert main(["synth", "--profile", str(profile), "--out", str(tmp_path / "x")]) == 1
@@ -245,6 +250,31 @@ def test_validate_reads_aux_sidecars_of_a_corpus_without_task_files(tmp_path, ca
     )
 
 
+def test_validate_warns_of_a_file_whose_headers_name_another_place(corpus_dir, capsys):
+    moved = corpus_dir / "U02" / "S3" / "task2.ink"
+    moved.rename(corpus_dir / "U02" / "S3" / "second.ink")
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {moved.with_name('second.ink')}: headers say this file belongs at "
+        f"{Path('U02', 'S3', 'task2.ink')}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["validate", "extract", "compare"])
+def test_a_sidecar_under_a_directory_that_is_not_a_subject_id_names_the_file(
+    corpus_dir, tmp_path, capsys, command
+):
+    aux = corpus_dir / "U 9" / "S1" / "aux.tsv"
+    aux.parent.mkdir(parents=True)
+    aux.write_text("lactate\tflight_time\tforce\tvelocity\trpe\n1\t0.5\t700\t1.5\t2\n")
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+    assert main([command, "--corpus", str(corpus_dir), *out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {aux}: subject id 'U 9' must be non-empty and use only "
+        "letters, digits, '_', '.', '-'\n"
+    )
+
+
 def test_validate_empty_dir_warns_but_passes(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -258,6 +288,113 @@ def test_validate_reports_gaps(corpus_dir, capsys):
     out = capsys.readouterr().out
     assert "1 missing" in out
     assert "U02 S5 task9" in out
+
+
+# --- the read path of validate, extract and compare ----------------------------
+
+_CORPUS_EDITS = (
+    "truncate", "flip_byte", "edit_header", "duplicate", "delete", "empty", "corrupt_aux",
+    "aux_not_under_a_subject", "crlf", "trailing_nul", "past_int64",
+)
+_HEADER_LINES = (
+    "#set=S9", "#set=S2", "#task=0", "#task=4", "#subject=U 1", "#subject=U02", "#device",
+)
+_AUX_HEADER = "lactate\tflight_time\tforce\tvelocity\trpe\n"
+_AUX_TEXTS = (
+    "lactate\n1\n", _AUX_HEADER + "x\t1\t1\t1\t1\n", _AUX_HEADER + "-1\t1\t1\t1\t1\n", "",
+)
+# Sidecar places that are not <subject>/<set>: a subject id with a space or
+# a '*', a directory that is not a set, one level too deep or too shallow.
+_AUX_PLACES = ("U 1/S1", "U*1/S2", "U01/X1", "U01/S1/extra", "U01")
+
+
+def _edit_corpus(root: Path, name: str, i: int, k: int) -> None:
+    """Apply edit ``name`` to the ``i``-th task file of the corpus at ``root``
+    (or to its directory); ``k`` picks a place or a variant of the edit."""
+    files = sorted(root.rglob("*.ink"))
+    path = files[i % len(files)]
+    data = path.read_bytes()
+    lines = data.split(b"\n")
+    samples = [n for n, line in enumerate(lines) if line[:1].isdigit()]
+    if name == "truncate":
+        path.write_bytes(data[: k % (len(data) + 1)])
+    elif name == "flip_byte" and data:
+        at = k % len(data)
+        path.write_bytes(data[:at] + bytes([data[at] ^ 1 << k % 8]) + data[at + 1:])
+    elif name == "edit_header" and len(lines) > 3:
+        lines[k % 3] = _HEADER_LINES[k % len(_HEADER_LINES)].encode()
+        path.write_bytes(b"\n".join(lines))
+    elif name == "duplicate":
+        path.with_name(f"copy_{path.name}").write_bytes(data)
+    elif name == "delete":
+        path.unlink()
+    elif name == "empty":
+        path.write_bytes(b"")
+    elif name == "corrupt_aux":
+        (path.parent / "aux.tsv").write_text(_AUX_TEXTS[k % len(_AUX_TEXTS)])
+    elif name == "aux_not_under_a_subject":
+        place = root / _AUX_PLACES[k % len(_AUX_PLACES)]
+        place.mkdir(parents=True, exist_ok=True)
+        (place / "aux.tsv").write_text(_AUX_HEADER + "1\t0.5\t700\t1.5\t2\n")
+    elif name == "crlf":
+        path.write_bytes(data.replace(b"\n", b"\r\n"))
+    elif name == "trailing_nul":
+        path.write_bytes(data + b"\0")
+    elif name == "past_int64" and samples:
+        n = samples[k % len(samples)]
+        lines[n] = b"9223372036854775808" + lines[n][lines[n].find(b" "):]
+        path.write_bytes(b"\n".join(lines))
+
+
+def _run(argv: list[str]) -> tuple[int, list[str]]:
+    """The exit code and stderr lines of one in-process run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(
+        st.tuples(st.sampled_from(_CORPUS_EDITS), st.integers(0, 2**16), st.integers(0, 2**16)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_validate_extract_and_compare_agree_on_a_damaged_corpus(seed, edits):
+    """On a one-subject corpus with up to three edits, each command exits 0
+    or 1 and writes only error and warning lines to stderr (and validate its
+    count of invalid files). A corpus validate refuses, extract and compare
+    refuse with validate's first error; one it accepts, compare accepts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "corpus"
+        write_corpus(generate_corpus(SynthProfile(seed=seed, n_subjects=1)), root)
+        for edit in edits:
+            _edit_corpus(root, *edit)
+        options = ["--features", "mean_speed"]
+        runs = {
+            "validate": _run(["validate", "--corpus", str(root)]),
+            "extract": _run(["extract", "--corpus", str(root), "--out", f"{tmp}/x", *options]),
+            "compare": _run([
+                "compare", "--corpus", str(root), "--out", f"{tmp}/c", *options,
+                "--pairs", "S1-S2",
+            ]),
+        }
+    for command, (code, err) in runs.items():
+        assert code in (0, 1), (command, err)
+        for line in err:
+            assert line.startswith(("error: ", "warning: ")) or (
+                command == "validate" and re.fullmatch(r"\d+ invalid file\(s\) out of \d+", line)
+            ), (command, err)
+    code, err = runs["validate"]
+    if code == 1:
+        first = next(line for line in err if line.startswith("error: "))
+        for command in ("extract", "compare"):
+            assert (runs[command][0], runs[command][1][:1]) == (1, [first]), (command, err)
+    else:
+        assert runs["compare"][0] == 0, runs["compare"]
 
 
 # --- extract -----------------------------------------------------------------
@@ -623,6 +760,23 @@ def test_usage_errors_exit_2(corpus_dir, tmp_path):
     assert main(["extract", "--corpus", str(corpus_dir)]) == 2  # no --out anywhere
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--pairs", "S1-S2,S1-S9", "set must be one of S1..S5, got 'S9'"),
+        ("--pairs", ",", "pair list is empty"),
+        ("--features", " , ", "feature list is empty"),
+    ],
+)
+def test_a_bad_list_flag_is_a_usage_error_naming_the_flag(
+    corpus_dir, tmp_path, capsys, flag, value, message
+):
+    out = tmp_path / "o"
+    assert main(["compare", "--corpus", str(corpus_dir), "--out", str(out), flag, value]) == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+    assert not out.exists()
+
+
 def test_out_defaults_to_env_var(corpus_dir, tmp_path, monkeypatch):
     out = tmp_path / "envout"
     monkeypatch.setenv("INKFATIGUE_OUT", str(out))
@@ -674,8 +828,14 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
         ("# comment\nfeatures = bogus\n", 2, "unknown feature(s): bogus"),
         ("alpha = 0.1\n\npairs = S2-S1\n", 3, "set pair must be ordered ascending, got 'S2-S1'"),
         ("sided = three\n", 1, "sided must be one of ('two', 'greater', 'less', 'one')"),
+        ("pairs = S1-S9\n", 1, "set must be one of S1..S5, got 'S9'"),
+        ("features = ,\n", 1, "feature list is empty"),
+        ("pairs = , \n", 1, "pair list is empty"),
+        ("alpha = 0.01\n# again\nalpha = 0.2\n", 3, "alpha is already set on line 1"),
+        ("test = rank-sum\ntest = rank-sum\n", 2, "test is already set on line 1"),
     ],
-    ids=["alpha-range", "alpha-number", "features", "pairs", "sided"],
+    ids=["alpha-range", "alpha-number", "features", "pairs", "sided", "pair-set",
+         "no-features", "no-pairs", "alpha-twice", "same-value-twice"],
 )
 def test_config_value_of_wrong_type_names_file_and_line(corpus_dir, tmp_path, capsys, text, line, message):
     config = tmp_path / "bad.cfg"

@@ -57,6 +57,12 @@ def test_entropy_rejects_bad_inputs():
         entropy([0, 4], 4)
     with pytest.raises(RangeError):
         entropy([-1, 0], 4)
+    with pytest.raises(ShapeError, match="^series must be one-dimensional$"):
+        entropy(np.zeros((2, 2), dtype=int), 4)
+    with pytest.raises(RangeError, match="^alphabet_size must be >= 1, got 0$"):
+        entropy([0, 0], 0)
+    with pytest.raises(RangeError, match="^entropy expects an integer series$"):
+        entropy([0.5, 1.0], 4)
 
 
 @given(st.lists(st.integers(0, 31), min_size=1, max_size=200))

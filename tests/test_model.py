@@ -34,8 +34,11 @@ from inkfatigue.model import (
     StudyCorpus,
     TASK_IDS,
     TaskRecord,
+    check_subject_id,
     load_corpus,
+    parse_set_id,
     parse_task_file,
+    parse_task_id,
     record_path,
     serialize_task,
     write_corpus,
@@ -585,12 +588,73 @@ def test_parse_out_of_range_pressure_names_channel_and_line():
         ("#subject=U1\n#set=S1\n#task=\u0663\n1 2 3 4 5\n", "line 3: task must be an integer"),
         ("#subject=U1\n#set=S1\n#task=0_3\n1 2 3 4 5\n", "line 3: task must be an integer"),
         ("#subject=U1\n#set=S1\n#task=+3\n1 2 3 4 5\n", "line 3: task must be an integer"),
+        ("#subject=U1\n#bad key=1\n#set=S1\n#task=1\n1 2 3 4 5\n", "line 2: invalid header key"),
     ],
 )
 def test_parse_malformed_inputs_are_diagnosed(text, fragment):
     with pytest.raises(FormatError) as err:
         parse_task_file(text)
     assert fragment in str(err.value)
+
+
+_SUBJECT_RULE = "must be non-empty and use only letters, digits, '_', '.', '-'"
+
+
+@pytest.mark.parametrize(
+    "read, text, error, message",
+    [
+        (parse_set_id, "S9", RangeError, "set must be one of S1..S5, got 'S9'"),
+        (parse_set_id, "s1", RangeError, "set must be one of S1..S5, got 's1'"),
+        (parse_set_id, "", RangeError, "set must be one of S1..S5, got ''"),
+        (parse_task_id, "10", RangeError, "task id must be in 1..9, got 10"),
+        (parse_task_id, "0", RangeError, "task id must be in 1..9, got 0"),
+        (parse_task_id, "+3", FormatError, "task must be an integer, got '+3'"),
+        (parse_task_id, "\u0663", FormatError, "task must be an integer, got '\u0663'"),
+        (parse_task_id, "", FormatError, "task must be an integer, got ''"),
+        (check_subject_id, "U 01", FormatError, f"subject id 'U 01' {_SUBJECT_RULE}"),
+        (check_subject_id, "", FormatError, f"subject id '' {_SUBJECT_RULE}"),
+    ],
+)
+def test_each_part_of_a_record_key_has_one_rule(read, text, error, message):
+    with pytest.raises(error) as err:
+        read(text)
+    assert str(err.value) == message
+
+
+def test_the_key_rules_return_the_key_parts():
+    assert parse_set_id("S3") is SetId.S3
+    assert parse_task_id("7") == 7 and type(parse_task_id("7")) is int
+    assert check_subject_id("U_0.1-a") == "U_0.1-a"
+
+
+@pytest.mark.parametrize(
+    "headers, line, message",
+    [
+        ("#subject=U1\n#set=S9\n#task=1\n", 2, "set must be one of S1..S5, got 'S9'"),
+        ("#subject=U1\n#task=10\n#set=S1\n", 2, "task id must be in 1..9, got 10"),
+        ("#task=+3\n#subject=U1\n#set=S1\n", 1, "task must be an integer, got '+3'"),
+        ("#subject=U 01\n#set=S1\n#task=1\n", 1, f"subject id 'U 01' {_SUBJECT_RULE}"),
+        ("#device=a\n#set=S1\n#subject=\n#task=1\n", 3, f"subject id '' {_SUBJECT_RULE}"),
+        # The first bad header comes before a header that is missing.
+        ("#set=S9\n#task=1\n", 1, "set must be one of S1..S5, got 'S9'"),
+        ("#subject=U1\n#set=S1\n#device=a\n", 3, "missing required header #task=..."),
+    ],
+    ids=["set", "task-10", "task-sign", "subject-space", "subject-empty", "set-then-missing",
+         "missing"],
+)
+@pytest.mark.parametrize(
+    "body",
+    ["1 2 3 4 5\n1 2 3 4 5\n", "1 2 x 4 5\n1 2 3 4 5\n", "1 2 3 4 5\n1 2 3000 4 5\n",
+     "1 2 3 4 5\n", "", "1 2 3 4 5\n#late=1\n"],
+    ids=["valid", "bad-sample", "bad-pressure", "one-sample", "no-sample", "late-header"],
+)
+def test_a_key_error_names_its_own_header_line_before_any_sample_line(
+    headers, line, message, body
+):
+    for parse in (parse_task_file, _diagnose):
+        with pytest.raises(FormatError) as err:
+            parse(headers + body)
+        assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
 
 
 def test_parse_rejects_blank_line_and_late_headers():
@@ -822,13 +886,28 @@ _SPACES = ["\t", "  ", "\x1f", "\xa0", "\u3000"]
 _MUTATIONS = (
     "underscore", "non_ascii_digit", "drop_field", "add_field", "sign", "out_of_range",
     "at_bound", "blank_line", "late_header", "drop_line", "one_sample", "separator",
-    "line_end",
+    "line_end", "subject", "set", "task",
 )
+# Values of a required header the key rules refuse; None drops the header.
+_HEADER_EDITS = {
+    "subject": ["U 1", "", "U/1", "\u00dc1", None],
+    "set": ["S9", "s1", "S0", "", None],
+    "task": ["10", "0", "+3", "\u0663", None],
+}
 
 
 def _mutate(lines, name, i, j, k):
     """Edit line ``i`` of a file held as [text, line end] pairs; ``j`` picks
-    a field of that line and ``k`` a variant of the edit."""
+    a field of that line and ``k`` a variant of the edit. A header edit sets
+    or drops the value of that header, wherever it is."""
+    if name in _HEADER_EDITS:
+        at = [n for n, line in enumerate(lines) if line[0].startswith(f"#{name}=")]
+        value = _HEADER_EDITS[name][k % len(_HEADER_EDITS[name])]
+        if at and value is None:
+            del lines[at[0]]
+        elif at:
+            lines[at[0]][0] = f"#{name}={value}"
+        return
     line = lines[i]
     fields = line[0].split(" ")
     j %= len(fields)
@@ -1129,6 +1208,26 @@ def test_aux_sidecar_malformed(tmp_path, body):
     (tmp_path / "U01" / "S1" / "aux.tsv").write_text(body)
     with pytest.raises(FormatError):
         load_corpus(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "place, message",
+    [
+        ("U01/S9/aux.tsv", "set must be one of S1..S5, got 'S9'"),
+        ("U01/X1/aux.tsv", "set must be one of S1..S5, got 'X1'"),
+        ("U 9/S1/aux.tsv", f"subject id 'U 9' {_SUBJECT_RULE}"),
+        ("U01/aux.tsv", "aux sidecar must sit at <subject>/<set>/aux.tsv"),
+        ("U01/S1/extra/aux.tsv", "aux sidecar must sit at <subject>/<set>/aux.tsv"),
+    ],
+    ids=["set", "not-a-set", "subject", "too-shallow", "too-deep"],
+)
+def test_a_sidecar_out_of_its_place_is_an_error_naming_the_file(tmp_path, place, message):
+    path = tmp_path / place
+    path.parent.mkdir(parents=True)
+    path.write_text(AUX_HEADER + "1\t0.5\t700\t1.5\t2\n")
+    with pytest.raises(InkError) as err:
+        load_corpus(tmp_path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def _load_aux(value_line):

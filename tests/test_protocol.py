@@ -53,6 +53,13 @@ def test_parse_pair_label_rejects_bad_labels(label):
         parse_pair_label(label)
 
 
+@pytest.mark.parametrize("label, name", [("S1-S9", "S9"), ("S0-S2", "S0"), ("S1-s2", "s2")])
+def test_a_pair_label_names_a_bad_set_by_the_set_rule(label, name):
+    with pytest.raises(RangeError) as info:
+        parse_pair_label(label)
+    assert str(info.value) == f"set must be one of S1..S5, got {name!r}"
+
+
 @pytest.mark.parametrize("label", [5, None, ["S1", "S2"], ("S1", "S2"), b"S1-S2"])
 def test_parse_pair_label_refuses_a_label_that_is_not_a_string(label):
     with pytest.raises(RangeError) as info:

@@ -16,7 +16,7 @@ from inkfatigue.features import (
     feature_table,
     full_catalog,
 )
-from inkfatigue.model import ALL_SETS, TASK_IDS, Category, SetId
+from inkfatigue.model import ALL_SETS, TASK_IDS, Category, SetId, parse_task_id
 from inkfatigue.protocol import canonical_set_pairs, summarize_recovery
 from inkfatigue.reporting import (
     PER_SECOND_SCALE,
@@ -220,7 +220,7 @@ def test_matrix_json_pairs_rows_and_cells_must_be_arrays(text, message):
             _matrix_json(3).replace('"S1-S2"', '"S2-S1"'),
             "matrix JSON: set pair must be ordered ascending, got 'S2-S1'",
         ),
-        (_matrix_json(3).replace('"S1-S2"', '"S1-S9"'), "matrix JSON: unknown set in pair 'S1-S9'"),
+        (_matrix_json(3).replace('"S1-S2"', '"S1-S9"'), "matrix JSON: set must be one of S1..S5, got 'S9'"),
     ],
     ids=[
         "number-row", "number-cell", "unknown-cell-field", "array-document", "empty-cell",
@@ -403,6 +403,24 @@ def test_load_matrix_tsv_task_is_ascii_digits(task):
     with pytest.raises(FormatError) as info:
         load_matrix_tsv(text)
     assert str(info.value) == f"line 2: task must be an integer, got {task!r}"
+
+
+@pytest.mark.parametrize(
+    "task, error, message",
+    [
+        ("10", RangeError, "task id must be in 1..9, got 10"),
+        ("0", RangeError, "task id must be in 1..9, got 0"),
+        ("+3", FormatError, "task must be an integer, got '+3'"),
+    ],
+)
+def test_load_matrix_tsv_reads_its_task_column_by_the_task_rule(task, error, message):
+    with pytest.raises(error) as rule:
+        parse_task_id(task)
+    text = f"task_type\ttask\tfeature\tS1-S2\nCognitive\t{task}\tmean_speed\t0.5\n"
+    with pytest.raises(error) as info:
+        load_matrix_tsv(text)
+    assert str(rule.value) == message
+    assert (str(info.value), info.value.line) == (f"line 2: {message}", 2)
 
 
 @pytest.mark.parametrize("p", ["\u0660.\u0665", "0.0_5", " 0.5", "0.5 ", "nan", "0x0", "."])

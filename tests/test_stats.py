@@ -90,6 +90,10 @@ def test_empty_and_nonfinite_inputs():
         wilcoxon_signed_rank([(float("nan"), 0.0)])
     with pytest.raises(ValueError):
         wilcoxon_signed_rank([(float("inf"), 0.0)])
+    with pytest.raises(ValueError, match="^paired input must be a sequence of"):
+        wilcoxon_signed_rank(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="^sample values must be finite$"):
+        rank_sum_test([1.0, float("nan")], [2.0])
 
 
 def test_exact_method_used_without_ties_up_to_25():
@@ -620,7 +624,7 @@ def test_build_matrix_extracts_only_the_records_its_cells_read(monkeypatch):
 
     monkeypatch.setattr(features, "extract_features", counting_extract)
     build_matrix(corpus, [(2, "mean_speed"), (7, "time_in_air")], [(SetId.S1, SetId.S4)])
-    assert sorted(extracted, key=lambda k: (k[0], k[1].order, k[2])) == [
+    assert sorted(extracted, key=lambda k: (k[0], int(k[1].value[1]), k[2])) == [
         (subject, set_id, task)
         for subject in corpus.subjects
         for set_id in (SetId.S1, SetId.S4)

@@ -133,6 +133,8 @@ def test_subject_stream_independent_of_cohort_size():
 def test_degenerate_profiles_rejected():
     with pytest.raises(ConfigError):
         SynthProfile(stroke_count=0)
+    with pytest.raises(ConfigError, match="^base_speed must be > 0, got 0.0$"):
+        SynthProfile(base_speed=0.0)
     with pytest.raises(ConfigError):
         SynthProfile(n_subjects=0)
     with pytest.raises(ConfigError):
@@ -592,6 +594,27 @@ def test_parse_profile_defaults_when_empty():
 def test_parse_profile_rejects_bad_lines(line):
     with pytest.raises(ConfigError):
         parse_profile(line)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed = 1\nset.S9.speed_scale = 1.0\n", "line 2: set must be one of S1..S5, got 'S9'"),
+        ("set.X.jitter_sd = 1\n", "line 1: set must be one of S1..S5, got 'X'"),
+        ("set.S1.wrong = 1.0\n", "line 1: unknown per-set key 'set.S1.wrong'"),
+        ("seed = 1\n\nseed = 2\n", "line 3: seed is already set on line 1"),
+        ("seed = 1\nseed = 1\n", "line 2: seed is already set on line 1"),
+        (
+            "set.S4.speed_scale = 0.7\n# again\nset.S4.speed_scale = 0.5\n",
+            "line 3: set.S4.speed_scale is already set on line 1",
+        ),
+    ],
+    ids=["set", "not-a-set", "per-set-key", "seed-twice", "same-value-twice", "per-set-twice"],
+)
+def test_parse_profile_names_a_bad_set_or_repeated_key_at_its_line(text, message):
+    with pytest.raises(ConfigError) as info:
+        parse_profile(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
