@@ -24,12 +24,12 @@ from pathlib import Path
 
 from . import features as features_mod
 from . import reporting
-from .errors import FormatError, InkError
+from .errors import ConfigError, FormatError, InkError
 # parse_task_file stays bound here because perfbench/tracer.py patches it by
 # name in this module.
 from .model import (
-    SetId, ascii_float, load_corpus, parse_task_file, read_aux_file, read_task_file, read_text,
-    record_path, write_corpus,
+    SetId, ascii_float, load_corpus, parse_task_file, read_aux_file, read_key_values, read_records,
+    read_task_file, read_text, record_path, write_corpus,
 )
 from .protocol import canonical_set_pairs, parse_pair_label, summarize_recovery
 from .stats import TESTS, build_matrix, check_alpha, default_rows
@@ -106,33 +106,22 @@ _FLAG_ONLY = ("profile", "matrix", "config")
 
 
 def _read_config(path: Path) -> dict[str, object]:
-    try:
-        text = read_text(path)
-    except (FormatError, OSError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
     values: dict[str, object] = {}
-    key_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise argparse.ArgumentTypeError(f"{path}:{lineno}: expected key = value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _OPTIONS or key in _FLAG_ONLY:
-            raise argparse.ArgumentTypeError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in key_lines:
-            raise argparse.ArgumentTypeError(
-                f"{path}:{lineno}: {key} is already set on line {key_lines[key]}"
-            )
-        key_lines[key] = lineno
-        try:
-            values[key] = _OPTIONS[key].get("type", str)(value)
-        except argparse.ArgumentTypeError as exc:
-            raise argparse.ArgumentTypeError(f"{path}:{lineno}: {exc}")
-        choices = _OPTIONS[key].get("choices")
-        if choices and values[key] not in choices:
-            raise argparse.ArgumentTypeError(f"{path}:{lineno}: {key} must be one of {choices}")
+    try:
+        for lineno, key, value in read_key_values(read_text(path)):
+            if key not in _OPTIONS or key in _FLAG_ONLY:
+                raise ConfigError(f"unknown config key {key!r}", line=lineno)
+            try:
+                values[key] = _OPTIONS[key].get("type", str)(value)
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(str(exc), line=lineno)
+            choices = _OPTIONS[key].get("choices")
+            if choices and values[key] not in choices:
+                raise ConfigError(f"{key} must be one of {choices}", line=lineno)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(f"{path}: {exc}")
+    except (FormatError, OSError) as exc:  # read_text names the file
+        raise argparse.ArgumentTypeError(str(exc))
     return values
 
 
@@ -222,7 +211,7 @@ def cmd_validate(args, parser) -> int:
     if not files:
         print(f"warning: no task files found under {corpus_dir}", file=sys.stderr)
     if errors:
-        print(f"{errors} invalid file(s) out of {len(files)}", file=sys.stderr)
+        print(f"error: {errors} invalid file(s) out of {len(files)}", file=sys.stderr)
     if errors or bad_aux:
         return 1
     if keys:
@@ -240,7 +229,7 @@ def cmd_validate(args, parser) -> int:
 
 def cmd_extract(args, parser) -> int:
     config = _run_config(args, parser)
-    table = features_mod.feature_table(load_corpus(config.corpus), config.features)
+    table = features_mod.feature_table(read_records(config.corpus), config.features)
     name, render = {
         "tsv": ("features.tsv", reporting.features_to_tsv),
         "json": ("features.json", reporting.features_to_json),
@@ -255,10 +244,9 @@ def cmd_extract(args, parser) -> int:
 
 def cmd_compare(args, parser) -> int:
     config = _run_config(args, parser)
-    corpus = load_corpus(config.corpus)
     rows = default_rows(catalog=config.features)
     matrix = build_matrix(
-        corpus,
+        read_records(config.corpus),
         rows,
         config.pairs,
         alpha=config.alpha,

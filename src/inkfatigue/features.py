@@ -10,16 +10,17 @@ the downstream tests are rank-based, so per-second conversion is cosmetic and
 lives in report rendering only). Speeds are tablet units per sample,
 accelerations tablet units per sample squared, times are sample counts.
 
-``feature_table`` fills one columnar ``FeatureTable`` per corpus, a float64
-row per record from ``extract_features``; matrices and renderers read its
-columns.
+``feature_table`` reads a corpus or any stream of records once into one
+columnar ``FeatureTable``, a float64 row per record from ``extract_features``
+in key order; matrices and renderers read its columns.
 """
 
 from __future__ import annotations
 
+import array
 import types
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -301,7 +302,7 @@ def extract_features(
 class FeatureTable:
     """Read-only ``values`` (float64, a NaN row for a failed record) and
     ``flags`` (degenerate-input rule) by [record, feature], for ``keys`` in
-    corpus order and ``catalog`` in column order; ``errors`` maps the key of
+    row order and ``catalog`` in column order; ``errors`` maps the key of
     each failed record to its message. Arrays not shaped (keys, catalog), a
     repeated feature or key, or an error for a key outside ``keys`` raise
     RangeError; the table holds read-only views of the arrays and the
@@ -338,23 +339,31 @@ class FeatureTable:
         return len(self.keys)
 
 
-def feature_table(corpus, catalog: Sequence[str] = DEFAULT_CATALOG) -> FeatureTable:
-    """Extract features for every record of a corpus, a row each in catalog
-    order; a record too short to extract keeps a NaN row. The table checks
-    its fields, a repeated feature among them, before any extraction; its
-    rows are then filled in place."""
-    records = list(corpus.records())
-    values = np.full((len(records), len(catalog)), np.nan)
-    flags = np.zeros(values.shape, dtype=bool)
-    errors = {}
-    table = FeatureTable(tuple(r.key for r in records), tuple(catalog), values, flags, errors)
-    for row, record in enumerate(records):
+def feature_table(
+    records: Iterable[TaskRecord], catalog: Sequence[str] = DEFAULT_CATALOG
+) -> FeatureTable:
+    """Extract features for every record of a corpus or any iterable of
+    records, read once, a row each in catalog order and rows in key order; a
+    record too short to extract keeps a NaN row. The catalog, a repeated
+    feature among it, is checked before any record is read."""
+    catalog, width = tuple(catalog), len(catalog)
+    FeatureTable((), catalog, np.empty((0, width)), np.empty((0, width), bool), {})
+    keys, errors, values, flags = [], {}, array.array("d"), array.array("b")
+    for record in records:
+        keys.append(record.key)
         try:
-            vector = extract_features(record, table.catalog)
+            vector = extract_features(record, catalog)
         except TooShortError as exc:
             errors[record.key] = str(exc)
-            continue
-        values[row] = list(vector.values.values())
-        if vector.flags:
-            flags[row] = [name in vector.flags for name in table.catalog]
-    return table
+            vector = FeatureVector(dict.fromkeys(catalog, np.nan))
+        values.extend(vector.values.values())
+        flags.extend([name in vector.flags for name in catalog])
+    # Headers, not paths, decide a key, so the rows are sorted once, here;
+    # rows already in key order (from a corpus, or most directories) stay put.
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rows = slice(None) if order == list(range(len(keys))) else order
+    shape = (len(keys), width)
+    values = np.frombuffer(values, np.float64).reshape(shape)[rows]
+    flags = np.frombuffer(flags, bool).reshape(shape)[rows]
+    keys = tuple(keys[i] for i in order)
+    return FeatureTable(keys, catalog, values, flags, dict(sorted(errors.items())))

@@ -9,11 +9,11 @@ over the rank set); otherwise a normal approximation with tie-corrected
 variance and a 0.5 continuity correction is used. n_effective == 0 yields
 p = 1.0.
 
-A matrix run gathers the columnar feature table once, by row index, into
-one float64 array ``[set, task, subject, feature]`` with subjects in corpus
-order and NaN for a missing record or a failed extraction. Each (task,
-feature) row and set pair column is then one ``compare_sets`` call on two
-subject columns of it, which excludes the subjects that are NaN in either.
+A matrix run reads its records once into a feature table and gathers it once,
+by row index, into one float64 array ``[set, task, subject, feature]``: the
+table's subjects in key order, NaN for a missing record or failed extraction.
+Each (task, feature) row and set pair column is one ``compare_sets`` call on
+two subject columns of it, which excludes the subjects NaN in either.
 ``Cell``, ``MatrixRow`` and ``ComparisonMatrix`` own the rules for their
 fields and shape, so a matrix built here and one loaded from a file pass the
 same checks.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, RangeError
 from .features import DEFAULT_CATALOG, FeatureTable, feature_table
-from .model import Category, SetId, StudyCorpus, TASK_CATEGORIES, TASK_IDS, validate_task_id
+from .model import Category, SetId, TASK_CATEGORIES, TASK_IDS, TaskRecord, validate_task_id
 
 EXACT_MAX_N = 25
 
@@ -356,7 +356,7 @@ def default_rows(catalog: Sequence[str] = DEFAULT_CATALOG) -> list[tuple[int, st
 
 
 def build_matrix(
-    corpus: StudyCorpus,
+    records: Iterable[TaskRecord],
     rows: Sequence[tuple[int, str]],
     pairs: Sequence[tuple[SetId, SetId]],
     *,
@@ -365,13 +365,13 @@ def build_matrix(
     alternative: str = "two-sided",
     table: FeatureTable | None = None,
 ) -> ComparisonMatrix:
-    """Run one test per (row, pair) cell over the corpus.
+    """Run one test per (row, pair) cell over a corpus or any iterable of records.
 
     Cells without any complete subject pair become None instead of aborting
     the run. Row order is normalized to task ascending, then catalog order for
     features; duplicate rows collapse, but duplicate pairs are a RangeError.
-    A ``table`` replaces the extraction; a row feature outside its catalog is
-    a RangeError.
+    A ``table`` replaces the extraction, and the records are then not read; a
+    row feature outside its catalog is a RangeError.
     """
     if not rows:
         raise EmptyInputError("row spec must name at least one (task, feature)")
@@ -384,21 +384,19 @@ def build_matrix(
     tasks = sorted({r.task for r in row_set})
     if table is None:
         # Extract only the records that some cell reads.
-        used = StudyCorpus()
-        for record in corpus.records():
-            if record.task in tasks and record.set_id in set_ids:
-                used.add(record)
+        used = (r for r in records if r.task in tasks and r.set_id in set_ids)
         table = feature_table(used, features)
     missing = [f for f in features if f not in table.catalog]
     if missing:
         raise RangeError(f"feature table has no values for {missing[0]}")
     # One gather by table row into [set, task, subject, feature], subjects in
-    # corpus order; a missing record reads the NaN row appended last.
+    # the table's key order; a missing record reads the NaN row appended last.
     row_of = {key: i for i, key in enumerate(table.keys)}
-    grid = itertools.product(set_ids, tasks, corpus.subjects)
+    subjects = sorted({subject for subject, _, _ in table.keys})
+    grid = itertools.product(set_ids, tasks, subjects)
     index = [row_of.get((subject, s, t), -1) for s, t, subject in grid]
     values = table.values[:, [table.catalog.index(f) for f in features]]
-    shape = (len(set_ids), len(tasks), len(corpus.subjects), len(features))
+    shape = (len(set_ids), len(tasks), len(subjects), len(features))
     columns = np.vstack((values, np.full(len(features), np.nan)))[index].reshape(shape)
 
     all_cells = []

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
@@ -66,6 +67,7 @@ from .model import (
     ascii_int,
     check_set_id,
     parse_set_id,
+    read_key_values,
     read_text,
     validate_task_id,
 )
@@ -219,13 +221,8 @@ def generate_corpus(
     """Generate the full n_subjects x sets x 9-tasks corpus in memory, each
     record through ``generate_task``, so one pass builds a set's nine tasks.
     The set ids are checked before anything is drawn."""
-    sets = tuple(map(check_set_id, sets))
-    corpus = StudyCorpus()
-    for subject_id in profile.subject_ids():
-        for set_id in sets:
-            for task in TASK_IDS:
-                corpus.add(generate_task(profile, subject_id, set_id, task))
-    return corpus
+    keys = itertools.product(profile.subject_ids(), tuple(map(check_set_id, sets)), TASK_IDS)
+    return StudyCorpus(generate_task(profile, *key) for key in keys)
 
 
 # Row L - _STROKE_LEN_RANGE[0] holds sin(pi * (col + 0.5) / L), the pressure
@@ -441,17 +438,7 @@ def parse_profile(text: str) -> SynthProfile:
     """
     globals_: dict[str, object] = {}
     per_set: dict[SetId, dict[str, object]] = {}
-    key_lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected key = value, got {raw!r}", line=lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in key_lines:
-            raise ConfigError(f"{key} is already set on line {key_lines[key]}", line=lineno)
-        key_lines[key] = lineno
+    for lineno, key, value in read_key_values(text):
         try:
             if key in _PROFILE_READERS:
                 globals_[key] = _PROFILE_READERS[key](value)

@@ -664,7 +664,7 @@ class ReferenceFeatureVector:
 def reference_feature_table(corpus, catalog):
     """The dict feature table: one ``ReferenceFeatureVector`` per record key."""
     table = {}
-    for record in corpus.records():
+    for record in corpus:
         try:
             vector = extract_features(record, catalog)
         except TooShortError:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import struct
@@ -458,14 +459,14 @@ def test_feature_table_covers_corpus_and_skips_short_records():
     catalog = full_catalog()
     table = feature_table(corpus, catalog)
     assert len(table) == 20
-    assert table.keys == tuple(record.key for record in corpus.records())
+    assert table.keys == tuple(record.key for record in corpus)
     assert table.catalog == catalog
     assert table.values.shape == table.flags.shape == (20, len(catalog))
     assert (table.values.dtype, table.flags.dtype) == (np.float64, np.bool_)
     assert not (table.values.flags.writeable or table.flags.flags.writeable)
     failed = ("U03", SetId.S1, 1)
     assert table.errors == {failed: "feature extraction needs at least 3 samples, got 2"}
-    for record, values, flags in zip(corpus.records(), table.values, table.flags):
+    for record, values, flags in zip(corpus, table.values, table.flags):
         if record.key == failed:
             assert np.isnan(values).all() and not flags.any()
             continue
@@ -473,6 +474,31 @@ def test_feature_table_covers_corpus_and_skips_short_records():
         assert values.tobytes() == np.array([vector[n] for n in catalog]).tobytes()
         assert {n for n, f in zip(catalog, flags) if f} == vector.flags
     assert table.flags[table.keys.index(("U04", SetId.S1, 1))].any()
+
+
+@functools.cache
+def _corpus_with_failed_and_flagged_records():
+    corpus = generate_corpus(SynthProfile(seed=20, n_subjects=2), sets=(SetId.S1, SetId.S3))
+    corpus.add(make_record([0, 5], subject="U03"))  # 2 samples: extraction fails
+    corpus.add(make_record([1, 2], subject="U00", task=2))
+    corpus.add(make_record([9] * 4, subject="U00", set_id=SetId.S2))  # no in-air stroke: flagged
+    return corpus
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_feature_table_of_shuffled_records_equals_the_corpus_table_bit_for_bit(data):
+    # Files arrive in path order and headers decide the key, so the table
+    # sorts its rows, errors included, by key whatever order records come in.
+    corpus = _corpus_with_failed_and_flagged_records()
+    shuffled = data.draw(st.permutations(list(corpus)))
+    want = feature_table(corpus, full_catalog())
+    got = feature_table(iter(shuffled), full_catalog())
+    assert got.keys == want.keys == tuple(sorted(want.keys))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.flags.tobytes() == want.flags.tobytes() and want.flags.any()
+    assert list(got.errors.items()) == list(want.errors.items())
+    assert list(want.errors) == [("U00", SetId.S1, 2), ("U03", SetId.S1, 1)]
 
 
 def test_feature_table_refuses_a_repeated_feature_before_extracting(monkeypatch):

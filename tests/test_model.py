@@ -39,6 +39,8 @@ from inkfatigue.model import (
     parse_set_id,
     parse_task_file,
     parse_task_id,
+    read_aux_file,
+    read_records,
     record_path,
     serialize_task,
     write_corpus,
@@ -280,10 +282,10 @@ def test_signals_store_14_bytes_per_sample_when_x_and_y_fit_int32_else_22():
     # nbytes is the logical size: a one-value channel, stored once as a
     # zero-stride view, still counts 2 bytes a sample here.
     synthesized = generate_corpus(SynthProfile(n_subjects=1), sets=(SetId.S1,))
-    parsed = parse_task_file(serialize_task(next(synthesized.records())))
+    parsed = parse_task_file(serialize_task(next(iter(synthesized))))
     bounded = [[0, 2047, 9], [0, 359, 1], [0, 90, 2]]
     from_lists = InkSignal([-(2**31), 1, 2], [3, 4, 2**31 - 1], *bounded)
-    signals = [r.signal for r in synthesized.records()] + [parsed.signal, from_lists]
+    signals = [r.signal for r in synthesized] + [parsed.signal, from_lists]
     assert [_bytes_per_sample(s) for s in signals] == [14.0] * len(signals)
     # One x or y past int32 stores both as int64: 8 + 8 + 2 + 2 + 2.
     for x, y in [([0, 2**31, 2], [3, 4, 5]), ([0, 1, 2], [3, -(2**31) - 1, 5])]:
@@ -305,7 +307,7 @@ def test_synthesized_and_parsed_signals_hold_about_10_bytes_per_sample():
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot().filter_traces(arrays_only)
-        records = list(generate_corpus(SynthProfile(seed=4, n_subjects=1)).records())
+        records = list(generate_corpus(SynthProfile(seed=4, n_subjects=1)))
         records += [parse_task_file(serialize_task(r)) for r in records]
         after = tracemalloc.take_snapshot().filter_traces(arrays_only)
     finally:
@@ -823,7 +825,7 @@ _SERIALIZED_DIGESTS = [
 @pytest.mark.parametrize("profile,digest", _SERIALIZED_DIGESTS)
 def test_serialized_corpus_bytes_are_pinned(profile, digest):
     h = hashlib.sha256()
-    for record in generate_corpus(profile).records():
+    for record in generate_corpus(profile):
         h.update(serialize_task(record).encode("utf-8"))
     assert h.hexdigest() == digest
 
@@ -1111,8 +1113,24 @@ def test_loaded_corpus_equals_generated(tmp_path):
     corpus = generate_corpus(SynthProfile(seed=4, n_subjects=2))
     write_corpus(corpus, tmp_path)
     loaded = load_corpus(tmp_path)
-    for record in corpus.records():
+    for record in corpus:
         assert loaded.get(*record.key) == record
+
+
+def test_read_records_yields_files_in_path_order_and_checks_sidecars_after_them(tmp_path):
+    corpus = generate_corpus(SynthProfile(seed=4, n_subjects=2), sets=(SetId.S1,))
+    write_corpus(corpus, tmp_path)
+    # Headers, not paths, decide a key: the first key moves last in path order.
+    (tmp_path / "U01" / "S1" / "task1.ink").rename(tmp_path / "U03.ink")
+    paths = sorted(tmp_path.rglob("*.ink"))
+    keys = [r.key for r in read_records(tmp_path)]
+    assert keys == [model.parse_task_file(p.read_text()).key for p in paths] != sorted(keys)
+    assert list(load_corpus(tmp_path)) == list(corpus)
+    (tmp_path / "U01" / "S1" / "aux.tsv").write_text("bad\n")
+    records = read_records(tmp_path)
+    assert len([next(records) for _ in paths]) == 18
+    with pytest.raises(FormatError, match="aux sidecar needs a header line"):
+        next(records)
 
 
 def test_load_empty_directory(tmp_path):
@@ -1185,17 +1203,20 @@ AUX_HEADER = "lactate\tflight_time\tforce\tvelocity\trpe\n"
 def test_aux_sidecar_loads(tmp_path):
     corpus = generate_corpus(SynthProfile(seed=10, n_subjects=1), sets=(SetId.S1,))
     write_corpus(corpus, tmp_path)
-    (tmp_path / "U01" / "S1" / "aux.tsv").write_text(AUX_HEADER + "1.11\t0.52\t700\t1.5\t2\n")
-    loaded = load_corpus(tmp_path)
-    aux = loaded.aux("U01", SetId.S1)
-    assert aux == AuxRecord(lactate=1.11, flight_time=0.52, force=700, velocity=1.5, rpe=2)
+    aux = tmp_path / "U01" / "S1" / "aux.tsv"
+    aux.write_text(AUX_HEADER + "1.11\t0.52\t700\t1.5\t2\n")
+    assert len(load_corpus(tmp_path)) == 9
+    assert read_aux_file(tmp_path, aux) == (
+        "U01", SetId.S1, AuxRecord(lactate=1.11, flight_time=0.52, force=700, velocity=1.5, rpe=2)
+    )
 
 
 def test_aux_sidecar_allows_na(tmp_path):
     corpus = generate_corpus(SynthProfile(seed=10, n_subjects=1), sets=(SetId.S1,))
     write_corpus(corpus, tmp_path)
-    (tmp_path / "U01" / "S1" / "aux.tsv").write_text(AUX_HEADER + "NA\tNA\tNA\tNA\t5\n")
-    aux = load_corpus(tmp_path).aux("U01", SetId.S1)
+    path = tmp_path / "U01" / "S1" / "aux.tsv"
+    path.write_text(AUX_HEADER + "NA\tNA\tNA\tNA\t5\n")
+    _, _, aux = read_aux_file(tmp_path, path)
     assert aux.lactate is None and aux.rpe == 5
 
 
@@ -1231,14 +1252,14 @@ def test_a_sidecar_out_of_its_place_is_an_error_naming_the_file(tmp_path, place,
 
 
 def _load_aux(value_line):
-    """Loads a corpus holding only ``U01/S1/aux.tsv``; returns the file's
-    path and the loaded record, or the path and the FormatError."""
+    """Reads ``U01/S1/aux.tsv`` holding ``value_line``; returns the file's
+    path and the record read, or the path and the FormatError."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "U01" / "S1" / "aux.tsv"
         path.parent.mkdir(parents=True)
         path.write_text(AUX_HEADER + value_line + "\n")
         try:
-            return path, load_corpus(tmp).aux("U01", SetId.S1)
+            return path, read_aux_file(Path(tmp), path)[2]
         except FormatError as exc:
             return path, exc
 

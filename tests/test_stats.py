@@ -291,7 +291,7 @@ def test_compare_sets_excludes_subjects_missing_a_set():
     corpus = generate_corpus(SynthProfile(seed=20, n_subjects=4))
     # U04 never recorded S5
     trimmed = StudyCorpus()
-    for record in corpus.records():
+    for record in corpus:
         if record.subject_id == "U04" and record.set_id is SetId.S5:
             continue
         trimmed.add(record)
@@ -396,7 +396,7 @@ def test_build_matrix_single_subject_low_n():
 
 
 def test_build_matrix_deterministic_under_insertion_order():
-    records = list(generate_corpus(SynthProfile(seed=26, n_subjects=3)).records())
+    records = list(generate_corpus(SynthProfile(seed=26, n_subjects=3)))
     forward = StudyCorpus()
     for record in records:
         forward.add(record)
@@ -422,11 +422,11 @@ def test_build_matrix_marks_insufficient_cells_na():
 def test_build_matrix_failed_record_counts_as_missing():
     corpus = generate_corpus(SynthProfile(seed=30, n_subjects=4), sets=(SetId.S1, SetId.S2))
     removed = StudyCorpus()
-    for record in corpus.records():
+    for record in corpus:
         if record.key != ("U02", SetId.S1, 1):
             removed.add(record)
     failed = StudyCorpus()
-    for record in removed.records():
+    for record in removed:
         failed.add(record)
     failed.add(make_record([0, 5], subject="U02", set_id=SetId.S1, task=1))
     rows, pairs = [(1, "mean_speed"), (1, "time_in_air")], [(SetId.S1, SetId.S2)]
@@ -526,7 +526,7 @@ def test_matrix_p_values_invariant_to_uniform_spatial_scaling():
     profile = SynthProfile(seed=30, n_subjects=4)
     corpus = generate_corpus(profile, sets=(SetId.S1, SetId.S2))
     scaled = StudyCorpus()
-    for record in corpus.records():
+    for record in corpus:
         sig = record.signal
         scaled.add(
             type(record)(

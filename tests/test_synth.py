@@ -43,7 +43,7 @@ def test_corpus_generation_is_pure():
     profile = SynthProfile(seed=31, n_subjects=2)
     first = generate_corpus(profile)
     second = generate_corpus(profile)
-    for a, b in zip(first.records(), second.records()):
+    for a, b in zip(first, second):
         assert a == b
 
 
