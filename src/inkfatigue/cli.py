@@ -277,7 +277,7 @@ def cmd_report(args, parser) -> int:
     try:
         matrix = reporting.matrix_from_json(text)
     except InkError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise exc.in_file(path) from exc
     matrix = replace(matrix, alpha=_resolve(args, "alpha", matrix.alpha))
     fmt = _resolve(args, "format", "markdown")
     names = {

@@ -14,6 +14,12 @@ class InkError(Exception):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
 
+    def in_file(self, path) -> "InkError":
+        """This error with its message prefixed by ``path``; ``line`` is kept."""
+        exc = type(self)(f"{path}: {self}")
+        exc.line = self.line
+        return exc
+
 
 class FormatError(InkError):
     """A task file (or profile/config file) is malformed."""

@@ -25,11 +25,12 @@ Header lines start with ``#`` and hold ``key=value`` pairs; ``subject``,
 Data lines follow the headers and hold five whitespace-separated integers:
 x y pressure azimuth altitude. Each is an ASCII integer with an optional
 sign, ``[+-]?[0-9]+``; x and y must fit in int64. Lines end at any
-``str.splitlines`` boundary, and no line may be blank. The parser checks
-plain sample text (ASCII whose spaces and line breaks C's ``isspace``
-knows) in one vectorized pass over byte classes. Other text, such as a
-non-ASCII space or the separators ``\\x1c``-``\\x1f``, is checked line by
-line, which is slower; both paths accept the same grammar.
+``str.splitlines`` boundary, and no line may be blank. Plain text (ASCII
+whose spaces and line breaks C's ``isspace`` knows) goes through a fast path,
+one vectorized pass over byte classes. Every file that path does not take,
+other text (such as a non-ASCII space or the separators ``\\x1c``-``\\x1f``)
+or any defect, is read by the line-by-line reference parser, which returns
+the record or the first defect in line order.
 Directory layout for a corpus:
 
     <corpus>/<subject>/<set>/task<k>.ink
@@ -447,30 +448,30 @@ def read_text(path: Path) -> str:
 def parse_task_file(text: str) -> TaskRecord:
     """Parse one task file into a TaskRecord.
 
-    Raises FormatError (with line number) for structural problems, RangeError
+    Plain text goes through the byte-class fast path. Every file that path
+    does not take (other text, or any defect) is read by the line-by-line
+    reference parser, which returns the record or the first defect in line
+    order: FormatError (with line number) for structural problems, RangeError
     for out-of-range channel values, TooShortError for fewer than 2 samples.
     """
-    headers: dict[str, str] = {}
-    pos = 0
-    while match := _HEADER_LINE_RE.match(text, pos):
-        _add_header(headers, match.group().strip(), len(headers) + 1)
-        pos = match.end()
-    body = text[pos:]
-    if not _check_body(body):
-        _diagnose(text)  # raises the first defect, or confirms the grammar
-        body = " ".join(body.split())
-    flat = np.fromstring(body, dtype=np.int64, sep=" ")
-    lo, hi = (flat.min(), flat.max()) if flat.size else (0, 0)
-    if lo == _INT64_BOUNDS[0] or hi == _INT64_BOUNDS[1]:
-        _diagnose(text)  # np.fromstring clamps out-of-range values to these
-    if _INT32_BOUNDS[0] <= lo and hi <= _INT32_BOUNDS[1]:
-        flat = flat.astype(CHANNEL_DTYPES["x"])  # then InkSignal scans no x or y
     try:
-        signal = InkSignal(*flat.reshape(-1, 5).T)
+        headers: dict[str, str] = {}
+        pos = 0
+        while match := _HEADER_LINE_RE.match(text, pos):
+            _add_header(headers, match.group().strip(), len(headers) + 1)
+            pos = match.end()
+        body = text[pos:]
+        if _check_body(body):
+            flat = np.fromstring(body, dtype=np.int64, sep=" ")
+            lo, hi = (flat.min(), flat.max()) if flat.size else (0, 0)
+            # np.fromstring clamps out-of-range values to the int64 ends.
+            if _INT64_BOUNDS[0] < lo and hi < _INT64_BOUNDS[1]:
+                if _INT32_BOUNDS[0] <= lo and hi <= _INT32_BOUNDS[1]:
+                    flat = flat.astype(CHANNEL_DTYPES["x"])  # then InkSignal scans no x or y
+                return _record(headers, InkSignal(*flat.reshape(-1, 5).T))
     except InkError:
-        _diagnose(text)  # names the first defect in line order
-        raise
-    return _record(headers, signal)
+        pass  # the reference parser names the first defect
+    return _parse_lines(text)
 
 
 def _check_body(body: str) -> bool:
@@ -510,36 +511,29 @@ def _check_body(body: str) -> bool:
     return bool(last_line == 5 or (last_line == 0 and ends_at_break))
 
 
-def _diagnose(text: str) -> dict[str, str]:
-    """Raise the error for the first defect of a task file, in line order.
-
-    This line-by-line loop is the reference path of parse_task_file, for
-    text the byte-class check does not take and for naming defects. It
-    accepts exactly the grammar, up to the TaskRecord checks, and returns the
-    headers of a file without a defect.
+def _parse_lines(text: str) -> TaskRecord:
+    """The reference parser of task files: read ``text`` line by line and
+    return its record, or raise the error of its first defect in line order.
+    It accepts exactly the grammar, and parse_task_file falls back to it for
+    every file its byte-class fast path does not take.
     """
     headers: dict[str, str] = {}
-    n_samples = 0
-    in_header = True
+    samples: list[tuple[int, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             raise FormatError("blank line not allowed", line=lineno)
         if line.startswith("#"):
-            if not in_header:
+            if samples:
                 raise FormatError("header line after data lines", line=lineno)
             _add_header(headers, line, lineno)
             continue
-        if in_header:  # the header block ends at the first data line
+        if not samples:  # the header block ends at the first data line
             _record_key(headers)
-            in_header = False
         fields = line.split()
         if len(fields) != 5:
-            raise FormatError(
-                f"expected 5 integers (x y pressure azimuth altitude), got "
-                f"{len(fields)} fields",
-                line=lineno,
-            )
+            raise FormatError(f"expected 5 integers (x y pressure azimuth altitude), got "
+                              f"{len(fields)} fields", line=lineno)
         try:
             values = tuple(map(ascii_int, fields))
         except ValueError:
@@ -548,12 +542,11 @@ def _diagnose(text: str) -> dict[str, str]:
             lo, hi = _CHANNEL_BOUNDS.get(name, _INT64_BOUNDS)
             if not lo <= v <= hi:
                 raise RangeError(f"{name} value {v} outside [{lo}, {hi}]", line=lineno)
-        n_samples += 1
-    if in_header:
-        _record_key(headers)
-    if n_samples < 2:
-        raise TooShortError(f"task file holds {n_samples} samples, need at least 2")
-    return headers
+        samples.append(values)
+    _record_key(headers)  # a file of headers only names its key error first
+    if len(samples) < 2:
+        raise TooShortError(f"task file holds {len(samples)} samples, need at least 2")
+    return _record(headers, InkSignal(*np.array(samples, dtype=np.int64).T))
 
 
 def _add_header(headers: dict[str, str], line: str, lineno: int) -> None:
@@ -637,7 +630,7 @@ def read_aux_file(directory: Path, path: Path) -> tuple[str, SetId, AuxRecord]:
                 raise FormatError(f"aux field {name} is not a number: {token!r}")
         return subject, set_id, AuxRecord(**values)
     except InkError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise exc.in_file(path) from exc
 
 
 def read_task_file(path: Path, seen: dict[tuple[str, SetId, int], Path]) -> TaskRecord:
@@ -648,7 +641,7 @@ def read_task_file(path: Path, seen: dict[tuple[str, SetId, int], Path]) -> Task
     try:
         record = parse_task_file(text)
     except InkError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        raise exc.in_file(path) from exc
     if record.key in seen:
         subject, set_id, task = record.key
         raise DuplicateError(

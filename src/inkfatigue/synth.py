@@ -466,4 +466,4 @@ def load_profile(path: str | Path) -> SynthProfile:
     try:
         return parse_profile(text)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise exc.in_file(path) from exc

@@ -46,7 +46,7 @@ from inkfatigue.model import (
     write_corpus,
 )
 from inkfatigue import model
-from inkfatigue.model import _check_body, _diagnose, _record
+from inkfatigue.model import _check_body, _parse_lines
 from inkfatigue import synth
 from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus, generate_task
 
@@ -653,7 +653,7 @@ def test_the_key_rules_return_the_key_parts():
 def test_a_key_error_names_its_own_header_line_before_any_sample_line(
     headers, line, message, body
 ):
-    for parse in (parse_task_file, _diagnose):
+    for parse in (parse_task_file, _parse_lines):
         with pytest.raises(FormatError) as err:
             parse(headers + body)
         assert (str(err.value), err.value.line) == (f"line {line}: {message}", line)
@@ -943,19 +943,23 @@ def _mutate(lines, name, i, j, k):
 
 
 def _outcome(parse, text):
-    """The record ``parse`` reads from ``text``, or the error it raises."""
+    """The record ``parse`` reads from ``text``, or the error it raises, which
+    names its line unless the file holds too few samples."""
     try:
         return parse(text)
     except InkError as exc:
-        return type(exc), str(exc), getattr(exc, "line", None)
+        assert exc.line is not None or type(exc) is TooShortError, exc
+        return type(exc), str(exc), exc.line
 
 
 def _reference_parse(text):
-    """The diagnostic loop, then a record of its sample lines read by int()."""
-    headers = _diagnose(text)
+    """The record of the line-by-line parser, whose samples must be those
+    that int() reads from its sample lines."""
+    record = _parse_lines(text)
     rows = [line.split() for line in text.splitlines() if not line.strip().startswith("#")]
     columns = np.array([[int(f) for f in row] for row in rows], dtype=np.int64).T
-    return _record(headers, InkSignal(*columns))
+    assert record.signal == InkSignal(*columns)
+    return record
 
 
 @given(
@@ -1050,13 +1054,11 @@ def _assert_check_is_the_regex_on_plain_text(body):
 
 
 def _assert_parse_paths_agree(body):
-    """The record or error of the byte-class path is that of the reference
-    path, which the parser takes for every body the check refuses."""
+    """The record or error of the parser is that of the line-by-line
+    reference parser, which it falls back to for every file its byte-class
+    path does not take."""
     text = "#subject=U1\n#set=S1\n#task=3\n" + body
-    got = _outcome(parse_task_file, text)
-    with mock.patch.object(model, "_check_body", lambda body: False):
-        want = _outcome(parse_task_file, text)
-    assert got == want
+    assert _outcome(parse_task_file, text) == _outcome(_parse_lines, text)
 
 
 @given(sample_bodies())
@@ -1097,7 +1099,37 @@ def test_byte_class_check_on_edge_bodies(body):
     _assert_parse_paths_agree(body)
 
 
+def _fast_path_records():
+    narrow = random_record(np.random.default_rng(5))
+    wide = dataclasses.replace(narrow, signal=InkSignal(
+        np.array([-(2**63) + 1, 2**40]), np.array([0, 2**63 - 2]),
+        np.array([0, 2047]), np.array([359, 0]), np.array([90, 0])))
+    constant = dataclasses.replace(narrow, signal=InkSignal(
+        *(np.arange(4) if name in ("x", "y") else np.full(4, 7) for name in model._CHANNELS)))
+    return [narrow, wide, constant]
+
+
+@pytest.mark.parametrize("record", _fast_path_records(), ids=["int32", "int64", "one-value"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\x0b"], ids=["lf", "crlf", "vt"])
+def test_plain_files_stay_on_the_fast_path(monkeypatch, record, end):
+    def no_fallback(text):
+        raise AssertionError("a plain valid file reached the line-by-line parser")
+
+    monkeypatch.setattr(model, "_parse_lines", no_fallback)
+    parsed = parse_task_file(serialize_task(record).replace("\n", end))
+    assert parsed == record and parsed.signal.x.dtype == record.signal.x.dtype
+
+
 # --- corpus loading --------------------------------------------------------
+
+
+def test_an_error_that_names_its_file_keeps_its_line(tmp_path):
+    path = tmp_path / "task1.ink"
+    path.write_text("#subject=U1\n#set=S1\n#task=1\n1 2 3 4 5\n1 2 3000 4 5\n")
+    with pytest.raises(RangeError) as err:
+        model.read_task_file(path, {})
+    assert str(err.value) == f"{path}: line 5: pressure value 3000 outside [0, 2047]"
+    assert err.value.line == 5
 
 
 def test_load_full_corpus_no_gaps(tmp_path):

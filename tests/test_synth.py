@@ -650,5 +650,14 @@ def test_load_profile_from_file(tmp_path):
     assert load_profile(path) == parse_profile(PROFILE_TEXT)
 
 
+def test_load_profile_error_names_the_file_and_keeps_its_line(tmp_path):
+    path = tmp_path / "profile.cfg"
+    path.write_text("seed = 1\nbogus = 2\n")
+    with pytest.raises(ConfigError) as err:
+        load_profile(path)
+    assert str(err.value) == f"{path}: line 2: unknown key 'bogus'"
+    assert err.value.line == 2
+
+
 def test_subject_ids_are_stable():
     assert SynthProfile(n_subjects=3).subject_ids() == ["U01", "U02", "U03"]
