@@ -8,10 +8,11 @@ Subcommands mirror the pipeline stages:
 * ``compare``  build the set-pair p-value matrix plus the recovery summary,
 * ``report``   re-render a saved matrix JSON at a chosen alpha.
 
-Exit codes: 0 success, 1 data error, 2 usage error. ``--out`` defaults to the
-``INKFATIGUE_OUT`` environment variable. A ``--config`` file can supply
-defaults for flags, each key at most once; explicit flags win and the
-override is announced on stderr, never applied silently.
+Exit codes: 0 success, 1 data error, 2 usage error. A ``--config`` file can
+supply any flag's value, each key at most once. A value comes from the flag,
+else the config file, else (``--out`` only) the ``INKFATIGUE_OUT``
+environment variable, else the built-in default. Each config value a flag
+overrides gets one note on stderr, in config-file line order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import features as features_mod
@@ -39,20 +40,6 @@ ENV_OUT = "INKFATIGUE_OUT"
 
 #: ``--sided`` choices and their alternative; ``one`` is an alias of ``greater``.
 _SIDED = {"two": "two-sided", "greater": "greater", "less": "less", "one": "greater"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options of one analysis command."""
-
-    corpus: Path | None
-    out: Path | None
-    alpha: float
-    features: tuple[str, ...]
-    pairs: tuple[tuple[SetId, SetId], ...]
-    test: str
-    alternative: str
-    fmt: str
 
 
 def _alpha_arg(text: str) -> float:
@@ -86,19 +73,27 @@ def _pairs_arg(text: str) -> tuple[tuple[SetId, SetId], ...]:
     return tuple(p for p in canonical_set_pairs() if p in wanted)
 
 
-#: Every flag of every subcommand, as ``add_argument`` keywords. A --config
-#: file may set any of them except those in _FLAG_ONLY, with the same
-#: conversion and choices.
+#: Every flag of every subcommand, as ``add_argument`` keywords, defaults
+#: included. A --config file may set any of them except those in _FLAG_ONLY,
+#: with the same conversion and choices.
 _OPTIONS = {
     "corpus": {"help": "corpus directory"},
     "profile": {"required": True, "help": "profile file (key = value)"},
     "matrix": {"required": True, "help": "matrix.json produced by compare"},
-    "alpha": {"type": _alpha_arg, "help": "significance level (default 0.05)"},
-    "pairs": {"type": _pairs_arg, "help": "comma-separated set pairs"},
-    "features": {"type": _features_arg, "help": "comma-separated catalog subset"},
-    "format": {"choices": ("tsv", "json", "markdown")},
-    "test": {"choices": TESTS},
-    "sided": {"choices": tuple(_SIDED)},
+    "alpha": {
+        "type": _alpha_arg, "default": 0.05, "help": "significance level (default %(default)s)",
+    },
+    "pairs": {
+        "type": _pairs_arg, "default": tuple(canonical_set_pairs()),
+        "help": "comma-separated set pairs",
+    },
+    "features": {
+        "type": _features_arg, "default": features_mod.DEFAULT_CATALOG,
+        "help": "comma-separated catalog subset",
+    },
+    "format": {"choices": ("tsv", "json", "markdown"), "default": "tsv"},
+    "test": {"choices": TESTS, "default": "signed-rank"},
+    "sided": {"choices": tuple(_SIDED), "default": "two"},
     "config": {"type": Path, "help": "key = value defaults for flags"},
     "out": {"help": f"output directory (default ${ENV_OUT})"},
 }
@@ -125,26 +120,10 @@ def _read_config(path: Path) -> dict[str, object]:
     return values
 
 
-def _resolve(args: argparse.Namespace, key: str, fallback):
-    """Flag wins over config file; overriding a config value is announced."""
-    flag_value = getattr(args, key, None)
-    config = args._config_values
-    if flag_value is not None:
-        if key in config and config[key] != flag_value:
-            print(
-                f"note: --{key} on the command line overrides the config file value",
-                file=sys.stderr,
-            )
-        return flag_value
-    if key in config:
-        return config[key]
-    return fallback
-
-
 def _out_dir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
     """The output directory; a file at it or on the way to it is an error,
     raised before any work. Nothing is created here."""
-    out = _resolve(args, "out", os.environ.get(ENV_OUT))
+    out = os.environ.get(ENV_OUT) if args.out is None else args.out
     if not out:
         parser.error(f"--out is required (or set {ENV_OUT})")
     out = Path(out)
@@ -155,27 +134,11 @@ def _out_dir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
 
 
 def _corpus_dir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
-    corpus = _resolve(args, "corpus", None)
-    if corpus is None:
+    if args.corpus is None:
         parser.error("--corpus is required")
-    if not Path(corpus).is_dir():
-        parser.error(f"corpus directory does not exist: {corpus}")
-    return Path(corpus)
-
-
-def _run_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    corpus = _corpus_dir(args, parser)
-    sided = _resolve(args, "sided", "two")
-    return RunConfig(
-        corpus=corpus,
-        out=_out_dir(args, parser),
-        alpha=_resolve(args, "alpha", 0.05),
-        features=tuple(_resolve(args, "features", features_mod.DEFAULT_CATALOG)),
-        pairs=tuple(_resolve(args, "pairs", canonical_set_pairs())),
-        test=_resolve(args, "test", "signed-rank"),
-        alternative=_SIDED[sided],
-        fmt=_resolve(args, "format", "tsv"),
-    )
+    if not Path(args.corpus).is_dir():
+        parser.error(f"corpus directory does not exist: {args.corpus}")
+    return Path(args.corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +191,14 @@ def cmd_validate(args, parser) -> int:
 
 
 def cmd_extract(args, parser) -> int:
-    config = _run_config(args, parser)
-    table = features_mod.feature_table(read_records(config.corpus), config.features)
+    corpus, out = _corpus_dir(args, parser), _out_dir(args, parser)
+    table = features_mod.feature_table(read_records(corpus), args.features)
     name, render = {
         "tsv": ("features.tsv", reporting.features_to_tsv),
         "json": ("features.json", reporting.features_to_json),
         "markdown": ("features.md", reporting.features_to_markdown),
-    }[config.fmt]
-    path = reporting.write_text(config.out / name, render(table))
+    }[args.format]
+    path = reporting.write_text(out / name, render(table))
     print(f"wrote {path} ({len(table)} record(s))")
     for (subject, set_id, task), message in table.errors.items():
         print(f"error: {subject}/{set_id.value}/task{task}: {message}", file=sys.stderr)
@@ -243,22 +206,21 @@ def cmd_extract(args, parser) -> int:
 
 
 def cmd_compare(args, parser) -> int:
-    config = _run_config(args, parser)
-    rows = default_rows(catalog=config.features)
+    corpus, out = _corpus_dir(args, parser), _out_dir(args, parser)
     matrix = build_matrix(
-        read_records(config.corpus),
-        rows,
-        config.pairs,
-        alpha=config.alpha,
-        test=config.test,
-        alternative=config.alternative,
+        read_records(corpus),
+        default_rows(catalog=args.features),
+        args.pairs,
+        alpha=args.alpha,
+        test=args.test,
+        alternative=_SIDED[args.sided],
     )
     names = {
         "tsv": ("matrix.json", "matrix.tsv", "matrix_mask.tsv"),
         "json": ("matrix.json",),
         "markdown": ("matrix.json", "matrix.md"),
-    }[config.fmt]
-    _write_matrix(config.out, matrix, names)
+    }[args.format]
+    _write_matrix(out, matrix, names)
     return 0
 
 
@@ -278,13 +240,13 @@ def cmd_report(args, parser) -> int:
         matrix = reporting.matrix_from_json(text)
     except InkError as exc:
         raise exc.in_file(path) from exc
-    matrix = replace(matrix, alpha=_resolve(args, "alpha", matrix.alpha))
-    fmt = _resolve(args, "format", "markdown")
+    if args.alpha is not None:
+        matrix = replace(matrix, alpha=args.alpha)
     names = {
         "markdown": ("matrix.md", "matrix_mask.tsv"),
         "tsv": ("matrix.tsv", "matrix_mask.tsv"),
         "json": ("matrix_mask.tsv",),
-    }[fmt]
+    }[args.format]
     _write_matrix(_out_dir(args, parser), matrix, names)
     return 0
 
@@ -314,7 +276,9 @@ def _write_matrix(out: Path, matrix, names: tuple[str, ...]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict[str, object] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; ``config`` values replace the built-in
+    defaults of every subcommand, and a flag still wins over them."""
     parser = argparse.ArgumentParser(
         prog="inkfatigue",
         description="Online-handwriting fatigue analysis pipeline",
@@ -325,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for option in options:
             p.add_argument(f"--{option}", **{**_OPTIONS[option], **overrides.get(option, {})})
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, **(config or {}))
 
     add("validate", cmd_validate, "check every task file of a corpus", "corpus", "config")
     add(
@@ -339,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("synth", cmd_synth, "write a synthetic corpus from a profile", "profile", "config", "out")
     add(
         "report", cmd_report, "re-render a saved matrix JSON",
-        "matrix", "alpha", "format", "config", "out", alpha={"help": "re-mask at this level"},
+        "matrix", "alpha", "format", "config", "out",
+        alpha={"default": None, "help": "re-mask at this level"}, format={"default": "markdown"},
     )
     return parser
 
@@ -348,7 +313,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args._config_values = _read_config(args.config) if args.config else {}
+        if args.config:
+            config = _read_config(args.config)
+            parser = build_parser(config)
+            args = parser.parse_args(argv)
+            for key, value in config.items():
+                if getattr(args, key) != value:
+                    print(
+                        f"note: --{key} on the command line overrides the config file value",
+                        file=sys.stderr,
+                    )
         return args.func(args, parser)
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code or 0)

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptyInputError, InsufficientDataError, RangeError
-from .features import DEFAULT_CATALOG, FeatureTable, feature_table
+from .features import DEFAULT_CATALOG, FeatureTable, feature_table, full_catalog
 from .model import Category, SetId, TASK_CATEGORIES, TASK_IDS, TaskRecord, validate_task_id
 
 EXACT_MAX_N = 25
@@ -368,16 +368,16 @@ def build_matrix(
     """Run one test per (row, pair) cell over a corpus or any iterable of records.
 
     Cells without any complete subject pair become None instead of aborting
-    the run. Row order is normalized to task ascending, then catalog order for
-    features; duplicate rows collapse, but duplicate pairs are a RangeError.
-    A ``table`` replaces the extraction, and the records are then not read; a
+    the run. Row order is normalized to task ascending, then ``full_catalog()``
+    order for features; duplicate rows collapse, but duplicate pairs are a
+    RangeError. A ``table`` replaces the extraction, and the records are then not read; a
     row feature outside its catalog is a RangeError.
     """
     if not rows:
         raise EmptyInputError("row spec must name at least one (task, feature)")
     empty = ComparisonMatrix(rows=(), pairs=tuple(pairs), cells=(), alpha=alpha)
     row_set = {MatrixRow(t, f) for t, f in rows}
-    order = {name: i for i, name in enumerate(DEFAULT_CATALOG)}
+    order = {name: i for i, name in enumerate(full_catalog())}
     features = sorted({r.feature for r in row_set}, key=lambda f: (order.get(f, len(order)), f))
     matrix_rows = tuple(sorted(row_set, key=lambda r: (r.task, features.index(r.feature))))
     set_ids = list(dict.fromkeys(s for pair in pairs for s in pair))

@@ -726,7 +726,7 @@ def reference_build_matrix(
         raise EmptyInputError("row spec must name at least one (task, feature)")
     if not 0.0 < alpha < 1.0:
         raise RangeError(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    catalog_order = {name: i for i, name in enumerate(DEFAULT_CATALOG)}
+    catalog_order = {name: i for i, name in enumerate(full_catalog())}
     norm_rows = sorted(
         {(validate_task_id(t), f) for t, f in rows},
         key=lambda r: (r[0], catalog_order.get(r[1], len(catalog_order)), r[1]),

@@ -826,16 +826,48 @@ def test_config_file_supplies_defaults(corpus_dir, tmp_path):
     assert json.loads((out / "matrix.json").read_text())["alpha"] == 0.01
 
 
-def test_flag_overrides_config_loudly(corpus_dir, tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("alpha = 0.01\n")
-    out = tmp_path / "loud"
-    assert main([
-        "compare", "--config", str(config), "--corpus", str(corpus_dir),
-        "--out", str(out), "--alpha", "0.2", "--features", "mean_speed",
-    ]) == 0
-    assert "overrides the config file" in capsys.readouterr().err
-    assert json.loads((out / "matrix.json").read_text())["alpha"] == 0.2
+@pytest.mark.parametrize(
+    "command, config, flags, env, out, alpha, notes",
+    [
+        ("compare", None, ["--out", "flag"], "env", "flag", 0.05, ()),
+        ("compare", "out = config\n", ["--out", "flag"], "env", "flag", 0.05, ("out",)),
+        ("compare", "out = config\n", [], "env", "config", 0.05, ()),
+        ("compare", "out = flag\n", ["--out", "flag"], None, "flag", 0.05, ()),
+        ("compare", None, [], "env", "env", 0.05, ()),
+        ("compare", "alpha = 0.01\n", ["--out", "o", "--alpha", "0.2"], None, "o", 0.2, ("alpha",)),
+        ("compare", "alpha = 0.01\n", ["--out", "o", "--alpha", "0.01"], None, "o", 0.01, ()),
+        ("compare", "alpha = 0.01\nout = o\n", ["--alpha", "0.2"], "env", "o", 0.2, ("alpha",)),
+        ("compare", "alpha = 0.01\n", ["--out", "o"], None, "o", 0.01, ()),
+        ("extract", "alpha = 0.01\n", ["--out", "o"], None, "o", None, ()),
+    ],
+    ids=["out-flag", "out-flag-over-config", "out-config-over-env", "out-same", "out-env",
+         "alpha-flag", "alpha-same", "alpha-flag-out-config", "alpha-config",
+         "extract-ignores-alpha"],
+)
+def test_flag_then_config_then_env_then_default(
+    corpus_dir, tmp_path, monkeypatch, command, config, flags, env, out, alpha, notes
+):
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("INKFATIGUE_OUT", raising=False)
+    else:
+        monkeypatch.setenv("INKFATIGUE_OUT", env)
+    argv = [command, "--corpus", str(corpus_dir), "--features", "mean_speed", *flags]
+    if command == "compare":
+        argv += ["--pairs", "S1-S2"]
+    if config is not None:
+        Path("run.cfg").write_text(config)
+        argv += ["--config", "run.cfg"]
+    code, err = _stderr_of(argv)
+    assert code == 0
+    assert err == "".join(
+        f"note: --{key} on the command line overrides the config file value\n" for key in notes
+    )
+    if command == "extract":
+        assert Path(out, "features.tsv").is_file()
+    else:
+        assert json.loads(Path(out, "matrix.json").read_text())["alpha"] == alpha
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == sorted({"corpus", out})
 
 
 def test_config_with_unknown_key_is_usage_error(corpus_dir, tmp_path):
@@ -965,12 +997,13 @@ set.S4.speed_scale = 0.7
 set.S4.air_inflation = 1.5
 """
 
-# sha256 of the output tree and of the transcript (argv, exit code, stdout,
-# stderr) of the runs below, all with paths relative to the working directory.
-# Any change to an artifact, message, usage or help line, or exit code moves
-# one of them. Help lines wrap at COLUMNS, which the test fixes.
+# The sha256 of the output tree and the text of the transcript (argv, exit
+# code, stdout, stderr) of the runs below, all with paths relative to the
+# working directory. Any change to an artifact moves the hash; any change to a
+# message, usage or help line, or exit code shows as a diff of the committed
+# transcript. Help lines wrap at COLUMNS, which the test fixes.
 PINNED_TREE_SHA256 = "a51b6d37871bc02f33a2d9b39e27ef4cec7bc156048c075b289ca687fba0b7cf"
-PINNED_TRANSCRIPT_SHA256 = "26751c8a588d4d105a8b55ade8a3079fcfd9602ec65adcd2369abdf65308c100"
+PINNED_TRANSCRIPT = Path(__file__).parent / "data" / "cli_transcript.txt"
 
 
 def _pin_invocations() -> list[list[str]]:
@@ -1040,8 +1073,5 @@ def test_cli_outputs_messages_and_exit_codes_are_pinned(tmp_path, capsys, monkey
     tree = hashlib.sha256()
     for path in sorted(p for p in Path().rglob("*") if p.is_file()):
         tree.update(str(path).encode() + b"\0" + path.read_bytes() + b"\0")
-    text = "".join(transcript)
-    assert (tree.hexdigest(), hashlib.sha256(text.encode()).hexdigest()) == (
-        PINNED_TREE_SHA256,
-        PINNED_TRANSCRIPT_SHA256,
-    ), text
+    assert "".join(transcript) == PINNED_TRANSCRIPT.read_bytes().decode()
+    assert tree.hexdigest() == PINNED_TREE_SHA256

@@ -450,6 +450,13 @@ def test_build_matrix_normalizes_row_order():
     ]
 
 
+def test_build_matrix_rows_follow_the_full_catalog():
+    corpus = generate_corpus(SynthProfile(seed=28, n_subjects=2), sets=(SetId.S1, SetId.S2))
+    catalog = full_catalog()
+    matrix = build_matrix(corpus, [(1, f) for f in sorted(catalog)], [(SetId.S1, SetId.S2)])
+    assert [r.feature for r in matrix.rows] == list(catalog)
+
+
 def test_build_matrix_rejects_empty_rows_and_bad_alpha():
     corpus = generate_corpus(SynthProfile(seed=29, n_subjects=2), sets=(SetId.S1, SetId.S2))
     with pytest.raises(EmptyInputError):
