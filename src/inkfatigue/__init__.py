@@ -56,7 +56,7 @@ from .stats import (
     rank_sum_test,
     wilcoxon_signed_rank,
 )
-from .synth import Perturbation, SynthProfile, generate_corpus, generate_task
+from .synth import Perturbation, SynthProfile, generate_corpus, generate_records, generate_task
 
 __version__ = "0.1.0"
 

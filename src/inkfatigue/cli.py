@@ -18,6 +18,7 @@ overrides gets one note on stderr, in config-file line order.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from dataclasses import replace
@@ -26,15 +27,16 @@ from pathlib import Path
 from . import features as features_mod
 from . import reporting
 from .errors import ConfigError, FormatError, InkError
-# parse_task_file stays bound here because perfbench/tracer.py patches it by
-# name in this module.
+# parse_task_file, load_corpus and generate_corpus are not called here; they
+# stay bound because perfbench/tracer.py patches each of them by name in this
+# module, until ROADMAP item 1 drops cli from those lookup sites.
 from .model import (
-    SetId, ascii_float, load_corpus, parse_task_file, read_aux_file, read_key_values, read_records,
-    read_task_file, read_text, record_path, write_corpus,
+    ALL_SETS, TASK_IDS, SetId, ascii_float, load_corpus, parse_task_file, read_aux_file,
+    read_key_values, read_records, read_task_file, read_text, record_path, write_corpus,
 )
 from .protocol import canonical_set_pairs, parse_pair_label, summarize_recovery
-from .stats import TESTS, build_matrix, check_alpha, default_rows
-from .synth import generate_corpus, load_profile
+from .stats import TESTS, build_matrix, cell_records, check_alpha, default_rows
+from .synth import generate_corpus, generate_records, load_profile
 
 ENV_OUT = "INKFATIGUE_OUT"
 
@@ -178,9 +180,13 @@ def cmd_validate(args, parser) -> int:
     if errors or bad_aux:
         return 1
     if keys:
-        corpus = load_corpus(corpus_dir)
-        gaps = corpus.gaps()
-        print(f"{len(files)} task file(s) valid, {len(corpus.subjects)} subject(s)")
+        # A second read for the keys alone: the benchmark pins four parses a
+        # file on its CLI flow, so reusing the first pass waits for ROADMAP item 1.
+        found = {record.key for record in read_records(corpus_dir)}
+        subjects = sorted({subject for subject, _, _ in found})
+        grid = itertools.product(subjects, ALL_SETS, TASK_IDS)
+        gaps = [key for key in grid if key not in found]
+        print(f"{len(files)} task file(s) valid, {len(subjects)} subject(s)")
         if gaps:
             print(f"{len(gaps)} missing (subject, set, task) cell(s):")
             for subject, set_id, task in gaps:
@@ -200,6 +206,12 @@ def cmd_extract(args, parser) -> int:
     }[args.format]
     path = reporting.write_text(out / name, render(table))
     print(f"wrote {path} ({len(table)} record(s))")
+    return _name_failed_records(table)
+
+
+def _name_failed_records(table: features_mod.FeatureTable) -> int:
+    """One stderr line per record the table could not extract, in key order;
+    the exit code, 1 if there was one."""
     for (subject, set_id, task), message in table.errors.items():
         print(f"error: {subject}/{set_id.value}/task{task}: {message}", file=sys.stderr)
     return 1 if table.errors else 0
@@ -207,13 +219,12 @@ def cmd_extract(args, parser) -> int:
 
 def cmd_compare(args, parser) -> int:
     corpus, out = _corpus_dir(args, parser), _out_dir(args, parser)
+    rows = default_rows(catalog=args.features)
+    records = cell_records(read_records(corpus), rows, args.pairs)
+    table = features_mod.feature_table(records, args.features)
     matrix = build_matrix(
-        read_records(corpus),
-        default_rows(catalog=args.features),
-        args.pairs,
-        alpha=args.alpha,
-        test=args.test,
-        alternative=_SIDED[args.sided],
+        (), rows, args.pairs, alpha=args.alpha, test=args.test,
+        alternative=_SIDED[args.sided], table=table,
     )
     names = {
         "tsv": ("matrix.json", "matrix.tsv", "matrix_mask.tsv"),
@@ -221,14 +232,15 @@ def cmd_compare(args, parser) -> int:
         "markdown": ("matrix.json", "matrix.md"),
     }[args.format]
     _write_matrix(out, matrix, names)
-    return 0
+    return _name_failed_records(table)
 
 
 def cmd_synth(args, parser) -> int:
     out = _out_dir(args, parser)
     profile = load_profile(Path(args.profile))
-    corpus = generate_corpus(profile)
-    written = write_corpus(corpus, out)
+    # Each record is written as it is made; a record that cannot be made
+    # stops the run, and the files before it stay.
+    written = write_corpus(generate_records(profile), out)
     print(f"wrote {len(written)} task file(s) under {out}")
     return 0
 

@@ -42,7 +42,6 @@ scalars (lactate, flight_time, force, velocity, rpe; ``NA`` allowed), checked, n
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import re
 import types
@@ -388,12 +387,6 @@ class StudyCorpus:
     def __len__(self) -> int:
         return len(self._records)
 
-    def gaps(self) -> list[tuple[str, SetId, int]]:
-        """Missing (subject, set, task) cells against the full 5x9 grid of
-        every subject present in the corpus."""
-        keys = itertools.product(self.subjects, ALL_SETS, TASK_IDS)
-        return [key for key in keys if key not in self._records]
-
 
 # ---------------------------------------------------------------------------
 # Task file parsing / serialization
@@ -669,7 +662,7 @@ def read_records(directory: str | Path) -> Iterator[TaskRecord]:
 
 
 def load_corpus(directory: str | Path) -> StudyCorpus:
-    """A StudyCorpus of ``read_records(directory)``; see ``gaps()`` for missing cells."""
+    """A StudyCorpus of ``read_records(directory)``."""
     return StudyCorpus(read_records(directory))
 
 
@@ -678,14 +671,15 @@ def record_path(record: TaskRecord) -> Path:
     return Path(record.subject_id) / record.set_id.value / f"task{record.task}.ink"
 
 
-def write_corpus(corpus: StudyCorpus, directory: str | Path) -> list[Path]:
-    """Write every record of ``corpus`` in the corpus directory layout.
+def write_corpus(records: Iterable[TaskRecord], directory: str | Path) -> list[Path]:
+    """Write each record of a corpus or any iterable of records, read once,
+    in the corpus directory layout, as it comes.
 
     Returns the written paths (relative to ``directory``), in write order.
     """
     directory = Path(directory)
     written = []
-    for record in corpus:
+    for record in records:
         rel = record_path(record)
         target = directory / rel
         target.parent.mkdir(parents=True, exist_ok=True)

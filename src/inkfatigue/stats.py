@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -355,6 +355,18 @@ def default_rows(catalog: Sequence[str] = DEFAULT_CATALOG) -> list[tuple[int, st
     return [(task, feature) for task in TASK_IDS for feature in catalog]
 
 
+def cell_records(
+    records: Iterable[TaskRecord],
+    rows: Sequence[tuple[int, str]],
+    pairs: Sequence[tuple[SetId, SetId]],
+) -> Iterator[TaskRecord]:
+    """The records, as they come, that some cell of a ``rows`` x ``pairs``
+    matrix reads: those of a row's task in a pair's set."""
+    tasks = {task for task, _ in rows}
+    set_ids = {s for pair in pairs for s in pair}
+    return (r for r in records if r.task in tasks and r.set_id in set_ids)
+
+
 def build_matrix(
     records: Iterable[TaskRecord],
     rows: Sequence[tuple[int, str]],
@@ -383,9 +395,7 @@ def build_matrix(
     set_ids = list(dict.fromkeys(s for pair in pairs for s in pair))
     tasks = sorted({r.task for r in row_set})
     if table is None:
-        # Extract only the records that some cell reads.
-        used = (r for r in records if r.task in tasks and r.set_id in set_ids)
-        table = feature_table(used, features)
+        table = feature_table(cell_records(records, rows, pairs), features)
     missing = [f for f in features if f not in table.catalog]
     if missing:
         raise RangeError(f"feature table has no values for {missing[0]}")

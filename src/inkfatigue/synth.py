@@ -16,7 +16,7 @@ the trajectory. Adding a subject never perturbs other subjects' data.
 Records are built one subject and set at a time. ``generate_task`` is the
 one entry point: it builds the nine tasks of its (profile, subject, set) in
 one pass, under that set's one perturbation, and caches them until the next
-(profile, subject, set) is asked for; ``generate_corpus`` asks for every
+(profile, subject, set) is asked for; ``generate_records`` asks for every
 record through it in that order. A task whose pen leaves the int64 range is
 a ConfigError of its own and costs the other tasks of its set nothing. Each
 record still draws from its own stream, per stage in a fixed order, each
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -196,7 +196,7 @@ def generate_task(
 ) -> TaskRecord:
     """Generate one record: pen-down arcs separated by pressure-zero gaps.
 
-    Identical inputs yield bit-identical records; ``generate_corpus`` builds
+    Identical inputs yield bit-identical records; ``generate_records`` builds
     every record through this function. A call builds all nine tasks of
     its subject and set in one pass (about 2 ms) and caches them, so the
     next calls for an equal profile, the same subject and the same set cost
@@ -215,14 +215,22 @@ def generate_task(
     return replace(record)
 
 
+def generate_records(
+    profile: SynthProfile, sets: tuple[SetId, ...] = ALL_SETS
+) -> Iterator[TaskRecord]:
+    """Yield every record of the n_subjects x sets x 9-tasks study, subject
+    by subject, sets in the order given, each through ``generate_task``: one
+    pass builds a set's nine tasks, and one set at a time is held. The set
+    ids are checked at the call, before anything is drawn."""
+    keys = itertools.product(profile.subject_ids(), tuple(map(check_set_id, sets)), TASK_IDS)
+    return (generate_task(profile, *key) for key in keys)
+
+
 def generate_corpus(
     profile: SynthProfile, sets: tuple[SetId, ...] = ALL_SETS
 ) -> StudyCorpus:
-    """Generate the full n_subjects x sets x 9-tasks corpus in memory, each
-    record through ``generate_task``, so one pass builds a set's nine tasks.
-    The set ids are checked before anything is drawn."""
-    keys = itertools.product(profile.subject_ids(), tuple(map(check_set_id, sets)), TASK_IDS)
-    return StudyCorpus(generate_task(profile, *key) for key in keys)
+    """The ``generate_records`` study in memory."""
+    return StudyCorpus(generate_records(profile, sets))
 
 
 # Row L - _STROKE_LEN_RANGE[0] holds sin(pi * (col + 0.5) / L), the pressure

@@ -16,9 +16,9 @@ from inkfatigue import cli
 from inkfatigue.cli import _alpha_arg, main
 from inkfatigue.features import DEFAULT_CATALOG, feature_table
 from inkfatigue.reporting import features_to_tsv, matrix_from_json, matrix_to_json
-from inkfatigue.model import load_corpus, write_corpus
+from inkfatigue.model import TASK_IDS, SetId, load_corpus, parse_task_file, write_corpus
 from inkfatigue.stats import Cell
-from inkfatigue.synth import SynthProfile, generate_corpus
+from inkfatigue.synth import SynthProfile, generate_corpus, generate_task, load_profile
 
 from conftest import lax_numbers
 
@@ -99,6 +99,22 @@ def test_synth_pen_past_int64_is_a_one_line_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "int64" in err
     assert not out.exists()
+
+
+def test_synth_error_mid_stream_keeps_the_files_written_before_it(tmp_path, capsys):
+    """Records are written as they are made: the first one that cannot be
+    made stops the run with one line, and the files before it stay whole."""
+    profile = write_profile(tmp_path, PROFILE_ONE + "set.S4.speed_scale = 1e19\n")
+    out = tmp_path / "x"
+    assert main(["synth", "--profile", str(profile), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "int64" in err
+    assert err.startswith("error: subject U01 set S4 task 1: ")
+    keys = [("U01", set_id, t) for set_id in (SetId.S1, SetId.S2, SetId.S3) for t in TASK_IDS]
+    paths = sorted(p for p in out.rglob("*") if p.is_file())
+    assert paths == [out / subject / set_id.value / f"task{t}.ink" for subject, set_id, t in keys]
+    for path, key in zip(paths, keys):
+        assert parse_task_file(path.read_text()) == generate_task(load_profile(profile), *key)
 
 
 @pytest.mark.parametrize("command", ["synth", "extract"])
@@ -292,11 +308,21 @@ def test_validate_reports_gaps(corpus_dir, capsys):
     assert "U02 S5 task9" in out
 
 
+def test_validate_reports_every_task_of_a_missing_set(corpus_dir, capsys):
+    shutil.rmtree(corpus_dir / "U02" / "S5")
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "81 task file(s) valid, 2 subject(s)",
+        "9 missing (subject, set, task) cell(s):",
+        *(f"  U02 S5 task{task}" for task in TASK_IDS),
+    ]
+
+
 # --- the read path of validate, extract and compare ----------------------------
 
 _CORPUS_EDITS = (
     "truncate", "flip_byte", "edit_header", "duplicate", "delete", "empty", "corrupt_aux",
-    "aux_not_under_a_subject", "crlf", "trailing_nul", "past_int64",
+    "aux_not_under_a_subject", "crlf", "trailing_nul", "past_int64", "few_samples",
 )
 _HEADER_LINES = (
     "#set=S9", "#set=S2", "#task=0", "#task=4", "#subject=U 1", "#subject=U02", "#device",
@@ -346,6 +372,8 @@ def _edit_corpus(root: Path, name: str, i: int, k: int) -> None:
         n = samples[k % len(samples)]
         lines[n] = b"9223372036854775808" + lines[n][lines[n].find(b" "):]
         path.write_bytes(b"\n".join(lines))
+    elif name == "few_samples" and samples:  # 0, 1 or 2 samples: too few to extract
+        path.write_bytes(b"\n".join(lines[: samples[0] + k % 3]) + b"\n")
 
 
 def _run(argv: list[str]) -> tuple[int, list[str]]:
@@ -364,12 +392,15 @@ def _run(argv: list[str]) -> tuple[int, list[str]]:
         max_size=3,
     ),
 )
+@example(seed=0, edits=[("few_samples", 0, 2)])
 @settings(max_examples=40, deadline=None)
 def test_validate_extract_and_compare_agree_on_a_damaged_corpus(seed, edits):
     """On a one-subject corpus with up to three edits, each command exits 0
     or 1 and writes only error and warning lines to stderr, validate's count
     of invalid files included. A corpus validate refuses, extract and compare
-    refuse with validate's first error; one it accepts, compare accepts."""
+    refuse with validate's first error. On one it accepts, compare's error
+    lines are exactly extract's for the records of the sets and tasks its
+    cells read, and compare exits 1 if and only if there is one."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "corpus"
         write_corpus(generate_corpus(SynthProfile(seed=seed, n_subjects=1)), root)
@@ -394,7 +425,9 @@ def test_validate_extract_and_compare_agree_on_a_damaged_corpus(seed, edits):
         for command in ("extract", "compare"):
             assert (runs[command][0], runs[command][1][:1]) == (1, [first]), (command, err)
     else:
-        assert runs["compare"][0] == 0, runs["compare"]
+        # The cells of S1-S2 read every task of sets S1 and S2.
+        named = [line for line in runs["extract"][1] if line.split("/")[1] in ("S1", "S2")]
+        assert runs["compare"] == (1 if named else 0, named), runs
 
 
 # --- extract -----------------------------------------------------------------
@@ -473,17 +506,25 @@ def test_extract_rows_follow_headers_not_paths(corpus_dir, tmp_path):
     assert expected.splitlines()[1].startswith("U01\tS1\t1\t")
 
 
-@pytest.mark.parametrize("command", ["extract", "compare"])
-def test_extract_and_compare_memory_grows_with_outputs_not_ink(tmp_path, command):
+@pytest.mark.parametrize("command", ["synth", "validate", "extract", "compare"])
+def test_corpus_commands_memory_grows_with_outputs_not_ink(tmp_path, command):
     """Three more subjects (135 more task files) raise the traced peak of a
     run by less than a quarter of their ink text: the records stream through
-    it. A run that held every record would need more than half of it."""
+    it. A run that held every record would need more than half of it. Synth
+    writes the corpora that the other commands read."""
     big, small = tmp_path / "four", tmp_path / "one"
     write_corpus(generate_corpus(SynthProfile(seed=53, n_subjects=4)), big)
     shutil.copytree(big / "U01", small / "U01")
 
     def peak(root):
-        argv = [command, "--corpus", str(root), "--out", str(tmp_path / "out")]
+        if command == "synth":
+            n = len(list(root.iterdir()))
+            profile = write_profile(tmp_path, f"seed = 53\nn_subjects = {n}\n")
+            argv = ["synth", "--profile", str(profile), "--out", str(tmp_path / "out" / root.name)]
+        else:
+            argv = [command, "--corpus", str(root)]
+            if command != "validate":
+                argv += ["--out", str(tmp_path / "out")]
         with contextlib.redirect_stdout(io.StringIO()):
             tracemalloc.start()
             try:
@@ -515,6 +556,19 @@ def test_compare_writes_matrix_and_recovery(corpus_dir, tmp_path):
     ]
     body = (out / "matrix.tsv").read_text().splitlines()[1:]
     assert len(body) == 9 * len(DEFAULT_CATALOG)
+
+
+def test_compare_names_the_records_it_cannot_use_and_exits_1(corpus_dir, tmp_path, capsys):
+    (corpus_dir / "U01" / "S1" / "task1.ink").write_text(SHORT_TASK)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--corpus", str(corpus_dir), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: U01/S1/task1: feature extraction needs at least 3 samples, got 2\n"
+    assert captured.out.splitlines()[-1] == f"wrote {out / 'recovery.txt'}"
+    # No cell of S2-S3 reads the record, so it is not named.
+    argv = ["compare", "--corpus", str(corpus_dir), "--out", str(out), "--pairs", "S2-S3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_compare_markdown_renders_canonical_pairs(corpus_dir, tmp_path):

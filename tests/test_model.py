@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import itertools
 import pickle
 import shutil
 import tempfile
@@ -1129,7 +1130,8 @@ def test_load_full_corpus_no_gaps(tmp_path):
     loaded = load_corpus(tmp_path)
     assert len(loaded) == 900
     assert loaded.subjects == tuple(f"U{i:02d}" for i in range(1, 21))
-    assert loaded.gaps() == []
+    grid = itertools.product(loaded.subjects, ALL_SETS, TASK_IDS)
+    assert [record.key for record in loaded] == list(grid)
 
 
 def test_loaded_corpus_equals_generated(tmp_path):
@@ -1159,18 +1161,7 @@ def test_read_records_yields_files_in_path_order_and_checks_sidecars_after_them(
 def test_load_empty_directory(tmp_path):
     corpus = load_corpus(tmp_path)
     assert len(corpus) == 0
-    assert corpus.gaps() == []
-
-
-def test_gap_report_for_missing_set(tmp_path):
-    corpus = generate_corpus(SynthProfile(seed=5, n_subjects=2))
-    write_corpus(corpus, tmp_path)
-    shutil.rmtree(tmp_path / "U02" / "S5")
-    loaded = load_corpus(tmp_path)
-    gaps = loaded.gaps()
-    assert len(gaps) == 9
-    assert all(subject == "U02" and set_id is SetId.S5 for subject, set_id, _ in gaps)
-    assert sorted(task for _, _, task in gaps) == list(TASK_IDS)
+    assert [record.key for record in corpus] == [] and corpus.subjects == ()
 
 
 def test_duplicate_key_raises(tmp_path):

@@ -15,6 +15,7 @@ from inkfatigue.synth import (
     Perturbation,
     SynthProfile,
     generate_corpus,
+    generate_records,
     generate_task,
     load_profile,
     parse_profile,
@@ -350,6 +351,8 @@ def test_a_set_id_that_is_not_a_set_id_is_a_range_error_before_any_draw(monkeypa
         (lambda: generate_task(profile, "U02", "S1", 2), "S1"),
         (lambda: generate_corpus(profile, sets=("S1",)), "S1"),
         (lambda: generate_corpus(profile, sets=(SetId.S1, "S2")), "S2"),
+        # The call raises, before any record is asked for.
+        (lambda: generate_records(profile, sets=(SetId.S1, "S2")), "S2"),
     ):
         with pytest.raises(RangeError) as exc:
             call()
@@ -370,6 +373,13 @@ def test_generate_corpus_builds_every_record_through_generate_task(monkeypatch):
     corpus = generate_corpus(SynthProfile(seed=44, n_subjects=2), sets)
     assert len(corpus) == len(calls) == 2 * 2 * 9
     assert calls == [(s, set_id, t) for s in ("U01", "U02") for set_id in sets for t in TASK_IDS]
+
+
+def test_generate_records_yields_the_corpus_records_in_its_order():
+    profile = SynthProfile(seed=46, n_subjects=2)
+    records = generate_records(profile)
+    assert iter(records) is records  # a stream, not a list
+    assert list(records) == list(generate_corpus(profile))
 
 
 def test_generate_corpus_checks_every_set_id_before_any_draw(monkeypatch):
