@@ -26,13 +26,13 @@ from pathlib import Path
 
 from . import features as features_mod
 from . import reporting
-from .errors import ConfigError, FormatError, InkError
+from .errors import ConfigError, InkError
 # parse_task_file, load_corpus and generate_corpus are not called here; they
 # stay bound because perfbench/tracer.py patches each of them by name in this
 # module, until ROADMAP item 1 drops cli from those lookup sites.
 from .model import (
     ALL_SETS, TASK_IDS, SetId, ascii_float, load_corpus, parse_task_file, read_aux_file,
-    read_key_values, read_records, read_task_file, read_text, record_path, write_corpus,
+    read_input, read_key_values, read_records, read_task_file, record_path, write_corpus,
 )
 from .protocol import canonical_set_pairs, parse_pair_label, summarize_recovery
 from .stats import TESTS, build_matrix, cell_records, check_alpha, default_rows
@@ -102,23 +102,18 @@ _OPTIONS = {
 _FLAG_ONLY = ("profile", "matrix", "config")
 
 
-def _read_config(path: Path) -> dict[str, object]:
+def _parse_config(text: str) -> dict[str, object]:
     values: dict[str, object] = {}
-    try:
-        for lineno, key, value in read_key_values(read_text(path)):
-            if key not in _OPTIONS or key in _FLAG_ONLY:
-                raise ConfigError(f"unknown config key {key!r}", line=lineno)
-            try:
-                values[key] = _OPTIONS[key].get("type", str)(value)
-            except argparse.ArgumentTypeError as exc:
-                raise ConfigError(str(exc), line=lineno)
-            choices = _OPTIONS[key].get("choices")
-            if choices and values[key] not in choices:
-                raise ConfigError(f"{key} must be one of {choices}", line=lineno)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(f"{path}: {exc}")
-    except (FormatError, OSError) as exc:  # read_text names the file
-        raise argparse.ArgumentTypeError(str(exc))
+    for lineno, key, value in read_key_values(text):
+        if key not in _OPTIONS or key in _FLAG_ONLY:
+            raise ConfigError(f"unknown config key {key!r}", line=lineno)
+        try:
+            values[key] = _OPTIONS[key].get("type", str)(value)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(str(exc), line=lineno)
+        choices = _OPTIONS[key].get("choices")
+        if choices and values[key] not in choices:
+            raise ConfigError(f"{key} must be one of {choices}", line=lineno)
     return values
 
 
@@ -246,12 +241,7 @@ def cmd_synth(args, parser) -> int:
 
 
 def cmd_report(args, parser) -> int:
-    path = Path(args.matrix)
-    text = read_text(path)
-    try:
-        matrix = reporting.matrix_from_json(text)
-    except InkError as exc:
-        raise exc.in_file(path) from exc
+    matrix = read_input(Path(args.matrix), reporting.matrix_from_json)
     if args.alpha is not None:
         matrix = replace(matrix, alpha=args.alpha)
     names = {
@@ -326,7 +316,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            config = _read_config(args.config)
+            try:
+                config = read_input(args.config, _parse_config)
+            except (InkError, OSError) as exc:  # read_input names the file
+                raise argparse.ArgumentTypeError(str(exc))
             parser = build_parser(config)
             args = parser.parse_args(argv)
             for key, value in config.items():

@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Everything raised on bad data derives from :class:`InkError` so callers can
-catch one type at pipeline boundaries (the CLI maps it to exit code 1). Any
-``InkError`` may carry the 1-based line number of the offending line, which
-then prefixes its message as ``line N:``.
+catch one type at pipeline boundaries (the CLI maps it to exit code 1). The
+parser that finds a bad line passes its 1-based number as ``line``, which
+prefixes the message as ``line N:``; ``model.read_input``, the one reader of
+input files, puts the file's path in front of that, once.
 """
 
 
@@ -13,12 +14,6 @@ class InkError(Exception):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
-
-    def in_file(self, path) -> "InkError":
-        """This error with its message prefixed by ``path``; ``line`` is kept."""
-        exc = type(self)(f"{path}: {self}")
-        exc.line = self.line
-        return exc
 
 
 class FormatError(InkError):

@@ -37,6 +37,9 @@ Directory layout for a corpus:
 
 with an optional per-set sidecar ``<corpus>/<subject>/<set>/aux.tsv`` of auxiliary
 scalars (lactate, flight_time, force, velocity, rpe; ``NA`` allowed), checked, not kept.
+
+Every input file is opened by ``read_input``, which puts its path in front of
+the error, line and all, that a parser such as ``parse_task_file`` raises.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import re
 import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 import numpy as np
 
@@ -60,6 +63,8 @@ from .errors import (
     ShapeError,
     TooShortError,
 )
+
+_T = TypeVar("_T")
 
 #: The sample clock of every recording; features count time in samples.
 SAMPLE_RATE_HZ = 100
@@ -161,6 +166,8 @@ def check_subject_id(subject: str) -> str:
             f"subject id {subject!r} must be non-empty and use only "
             "letters, digits, '_', '.', '-'"
         )
+    if not subject.strip("."):  # as a path part, "." or ".." leaves the subject level
+        raise FormatError(f"subject id {subject!r} must not be only dots")
     return subject
 
 
@@ -367,10 +374,7 @@ class StudyCorpus:
 
     def add(self, record: TaskRecord) -> None:
         if record.key in self._records:
-            subject, set_id, task = record.key
-            raise DuplicateError(
-                f"duplicate record for subject={subject} set={set_id.value} task={task}"
-            )
+            raise _duplicate(record.key)
         self._records[record.key] = record
 
     def get(self, subject_id: str, set_id: SetId, task: int) -> TaskRecord | None:
@@ -386,6 +390,11 @@ class StudyCorpus:
 
     def __len__(self) -> int:
         return len(self._records)
+
+
+def _duplicate(key: tuple[str, SetId, int]) -> DuplicateError:
+    subject, set_id, task = key
+    return DuplicateError(f"duplicate record for subject={subject} set={set_id.value} task={task}")
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +438,21 @@ def read_key_values(text: str) -> Iterator[tuple[int, str, str]]:
         yield lineno, key, value
 
 
-def read_text(path: Path) -> str:
-    """The UTF-8 text of an input file; undecodable bytes raise a FormatError
-    that names the file."""
+def read_input(path: str | Path, parse: Callable[[str], _T]) -> _T:
+    """``parse`` of the UTF-8 text of the file at ``path``; undecodable bytes
+    raise FormatError. An InkError from ``parse`` is raised again as its class
+    with ``{path}: `` (as the caller spelled it) in front, ``line`` kept and the
+    original as cause. Any other error, OSError included, passes through."""
     try:
-        return path.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}")
+    try:
+        return parse(text)
+    except InkError as exc:
+        named = type(exc)(f"{path}: {exc}")
+        named.line = exc.line
+        raise named from exc
 
 
 def parse_task_file(text: str) -> TaskRecord:
@@ -601,40 +618,35 @@ def read_aux_file(directory: Path, path: Path) -> tuple[str, SetId, AuxRecord]:
     """Read the aux sidecar at ``path``, which must sit at
     ``<subject>/<set>/aux.tsv`` under the corpus ``directory``; returns the
     subject and set of its place and its record. Every error names the file."""
-    text = read_text(path)
-    rel = path.relative_to(directory)
-    try:
-        if len(rel.parts) != 3:
-            raise FormatError("aux sidecar must sit at <subject>/<set>/aux.tsv")
-        subject, set_id = check_subject_id(rel.parts[0]), parse_set_id(rel.parts[1])
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) != 2:
-            raise FormatError("aux sidecar needs a header line and one value line")
-        if tuple(lines[0].split()) != AUX_FIELDS:
-            raise FormatError(f"aux header must be {' '.join(AUX_FIELDS)}")
-        fields = lines[1].split()
-        if len(fields) != len(AUX_FIELDS):
-            raise FormatError(f"aux value line needs {len(AUX_FIELDS)} fields")
-        values: dict[str, float | None] = {}
-        for name, token in zip(AUX_FIELDS, fields):
-            try:
-                values[name] = None if token == "NA" else ascii_float(token)
-            except ValueError:
-                raise FormatError(f"aux field {name} is not a number: {token!r}")
-        return subject, set_id, AuxRecord(**values)
-    except InkError as exc:
-        raise exc.in_file(path) from exc
+    return read_input(path, lambda text: _parse_aux(path.relative_to(directory), text))
+
+
+def _parse_aux(rel: Path, text: str) -> tuple[str, SetId, AuxRecord]:
+    if len(rel.parts) != 3:
+        raise FormatError("aux sidecar must sit at <subject>/<set>/aux.tsv")
+    subject, set_id = check_subject_id(rel.parts[0]), parse_set_id(rel.parts[1])
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if len(lines) != 2:
+        raise FormatError("aux sidecar needs a header line and one value line")
+    if tuple(lines[0].split()) != AUX_FIELDS:
+        raise FormatError(f"aux header must be {' '.join(AUX_FIELDS)}")
+    fields = lines[1].split()
+    if len(fields) != len(AUX_FIELDS):
+        raise FormatError(f"aux value line needs {len(AUX_FIELDS)} fields")
+    values: dict[str, float | None] = {}
+    for name, token in zip(AUX_FIELDS, fields):
+        try:
+            values[name] = None if token == "NA" else ascii_float(token)
+        except ValueError:
+            raise FormatError(f"aux field {name} is not a number: {token!r}")
+    return subject, set_id, AuxRecord(**values)
 
 
 def read_task_file(path: Path, seen: dict[tuple[str, SetId, int], Path]) -> TaskRecord:
     """Read and parse one task file, then note its path under its key in
     ``seen``. Every error names the file; a key already in ``seen`` raises
     DuplicateError naming both files."""
-    text = read_text(path)
-    try:
-        record = parse_task_file(text)
-    except InkError as exc:
-        raise exc.in_file(path) from exc
+    record = read_input(path, parse_task_file)
     if record.key in seen:
         subject, set_id, task = record.key
         raise DuplicateError(
@@ -675,14 +687,17 @@ def write_corpus(records: Iterable[TaskRecord], directory: str | Path) -> list[P
     """Write each record of a corpus or any iterable of records, read once,
     in the corpus directory layout, as it comes.
 
-    Returns the written paths (relative to ``directory``), in write order.
+    Returns the written paths (relative to ``directory``), in write order. A
+    key met before raises DuplicateError; the files written before it stay.
     """
     directory = Path(directory)
-    written = []
+    written: dict[Path, None] = {}  # one path per key
     for record in records:
         rel = record_path(record)
+        if rel in written:
+            raise _duplicate(record.key)
         target = directory / rel
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(serialize_task(record), encoding="utf-8")
-        written.append(rel)
-    return written
+        written[rel] = None
+    return list(written)

@@ -67,8 +67,8 @@ from .model import (
     ascii_int,
     check_set_id,
     parse_set_id,
+    read_input,
     read_key_values,
-    read_text,
     validate_task_id,
 )
 
@@ -470,8 +470,4 @@ def parse_profile(text: str) -> SynthProfile:
 
 def load_profile(path: str | Path) -> SynthProfile:
     """Read and parse a profile file; every error names the file."""
-    text = read_text(Path(path))
-    try:
-        return parse_profile(text)
-    except ConfigError as exc:
-        raise exc.in_file(path) from exc
+    return read_input(path, parse_profile)

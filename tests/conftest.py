@@ -32,9 +32,11 @@ def random_record(rng: np.random.Generator) -> TaskRecord:
         azimuth=rng.integers(0, 360, size=n),
         altitude=rng.integers(0, 91, size=n),
     )
-    subject = "".join(
-        rng.choice(list(SUBJECT_ALPHABET), size=int(rng.integers(1, 12)))
-    )
+    subject = "."
+    while not subject.strip("."):  # an id of dots only is no subject id
+        subject = "".join(
+            rng.choice(list(SUBJECT_ALPHABET), size=int(rng.integers(1, 12)))
+        )
     metadata = {}
     if rng.random() < 0.5:
         metadata["device"] = f"tablet-{int(rng.integers(0, 100))}"

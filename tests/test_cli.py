@@ -968,16 +968,25 @@ def test_config_value_of_wrong_type_names_file_and_line(corpus_dir, tmp_path, ca
 
 
 @pytest.mark.parametrize(
-    "argv,code",
+    "argv,code,name",
     [
-        (["report", "--matrix", "{bad}", "--out", "{out}"], 1),
-        (["synth", "--profile", "{bad}", "--out", "{out}"], 1),
-        (["extract", "--config", "{bad}", "--out", "{out}"], 2),
+        (["report", "--matrix", "{bad}", "--out", "{out}"], 1, "input.bin"),
+        (["synth", "--profile", "{bad}", "--out", "{out}"], 1, "input.bin"),
+        (["extract", "--config", "{bad}", "--out", "{out}"], 2, "input.bin"),
+        (
+            ["extract", "--corpus", "{bad.parent.parent.parent}", "--out", "{out}"], 1,
+            "c/U01/S1/task1.ink",
+        ),
+        (
+            ["extract", "--corpus", "{bad.parent.parent.parent}", "--out", "{out}"], 1,
+            "c/U01/S1/aux.tsv",
+        ),
     ],
-    ids=["report-matrix", "synth-profile", "config"],
+    ids=["report-matrix", "synth-profile", "config", "task-file", "aux-sidecar"],
 )
-def test_non_utf8_input_file_is_a_one_line_error(tmp_path, capsys, argv, code):
-    bad = tmp_path / "input.bin"
+def test_non_utf8_input_file_is_a_one_line_error(tmp_path, capsys, argv, code, name):
+    bad = tmp_path / name
+    bad.parent.mkdir(parents=True, exist_ok=True)
     bad.write_bytes(b"seed = 1\n\xff\n")
     out = tmp_path / "o"
     assert main([a.format(bad=bad, out=out) for a in argv]) == code
@@ -987,17 +996,25 @@ def test_non_utf8_input_file_is_a_one_line_error(tmp_path, capsys, argv, code):
 
 
 @pytest.mark.parametrize(
-    "argv,code",
+    "argv,code,name",
     [
-        (["report", "--matrix", "{dir}", "--out", "{out}"], 1),
-        (["synth", "--profile", "{dir}", "--out", "{out}"], 1),
-        (["extract", "--config", "{dir}", "--out", "{out}"], 2),
+        (["report", "--matrix", "{dir}", "--out", "{out}"], 1, "folder"),
+        (["synth", "--profile", "{dir}", "--out", "{out}"], 1, "folder"),
+        (["extract", "--config", "{dir}", "--out", "{out}"], 2, "folder"),
+        (
+            ["extract", "--corpus", "{dir.parent.parent.parent}", "--out", "{out}"], 1,
+            "c/U01/S1/task1.ink",
+        ),
+        (
+            ["extract", "--corpus", "{dir.parent.parent.parent}", "--out", "{out}"], 1,
+            "c/U01/S1/aux.tsv",
+        ),
     ],
-    ids=["report-matrix", "synth-profile", "config"],
+    ids=["report-matrix", "synth-profile", "config", "task-file", "aux-sidecar"],
 )
-def test_directory_as_input_file_is_a_one_line_error(tmp_path, capsys, argv, code):
-    folder = tmp_path / "folder"
-    folder.mkdir()
+def test_directory_as_input_file_is_a_one_line_error(tmp_path, capsys, argv, code, name):
+    folder = tmp_path / name
+    folder.mkdir(parents=True)
     out = tmp_path / "o"
     assert main([a.format(dir=folder, out=out) for a in argv]) == code
     err = capsys.readouterr().err

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from inkfatigue.errors import (
+    ConfigError,
     DuplicateError,
     FormatError,
     InkError,
@@ -45,7 +46,7 @@ from inkfatigue.model import (
     serialize_task,
     write_corpus,
 )
-from inkfatigue import model
+from inkfatigue import cli, model
 from inkfatigue.model import _check_body, _parse_lines
 from inkfatigue import synth
 from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus, generate_task
@@ -444,7 +445,7 @@ def test_task_record_rejects_unsafe_subject_ids():
         x=np.arange(2), y=np.arange(2), pressure=np.zeros(2, dtype=int),
         azimuth=np.zeros(2, dtype=int), altitude=np.zeros(2, dtype=int),
     )
-    for bad in ("", "a b", "x/y", "u\n1", "u1\n"):
+    for bad in ("", "a b", "x/y", "u\n1", "u1\n", ".", ".."):
         with pytest.raises(FormatError):
             TaskRecord(bad, SetId.S1, 1, sig)
 
@@ -615,6 +616,7 @@ _SUBJECT_RULE = "must be non-empty and use only letters, digits, '_', '.', '-'"
         (parse_task_id, "", FormatError, "task must be an integer, got ''"),
         (check_subject_id, "U 01", FormatError, f"subject id 'U 01' {_SUBJECT_RULE}"),
         (check_subject_id, "", FormatError, f"subject id '' {_SUBJECT_RULE}"),
+        (check_subject_id, "..", FormatError, "subject id '..' must not be only dots"),
     ],
 )
 def test_each_part_of_a_record_key_has_one_rule(read, text, error, message):
@@ -1115,13 +1117,51 @@ def test_plain_files_stay_on_the_fast_path(monkeypatch, record, end):
 # --- corpus loading --------------------------------------------------------
 
 
-def test_an_error_that_names_its_file_keeps_its_line(tmp_path):
+# Each input file reader called on a path, a text with a defect, and the
+# class, line and message (before the path goes in front) of its parser's error.
+_NAMED_ERRORS = {
+    "task-file": (
+        lambda path: model.read_task_file(path, {}),
+        "#subject=U1\n#set=S1\n#task=1\n1 2 3 4 5\n1 2 3000 4 5\n",
+        RangeError, 5, "line 5: pressure value 3000 outside [0, 2047]",
+    ),
+    "profile": (
+        synth.load_profile, "seed = 1\nbogus = 2\n",
+        ConfigError, 2, "line 2: unknown key 'bogus'",
+    ),
+    "config": (
+        lambda path: model.read_input(path, cli._parse_config), "alpha = 0.01\nbogus = 2\n",
+        ConfigError, 2, "line 2: unknown config key 'bogus'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "read, text, error, line, message", _NAMED_ERRORS.values(), ids=_NAMED_ERRORS.keys()
+)
+def test_an_error_that_names_its_file_keeps_its_line(tmp_path, read, text, error, line, message):
     path = tmp_path / "task1.ink"
-    path.write_text("#subject=U1\n#set=S1\n#task=1\n1 2 3 4 5\n1 2 3000 4 5\n")
-    with pytest.raises(RangeError) as err:
-        model.read_task_file(path, {})
-    assert str(err.value) == f"{path}: line 5: pressure value 3000 outside [0, 2047]"
-    assert err.value.line == 5
+    path.write_text(text)
+    with pytest.raises(error) as err:
+        read(path)
+    assert type(err.value) is error and type(err.value.__cause__) is error
+    assert str(err.value) == f"{path}: {message}"
+    assert str(err.value).count(f"{path}: ") == 1
+    assert err.value.line == line
+    assert str(err.value.__cause__) == message
+
+
+def test_read_input_lets_any_other_error_through(tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_text("seed = 1\n")
+    raised = ValueError("not an InkError")
+
+    def parse(text):
+        raise raised
+
+    with pytest.raises(ValueError) as err:
+        model.read_input(path, parse)
+    assert err.value is raised
 
 
 def test_load_full_corpus_no_gaps(tmp_path):
@@ -1303,6 +1343,17 @@ def test_aux_ascii_decimals_load_as_their_value(values):
 def test_aux_record_rejects_negative_values():
     with pytest.raises(RangeError):
         AuxRecord(lactate=-0.1)
+
+
+def test_write_corpus_refuses_a_repeated_key_and_keeps_the_files_before_it(tmp_path):
+    first = TaskRecord("U01", SetId.S1, 1, signal_with())
+    other = TaskRecord("U01", SetId.S1, 2, signal_with())
+    again = TaskRecord("U01", SetId.S1, 1, signal_with(pressure=7))
+    with pytest.raises(DuplicateError) as err:
+        write_corpus([first, other, again], tmp_path)
+    assert str(err.value) == "duplicate record for subject=U01 set=S1 task=1"
+    assert sorted(path.name for path in tmp_path.rglob("*.ink")) == ["task1.ink", "task2.ink"]
+    assert list(load_corpus(tmp_path)) == [first, other]
 
 
 def test_write_corpus_layout(tmp_path):

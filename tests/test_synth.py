@@ -2,13 +2,14 @@ import dataclasses
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from inkfatigue import synth
-from inkfatigue.errors import ConfigError, RangeError
+from inkfatigue.errors import ConfigError, FormatError, RangeError
 from inkfatigue.features import extract_features
 from inkfatigue.model import ALL_SETS, SetId, TASK_IDS, parse_task_file, serialize_task
 from inkfatigue.synth import (
@@ -667,6 +668,16 @@ def test_load_profile_error_names_the_file_and_keeps_its_line(tmp_path):
         load_profile(path)
     assert str(err.value) == f"{path}: line 2: unknown key 'bogus'"
     assert err.value.line == 2
+
+
+def test_load_profile_names_the_file_as_its_caller_spelled_it(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("p.cfg").write_text("seed = 1\nbogus = 2\n")
+    with pytest.raises(ConfigError, match=r"^\./p\.cfg: line 2: "):
+        load_profile("./p.cfg")
+    Path("p.cfg").write_bytes(b"seed = 1\n\xff\n")
+    with pytest.raises(FormatError, match=r"^\./p\.cfg: not UTF-8 text: "):
+        load_profile("./p.cfg")
 
 
 def test_subject_ids_are_stable():
