@@ -31,8 +31,8 @@ from .errors import ConfigError, InkError
 # stay bound because perfbench/tracer.py patches each of them by name in this
 # module, until ROADMAP item 1 drops cli from those lookup sites.
 from .model import (
-    ALL_SETS, TASK_IDS, SetId, ascii_float, load_corpus, parse_task_file, read_aux_file,
-    read_input, read_key_values, read_records, read_task_file, record_path, write_corpus,
+    ALL_SETS, AUX_FILE_NAME, TASK_IDS, SetId, ascii_float, load_corpus, parse_task_file,
+    read_files, read_input, read_key_values, read_records, record_path, write_corpus,
 )
 from .protocol import canonical_set_pairs, parse_pair_label, summarize_recovery
 from .stats import TESTS, build_matrix, cell_records, check_alpha, default_rows
@@ -145,49 +145,38 @@ def _corpus_dir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Pa
 
 def cmd_validate(args, parser) -> int:
     corpus_dir = _corpus_dir(args, parser)
-    errors = 0
-    files = sorted(corpus_dir.rglob("*.ink"))
-    keys: dict[tuple, Path] = {}
-    for path in files:
-        try:
-            record = read_task_file(path, keys)
-        except (InkError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            errors += 1
-            continue
-        expected = record_path(record)
-        if path.relative_to(corpus_dir) != expected:
+    files = invalid = failed = 0  # task files, task files with an error, files with one
+    for path, outcome in read_files(corpus_dir):
+        task_file = path.name != AUX_FILE_NAME
+        files += task_file
+        if isinstance(outcome, Exception):
+            print(f"error: {outcome}", file=sys.stderr)
+            invalid += task_file
+            failed += 1
+        elif task_file and path.relative_to(corpus_dir) != record_path(outcome):
             print(
-                f"warning: {path}: headers say this file belongs at {expected}",
+                f"warning: {path}: headers say this file belongs at {record_path(outcome)}",
                 file=sys.stderr,
             )
-    bad_aux = 0
-    for path in sorted(corpus_dir.rglob("aux.tsv")):
-        try:
-            read_aux_file(corpus_dir, path)
-        except (InkError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            bad_aux += 1
     if not files:
         print(f"warning: no task files found under {corpus_dir}", file=sys.stderr)
-    if errors:
-        print(f"error: {errors} invalid file(s) out of {len(files)}", file=sys.stderr)
-    if errors or bad_aux:
-        return 1
-    if keys:
-        # A second read for the keys alone: the benchmark pins four parses a
-        # file on its CLI flow, so reusing the first pass waits for ROADMAP item 1.
-        found = {record.key for record in read_records(corpus_dir)}
-        subjects = sorted({subject for subject, _, _ in found})
-        grid = itertools.product(subjects, ALL_SETS, TASK_IDS)
-        gaps = [key for key in grid if key not in found]
-        print(f"{len(files)} task file(s) valid, {len(subjects)} subject(s)")
-        if gaps:
-            print(f"{len(gaps)} missing (subject, set, task) cell(s):")
-            for subject, set_id, task in gaps:
-                print(f"  {subject} {set_id.value} task{task}")
-        else:
-            print("no gaps: every subject has all 5 sets x 9 tasks")
+    if invalid:
+        print(f"error: {invalid} invalid file(s) out of {files}", file=sys.stderr)
+    if failed or not files:
+        return 1 if failed else 0
+    # A second read for the keys alone: the benchmark pins four parses a
+    # file on its CLI flow, so reusing the first pass waits for ROADMAP item 1.
+    found = {record.key for record in read_records(corpus_dir)}
+    subjects = sorted({subject for subject, _, _ in found})
+    grid = itertools.product(subjects, ALL_SETS, TASK_IDS)
+    gaps = [key for key in grid if key not in found]
+    print(f"{files} task file(s) valid, {len(subjects)} subject(s)")
+    if gaps:
+        print(f"{len(gaps)} missing (subject, set, task) cell(s):")
+        for subject, set_id, task in gaps:
+            print(f"  {subject} {set_id.value} task{task}")
+    else:
+        print("no gaps: every subject has all 5 sets x 9 tasks")
     return 0
 
 
@@ -201,12 +190,15 @@ def cmd_extract(args, parser) -> int:
     }[args.format]
     path = reporting.write_text(out / name, render(table))
     print(f"wrote {path} ({len(table)} record(s))")
-    return _name_failed_records(table)
+    return _name_failed_records(table, corpus)
 
 
-def _name_failed_records(table: features_mod.FeatureTable) -> int:
-    """One stderr line per record the table could not extract, in key order;
-    the exit code, 1 if there was one."""
+def _name_failed_records(table: features_mod.FeatureTable, corpus: Path) -> int:
+    """One stderr line per record the table could not extract, in key order,
+    or a warning naming the corpus if the table holds no record; the exit
+    code, 1 if a record failed."""
+    if not len(table):
+        print(f"warning: {corpus}: no task record to analyse", file=sys.stderr)
     for (subject, set_id, task), message in table.errors.items():
         print(f"error: {subject}/{set_id.value}/task{task}: {message}", file=sys.stderr)
     return 1 if table.errors else 0
@@ -227,7 +219,7 @@ def cmd_compare(args, parser) -> int:
         "markdown": ("matrix.json", "matrix.md"),
     }[args.format]
     _write_matrix(out, matrix, names)
-    return _name_failed_records(table)
+    return _name_failed_records(table, corpus)
 
 
 def cmd_synth(args, parser) -> int:

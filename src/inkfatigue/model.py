@@ -6,8 +6,9 @@ altitude (int16; one that holds a single value is a zero-stride view into one
 shared 4 KiB table of every bounded value). There are no stored timestamps;
 the sample index is the clock.
 Recordings are keyed by (subject, set, task), where a "set" is one full assessment
-(S1..S5) and tasks 1..9 cover three task categories; ``read_records`` streams
-them from a corpus directory and a ``StudyCorpus`` holds them in key order.
+(S1..S5) and tasks 1..9 cover three task categories; ``read_files`` is the one
+walk of a corpus directory, ``read_records`` the filter of it that streams the
+records, and a ``StudyCorpus`` holds them in key order.
 
 File format (one file per task execution, UTF-8):
 
@@ -358,7 +359,7 @@ class AuxRecord:
 
 
 AUX_FIELDS = tuple(f.name for f in fields(AuxRecord))
-
+AUX_FILE_NAME = "aux.tsv"  # a set's sidecar sits at <subject>/<set>/aux.tsv
 
 class StudyCorpus:
     """All task records of a study, keyed by (subject, set, task), iterated in key order.
@@ -439,14 +440,17 @@ def read_key_values(text: str) -> Iterator[tuple[int, str, str]]:
 
 
 def read_input(path: str | Path, parse: Callable[[str], _T]) -> _T:
-    """``parse`` of the UTF-8 text of the file at ``path``; undecodable bytes
-    raise FormatError. An InkError from ``parse`` is raised again as its class
-    with ``{path}: `` (as the caller spelled it) in front, ``line`` kept and the
-    original as cause. Any other error, OSError included, passes through."""
+    """``parse`` of the UTF-8 text of the file at ``path``; undecodable bytes or
+    a byte-order mark in front raise FormatError. An InkError from ``parse`` is
+    raised again as its class with ``{path}: `` (as the caller spelled it) in
+    front, ``line`` kept and the original as cause. Any other error, OSError
+    included, passes through."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc}")
+    if text.startswith("\ufeff"):
+        raise FormatError(f"{path}: starts with a UTF-8 byte-order mark")
     try:
         return parse(text)
     except InkError as exc:
@@ -614,13 +618,6 @@ def serialize_task(record: TaskRecord) -> str:
     return "\n".join(lines) + "\n" + ("%d %d %d %d %d\n" * len(sig)) % tuple(samples)
 
 
-def read_aux_file(directory: Path, path: Path) -> tuple[str, SetId, AuxRecord]:
-    """Read the aux sidecar at ``path``, which must sit at
-    ``<subject>/<set>/aux.tsv`` under the corpus ``directory``; returns the
-    subject and set of its place and its record. Every error names the file."""
-    return read_input(path, lambda text: _parse_aux(path.relative_to(directory), text))
-
-
 def _parse_aux(rel: Path, text: str) -> tuple[str, SetId, AuxRecord]:
     if len(rel.parts) != 3:
         raise FormatError("aux sidecar must sit at <subject>/<set>/aux.tsv")
@@ -642,35 +639,47 @@ def _parse_aux(rel: Path, text: str) -> tuple[str, SetId, AuxRecord]:
     return subject, set_id, AuxRecord(**values)
 
 
-def read_task_file(path: Path, seen: dict[tuple[str, SetId, int], Path]) -> TaskRecord:
-    """Read and parse one task file, then note its path under its key in
-    ``seen``. Every error names the file; a key already in ``seen`` raises
-    DuplicateError naming both files."""
-    record = read_input(path, parse_task_file)
-    if record.key in seen:
+def read_files(
+    directory: str | Path,
+) -> Iterator[tuple[Path, TaskRecord | tuple[str, SetId, AuxRecord] | InkError | OSError]]:
+    """The one walk of a corpus: each ``*.ink`` file under ``directory``, then
+    each ``aux.tsv`` sidecar, in path order, with what reading it gave: a task
+    file's record (headers, not paths, decide its key), a sidecar's subject, set
+    and record, or the InkError or OSError naming the file; a key read before
+    is a DuplicateError naming both files. Files are read 32 at a time: one at
+    a time between a consumer's steps ran about a tenth slower, and 32
+    synthesized records hold about 0.3 MiB."""
+    directory = Path(directory)
+    seen: dict[tuple[str, SetId, int], Path] = {}
+
+    def read(path: Path):
+        try:
+            if path.name == AUX_FILE_NAME:
+                return read_input(path, lambda text: _parse_aux(path.relative_to(directory), text))
+            record = read_input(path, parse_task_file)
+        except (InkError, OSError) as exc:
+            return exc
+        if seen.setdefault(record.key, path) is path:
+            return record
         subject, set_id, task = record.key
-        raise DuplicateError(
+        return DuplicateError(
             f"{path}: duplicate of {seen[record.key]} "
             f"(subject={subject} set={set_id.value} task={task})"
         )
-    seen[record.key] = path
-    return record
+
+    paths = sorted(directory.rglob("*.ink")) + sorted(directory.rglob(AUX_FILE_NAME))
+    for i in range(0, len(paths), 32):
+        yield from [(path, read(path)) for path in paths[i : i + 32]]
 
 
 def read_records(directory: str | Path) -> Iterator[TaskRecord]:
-    """Yield the record of every ``*.ink`` file under ``directory`` in
-    lexicographic path order; headers, not paths, decide the keys. Then read
-    and check, not keep, every ``aux.tsv`` sidecar. Every error names its
-    file; a key read before raises DuplicateError naming both files. Files
-    are parsed 32 at a time: one at a time between a consumer's steps ran
-    about a tenth slower, and 32 synthesized records hold about 0.3 MiB."""
-    directory = Path(directory)
-    seen: dict[tuple[str, SetId, int], Path] = {}
-    paths = sorted(directory.rglob("*.ink"))
-    for i in range(0, len(paths), 32):
-        yield from [read_task_file(path, seen) for path in paths[i : i + 32]]
-    for path in sorted(directory.rglob("aux.tsv")):
-        read_aux_file(directory, path)
+    """The records of ``read_files(directory)``; its first error is raised
+    when reached, so every record before it is yielded."""
+    for _, outcome in read_files(directory):
+        if isinstance(outcome, Exception):
+            raise outcome
+        if isinstance(outcome, TaskRecord):
+            yield outcome
 
 
 def load_corpus(directory: str | Path) -> StudyCorpus:
@@ -696,8 +705,14 @@ def write_corpus(records: Iterable[TaskRecord], directory: str | Path) -> list[P
         rel = record_path(record)
         if rel in written:
             raise _duplicate(record.key)
-        target = directory / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(serialize_task(record), encoding="utf-8")
+        write_text(directory / rel, serialize_task(record))
         written[rel] = None
     return list(written)
+
+
+def write_text(path: str | Path, content: str) -> Path:
+    """Write ``content`` to ``path`` as UTF-8, making its directories first; returns the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(content, encoding="utf-8")
+    return path

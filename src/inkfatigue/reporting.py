@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from pathlib import Path
 from typing import Sequence
 
 from .errors import FormatError, InkError, RangeError
 from .features import COUNT_FEATURES, EXTRACTION_FAILED, FeatureTable, full_catalog
-from .model import Category, SAMPLE_RATE_HZ, ascii_float, parse_task_id
+# The CLI writes as reporting.write_text, the name perfbench/tracer.py patches.
+from .model import Category, SAMPLE_RATE_HZ, ascii_float, parse_task_id, write_text
 from .protocol import RecoverySummary, pair_label, parse_pair_label
 from .stats import Cell, ComparisonMatrix, MatrixRow
 
@@ -307,10 +307,3 @@ def recovery_to_text(summary: RecoverySummary) -> str:
             f"{summary.no_recovery.count} significant cell(s)"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_text(path: str | Path, content: str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content, encoding="utf-8")
-    return path

@@ -16,7 +16,9 @@ from inkfatigue import cli
 from inkfatigue.cli import _alpha_arg, main
 from inkfatigue.features import DEFAULT_CATALOG, feature_table
 from inkfatigue.reporting import features_to_tsv, matrix_from_json, matrix_to_json
-from inkfatigue.model import TASK_IDS, SetId, load_corpus, parse_task_file, write_corpus
+from inkfatigue.model import (
+    TASK_IDS, SetId, load_corpus, parse_task_file, read_files, write_corpus,
+)
 from inkfatigue.stats import Cell
 from inkfatigue.synth import SynthProfile, generate_corpus, generate_task, load_profile
 
@@ -300,6 +302,24 @@ def test_validate_empty_dir_warns_but_passes(tmp_path, capsys):
     assert "no task files" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["extract", "compare"])
+def test_extract_and_compare_warn_of_an_empty_corpus(tmp_path, capsys, command):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main([command, "--corpus", str(empty), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == f"warning: {empty}: no task record to analyse\n"
+
+
+def test_compare_warns_when_no_record_is_in_a_set_of_its_pairs(tmp_path, capsys):
+    corpus = tmp_path / "s1"
+    write_corpus(generate_corpus(SynthProfile(seed=51, n_subjects=1), sets=(SetId.S1,)), corpus)
+    out = tmp_path / "o"
+    argv = ["compare", "--corpus", str(corpus), "--out", str(out), "--pairs", "S2-S3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == f"warning: {corpus}: no task record to analyse\n"
+    assert (out / "matrix.tsv").exists()
+
+
 def test_validate_reports_gaps(corpus_dir, capsys):
     (corpus_dir / "U02" / "S5" / "task9.ink").unlink()
     assert main(["validate", "--corpus", str(corpus_dir)]) == 0
@@ -398,14 +418,17 @@ def test_validate_extract_and_compare_agree_on_a_damaged_corpus(seed, edits):
     """On a one-subject corpus with up to three edits, each command exits 0
     or 1 and writes only error and warning lines to stderr, validate's count
     of invalid files included. A corpus validate refuses, extract and compare
-    refuse with validate's first error. On one it accepts, compare's error
-    lines are exactly extract's for the records of the sets and tasks its
-    cells read, and compare exits 1 if and only if there is one."""
+    refuse with validate's first error. Validate's error lines are those of
+    the error outcomes of read_files, in order, then its count of the task
+    files among them. On a corpus it accepts, compare's error lines are
+    exactly extract's for the records of the sets and tasks its cells read,
+    and compare exits 1 if and only if there is one."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "corpus"
         write_corpus(generate_corpus(SynthProfile(seed=seed, n_subjects=1)), root)
         for edit in edits:
             _edit_corpus(root, *edit)
+        outcomes = list(read_files(root))
         options = ["--features", "mean_speed"]
         runs = {
             "validate": _run(["validate", "--corpus", str(root)]),
@@ -420,6 +443,11 @@ def test_validate_extract_and_compare_agree_on_a_damaged_corpus(seed, edits):
         for line in err:
             assert line.startswith(("error: ", "warning: ")), (command, err)
     code, err = runs["validate"]
+    task_files = [o for path, o in outcomes if path.name != "aux.tsv"]
+    invalid = sum(isinstance(o, Exception) for o in task_files)
+    assert [line for line in err if line.startswith("error: ")] == [
+        f"error: {o}" for _, o in outcomes if isinstance(o, Exception)
+    ] + [f"error: {invalid} invalid file(s) out of {len(task_files)}"] * (invalid > 0), err
     if code == 1:
         first = next(line for line in err if line.startswith("error: "))
         for command in ("extract", "compare"):
@@ -967,7 +995,9 @@ def test_config_value_of_wrong_type_names_file_and_line(corpus_dir, tmp_path, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
+# One input file of each kind, the command that reads it, its exit code on
+# a bad file and its name under the test's directory.
+_EACH_INPUT_FILE = pytest.mark.parametrize(
     "argv,code,name",
     [
         (["report", "--matrix", "{bad}", "--out", "{out}"], 1, "input.bin"),
@@ -984,6 +1014,9 @@ def test_config_value_of_wrong_type_names_file_and_line(corpus_dir, tmp_path, ca
     ],
     ids=["report-matrix", "synth-profile", "config", "task-file", "aux-sidecar"],
 )
+
+
+@_EACH_INPUT_FILE
 def test_non_utf8_input_file_is_a_one_line_error(tmp_path, capsys, argv, code, name):
     bad = tmp_path / name
     bad.parent.mkdir(parents=True, exist_ok=True)
@@ -992,6 +1025,20 @@ def test_non_utf8_input_file_is_a_one_line_error(tmp_path, capsys, argv, code, n
     assert main([a.format(bad=bad, out=out) for a in argv]) == code
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"error: {bad}: not UTF-8 text: " in err
+    assert not out.exists()
+
+
+@_EACH_INPUT_FILE
+def test_input_file_starting_with_a_bom_is_a_one_line_error(tmp_path, capsys, argv, code, name):
+    bad = tmp_path / name
+    bad.parent.mkdir(parents=True, exist_ok=True)
+    text = SHORT_TASK if name.endswith(".ink") else "seed = 1\n"
+    bad.write_bytes(b"\xef\xbb\xbf" + text.encode())  # a UTF-8 byte-order mark in front
+    out = tmp_path / "o"
+    assert main([a.format(bad=bad, out=out) for a in argv]) == code
+    err = capsys.readouterr().err
+    prefix = "usage error: " if code == 2 else "error: "
+    assert err == f"{prefix}{bad}: starts with a UTF-8 byte-order mark\n"
     assert not out.exists()
 
 

@@ -40,7 +40,7 @@ from inkfatigue.model import (
     parse_set_id,
     parse_task_file,
     parse_task_id,
-    read_aux_file,
+    read_files,
     read_records,
     record_path,
     serialize_task,
@@ -1121,7 +1121,7 @@ def test_plain_files_stay_on_the_fast_path(monkeypatch, record, end):
 # class, line and message (before the path goes in front) of its parser's error.
 _NAMED_ERRORS = {
     "task-file": (
-        lambda path: model.read_task_file(path, {}),
+        lambda path: next(read_records(path.parent)),
         "#subject=U1\n#set=S1\n#task=1\n1 2 3 4 5\n1 2 3000 4 5\n",
         RangeError, 5, "line 5: pressure value 3000 outside [0, 2047]",
     ),
@@ -1198,6 +1198,37 @@ def test_read_records_yields_files_in_path_order_and_checks_sidecars_after_them(
         next(records)
 
 
+def test_read_files_gives_one_outcome_a_file_and_each_error_names_its_file(tmp_path):
+    corpus = generate_corpus(SynthProfile(seed=4, n_subjects=2), sets=(SetId.S1,))
+    write_corpus(corpus, tmp_path)
+    s1, s1_of_u02 = tmp_path / "U01" / "S1", tmp_path / "U02" / "S1"
+    shutil.copy(s1 / "task5.ink", s1 / "copy_of_task5.ink")  # read before task5.ink
+    (s1_of_u02 / ".ink").write_text("garbage\n")  # a task file whose suffix is ''
+    (s1 / "aux.tsv").write_text("bad\n")
+    (s1_of_u02 / "aux.tsv").write_text(AUX_HEADER + "1\t0.5\t700\t1.5\tNA\n")
+    outcomes = list(read_files(tmp_path))
+    paths = [path for path, _ in outcomes]
+    assert paths == sorted(tmp_path.rglob("*.ink")) + sorted(tmp_path.rglob("aux.tsv"))
+    errors = {path: type(o) for path, o in outcomes if isinstance(o, Exception)}
+    assert errors == {
+        s1 / "task5.ink": DuplicateError, s1_of_u02 / ".ink": FormatError,
+        s1 / "aux.tsv": FormatError,
+    }
+    named = dict(outcomes)
+    for path in errors:
+        assert str(named[path]).startswith(f"{path}: ")
+    assert str(named[s1 / "task5.ink"]) == (
+        f"{s1 / 'task5.ink'}: duplicate of {s1 / 'copy_of_task5.ink'} (subject=U01 set=S1 task=5)"
+    )
+    assert str(named[s1_of_u02 / ".ink"]) == (
+        f"{s1_of_u02 / '.ink'}: line 1: missing required header #subject=..."
+    )
+    # Every file after the duplicate is still read.
+    records = [o for o in named.values() if isinstance(o, TaskRecord)]
+    assert sorted(records, key=lambda r: r.key) == list(corpus)
+    assert named[s1_of_u02 / "aux.tsv"] == ("U02", SetId.S1, AuxRecord(1, 0.5, 700, 1.5))
+
+
 def test_load_empty_directory(tmp_path):
     corpus = load_corpus(tmp_path)
     assert len(corpus) == 0
@@ -1260,7 +1291,7 @@ def test_aux_sidecar_loads(tmp_path):
     aux = tmp_path / "U01" / "S1" / "aux.tsv"
     aux.write_text(AUX_HEADER + "1.11\t0.52\t700\t1.5\t2\n")
     assert len(load_corpus(tmp_path)) == 9
-    assert read_aux_file(tmp_path, aux) == (
+    assert dict(read_files(tmp_path))[aux] == (
         "U01", SetId.S1, AuxRecord(lactate=1.11, flight_time=0.52, force=700, velocity=1.5, rpe=2)
     )
 
@@ -1270,7 +1301,7 @@ def test_aux_sidecar_allows_na(tmp_path):
     write_corpus(corpus, tmp_path)
     path = tmp_path / "U01" / "S1" / "aux.tsv"
     path.write_text(AUX_HEADER + "NA\tNA\tNA\tNA\t5\n")
-    _, _, aux = read_aux_file(tmp_path, path)
+    _, _, aux = dict(read_files(tmp_path))[path]
     assert aux.lactate is None and aux.rpe == 5
 
 
@@ -1312,10 +1343,8 @@ def _load_aux(value_line):
         path = Path(tmp) / "U01" / "S1" / "aux.tsv"
         path.parent.mkdir(parents=True)
         path.write_text(AUX_HEADER + value_line + "\n")
-        try:
-            return path, read_aux_file(Path(tmp), path)[2]
-        except FormatError as exc:
-            return path, exc
+        outcome = dict(read_files(Path(tmp)))[path]
+        return path, outcome if isinstance(outcome, FormatError) else outcome[2]
 
 
 @given(lax_numbers(st.floats(0, 1e6), padded=False), st.sampled_from(AUX_FIELDS))
