@@ -133,8 +133,10 @@ def _out_dir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
 def _corpus_dir(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Path:
     if args.corpus is None:
         parser.error("--corpus is required")
-    if not Path(args.corpus).is_dir():
+    if not Path(args.corpus).exists():
         parser.error(f"corpus directory does not exist: {args.corpus}")
+    if not Path(args.corpus).is_dir():
+        parser.error(f"--corpus {args.corpus} is not a directory")
     return Path(args.corpus)
 
 
@@ -147,6 +149,10 @@ def cmd_validate(args, parser) -> int:
     corpus_dir = _corpus_dir(args, parser)
     files = invalid = failed = 0  # task files, task files with an error, files with one
     for path, outcome in read_files(corpus_dir):
+        if outcome is None:
+            print(f"warning: {path}: not read; only task files (*.ink) and {AUX_FILE_NAME} are",
+                  file=sys.stderr)
+            continue
         task_file = path.name != AUX_FILE_NAME
         files += task_file
         if isinstance(outcome, Exception):

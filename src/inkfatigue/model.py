@@ -95,7 +95,6 @@ _VALUE_TABLE = np.arange(PRESSURE_MAX + 1, dtype=np.int16).tobytes()
 _INT64_BOUNDS = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
 _INT32_BOUNDS = (int(np.iinfo(CHANNEL_DTYPES["x"]).min), int(np.iinfo(CHANNEL_DTYPES["x"]).max))
 _INT64_SAFE = frozenset(np.dtype(c) for c in "?bBhHiIlLqQ" if np.can_cast(c, np.int64))
-_INT32_SAFE = frozenset(d for d in _INT64_SAFE if np.can_cast(d, CHANNEL_DTYPES["x"]))
 
 # Subject ids appear in file paths, so keep them path-safe.
 _SUBJECT_RE = re.compile(r"[A-Za-z0-9_.\-]+")
@@ -205,16 +204,17 @@ def parse_task_id(text: str) -> int:
 class InkSignal:
     """Array-backed, immutable pen time series at a fixed 100 Hz clock.
 
-    Channels are read-only arrays of equal length >= 2, in ``CHANNEL_DTYPES``,
-    or ``WIDE_CHANNEL_DTYPES`` if x or y holds a value past int32. x and y must
-    fit int64, as in files. A pressure, azimuth or altitude of an integer type
-    that holds one value is a zero-stride view into one shared read-only 4 KiB
-    table of the values 0..2047, so it stores nothing of its own; every other
-    channel is a dense copy. No channel aliases the caller's array. Checks see
-    the values as given and come before any cast, so no value wraps into
-    range, and an error names the value as given (``inf``, not -2**63).
-    Equality is structural over all channels. Pickling and copying rebuild
-    the signal through these checks.
+    Channels are read-only arrays of equal length >= 2. This is the one place
+    that picks their storage, so a producer passes any integer array: they are
+    ``CHANNEL_DTYPES``, or ``WIDE_CHANNEL_DTYPES`` if x or y holds a value past
+    int32. x and y must fit int64, as in files. A pressure, azimuth or altitude
+    of an integer type that holds one value is a zero-stride view into one
+    shared read-only 4 KiB table of the values 0..2047, so it stores nothing of
+    its own; every other channel is a dense copy. No channel aliases the
+    caller's array. Checks see the values as given and come before any cast,
+    so no value wraps into range, and an error names the value as given
+    (``inf``, not -2**63). Equality is structural over all channels. Pickling
+    and copying rebuild the signal through these checks.
     """
 
     x: np.ndarray
@@ -262,12 +262,10 @@ class InkSignal:
             for i, v in enumerate(arr.tolist()):
                 if not lo <= v <= hi:
                     raise RangeError(f"{name} value {v} at sample {i} outside [{lo}, {hi}]")
-        # Integer types up to int32 fit it as they are; others take a min/max pair.
+        # The one storage rule: x and y are int32 when every value of both fits it.
         lo, hi = _INT32_BOUNDS
-        wide = not all(
-            a.dtype in _INT32_SAFE or lo <= np.minimum.reduce(a) and np.maximum.reduce(a) <= hi
-            for a in (self.x, self.y)
-        )
+        wide = not all(lo <= np.minimum.reduce(a) and np.maximum.reduce(a) <= hi
+                       for a in (self.x, self.y))
         for name, dtype in (WIDE_CHANNEL_DTYPES if wide else CHANNEL_DTYPES).items():
             if name in constant:
                 # Bounded channels are int16, as is the table: 2 bytes a value.
@@ -480,8 +478,6 @@ def parse_task_file(text: str) -> TaskRecord:
             lo, hi = (flat.min(), flat.max()) if flat.size else (0, 0)
             # np.fromstring clamps out-of-range values to the int64 ends.
             if _INT64_BOUNDS[0] < lo and hi < _INT64_BOUNDS[1]:
-                if _INT32_BOUNDS[0] <= lo and hi <= _INT32_BOUNDS[1]:
-                    flat = flat.astype(CHANNEL_DTYPES["x"])  # then InkSignal scans no x or y
                 return _record(headers, InkSignal(*flat.reshape(-1, 5).T))
     except InkError:
         pass  # the reference parser names the first defect
@@ -641,14 +637,15 @@ def _parse_aux(rel: Path, text: str) -> tuple[str, SetId, AuxRecord]:
 
 def read_files(
     directory: str | Path,
-) -> Iterator[tuple[Path, TaskRecord | tuple[str, SetId, AuxRecord] | InkError | OSError]]:
+) -> Iterator[tuple[Path, TaskRecord | tuple[str, SetId, AuxRecord] | InkError | OSError | None]]:
     """The one walk of a corpus: each ``*.ink`` file under ``directory``, then
     each ``aux.tsv`` sidecar, in path order, with what reading it gave: a task
     file's record (headers, not paths, decide its key), a sidecar's subject, set
     and record, or the InkError or OSError naming the file; a key read before
-    is a DuplicateError naming both files. Files are read 32 at a time: one at
-    a time between a consumer's steps ran about a tenth slower, and 32
-    synthesized records hold about 0.3 MiB."""
+    is a DuplicateError naming both files. Last come the other files at
+    ``<subject>/<set>/<name>``, with None: they are not read. Files are read 32
+    at a time: one at a time between a consumer's steps ran about a tenth
+    slower, and 32 synthesized records hold about 0.3 MiB."""
     directory = Path(directory)
     seen: dict[tuple[str, SetId, int], Path] = {}
 
@@ -667,9 +664,18 @@ def read_files(
             f"(subject={subject} set={set_id.value} task={task})"
         )
 
-    paths = sorted(directory.rglob("*.ink")) + sorted(directory.rglob(AUX_FILE_NAME))
+    tasks, sidecars, unread = [], [], []
+    for path in sorted(directory.rglob("*")):
+        if path.name.endswith(".ink"):
+            tasks.append(path)
+        elif path.name == AUX_FILE_NAME:
+            sidecars.append(path)
+        elif len(path.relative_to(directory).parts) == 3 and path.is_file():
+            unread.append(path)
+    paths = tasks + sidecars
     for i in range(0, len(paths), 32):
         yield from [(path, read(path)) for path in paths[i : i + 32]]
+    yield from ((path, None) for path in unread)
 
 
 def read_records(directory: str | Path) -> Iterator[TaskRecord]:

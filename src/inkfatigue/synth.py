@@ -55,14 +55,12 @@ from .model import (
     ALL_SETS,
     ALTITUDE_MAX,
     AZIMUTH_MAX,
-    CHANNEL_DTYPES,
     InkSignal,
     PRESSURE_MAX,
     SetId,
     StudyCorpus,
     TASK_IDS,
     TaskRecord,
-    WIDE_CHANNEL_DTYPES,
     ascii_float,
     ascii_int,
     check_set_id,
@@ -327,7 +325,7 @@ def _generate_set(
         PRESSURE_MAX,
         out=p[:, : col.size],
     )
-    p = np.compress(keep.ravel(), p.ravel()).astype(CHANNEL_DTYPES["pressure"])
+    p = np.compress(keep.ravel(), p.ravel()).astype(int)
     # Padded planes cost about 100 KiB each for a set's nine records, so
     # inputs are dropped as soon as they are used.
     del pressure_noise
@@ -392,7 +390,7 @@ def _generate_set(
 
     # Casting a value outside int64 would write garbage (NaN fails both
     # comparisons), so a record holding one is zeroed and comes out None.
-    # A set inside int32 is cast to it: InkSignal scans none.
+    # Channels are cast to plain integers: InkSignal alone picks their storage.
     np.rint(xy, out=xy)
     starts = np.cumsum([0, *lengths])
     lo = np.minimum.reduceat(xy, starts[:-1], axis=1).min(axis=0)
@@ -400,10 +398,9 @@ def _generate_set(
     inside = ((-(2.0**63) <= lo) & (hi < 2.0**63)).tolist()
     if not all(inside):
         xy[:, np.repeat(np.logical_not(inside), lengths)] = 0
-    narrow = -(2.0**31) <= lo.min() and hi.max() < 2.0**31
-    x, y = xy.astype((CHANNEL_DTYPES if narrow else WIDE_CHANNEL_DTYPES)["x"])
-    azimuth = np.full(max(lengths), traits.azimuth, dtype=CHANNEL_DTYPES["azimuth"])
-    altitude = np.full(max(lengths), traits.altitude, dtype=CHANNEL_DTYPES["altitude"])
+    x, y = xy.astype(np.int64)
+    azimuth = np.full(max(lengths), traits.azimuth, dtype=int)
+    altitude = np.full(max(lengths), traits.altitude, dtype=int)
     return tuple(
         TaskRecord(
             subject_id=subject_id,

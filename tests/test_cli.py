@@ -212,6 +212,53 @@ def test_validate_reports_a_directory_named_like_a_task_file_and_keeps_checking(
     assert lines[2] == "error: 2 invalid file(s) out of 90"
 
 
+def test_validate_warns_of_each_file_in_a_set_it_does_not_read(corpus_dir, capsys):
+    s1 = corpus_dir / "U01" / "S1"
+    shutil.copy(s1 / "task1.ink", s1 / "task1.INK")
+    (s1 / "task2.ink").rename(s1 / "task2.ink.bak")
+    (corpus_dir / "U02" / "S3" / "notes.txt").write_text("hello\n")
+    (corpus_dir / "U02" / "README").write_text("not in a set\n")  # not at <subject>/<set>/
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 0
+    out, err = capsys.readouterr()
+    skipped = [s1 / "task1.INK", s1 / "task2.ink.bak", corpus_dir / "U02" / "S3" / "notes.txt"]
+    assert err.splitlines() == [
+        f"warning: {path}: not read; only task files (*.ink) and aux.tsv are" for path in skipped
+    ]
+    assert out.splitlines()[:3] == [
+        "89 task file(s) valid, 2 subject(s)", "1 missing (subject, set, task) cell(s):",
+        "  U01 S1 task2",
+    ]
+
+
+@pytest.mark.parametrize("command", ["extract", "compare"])
+def test_files_a_set_holds_besides_its_task_files_change_no_output(
+    corpus_dir, tmp_path, capsys, command
+):
+    argv = [command, "--corpus", str(corpus_dir), "--out"]
+    assert main([*argv, str(tmp_path / "before")]) == 0
+    before = capsys.readouterr()
+    (corpus_dir / "U01" / "S1" / "notes.txt").write_text("hello\n")
+    assert main([*argv, str(tmp_path / "after")]) == 0
+    after = capsys.readouterr()
+    assert after.err == before.err == ""
+    assert after.out == before.out.replace("before", "after")
+    assert tree_bytes(tmp_path / "after") == tree_bytes(tmp_path / "before")
+
+
+@pytest.mark.parametrize("command", ["validate", "extract", "compare"])
+def test_corpus_naming_a_file_is_a_usage_error_saying_so(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+    assert main([command, "--corpus", str(afile), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: --corpus {afile} is not a directory\n")
+    assert main([command, "--corpus", str(tmp_path / "missing"), *out]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: corpus directory does not exist: {tmp_path / 'missing'}\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["extract", "compare"])
 def test_directory_named_like_a_task_file_is_a_one_line_data_error(
     corpus_dir, tmp_path, capsys, command

@@ -1206,9 +1206,19 @@ def test_read_files_gives_one_outcome_a_file_and_each_error_names_its_file(tmp_p
     (s1_of_u02 / ".ink").write_text("garbage\n")  # a task file whose suffix is ''
     (s1 / "aux.tsv").write_text("bad\n")
     (s1_of_u02 / "aux.tsv").write_text(AUX_HEADER + "1\t0.5\t700\t1.5\tNA\n")
+    # Files in a set that are not read come last, with no outcome; files
+    # elsewhere, and directories, are not named.
+    shutil.copy(s1 / "task1.ink", s1 / "task1.INK")
+    (s1 / "task2.ink").rename(s1 / "task2.ink.bak")
+    (s1_of_u02 / "notes.txt").write_text("hello\n")
+    (s1_of_u02 / "extra").mkdir()
+    (s1_of_u02 / "extra" / "deeper.txt").write_text("hello\n")
+    (tmp_path / "U01" / "README").write_text("hello\n")
     outcomes = list(read_files(tmp_path))
     paths = [path for path, _ in outcomes]
-    assert paths == sorted(tmp_path.rglob("*.ink")) + sorted(tmp_path.rglob("aux.tsv"))
+    unread = [s1 / "task1.INK", s1 / "task2.ink.bak", s1_of_u02 / "notes.txt"]
+    assert paths == sorted(tmp_path.rglob("*.ink")) + sorted(tmp_path.rglob("aux.tsv")) + unread
+    assert [o for _, o in outcomes[-3:]] == [None] * 3 and None not in dict(outcomes[:-3]).values()
     errors = {path: type(o) for path, o in outcomes if isinstance(o, Exception)}
     assert errors == {
         s1 / "task5.ink": DuplicateError, s1_of_u02 / ".ink": FormatError,
@@ -1225,7 +1235,8 @@ def test_read_files_gives_one_outcome_a_file_and_each_error_names_its_file(tmp_p
     )
     # Every file after the duplicate is still read.
     records = [o for o in named.values() if isinstance(o, TaskRecord)]
-    assert sorted(records, key=lambda r: r.key) == list(corpus)
+    renamed = ("U01", SetId.S1, 2)
+    assert sorted(records, key=lambda r: r.key) == [r for r in corpus if r.key != renamed]
     assert named[s1_of_u02 / "aux.tsv"] == ("U02", SetId.S1, AuxRecord(1, 0.5, 700, 1.5))
 
 
