@@ -227,6 +227,12 @@ def full_catalog() -> tuple[str, ...]:
     return DEFAULT_CATALOG + PENDOWN_CATALOG
 
 
+def _check_names(catalog: Sequence[str]) -> None:
+    unknown = [name for name in catalog if name not in _KNOWN_NAMES]
+    if unknown:
+        raise RangeError(f"unknown feature name(s): {', '.join(unknown)}")
+
+
 def extract_features(
     record: TaskRecord, catalog: Sequence[str] = DEFAULT_CATALOG
 ) -> FeatureVector:
@@ -242,9 +248,7 @@ def extract_features(
         raise TooShortError(
             f"feature extraction needs at least {MIN_SIGNAL_LEN} samples, got {n}"
         )
-    unknown = [name for name in catalog if name not in _KNOWN_NAMES]
-    if unknown:
-        raise RangeError(f"unknown feature name(s): {', '.join(unknown)}")
+    _check_names(catalog)
 
     x, y, p = sig.x, sig.y, sig.pressure
     wanted = set(catalog)
@@ -344,10 +348,11 @@ def feature_table(
 ) -> FeatureTable:
     """Extract features for every record of a corpus or any iterable of
     records, read once, a row each in catalog order and rows in key order; a
-    record too short to extract keeps a NaN row. The catalog, a repeated
-    feature among it, is checked before any record is read."""
+    record too short to extract keeps a NaN row. The catalog, a repeated or
+    unknown feature among it, is checked before any record is read."""
     catalog, width = tuple(catalog), len(catalog)
     FeatureTable((), catalog, np.empty((0, width)), np.empty((0, width), bool), {})
+    _check_names(catalog)
     keys, errors, values, flags = [], {}, array.array("d"), array.array("b")
     for record in records:
         keys.append(record.key)

@@ -642,10 +642,10 @@ def read_files(
     each ``aux.tsv`` sidecar, in path order, with what reading it gave: a task
     file's record (headers, not paths, decide its key), a sidecar's subject, set
     and record, or the InkError or OSError naming the file; a key read before
-    is a DuplicateError naming both files. Last come the other files at
-    ``<subject>/<set>/<name>``, with None: they are not read. Files are read 32
-    at a time: one at a time between a consumer's steps ran about a tenth
-    slower, and 32 synthesized records hold about 0.3 MiB."""
+    is a DuplicateError naming both files. Last come the other files, at any
+    depth, with None: they are not read. Files are read 32 at a time: one at
+    a time between a consumer's steps ran about a tenth slower, and 32
+    synthesized records hold about 0.3 MiB."""
     directory = Path(directory)
     seen: dict[tuple[str, SetId, int], Path] = {}
 
@@ -670,7 +670,7 @@ def read_files(
             tasks.append(path)
         elif path.name == AUX_FILE_NAME:
             sidecars.append(path)
-        elif len(path.relative_to(directory).parts) == 3 and path.is_file():
+        elif path.is_file():
             unread.append(path)
     paths = tasks + sidecars
     for i in range(0, len(paths), 32):

@@ -18,7 +18,7 @@ from .errors import RangeError
 from .model import ALL_SETS, Category, SetId, parse_set_id
 from .stats import ComparisonMatrix
 
-GRAVITY = 9.81  # m/s^2, default only; callers may pass their own constant
+GRAVITY = 9.81  # m/s^2, standard gravity
 
 _CANONICAL_PAIRS = tuple(itertools.combinations(ALL_SETS, 2))
 
@@ -48,11 +48,11 @@ def parse_pair_label(label: str) -> tuple[SetId, SetId]:
     return (a, b)
 
 
-def jump_height(flight_time: float, g: float = GRAVITY) -> float:
-    """Vertical jump height in meters from flight time: h = g * t^2 / 8."""
+def jump_height(flight_time: float) -> float:
+    """Vertical jump height in meters from flight time: h = GRAVITY * t^2 / 8."""
     if not math.isfinite(flight_time) or flight_time < 0:
         raise RangeError(f"flight time must be finite and >= 0, got {flight_time}")
-    return g * flight_time**2 / 8.0
+    return GRAVITY * flight_time**2 / 8.0
 
 
 def power_output(force: float, velocity: float) -> float:

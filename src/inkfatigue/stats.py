@@ -216,6 +216,12 @@ def rank_sum_test(
 # Corpus-level comparisons
 # ---------------------------------------------------------------------------
 
+def _check_test(test: str, alternative: str) -> None:
+    if test not in TESTS:
+        raise ValueError(f"test must be 'signed-rank' or 'rank-sum', got {test!r}")
+    _check_alternative(alternative)
+
+
 def compare_sets(
     a: np.ndarray, b: np.ndarray, *, test: str = "signed-rank", alternative: str = "two-sided"
 ) -> TestResult:
@@ -226,9 +232,7 @@ def compare_sets(
     left. An unknown ``test`` or ``alternative`` raises ValueError before any
     pairing.
     """
-    if test not in TESTS:
-        raise ValueError(f"test must be 'signed-rank' or 'rank-sum', got {test!r}")
-    _check_alternative(alternative)
+    _check_test(test, alternative)
     keep = ~(np.isnan(a) | np.isnan(b))
     if not keep.any():
         raise InsufficientDataError("no subject has a value in both sets")
@@ -383,8 +387,10 @@ def build_matrix(
     the run. Row order is normalized to task ascending, then ``full_catalog()``
     order for features; duplicate rows collapse, but duplicate pairs are a
     RangeError. A ``table`` replaces the extraction, and the records are then not read; a
-    row feature outside its catalog is a RangeError.
+    row feature outside its catalog is a RangeError. ``test`` and
+    ``alternative`` are checked before any record is read.
     """
+    _check_test(test, alternative)
     if not rows:
         raise EmptyInputError("row spec must name at least one (task, feature)")
     empty = ComparisonMatrix(rows=(), pairs=tuple(pairs), cells=(), alpha=alpha)

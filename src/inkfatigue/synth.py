@@ -13,17 +13,17 @@ keyed by that tuple, and raw draws never depend on perturbation parameters,
 so changing for example ``pressure_shift`` moves pressures without touching
 the trajectory. Adding a subject never perturbs other subjects' data.
 
-Records are built one subject and set at a time. ``generate_task`` is the
-one entry point: it builds the nine tasks of its (profile, subject, set) in
-one pass, under that set's one perturbation, and caches them until the next
+Records are built one subject and set at a time. ``generate_task`` is the one
+entry point: it builds the nine tasks of its (profile, subject, set) in one
+pass, under that set's one perturbation, and caches them until the next
 (profile, subject, set) is asked for; ``generate_records`` asks for every
-record through it in that order. A task whose pen leaves the int64 range is
-a ConfigError of its own and costs the other tasks of its set nothing. Each
-record still draws from its own stream, per stage in a fixed order, each
-per-sample stage in one draw covering all strokes of the record; the strokes
-of the nine records are then rows of shared zero-padded arrays. A
-``Generator`` stream gives the same values in one draw as in one draw per
-stroke, and every per-sample expression groups its operations as the
+record of the five-set study through it, in key order. A task whose pen
+leaves the int64 range is a ConfigError of its own and costs the other tasks
+of its set nothing. Each record still draws from its own stream, per stage in
+a fixed order, each per-sample stage in one draw covering all strokes of the
+record; the strokes of the nine records are then rows of shared zero-padded
+arrays. A ``Generator`` stream gives the same values in one draw as in one
+draw per stroke, and every per-sample expression groups its operations as the
 per-stroke form does (floating-point addition and multiplication commute but
 do not associate), so a record is bit-identical to building it stroke by
 stroke.
@@ -213,22 +213,17 @@ def generate_task(
     return replace(record)
 
 
-def generate_records(
-    profile: SynthProfile, sets: tuple[SetId, ...] = ALL_SETS
-) -> Iterator[TaskRecord]:
-    """Yield every record of the n_subjects x sets x 9-tasks study, subject
-    by subject, sets in the order given, each through ``generate_task``: one
-    pass builds a set's nine tasks, and one set at a time is held. The set
-    ids are checked at the call, before anything is drawn."""
-    keys = itertools.product(profile.subject_ids(), tuple(map(check_set_id, sets)), TASK_IDS)
+def generate_records(profile: SynthProfile) -> Iterator[TaskRecord]:
+    """Yield every record of the n_subjects x 5 sets x 9 tasks study in key
+    order through ``generate_task``, which builds a set's nine tasks in one
+    pass and holds one set at a time; a subset is a loop over it alone."""
+    keys = itertools.product(profile.subject_ids(), ALL_SETS, TASK_IDS)
     return (generate_task(profile, *key) for key in keys)
 
 
-def generate_corpus(
-    profile: SynthProfile, sets: tuple[SetId, ...] = ALL_SETS
-) -> StudyCorpus:
+def generate_corpus(profile: SynthProfile) -> StudyCorpus:
     """The ``generate_records`` study in memory."""
-    return StudyCorpus(generate_records(profile, sets))
+    return StudyCorpus(generate_records(profile))
 
 
 # Row L - _STROKE_LEN_RANGE[0] holds sin(pi * (col + 0.5) / L), the pressure

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.errors import InvalidArgument
 
-from inkfatigue.model import ALL_SETS, InkSignal, SetId, TASK_IDS, TaskRecord
+from inkfatigue.model import ALL_SETS, InkSignal, SetId, StudyCorpus, TASK_IDS, TaskRecord
+from inkfatigue.synth import SynthProfile, generate_task
 
 # Under --hypothesis-profile=ci a failing property prints the
 # @reproduce_failure line that replays it. The profile extends the "ci"
@@ -73,6 +74,24 @@ def make_record(
         altitude=np.full(n, 60),
     )
     return TaskRecord(subject_id=subject, set_id=set_id, task=task, signal=signal)
+
+
+def sets_corpus(profile: SynthProfile, sets) -> StudyCorpus:
+    """The records of ``sets`` alone, each subject's sets in the order given,
+    through ``generate_task``: a test needing fewer than five sets skips
+    synthesizing the rest."""
+    return StudyCorpus(
+        generate_task(profile, subject, set_id, task)
+        for subject in profile.subject_ids()
+        for set_id in sets
+        for task in TASK_IDS
+    )
+
+
+def unread_records():
+    """A record stream that fails the test if anything reads from it."""
+    pytest.fail("a record was read")
+    yield
 
 
 @pytest.fixture

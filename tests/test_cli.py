@@ -22,7 +22,7 @@ from inkfatigue.model import (
 from inkfatigue.stats import Cell
 from inkfatigue.synth import SynthProfile, generate_corpus, generate_task, load_profile
 
-from conftest import lax_numbers
+from conftest import lax_numbers, sets_corpus
 
 PROFILE_SMALL = """
 seed = 50
@@ -217,10 +217,13 @@ def test_validate_warns_of_each_file_in_a_set_it_does_not_read(corpus_dir, capsy
     shutil.copy(s1 / "task1.ink", s1 / "task1.INK")
     (s1 / "task2.ink").rename(s1 / "task2.ink.bak")
     (corpus_dir / "U02" / "S3" / "notes.txt").write_text("hello\n")
-    (corpus_dir / "U02" / "README").write_text("not in a set\n")  # not at <subject>/<set>/
+    (corpus_dir / "U02" / "README").write_text("not in a set\n")
     assert main(["validate", "--corpus", str(corpus_dir)]) == 0
     out, err = capsys.readouterr()
-    skipped = [s1 / "task1.INK", s1 / "task2.ink.bak", corpus_dir / "U02" / "S3" / "notes.txt"]
+    skipped = [
+        s1 / "task1.INK", s1 / "task2.ink.bak", corpus_dir / "U02" / "README",
+        corpus_dir / "U02" / "S3" / "notes.txt",
+    ]
     assert err.splitlines() == [
         f"warning: {path}: not read; only task files (*.ink) and aux.tsv are" for path in skipped
     ]
@@ -228,6 +231,24 @@ def test_validate_warns_of_each_file_in_a_set_it_does_not_read(corpus_dir, capsy
         "89 task file(s) valid, 2 subject(s)", "1 missing (subject, set, task) cell(s):",
         "  U01 S1 task2",
     ]
+
+
+def test_validate_warns_of_files_outside_a_set_directory(corpus_dir, capsys):
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 0
+    clean = capsys.readouterr()
+    strays = [
+        corpus_dir / "README", corpus_dir / "U01" / "S1" / "extra" / "deeper.txt",
+        corpus_dir / "U01" / "S1" / "stray.txt", corpus_dir / "U01" / "notes.txt",
+    ]
+    (corpus_dir / "U01" / "S1" / "extra").mkdir()
+    for path in strays:
+        path.write_text("hello\n")
+    assert main(["validate", "--corpus", str(corpus_dir)]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        f"warning: {path}: not read; only task files (*.ink) and aux.tsv are" for path in strays
+    ]
+    assert clean.err == "" and out == clean.out
 
 
 @pytest.mark.parametrize("command", ["extract", "compare"])
@@ -359,7 +380,7 @@ def test_extract_and_compare_warn_of_an_empty_corpus(tmp_path, capsys, command):
 
 def test_compare_warns_when_no_record_is_in_a_set_of_its_pairs(tmp_path, capsys):
     corpus = tmp_path / "s1"
-    write_corpus(generate_corpus(SynthProfile(seed=51, n_subjects=1), sets=(SetId.S1,)), corpus)
+    write_corpus(sets_corpus(SynthProfile(seed=51, n_subjects=1), (SetId.S1,)), corpus)
     out = tmp_path / "o"
     argv = ["compare", "--corpus", str(corpus), "--out", str(out), "--pairs", "S2-S3"]
     assert main(argv) == 0

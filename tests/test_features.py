@@ -28,7 +28,7 @@ from inkfatigue.features import (
 from inkfatigue.model import PRESSURE_MAX, InkSignal, SetId, StudyCorpus, TaskRecord
 from inkfatigue.synth import SynthProfile, generate_corpus, generate_task
 
-from conftest import make_record
+from conftest import make_record, sets_corpus, unread_records
 from oracles import histogram_entropy, reference_extract_features, scan_segments
 
 pressure_series = st.lists(st.integers(0, 2047), min_size=1, max_size=60)
@@ -453,7 +453,7 @@ def test_spatial_scaling_moves_only_kinematics():
 
 
 def test_feature_table_covers_corpus_and_skips_short_records():
-    corpus = generate_corpus(SynthProfile(seed=19, n_subjects=2), sets=(SetId.S1,))
+    corpus = sets_corpus(SynthProfile(seed=19, n_subjects=2), (SetId.S1,))
     corpus.add(make_record([0, 5], subject="U03"))
     corpus.add(make_record([9] * 4, subject="U04"))  # no in-air stroke: flagged
     catalog = full_catalog()
@@ -478,7 +478,7 @@ def test_feature_table_covers_corpus_and_skips_short_records():
 
 @functools.cache
 def _corpus_with_failed_and_flagged_records():
-    corpus = generate_corpus(SynthProfile(seed=20, n_subjects=2), sets=(SetId.S1, SetId.S3))
+    corpus = sets_corpus(SynthProfile(seed=20, n_subjects=2), (SetId.S1, SetId.S3))
     corpus.add(make_record([0, 5], subject="U03"))  # 2 samples: extraction fails
     corpus.add(make_record([1, 2], subject="U00", task=2))
     corpus.add(make_record([9] * 4, subject="U00", set_id=SetId.S2))  # no in-air stroke: flagged
@@ -501,10 +501,18 @@ def test_feature_table_of_shuffled_records_equals_the_corpus_table_bit_for_bit(d
     assert list(want.errors) == [("U00", SetId.S1, 2), ("U03", SetId.S1, 1)]
 
 
+def test_feature_table_refuses_an_unknown_feature_before_reading_a_record():
+    # Not even a stream that holds no record, or only records too short to
+    # extract, lets an unknown name through as a column.
+    for records in ([], [make_record([0, 5])], unread_records()):
+        with pytest.raises(RangeError, match=r"^unknown feature name\(s\): bogus$"):
+            feature_table(records, ["mean_speed", "bogus"])
+
+
 def test_feature_table_refuses_a_repeated_feature_before_extracting(monkeypatch):
     # Matrices and views find a column by name, and the JSON view keys values
     # by name, so a catalog naming a feature twice is refused up front.
-    corpus = generate_corpus(SynthProfile(seed=19, n_subjects=1), sets=(SetId.S1,))
+    corpus = sets_corpus(SynthProfile(seed=19, n_subjects=1), (SetId.S1,))
     calls = []
     real = features_mod.extract_features
     monkeypatch.setattr(

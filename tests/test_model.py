@@ -51,7 +51,7 @@ from inkfatigue.model import _check_body, _parse_lines
 from inkfatigue import synth
 from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus, generate_task
 
-from conftest import lax_numbers, random_record
+from conftest import lax_numbers, random_record, sets_corpus
 from oracles import SAMPLE_BODY_RE, ReferenceInkSignal
 
 DATA = Path(__file__).parent / "data"
@@ -282,7 +282,7 @@ def test_signals_store_14_bytes_per_sample_when_x_and_y_fit_int32_else_22():
     # x and y int32, pressure, azimuth and altitude int16: 4 + 4 + 2 + 2 + 2.
     # nbytes is the logical size: a one-value channel, stored once as a
     # zero-stride view, still counts 2 bytes a sample here.
-    synthesized = generate_corpus(SynthProfile(n_subjects=1), sets=(SetId.S1,))
+    synthesized = sets_corpus(SynthProfile(n_subjects=1), (SetId.S1,))
     parsed = parse_task_file(serialize_task(next(iter(synthesized))))
     bounded = [[0, 2047, 9], [0, 359, 1], [0, 90, 2]]
     from_lists = InkSignal([-(2**31), 1, 2], [3, 4, 2**31 - 1], *bounded)
@@ -1183,7 +1183,7 @@ def test_loaded_corpus_equals_generated(tmp_path):
 
 
 def test_read_records_yields_files_in_path_order_and_checks_sidecars_after_them(tmp_path):
-    corpus = generate_corpus(SynthProfile(seed=4, n_subjects=2), sets=(SetId.S1,))
+    corpus = sets_corpus(SynthProfile(seed=4, n_subjects=2), (SetId.S1,))
     write_corpus(corpus, tmp_path)
     # Headers, not paths, decide a key: the first key moves last in path order.
     (tmp_path / "U01" / "S1" / "task1.ink").rename(tmp_path / "U03.ink")
@@ -1199,26 +1199,31 @@ def test_read_records_yields_files_in_path_order_and_checks_sidecars_after_them(
 
 
 def test_read_files_gives_one_outcome_a_file_and_each_error_names_its_file(tmp_path):
-    corpus = generate_corpus(SynthProfile(seed=4, n_subjects=2), sets=(SetId.S1,))
+    corpus = sets_corpus(SynthProfile(seed=4, n_subjects=2), (SetId.S1,))
     write_corpus(corpus, tmp_path)
     s1, s1_of_u02 = tmp_path / "U01" / "S1", tmp_path / "U02" / "S1"
     shutil.copy(s1 / "task5.ink", s1 / "copy_of_task5.ink")  # read before task5.ink
     (s1_of_u02 / ".ink").write_text("garbage\n")  # a task file whose suffix is ''
     (s1 / "aux.tsv").write_text("bad\n")
     (s1_of_u02 / "aux.tsv").write_text(AUX_HEADER + "1\t0.5\t700\t1.5\tNA\n")
-    # Files in a set that are not read come last, with no outcome; files
-    # elsewhere, and directories, are not named.
+    # Files that are not read, at any depth, come last in path order, with no
+    # outcome; directories are not named.
     shutil.copy(s1 / "task1.ink", s1 / "task1.INK")
     (s1 / "task2.ink").rename(s1 / "task2.ink.bak")
     (s1_of_u02 / "notes.txt").write_text("hello\n")
     (s1_of_u02 / "extra").mkdir()
     (s1_of_u02 / "extra" / "deeper.txt").write_text("hello\n")
     (tmp_path / "U01" / "README").write_text("hello\n")
+    (tmp_path / "README").write_text("hello\n")
+    (tmp_path / "empty").mkdir()
     outcomes = list(read_files(tmp_path))
     paths = [path for path, _ in outcomes]
-    unread = [s1 / "task1.INK", s1 / "task2.ink.bak", s1_of_u02 / "notes.txt"]
+    unread = [
+        tmp_path / "README", tmp_path / "U01" / "README", s1 / "task1.INK", s1 / "task2.ink.bak",
+        s1_of_u02 / "extra" / "deeper.txt", s1_of_u02 / "notes.txt",
+    ]
     assert paths == sorted(tmp_path.rglob("*.ink")) + sorted(tmp_path.rglob("aux.tsv")) + unread
-    assert [o for _, o in outcomes[-3:]] == [None] * 3 and None not in dict(outcomes[:-3]).values()
+    assert [o for _, o in outcomes[-6:]] == [None] * 6 and None not in dict(outcomes[:-6]).values()
     errors = {path: type(o) for path, o in outcomes if isinstance(o, Exception)}
     assert errors == {
         s1 / "task5.ink": DuplicateError, s1_of_u02 / ".ink": FormatError,
@@ -1269,7 +1274,7 @@ def test_parse_error_carries_path(tmp_path):
 
 @pytest.mark.parametrize("name", ["task3.ink", "aux.tsv"])
 def test_load_corpus_reports_non_utf8_file_with_path(tmp_path, name):
-    corpus = generate_corpus(SynthProfile(seed=7, n_subjects=1), sets=(SetId.S2,))
+    corpus = sets_corpus(SynthProfile(seed=7, n_subjects=1), (SetId.S2,))
     write_corpus(corpus, tmp_path)
     (tmp_path / "U01" / "S2" / name).write_bytes(b"#subject=U01\n\xff\n")
     with pytest.raises(FormatError) as err:
@@ -1297,7 +1302,7 @@ AUX_HEADER = "lactate\tflight_time\tforce\tvelocity\trpe\n"
 
 
 def test_aux_sidecar_loads(tmp_path):
-    corpus = generate_corpus(SynthProfile(seed=10, n_subjects=1), sets=(SetId.S1,))
+    corpus = sets_corpus(SynthProfile(seed=10, n_subjects=1), (SetId.S1,))
     write_corpus(corpus, tmp_path)
     aux = tmp_path / "U01" / "S1" / "aux.tsv"
     aux.write_text(AUX_HEADER + "1.11\t0.52\t700\t1.5\t2\n")
@@ -1308,7 +1313,7 @@ def test_aux_sidecar_loads(tmp_path):
 
 
 def test_aux_sidecar_allows_na(tmp_path):
-    corpus = generate_corpus(SynthProfile(seed=10, n_subjects=1), sets=(SetId.S1,))
+    corpus = sets_corpus(SynthProfile(seed=10, n_subjects=1), (SetId.S1,))
     write_corpus(corpus, tmp_path)
     path = tmp_path / "U01" / "S1" / "aux.tsv"
     path.write_text(AUX_HEADER + "NA\tNA\tNA\tNA\t5\n")
@@ -1320,7 +1325,7 @@ def test_aux_sidecar_allows_na(tmp_path):
     "body", ["1 2 3\n", "bad\theader\tline\tx\ty\n1\t2\t3\t4\t5\n", AUX_HEADER + "1\t2\t3\t4\n"]
 )
 def test_aux_sidecar_malformed(tmp_path, body):
-    corpus = generate_corpus(SynthProfile(seed=10, n_subjects=1), sets=(SetId.S1,))
+    corpus = sets_corpus(SynthProfile(seed=10, n_subjects=1), (SetId.S1,))
     write_corpus(corpus, tmp_path)
     (tmp_path / "U01" / "S1" / "aux.tsv").write_text(body)
     with pytest.raises(FormatError):
@@ -1397,7 +1402,7 @@ def test_write_corpus_refuses_a_repeated_key_and_keeps_the_files_before_it(tmp_p
 
 
 def test_write_corpus_layout(tmp_path):
-    corpus = generate_corpus(SynthProfile(seed=11, n_subjects=1), sets=(SetId.S1,))
+    corpus = sets_corpus(SynthProfile(seed=11, n_subjects=1), (SetId.S1,))
     written = write_corpus(corpus, tmp_path)
     assert len(written) == 9
     assert (tmp_path / "U01" / "S1" / "task1.ink").exists()

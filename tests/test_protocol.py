@@ -109,10 +109,6 @@ def test_jump_height_quadratic_law():
     assert jump_height(1.0) == pytest.approx(4 * jump_height(0.5), rel=1e-12)
 
 
-def test_jump_height_custom_gravity():
-    assert jump_height(2.0, g=10.0) == pytest.approx(5.0, abs=1e-12)
-
-
 def test_jump_height_rejects_negative_time():
     with pytest.raises(RangeError):
         jump_height(-0.1)

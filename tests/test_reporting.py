@@ -35,6 +35,7 @@ from inkfatigue.reporting import (
 from inkfatigue.stats import Cell, ComparisonMatrix, MatrixRow, build_matrix
 from inkfatigue.synth import SynthProfile, generate_corpus
 
+from conftest import sets_corpus
 from oracles import (
     ReferenceFeatureVector,
     reference_features_to_markdown,
@@ -320,7 +321,7 @@ def test_markdown_renders_canonical_columns_and_bold(reference_matrix):
 
 
 def test_markdown_na_cells():
-    corpus = generate_corpus(SynthProfile(seed=41, n_subjects=2), sets=(SetId.S1, SetId.S2))
+    corpus = sets_corpus(SynthProfile(seed=41, n_subjects=2), (SetId.S1, SetId.S2))
     matrix = build_matrix(
         corpus, [(1, "mean_speed")], [(SetId.S1, SetId.S2), (SetId.S4, SetId.S5)]
     )
@@ -442,7 +443,7 @@ def test_load_matrix_tsv_reads_ascii_decimal_p_values(p):
 
 @pytest.fixture(scope="module")
 def corpus():
-    return generate_corpus(SynthProfile(seed=42, n_subjects=2), sets=(SetId.S1,))
+    return sets_corpus(SynthProfile(seed=42, n_subjects=2), (SetId.S1,))
 
 
 @pytest.fixture(scope="module")

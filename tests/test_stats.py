@@ -27,7 +27,7 @@ from inkfatigue.stats import (
 )
 from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus, generate_task
 
-from conftest import make_record
+from conftest import make_record, sets_corpus, unread_records
 from oracles import (
     enumerate_signed_rank_p,
     naive_ranks,
@@ -308,7 +308,7 @@ def test_compare_sets_excludes_subjects_missing_a_set():
 
 
 def test_compare_sets_insufficient_data():
-    corpus = generate_corpus(SynthProfile(seed=21, n_subjects=2), sets=(SetId.S1,))
+    corpus = sets_corpus(SynthProfile(seed=21, n_subjects=2), (SetId.S1,))
     assert _one_cell(corpus, 1, "mean_speed", (SetId.S1, SetId.S2)) is None
     for a, b in [([np.nan, 1.0], [2.0, np.nan]), ([], [])]:
         for test in ("signed-rank", "rank-sum"):
@@ -321,12 +321,12 @@ def test_compare_sets_detects_injected_shift():
         seed=22,
         perturbations={SetId.S4: Perturbation(speed_scale=0.6)},
     )
-    corpus = generate_corpus(profile, sets=(SetId.S1, SetId.S4))
+    corpus = sets_corpus(profile, (SetId.S1, SetId.S4))
     assert _one_cell(corpus, 5, "mean_speed", (SetId.S1, SetId.S4)).p < 0.001
 
 
 def test_compare_sets_rank_sum_variant():
-    corpus = generate_corpus(SynthProfile(seed=23, n_subjects=6), sets=(SetId.S1, SetId.S2))
+    corpus = sets_corpus(SynthProfile(seed=23, n_subjects=6), (SetId.S1, SetId.S2))
     cell = _one_cell(corpus, 1, "mean_speed", (SetId.S1, SetId.S2), test="rank-sum")
     assert 0.0 <= cell.p <= 1.0
     assert cell.method == "normal-approx" and cell.n_effective == 12
@@ -337,17 +337,17 @@ def test_compare_sets_rank_sum_variant():
         )
 
 
-@pytest.mark.parametrize(
-    "test,alternative,message",
-    [
-        ("bogus", "two-sided", "test must be 'signed-rank' or 'rank-sum', got 'bogus'"),
-        ("signed-rank", "sideways", "alternative must be one of"),
-        ("rank-sum", "sideways", "alternative must be one of"),
-    ],
-)
+_BAD_TEST_OR_ALTERNATIVE = [
+    ("bogus", "two-sided", "test must be 'signed-rank' or 'rank-sum', got 'bogus'"),
+    ("signed-rank", "sideways", "alternative must be one of"),
+    ("rank-sum", "sideways", "alternative must be one of"),
+]
+
+
+@pytest.mark.parametrize("test,alternative,message", _BAD_TEST_OR_ALTERNATIVE)
 def test_unknown_test_or_alternative_is_rejected_before_pairing(test, alternative, message):
     # Only S1 exists, so no cell has a subject pair to test.
-    corpus = generate_corpus(SynthProfile(seed=21, n_subjects=2), sets=(SetId.S1,))
+    corpus = sets_corpus(SynthProfile(seed=21, n_subjects=2), (SetId.S1,))
     pair = (SetId.S1, SetId.S2)
     missing = np.full(2, np.nan)
     with pytest.raises(ValueError, match=message):
@@ -356,8 +356,25 @@ def test_unknown_test_or_alternative_is_rejected_before_pairing(test, alternativ
         build_matrix(corpus, [(1, "mean_speed")], [pair], test=test, alternative=alternative)
 
 
+@pytest.mark.parametrize("test,alternative,message", _BAD_TEST_OR_ALTERNATIVE)
+def test_build_matrix_refuses_a_bad_test_or_alternative_before_reading_a_record(
+    test, alternative, message
+):
+    with pytest.raises(ValueError, match=message):
+        build_matrix(
+            unread_records(), [(1, "mean_speed")], [(SetId.S1, SetId.S2)],
+            test=test, alternative=alternative,
+        )
+
+
+def test_build_matrix_refuses_an_unknown_feature_before_reading_a_record():
+    for records in ([], unread_records()):
+        with pytest.raises(RangeError, match=r"^unknown feature name\(s\): bogus$"):
+            build_matrix(records, [(1, "bogus")], [(SetId.S1, SetId.S2)])
+
+
 def test_build_matrix_without_table_extracts_the_named_feature():
-    corpus = generate_corpus(SynthProfile(seed=23, n_subjects=6), sets=(SetId.S1, SetId.S2))
+    corpus = sets_corpus(SynthProfile(seed=23, n_subjects=6), (SetId.S1, SetId.S2))
     pair = (SetId.S1, SetId.S2)
     table = feature_table(corpus, ["pendown_mean_speed"])
     rows = [(1, "pendown_mean_speed")]
@@ -366,7 +383,7 @@ def test_build_matrix_without_table_extracts_the_named_feature():
 
 @pytest.mark.parametrize("feature", ["entropy_x", "nonsense"])
 def test_build_matrix_names_a_row_feature_its_table_lacks(feature):
-    corpus = generate_corpus(SynthProfile(seed=23, n_subjects=2), sets=(SetId.S1, SetId.S2))
+    corpus = sets_corpus(SynthProfile(seed=23, n_subjects=2), (SetId.S1, SetId.S2))
     table = feature_table(corpus, ["mean_speed"])
     with pytest.raises(RangeError, match=f"^feature table has no values for {feature}$"):
         build_matrix(corpus, [(1, feature)], [(SetId.S1, SetId.S2)], table=table)
@@ -410,7 +427,7 @@ def test_build_matrix_deterministic_under_insertion_order():
 
 
 def test_build_matrix_marks_insufficient_cells_na():
-    corpus = generate_corpus(SynthProfile(seed=27, n_subjects=2), sets=(SetId.S1, SetId.S2))
+    corpus = sets_corpus(SynthProfile(seed=27, n_subjects=2), (SetId.S1, SetId.S2))
     matrix = build_matrix(
         corpus, [(1, "mean_speed")], [(SetId.S1, SetId.S2), (SetId.S1, SetId.S5)]
     )
@@ -420,7 +437,7 @@ def test_build_matrix_marks_insufficient_cells_na():
 
 
 def test_build_matrix_failed_record_counts_as_missing():
-    corpus = generate_corpus(SynthProfile(seed=30, n_subjects=4), sets=(SetId.S1, SetId.S2))
+    corpus = sets_corpus(SynthProfile(seed=30, n_subjects=4), (SetId.S1, SetId.S2))
     removed = StudyCorpus()
     for record in corpus:
         if record.key != ("U02", SetId.S1, 1):
@@ -437,7 +454,7 @@ def test_build_matrix_failed_record_counts_as_missing():
 
 
 def test_build_matrix_normalizes_row_order():
-    corpus = generate_corpus(SynthProfile(seed=28, n_subjects=2), sets=(SetId.S1, SetId.S2))
+    corpus = sets_corpus(SynthProfile(seed=28, n_subjects=2), (SetId.S1, SetId.S2))
     matrix = build_matrix(
         corpus,
         [(2, "time_in_air"), (1, "std_speed"), (1, "mean_speed")],
@@ -451,14 +468,14 @@ def test_build_matrix_normalizes_row_order():
 
 
 def test_build_matrix_rows_follow_the_full_catalog():
-    corpus = generate_corpus(SynthProfile(seed=28, n_subjects=2), sets=(SetId.S1, SetId.S2))
+    corpus = sets_corpus(SynthProfile(seed=28, n_subjects=2), (SetId.S1, SetId.S2))
     catalog = full_catalog()
     matrix = build_matrix(corpus, [(1, f) for f in sorted(catalog)], [(SetId.S1, SetId.S2)])
     assert [r.feature for r in matrix.rows] == list(catalog)
 
 
 def test_build_matrix_rejects_empty_rows_and_bad_alpha():
-    corpus = generate_corpus(SynthProfile(seed=29, n_subjects=2), sets=(SetId.S1, SetId.S2))
+    corpus = sets_corpus(SynthProfile(seed=29, n_subjects=2), (SetId.S1, SetId.S2))
     with pytest.raises(EmptyInputError):
         build_matrix(corpus, [], canonical_set_pairs())
     with pytest.raises(RangeError):
@@ -479,7 +496,7 @@ def test_build_matrix_rejects_alpha_and_pairs_before_extraction(monkeypatch, alp
         raise AssertionError("features extracted before alpha and pairs were checked")
 
     monkeypatch.setattr(stats, "feature_table", refuse)
-    corpus = generate_corpus(SynthProfile(seed=29, n_subjects=2), sets=(SetId.S1, SetId.S2))
+    corpus = sets_corpus(SynthProfile(seed=29, n_subjects=2), (SetId.S1, SetId.S2))
     with pytest.raises(RangeError):
         build_matrix(corpus, [(1, "mean_speed")], pairs, alpha=alpha)
 
@@ -531,7 +548,7 @@ def test_comparison_matrix_checks_its_own_shape(fields, message):
 
 def test_matrix_p_values_invariant_to_uniform_spatial_scaling():
     profile = SynthProfile(seed=30, n_subjects=4)
-    corpus = generate_corpus(profile, sets=(SetId.S1, SetId.S2))
+    corpus = sets_corpus(profile, (SetId.S1, SetId.S2))
     scaled = StudyCorpus()
     for record in corpus:
         sig = record.signal

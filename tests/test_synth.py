@@ -22,6 +22,7 @@ from inkfatigue.synth import (
     parse_profile,
 )
 
+from conftest import sets_corpus
 from oracles import reference_generate_task
 
 
@@ -217,7 +218,7 @@ def test_float_fields_accept_ints_and_numpy_floats():
             speed_scale=np.float32(0.5), air_inflation=2, jitter_sd=np.float64(1.5)
         )},
     )
-    assert len(generate_corpus(profile, sets=(SetId.S2,))) == 9
+    assert len(sets_corpus(profile, (SetId.S2,))) == 9
 
 
 def test_a_set_past_int32_stores_each_record_by_its_own_values():
@@ -239,7 +240,7 @@ def test_int_fields_accept_numpy_integers():
         seed=np.int64(3), n_subjects=np.int32(1), stroke_count=np.int16(2),
         perturbations={SetId.S2: Perturbation(pressure_shift=np.int64(-40))},
     )
-    assert len(generate_corpus(profile, sets=(SetId.S2,))) == 9
+    assert len(sets_corpus(profile, (SetId.S2,))) == 9
 
 
 def test_profile_perturbations_are_a_read_only_copy():
@@ -328,7 +329,9 @@ def corpus_profiles(draw):
 @settings(max_examples=100, deadline=None)
 def test_corpus_matches_per_record_reference(profile_sets, data):
     profile, sets = profile_sets
-    corpus = generate_corpus(profile, sets)
+    # generate_task is asked for the sets in the drawn order, so its one-set
+    # cache switches between them in any order.
+    corpus = sets_corpus(profile, sets)
     keys = [(s, set_id, t) for s in profile.subject_ids() for set_id in sets for t in TASK_IDS]
     assert len(corpus) == len(keys)
     for key in keys:
@@ -350,10 +353,6 @@ def test_a_set_id_that_is_not_a_set_id_is_a_range_error_before_any_draw(monkeypa
     for call, bad in (
         (lambda: generate_task(profile, "U01", "S1", 2), "S1"),
         (lambda: generate_task(profile, "U02", "S1", 2), "S1"),
-        (lambda: generate_corpus(profile, sets=("S1",)), "S1"),
-        (lambda: generate_corpus(profile, sets=(SetId.S1, "S2")), "S2"),
-        # The call raises, before any record is asked for.
-        (lambda: generate_records(profile, sets=(SetId.S1, "S2")), "S2"),
     ):
         with pytest.raises(RangeError) as exc:
             call()
@@ -370,10 +369,9 @@ def test_generate_corpus_builds_every_record_through_generate_task(monkeypatch):
         return generate_task(*args)
 
     monkeypatch.setattr(synth, "generate_task", counted)
-    sets = (SetId.S3, SetId.S1)
-    corpus = generate_corpus(SynthProfile(seed=44, n_subjects=2), sets)
-    assert len(corpus) == len(calls) == 2 * 2 * 9
-    assert calls == [(s, set_id, t) for s in ("U01", "U02") for set_id in sets for t in TASK_IDS]
+    corpus = generate_corpus(SynthProfile(seed=44, n_subjects=2))
+    assert len(corpus) == len(calls) == 2 * 5 * 9
+    assert calls == [(s, set_id, t) for s in ("U01", "U02") for set_id in ALL_SETS for t in TASK_IDS]
 
 
 def test_generate_records_yields_the_corpus_records_in_its_order():
@@ -381,15 +379,6 @@ def test_generate_records_yields_the_corpus_records_in_its_order():
     records = generate_records(profile)
     assert iter(records) is records  # a stream, not a list
     assert list(records) == list(generate_corpus(profile))
-
-
-def test_generate_corpus_checks_every_set_id_before_any_draw(monkeypatch):
-    # A seed no other test uses, so no record or trait of it is cached.
-    profile = SynthProfile(seed=4_000_019, n_subjects=2)
-    monkeypatch.setattr(synth, "_stream", lambda *key: pytest.fail(f"drew {key}"))
-    with pytest.raises(RangeError) as exc:
-        generate_corpus(profile, sets=(SetId.S1, "S2"))
-    assert str(exc.value) == "set id must be a SetId, got 'S2'"
 
 
 @pytest.mark.parametrize("task", [True, 3.0])
