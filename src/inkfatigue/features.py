@@ -64,7 +64,8 @@ COUNT_FEATURES = frozenset(
     {"time_in_air", "time_down", "p_gt_100", "p_gt_600", "p_band_100_400", "p_band_100_600"}
 )
 
-#: Kinematic feature names, in the order ``_kinematics`` returns them.
+#: Kinematic feature names, in the order ``_kinematics`` returns them: three
+#: speed statistics, then three acceleration statistics.
 _KINEMATIC_NAMES = tuple(name.removeprefix("pendown_") for name in PENDOWN_CATALOG)
 _KNOWN_NAMES = frozenset(DEFAULT_CATALOG + PENDOWN_CATALOG)
 
@@ -118,8 +119,9 @@ def _mean_std_max(a: np.ndarray) -> tuple[float, float, float]:
     return float(mean), float(np.sqrt(np.add.reduce(d * d) / a.size)), float(np.maximum.reduce(a))
 
 
-def _kinematics(x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
-    """Speed and acceleration statistics, in ``_KINEMATIC_NAMES`` order.
+def _kinematics(x: np.ndarray, y: np.ndarray, acceleration: bool) -> tuple[float, ...]:
+    """Speed statistics, then acceleration statistics if ``acceleration``, in
+    ``_KINEMATIC_NAMES`` order.
 
     Speed is sqrt(dx^2 + dy^2) of forward differences (units per sample);
     acceleration the same magnitude of second differences. Integer or
@@ -128,6 +130,8 @@ def _kinematics(x: np.ndarray, y: np.ndarray) -> tuple[float, ...]:
     dx = x[1:] - x[:-1]
     dy = y[1:] - y[:-1]
     speed = _mean_std_max(np.hypot(dx, dy, dtype=np.float64, casting="unsafe"))
+    if not acceleration:
+        return speed
     ddx, ddy = dx[1:] - dx[:-1], dy[1:] - dy[:-1]
     return speed + _mean_std_max(np.hypot(ddx, ddy, dtype=np.float64, casting="unsafe"))
 
@@ -239,8 +243,11 @@ def extract_features(
     """Compute every catalog feature for one record.
 
     Deterministic and side-effect free. Raises TooShortError for signals
-    shorter than 3 samples (second derivatives need that much). Each
-    intermediate (differences, pen-down mask, counts) is computed once.
+    shorter than 3 samples (second derivatives need that much). Only the
+    statistic families the catalog names are computed: second differences
+    only for an acceleration feature, plain or ``pendown_``, and the x and y
+    spans only for the entropies or int64 coordinates. Each intermediate
+    (differences, pen-down mask, counts) is computed once.
     """
     sig = record.signal
     n = len(sig)
@@ -255,18 +262,24 @@ def extract_features(
     flags: set[str] = set()
     pool: dict[str, float] = {}
 
-    (x_lo, x_span), (y_lo, y_span) = _lo_span(x), _lo_span(y)
-    if not wanted.isdisjoint(("entropy_x", "entropy_y", "entropy_p")):
+    entropies = not wanted.isdisjoint(("entropy_x", "entropy_y", "entropy_p"))
+    # InkSignal stores x and y as int32 unless a value needs int64, and int32
+    # values span less than 2**32: only entropies and int64 need the spans.
+    spans = entropies or x.dtype == np.int64
+    if spans:
+        (x_lo, x_span), (y_lo, y_span) = _lo_span(x), _lo_span(y)
+    if entropies:
         # Raw integer values as the alphabet; no binning.
         pool["entropy_x"] = _entropy_bits(_value_counts(x, x_lo, x_span), n)
         pool["entropy_y"] = _entropy_bits(_value_counts(y, y_lo, y_span), n)
         pool["entropy_p"] = _entropy_bits(np.bincount(p), n)
     # Differences are taken in int64, widening int32 x and y once; the one overflow
     # rule: int64 second differences of a 2**62 span could wrap, so use Python ints.
-    wide = object if max(x_span, y_span) >= 1 << 62 else np.int64
+    wide = object if spans and max(x_span, y_span) >= 1 << 62 else np.int64
     x, y = x.astype(wide, copy=False), y.astype(wide, copy=False)
     if not wanted.isdisjoint(_KINEMATIC_NAMES):
-        pool.update(zip(_KINEMATIC_NAMES, _kinematics(x, y)))
+        acceleration = not wanted.isdisjoint(_KINEMATIC_NAMES[3:])
+        pool.update(zip(_KINEMATIC_NAMES, _kinematics(x, y, acceleration)))
     if "mean_abs_dp" in wanted or "mean_abs_ddp" in wanted:
         # int16 differences stay within +-2 * PRESSURE_MAX; np.add.reduce sums them
         # in the platform integer, exact below 2**53, so each quotient is mean()'s.
@@ -296,7 +309,8 @@ def extract_features(
                 pool[name] = 0.0
                 flags.add(name)
         else:
-            pool.update(zip(PENDOWN_CATALOG, _kinematics(x[down], y[down])))
+            acceleration = not wanted.isdisjoint(PENDOWN_CATALOG[3:])
+            pool.update(zip(PENDOWN_CATALOG, _kinematics(x[down], y[down], acceleration)))
 
     values = {name: pool[name] for name in catalog}
     return FeatureVector(values=values, flags=frozenset(f for f in flags if f in wanted))

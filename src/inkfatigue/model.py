@@ -642,14 +642,19 @@ def read_files(
     each ``aux.tsv`` sidecar, in path order, with what reading it gave: a task
     file's record (headers, not paths, decide its key), a sidecar's subject, set
     and record, or the InkError or OSError naming the file; a key read before
-    is a DuplicateError naming both files. Last come the other files, at any
-    depth, with None: they are not read. Files are read 32 at a time: one at
-    a time between a consumer's steps ran about a tenth slower, and 32
-    synthesized records hold about 0.3 MiB."""
+    is a DuplicateError naming both files. A task file or sidecar that is not
+    a regular file (a directory, FIFO, device or dangling link) is never
+    opened, so it cannot stall the walk: its outcome is a FormatError naming
+    it. Last come the other files, at any depth, with None: they are not
+    read. Files are read 32 at a time: one at a time between a consumer's
+    steps ran about a tenth slower, and 32 synthesized records hold about
+    0.3 MiB."""
     directory = Path(directory)
     seen: dict[tuple[str, SetId, int], Path] = {}
 
-    def read(path: Path):
+    def read(path: Path, regular: bool):
+        if not regular:
+            return FormatError(f"{path}: not a regular file")
         try:
             if path.name == AUX_FILE_NAME:
                 return read_input(path, lambda text: _parse_aux(path.relative_to(directory), text))
@@ -666,15 +671,16 @@ def read_files(
 
     tasks, sidecars, unread = [], [], []
     for path in sorted(directory.rglob("*")):
+        regular = path.is_file()  # the one stat of each path
         if path.name.endswith(".ink"):
-            tasks.append(path)
+            tasks.append((path, regular))
         elif path.name == AUX_FILE_NAME:
-            sidecars.append(path)
-        elif path.is_file():
+            sidecars.append((path, regular))
+        elif regular:
             unread.append(path)
     paths = tasks + sidecars
     for i in range(0, len(paths), 32):
-        yield from [(path, read(path)) for path in paths[i : i + 32]]
+        yield from [(path, read(path, regular)) for path, regular in paths[i : i + 32]]
     yield from ((path, None) for path in unread)
 
 

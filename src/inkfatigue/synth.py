@@ -14,9 +14,10 @@ so changing for example ``pressure_shift`` moves pressures without touching
 the trajectory. Adding a subject never perturbs other subjects' data.
 
 Records are built one subject and set at a time. ``generate_task`` is the one
-entry point: it builds the nine tasks of its (profile, subject, set) in one
+entry point: it builds the nine signals of its (profile, subject, set) in one
 pass, under that set's one perturbation, and caches them until the next
-(profile, subject, set) is asked for; ``generate_records`` asks for every
+(profile, subject, set) is asked for; each call builds the one record it
+returns around its cached signal. ``generate_records`` asks for every
 record of the five-set study through it, in key order. A task whose pen
 leaves the int64 range is a ConfigError of its own and costs the other tasks
 of its set nothing. Each record still draws from its own stream, per stage in
@@ -42,7 +43,7 @@ import functools
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 from types import MappingProxyType
@@ -195,22 +196,23 @@ def generate_task(
     """Generate one record: pen-down arcs separated by pressure-zero gaps.
 
     Identical inputs yield bit-identical records; ``generate_records`` builds
-    every record through this function. A call builds all nine tasks of
-    its subject and set in one pass (about 2 ms) and caches them, so the
-    next calls for an equal profile, the same subject and the same set cost
-    a copy of the record. Every call returns its own ``TaskRecord``, whose
-    metadata is a read-only mapping of its own. A task whose x or y leaves
+    every record through this function. A call builds the signals of all
+    nine tasks of its subject and set in one pass (about 2 ms) and caches
+    them, so the next calls for an equal profile, the same subject and the
+    same set only build their record around the cached signal. Every call
+    builds its own ``TaskRecord``, whose metadata is a read-only mapping of
+    its own; the signal, immutable, is shared. A task whose x or y leaves
     the int64 range is a ConfigError of its own; the other tasks of its set
     are still returned.
     """
     task = validate_task_id(task)
-    record = _generate_set(profile, subject_id, set_id)[task - 1]
-    if record is None:
+    signal = _generate_set(profile, subject_id, set_id)[task - 1]
+    if signal is None:
         raise ConfigError(
             f"subject {subject_id} set {set_id.value} task {task}: synthetic x or y "
             "leaves the int64 range; base_speed, speed_scale or jitter_sd is too large"
         )
-    return replace(record)
+    return TaskRecord(subject_id, set_id, task, signal, {"generator": "synthetic"})
 
 
 def generate_records(profile: SynthProfile) -> Iterator[TaskRecord]:
@@ -238,9 +240,10 @@ _ARC = np.sin(
 @functools.lru_cache(maxsize=1, typed=True)
 def _generate_set(
     profile: SynthProfile, subject_id: str, set_id: SetId
-) -> tuple[TaskRecord | None, ...]:
-    """Build the nine tasks of one subject and set in one padded pass, in
-    task order, with None for a task whose x or y leaves the int64 range.
+) -> tuple[InkSignal | None, ...]:
+    """Build the signals of the nine tasks of one subject and set in one
+    padded pass, in task order, with None for a task whose x or y leaves
+    the int64 range.
 
     Each record draws from its own stream. The arithmetic then runs on the
     strokes of all records at once, one stroke per row of zero-padded arrays.
@@ -397,19 +400,13 @@ def _generate_set(
     azimuth = np.full(max(lengths), traits.azimuth, dtype=int)
     altitude = np.full(max(lengths), traits.altitude, dtype=int)
     return tuple(
-        TaskRecord(
-            subject_id=subject_id,
-            set_id=set_id,
-            task=task,
-            signal=InkSignal(
-                x=x[start : start + n], y=y[start : start + n], pressure=p[start : start + n],
-                azimuth=azimuth[:n], altitude=altitude[:n],
-            ),
-            metadata={"generator": "synthetic"},
+        InkSignal(
+            x=x[start : start + n], y=y[start : start + n], pressure=p[start : start + n],
+            azimuth=azimuth[:n], altitude=altitude[:n],
         )
         if fits
         else None
-        for task, start, n, fits in zip(TASK_IDS, starts.tolist(), lengths, inside)
+        for start, n, fits in zip(starts.tolist(), lengths, inside)
     )
 
 

@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
@@ -86,6 +90,40 @@ def sets_corpus(profile: SynthProfile, sets) -> StudyCorpus:
         for set_id in sets
         for task in TASK_IDS
     )
+
+
+def call_beside_fifos(call, fifos, timeout=10.0):
+    """``call()`` on a thread of its own, which must return within ``timeout``
+    seconds though the named pipes ``fifos`` have no writer. A read of one
+    would block; each pipe is then opened and closed for writing until the
+    thread ends, so the reader sees end of file and nothing is left behind."""
+    result = []
+
+    def run():
+        try:
+            result.append(call())
+        except BaseException as exc:  # raised again on the test's thread
+            result.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    hung = thread.is_alive()
+    deadline = time.monotonic() + timeout
+    while thread.is_alive() and time.monotonic() < deadline:
+        for fifo in fifos:
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # ENXIO: no reader has it open yet
+                pass
+        thread.join(0.05)
+    assert not hung, f"still running after {timeout} s: a named pipe was opened"
+    if isinstance(result[0], BaseException):
+        raise result[0]
+    return result[0]
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="os.mkfifo is not available")
 
 
 def unread_records():

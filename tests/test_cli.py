@@ -22,7 +22,7 @@ from inkfatigue.model import (
 from inkfatigue.stats import Cell
 from inkfatigue.synth import SynthProfile, generate_corpus, generate_task, load_profile
 
-from conftest import lax_numbers, sets_corpus
+from conftest import call_beside_fifos, lax_numbers, needs_fifo, sets_corpus
 
 PROFILE_SMALL = """
 seed = 50
@@ -1135,6 +1135,21 @@ def test_directory_as_input_file_is_a_one_line_error(tmp_path, capsys, argv, cod
     err = capsys.readouterr().err
     prefix = "usage error: " if code == 2 else "error: "
     assert err.count("\n") == 1 and err.startswith(prefix) and str(folder) in err
+    assert not out.exists()
+
+
+@needs_fifo
+@pytest.mark.parametrize("command", ["validate", "extract", "compare"])
+def test_a_named_pipe_as_task_file_is_a_one_line_error_not_a_hang(tmp_path, capsys, command):
+    corpus = tmp_path / "c"
+    write_corpus(sets_corpus(SynthProfile(seed=4, n_subjects=1), (SetId.S1,)), corpus)
+    fifo = corpus / "U01" / "S1" / "task9.ink"
+    fifo.unlink()
+    os.mkfifo(fifo)
+    out = tmp_path / "o"
+    argv = [command, "--corpus", str(corpus)] + ([] if command == "validate" else ["--out", str(out)])
+    assert call_beside_fifos(lambda: main(argv), [fifo]) == 1
+    assert f"error: {fifo}: not a regular file\n" in capsys.readouterr().err
     assert not out.exists()
 
 

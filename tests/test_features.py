@@ -625,20 +625,23 @@ _INT64 = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 
             st.lists(_INT64, min_size=n, max_size=n),
             st.lists(st.sampled_from([0, 1, 700]), min_size=n, max_size=n),
         )
-    )
+    ),
+    # Without an entropy the spans are taken for int64 x and y alone, and a
+    # speed-only catalog takes no second differences.
+    st.sampled_from([full_catalog(), KINEMATICS, KINEMATICS[:3], PENDOWN_CATALOG[:3]]),
 )
 @settings(max_examples=200, deadline=None)
-def test_kinematics_of_any_int64_coordinates_match_exact_differences(channels):
+def test_kinematics_of_any_int64_coordinates_match_exact_differences(channels, catalog):
     x, y, pressure = channels
-    vector = extract_features(make_record(pressure, x=x, y=y), full_catalog())
-    got = [vector[name] for name in KINEMATICS]
-    want = _exact_kinematics(x, y)
+    vector = extract_features(make_record(pressure, x=x, y=y), catalog)
+    exact = dict(zip(KINEMATICS, _exact_kinematics(x, y)))
     down = [i for i, p in enumerate(pressure) if p > 0]
     if len(down) >= 3:
-        got += [vector[name] for name in PENDOWN_CATALOG]
-        want += _exact_kinematics([x[i] for i in down], [y[i] for i in down])
-    for g, w in zip(got, want):
-        assert g == pytest.approx(w, rel=1e-9, abs=1e-9 * max(want))
+        exact.update(
+            zip(PENDOWN_CATALOG, _exact_kinematics([x[i] for i in down], [y[i] for i in down]))
+        )
+    for name in exact.keys() & set(catalog):
+        assert vector[name] == pytest.approx(exact[name], rel=1e-9, abs=1e-9 * max(exact.values()))
 
 
 @st.composite
@@ -725,6 +728,15 @@ def test_extract_features_matches_reference_bit_for_bit(record, catalog):
     assert got.flags == want.flags
     for name in COUNT_FEATURES & set(catalog):
         assert type(got.values[name]) is int
+
+
+def test_each_kinematic_feature_alone_has_its_full_catalog_value():
+    # Second differences are taken only for an acceleration name, and the
+    # plain and pendown_ names decide that each for themselves.
+    record = generate_task(SynthProfile(seed=3, n_subjects=1), "U01", SetId.S1, 1)
+    full = _bits(extract_features(record, full_catalog()))
+    for name in KINEMATICS + PENDOWN_CATALOG:
+        assert _bits(extract_features(record, (name,))) == {name: full[name]}
 
 
 # --- exactness on the narrow pressure channel --------------------------------

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import itertools
+import os
 import pickle
 import shutil
 import tempfile
@@ -51,7 +52,7 @@ from inkfatigue.model import _check_body, _parse_lines
 from inkfatigue import synth
 from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus, generate_task
 
-from conftest import lax_numbers, random_record, sets_corpus
+from conftest import call_beside_fifos, lax_numbers, needs_fifo, random_record, sets_corpus
 from oracles import SAMPLE_BODY_RE, ReferenceInkSignal
 
 DATA = Path(__file__).parent / "data"
@@ -1196,6 +1197,24 @@ def test_read_records_yields_files_in_path_order_and_checks_sidecars_after_them(
     assert len([next(records) for _ in paths]) == 18
     with pytest.raises(FormatError, match="aux sidecar needs a header line"):
         next(records)
+
+
+@needs_fifo
+def test_read_files_names_a_task_file_or_sidecar_it_cannot_read_and_never_opens_it(tmp_path):
+    # A named pipe opened for reading waits for a writer, so reading one named
+    # *.ink or aux.tsv stalled the walk; a directory so named is the same case.
+    write_corpus(sets_corpus(SynthProfile(seed=4, n_subjects=1), (SetId.S1,)), tmp_path)
+    s1 = tmp_path / "U01" / "S1"
+    (s1 / "task9.ink").unlink()
+    fifos = [s1 / "task9.ink", s1 / "aux.tsv"]
+    for fifo in fifos:
+        os.mkfifo(fifo)
+    (s1 / "folder.ink").mkdir()
+    named = dict(call_beside_fifos(lambda: list(read_files(tmp_path)), fifos))
+    for path in [*fifos, s1 / "folder.ink"]:
+        assert type(named[path]) is FormatError
+        assert str(named[path]) == f"{path}: not a regular file"
+    assert sum(isinstance(outcome, TaskRecord) for outcome in named.values()) == 8
 
 
 def test_read_files_gives_one_outcome_a_file_and_each_error_names_its_file(tmp_path):
