@@ -22,6 +22,7 @@ import itertools
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from . import features as features_mod
@@ -31,7 +32,7 @@ from .errors import ConfigError, InkError
 # stay bound because perfbench/tracer.py patches each of them by name in this
 # module, until ROADMAP item 1 drops cli from those lookup sites.
 from .model import (
-    ALL_SETS, AUX_FILE_NAME, TASK_IDS, SetId, ascii_float, load_corpus, parse_task_file,
+    ALL_SETS, AUX_FILE_NAME, TASK_IDS, ascii_float, load_corpus, parse_task_file,
     read_files, read_input, read_key_values, read_records, record_path, write_corpus,
 )
 from .protocol import canonical_set_pairs, parse_pair_label, summarize_recovery
@@ -53,50 +54,49 @@ def _alpha_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _features_arg(text: str) -> tuple[str, ...]:
-    names = tuple(n.strip() for n in text.split(",") if n.strip())
-    known = features_mod.full_catalog()
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown feature(s): {', '.join(unknown)}")
-    if not names:
-        raise argparse.ArgumentTypeError("feature list is empty")
-    # Keep catalog order regardless of how the user listed them.
-    return tuple(n for n in known if n in names)
-
-
-def _pairs_arg(text: str) -> tuple[tuple[SetId, SetId], ...]:
+def _list_arg(check, canonical, what: str, text: str) -> tuple:
+    """The distinct comma-separated items of ``text`` that ``check`` maps to
+    their values, blank ones dropped, in ``canonical`` order; ``check``'s
+    module words the error for an item it refuses."""
     try:
-        wanted = {parse_pair_label(tok.strip()) for tok in text.split(",") if tok.strip()}
+        wanted = set(check([item.strip() for item in text.split(",") if item.strip()]))
     except InkError as exc:
         raise argparse.ArgumentTypeError(str(exc))
     if not wanted:
-        raise argparse.ArgumentTypeError("pair list is empty")
-    return tuple(p for p in canonical_set_pairs() if p in wanted)
+        raise argparse.ArgumentTypeError(f"{what} list is empty")
+    return tuple(value for value in canonical if value in wanted)
+
+
+def _path_arg(text: str) -> str:
+    """A path flag's value; an empty one would name the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty path")
+    return text
 
 
 #: Every flag of every subcommand, as ``add_argument`` keywords, defaults
 #: included. A --config file may set any of them except those in _FLAG_ONLY,
 #: with the same conversion and choices.
 _OPTIONS = {
-    "corpus": {"help": "corpus directory"},
-    "profile": {"required": True, "help": "profile file (key = value)"},
-    "matrix": {"required": True, "help": "matrix.json produced by compare"},
+    "corpus": {"type": _path_arg, "help": "corpus directory"},
+    "profile": {"type": _path_arg, "required": True, "help": "profile file (key = value)"},
+    "matrix": {"type": _path_arg, "required": True, "help": "matrix.json produced by compare"},
     "alpha": {
         "type": _alpha_arg, "default": 0.05, "help": "significance level (default %(default)s)",
     },
     "pairs": {
-        "type": _pairs_arg, "default": tuple(canonical_set_pairs()),
-        "help": "comma-separated set pairs",
+        "type": partial(_list_arg, partial(map, parse_pair_label), canonical_set_pairs(), "pair"),
+        "default": tuple(canonical_set_pairs()), "help": "comma-separated set pairs",
     },
     "features": {
-        "type": _features_arg, "default": features_mod.DEFAULT_CATALOG,
-        "help": "comma-separated catalog subset",
+        "type": partial(_list_arg, features_mod.check_names, features_mod.full_catalog(),
+                        "feature"),
+        "default": features_mod.DEFAULT_CATALOG, "help": "comma-separated catalog subset",
     },
     "format": {"choices": ("tsv", "json", "markdown"), "default": "tsv"},
     "test": {"choices": TESTS, "default": "signed-rank"},
     "sided": {"choices": tuple(_SIDED), "default": "two"},
-    "config": {"type": Path, "help": "key = value defaults for flags"},
+    "config": {"type": _path_arg, "help": "key = value defaults for flags"},
     "out": {"help": f"output directory (default ${ENV_OUT})"},
 }
 _FLAG_ONLY = ("profile", "matrix", "config")
@@ -315,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             try:
-                config = read_input(args.config, _parse_config)
+                config = read_input(Path(args.config), _parse_config)
             except (InkError, OSError) as exc:  # read_input names the file
                 raise argparse.ArgumentTypeError(str(exc))
             parser = build_parser(config)

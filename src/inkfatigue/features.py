@@ -231,10 +231,13 @@ def full_catalog() -> tuple[str, ...]:
     return DEFAULT_CATALOG + PENDOWN_CATALOG
 
 
-def _check_names(catalog: Sequence[str]) -> None:
-    unknown = [name for name in catalog if name not in _KNOWN_NAMES]
+def check_names(catalog: Iterable[str]) -> tuple[str, ...]:
+    """The names of ``catalog``, checked; RangeError names every unknown one."""
+    names = tuple(catalog)
+    unknown = [name for name in names if name not in _KNOWN_NAMES]
     if unknown:
         raise RangeError(f"unknown feature name(s): {', '.join(unknown)}")
+    return names
 
 
 def extract_features(
@@ -255,7 +258,7 @@ def extract_features(
         raise TooShortError(
             f"feature extraction needs at least {MIN_SIGNAL_LEN} samples, got {n}"
         )
-    _check_names(catalog)
+    check_names(catalog)
 
     x, y, p = sig.x, sig.y, sig.pressure
     wanted = set(catalog)
@@ -366,7 +369,7 @@ def feature_table(
     unknown feature among it, is checked before any record is read."""
     catalog, width = tuple(catalog), len(catalog)
     FeatureTable((), catalog, np.empty((0, width)), np.empty((0, width), bool), {})
-    _check_names(catalog)
+    check_names(catalog)
     keys, errors, values, flags = [], {}, array.array("d"), array.array("b")
     for record in records:
         keys.append(record.key)

@@ -154,7 +154,8 @@ class SynthProfile:
         return self.perturbations.get(set_id, IDENTITY)
 
     def subject_ids(self) -> list[str]:
-        return [f"U{i:02d}" for i in range(1, self.n_subjects + 1)]
+        """U01, U02, ... in key order, which puts U100 between U10 and U11."""
+        return sorted(f"U{i:02d}" for i in range(1, self.n_subjects + 1))
 
 
 def _stream(seed: int, *key_parts: object) -> np.random.Generator:

@@ -14,11 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from inkfatigue import cli
 from inkfatigue.cli import _alpha_arg, main
-from inkfatigue.features import DEFAULT_CATALOG, feature_table
+from inkfatigue.errors import InkError
+from inkfatigue.features import DEFAULT_CATALOG, check_names, feature_table, full_catalog
 from inkfatigue.reporting import features_to_tsv, matrix_from_json, matrix_to_json
 from inkfatigue.model import (
     TASK_IDS, SetId, load_corpus, parse_task_file, read_files, write_corpus,
 )
+from inkfatigue.protocol import canonical_set_pairs, pair_label, parse_pair_label
 from inkfatigue.stats import Cell
 from inkfatigue.synth import SynthProfile, generate_corpus, generate_task, load_profile
 
@@ -961,6 +963,75 @@ def test_a_bad_list_flag_is_a_usage_error_naming_the_flag(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["validate", "--corpus", ""], "--corpus"),
+        (["extract", "--corpus", "", "--out", "o"], "--corpus"),
+        (["compare", "--corpus", "", "--out", "o"], "--corpus"),
+        (["synth", "--profile", "", "--out", "o"], "--profile"),
+        (["report", "--matrix", "", "--out", "o"], "--matrix"),
+        (["extract", "--config", "", "--out", "o"], "--config"),
+    ],
+    ids=["validate-corpus", "extract-corpus", "compare-corpus", "profile", "matrix", "config"],
+)
+def test_an_empty_path_flag_is_a_usage_error_naming_the_flag(
+    corpus_dir, tmp_path, monkeypatch, capsys, argv, flag
+):
+    # An empty path would name the working directory, which holds a corpus.
+    monkeypatch.chdir(tmp_path)
+    before = tree_bytes(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: empty path\n")
+    assert tree_bytes(tmp_path) == before
+
+
+# Each list flag: its valid items in canonical order, a spelling of each, the
+# items' owner, and names the owner refuses.
+_LIST_FLAGS = {
+    "pairs": (
+        canonical_set_pairs(), [pair_label(p) for p in canonical_set_pairs()], parse_pair_label,
+        ["S1-S1", "S2-S1", "S1-S9", "S1", "S1-S2-S3", "s1-s2", "bogus"],
+    ),
+    "features": (
+        full_catalog(), full_catalog(), lambda name: check_names([name]),
+        ["bogus", "MEAN_SPEED", "speed", "pendown_entropy_x", "pendown_"],
+    ),
+}
+
+
+@given(st.sampled_from(sorted(_LIST_FLAGS)), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_list_flag_and_its_config_line_give_the_distinct_items_in_canonical_order(flag, data):
+    values, labels, owner, bad_names = _LIST_FLAGS[flag]
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    item = st.builds("{}{}{}".format, pad, st.sampled_from(labels), pad)
+    blank = st.sampled_from(["", " ", "\t "])
+    items = data.draw(st.lists(st.one_of(item, item, blank), min_size=1, max_size=12).filter(
+        lambda drawn: any(i.strip() for i in drawn)
+    ))
+    wanted = {i.strip() for i in items}
+    expected = tuple(v for v, label in zip(values, labels) if label in wanted)
+    text = ",".join(items)
+    args = cli.build_parser().parse_args(["compare", f"--{flag}", text])
+    assert getattr(args, flag) == expected
+    assert cli._parse_config(f"{flag} = {text}\n")[flag] == expected
+
+    bad = data.draw(st.sampled_from(bad_names))
+    padded = data.draw(st.builds("{}{}{}".format, pad, st.just(bad), pad))
+    items.insert(data.draw(st.integers(0, len(items))), padded)
+    with pytest.raises(InkError) as owner_error:
+        owner(bad)
+    text = ",".join(items)
+    code, err = _run(["compare", "--corpus", "missing", "--out", "o", f"--{flag}", text])
+    assert code == 2 and err[-1].endswith(f"error: argument --{flag}: {owner_error.value}")
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp, "run.cfg")
+        config.write_text(f"{flag} = {text}\n")
+        code, err = _run(["compare", "--config", str(config), "--corpus", "missing", "--out", "o"])
+    assert (code, err) == (2, [f"usage error: {config}: line 1: {owner_error.value}"])
+
+
 def test_out_defaults_to_env_var(corpus_dir, tmp_path, monkeypatch):
     out = tmp_path / "envout"
     monkeypatch.setenv("INKFATIGUE_OUT", str(out))
@@ -1041,17 +1112,18 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
     [
         ("alpha = 2\n", 1, "alpha must lie strictly between 0 and 1, got 2.0"),
         ("alpha = x\n", 1, "alpha must be a number, got 'x'"),
-        ("# comment\nfeatures = bogus\n", 2, "unknown feature(s): bogus"),
+        ("# comment\nfeatures = bogus\n", 2, "unknown feature name(s): bogus"),
         ("alpha = 0.1\n\npairs = S2-S1\n", 3, "set pair must be ordered ascending, got 'S2-S1'"),
         ("sided = three\n", 1, "sided must be one of ('two', 'greater', 'less', 'one')"),
         ("pairs = S1-S9\n", 1, "set must be one of S1..S5, got 'S9'"),
         ("features = ,\n", 1, "feature list is empty"),
         ("pairs = , \n", 1, "pair list is empty"),
+        ("alpha = 0.01\ncorpus =\n", 2, "empty path"),
         ("alpha = 0.01\n# again\nalpha = 0.2\n", 3, "alpha is already set on line 1"),
         ("test = rank-sum\ntest = rank-sum\n", 2, "test is already set on line 1"),
     ],
     ids=["alpha-range", "alpha-number", "features", "pairs", "sided", "pair-set",
-         "no-features", "no-pairs", "alpha-twice", "same-value-twice"],
+         "no-features", "no-pairs", "empty-corpus", "alpha-twice", "same-value-twice"],
 )
 def test_config_value_of_wrong_type_names_file_and_line(corpus_dir, tmp_path, capsys, text, line, message):
     config = tmp_path / "bad.cfg"

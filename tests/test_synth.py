@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 import threading
 import warnings
@@ -671,3 +672,17 @@ def test_load_profile_names_the_file_as_its_caller_spelled_it(tmp_path, monkeypa
 
 def test_subject_ids_are_stable():
     assert SynthProfile(n_subjects=3).subject_ids() == ["U01", "U02", "U03"]
+
+
+def test_subject_ids_from_100_subjects_on_are_in_key_order():
+    ids = SynthProfile(n_subjects=101).subject_ids()
+    assert ids == sorted(f"U{i:02d}" for i in range(1, 102))
+    assert ids[9:12] == ["U10", "U100", "U101"]
+
+
+def test_generate_records_from_100_subjects_on_is_in_key_order():
+    profile = SynthProfile(seed=47, n_subjects=100)
+    keys = [record.key for record in itertools.islice(generate_records(profile), 500)]
+    grid = itertools.product((f"U{i:02d}" for i in range(1, 101)), ALL_SETS, TASK_IDS)
+    assert keys == sorted(grid)[:500]
+    assert keys[450][0] == "U100"  # U100 sorts between U10 and U11
