@@ -97,7 +97,7 @@ _OPTIONS = {
     "test": {"choices": TESTS, "default": "signed-rank"},
     "sided": {"choices": tuple(_SIDED), "default": "two"},
     "config": {"type": _path_arg, "help": "key = value defaults for flags"},
-    "out": {"help": f"output directory (default ${ENV_OUT})"},
+    "out": {"type": _path_arg, "help": f"output directory (default ${ENV_OUT})"},
 }
 _FLAG_ONLY = ("profile", "matrix", "config")
 
@@ -289,7 +289,8 @@ def build_parser(config: dict[str, object] | None = None) -> argparse.ArgumentPa
         p = sub.add_parser(name, help=help_text)
         for option in options:
             p.add_argument(f"--{option}", **{**_OPTIONS[option], **overrides.get(option, {})})
-        p.set_defaults(func=func, **(config or {}))
+        # A command's own usage errors print its own usage line.
+        p.set_defaults(func=partial(func, parser=p), **(config or {}))
 
     add("validate", cmd_validate, "check every task file of a corpus", "corpus", "config")
     add(
@@ -326,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
                         f"note: --{key} on the command line overrides the config file value",
                         file=sys.stderr,
                     )
-        return args.func(args, parser)
+        return args.func(args)
     except SystemExit as exc:  # argparse usage errors
         return int(exc.code or 0)
     except argparse.ArgumentTypeError as exc:

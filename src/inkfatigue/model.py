@@ -200,6 +200,12 @@ def parse_task_id(text: str) -> int:
     return validate_task_id(int(text))
 
 
+def _check_range(name: str, arr: np.ndarray, lo: int, hi: int) -> None:
+    for i, v in enumerate(arr.tolist()):  # Python numbers compare exactly
+        if not lo <= v <= hi:
+            raise RangeError(f"{name} value {v} at sample {i} outside [{lo}, {hi}]")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class InkSignal:
     """Array-backed, immutable pen time series at a fixed 100 Hz clock.
@@ -208,13 +214,13 @@ class InkSignal:
     that picks their storage, so a producer passes any integer array: they are
     ``CHANNEL_DTYPES``, or ``WIDE_CHANNEL_DTYPES`` if x or y holds a value past
     int32. x and y must fit int64, as in files. A pressure, azimuth or altitude
-    of an integer type that holds one value is a zero-stride view into one
-    shared read-only 4 KiB table of the values 0..2047, so it stores nothing of
-    its own; every other channel is a dense copy. No channel aliases the
-    caller's array. Checks see the values as given and come before any cast,
-    so no value wraps into range, and an error names the value as given
-    (``inf``, not -2**63). Equality is structural over all channels. Pickling
-    and copying rebuild the signal through these checks.
+    that holds one value is a zero-stride view into one shared read-only 4 KiB
+    table of the values 0..2047, so it stores nothing of its own; every other
+    channel is a dense copy. No channel aliases the caller's array. Checks see
+    the values as given and come before any cast, so no value wraps into range,
+    and an error names the value as given (``inf``, not -2**63). Equality is
+    structural over all channels. Pickling and copying rebuild the signal
+    through these checks.
     """
 
     x: np.ndarray
@@ -243,35 +249,28 @@ class InkSignal:
                 raise ShapeError("all channels must have the same length")
         if n < 2:
             raise TooShortError(f"a signal needs at least 2 samples, got {n}")
-        constant = {}
+        extremes = []  # a channel's min/max pair: its range check, one-value view and dtype
         for name in _CHANNELS:
             arr = getattr(self, name)
             lo, hi = _CHANNEL_BOUNDS.get(name, _INT64_BOUNDS)
-            # An x or y of an integer type up to int64 needs no check; an integer
-            # bounded channel takes one min/max pair, which also tells a
-            # one-value channel.
-            if arr.dtype in _INT64_SAFE:
-                if name not in _CHANNEL_BOUNDS:
-                    continue
-                least, most = np.minimum.reduce(arr), np.maximum.reduce(arr)
-                if lo <= least and most <= hi:
-                    if least == most:
-                        constant[name] = int(least)
-                    continue
-            # Python numbers compare exactly, so 2**63, inf and nan are named as given.
-            for i, v in enumerate(arr.tolist()):
-                if not lo <= v <= hi:
-                    raise RangeError(f"{name} value {v} at sample {i} outside [{lo}, {hi}]")
+            # Any dtype but an integer one up to int64 is checked value by value
+            # first, as a nan would make the pair of an object array warn.
+            if arr.dtype not in _INT64_SAFE:
+                _check_range(name, arr, lo, hi)
+            least, most = np.minimum.reduce(arr), np.maximum.reduce(arr)
+            if not (lo <= least and most <= hi):
+                _check_range(name, arr, lo, hi)
+            extremes.append((least, most))
         # The one storage rule: x and y are int32 when every value of both fits it.
         lo, hi = _INT32_BOUNDS
-        wide = not all(lo <= np.minimum.reduce(a) and np.maximum.reduce(a) <= hi
-                       for a in (self.x, self.y))
-        for name, dtype in (WIDE_CHANNEL_DTYPES if wide else CHANNEL_DTYPES).items():
-            if name in constant:
+        wide = not all(lo <= least and most <= hi for least, most in extremes[:2])
+        dtypes = WIDE_CHANNEL_DTYPES if wide else CHANNEL_DTYPES
+        for name, (least, most) in zip(_CHANNELS, extremes):
+            if least == most and name in _CHANNEL_BOUNDS:
                 # Bounded channels are int16, as is the table: 2 bytes a value.
-                arr = np.ndarray(n, dtype, _VALUE_TABLE, offset=2 * constant[name], strides=(0,))
+                arr = np.ndarray(n, dtypes[name], _VALUE_TABLE, offset=2 * int(least), strides=(0,))
             else:
-                arr = getattr(self, name).astype(dtype)
+                arr = getattr(self, name).astype(dtypes[name])
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

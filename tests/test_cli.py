@@ -275,11 +275,39 @@ def test_corpus_naming_a_file_is_a_usage_error_saying_so(tmp_path, capsys, comma
     out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
     assert main([command, "--corpus", str(afile), *out]) == 2
     err = capsys.readouterr().err
-    assert err.endswith(f"error: --corpus {afile} is not a directory\n")
+    assert err.startswith(f"usage: inkfatigue {command} [-h] ")
+    assert err.endswith(f"inkfatigue {command}: error: --corpus {afile} is not a directory\n")
     assert main([command, "--corpus", str(tmp_path / "missing"), *out]) == 2
     assert capsys.readouterr().err.endswith(
-        f"error: corpus directory does not exist: {tmp_path / 'missing'}\n"
+        f"inkfatigue {command}: error: corpus directory does not exist: {tmp_path / 'missing'}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate"], "--corpus is required"),
+        (["compare", "--out", "o"], "--corpus is required"),
+        (["extract", "--corpus", "."], "--out is required (or set INKFATIGUE_OUT)"),
+        (["synth", "--profile", "profile.cfg"], "--out is required (or set INKFATIGUE_OUT)"),
+        (["report", "--matrix", "matrix.json"], "--out is required (or set INKFATIGUE_OUT)"),
+    ],
+    ids=["validate-corpus", "compare-corpus", "extract-out", "synth-out", "report-out"],
+)
+def test_a_missing_corpus_or_out_is_a_usage_error_under_its_commands_usage(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("INKFATIGUE_OUT", raising=False)
+    write_profile(tmp_path, PROFILE_SMALL)
+    Path("matrix.json").write_text(
+        '{"alpha": 0.05, "pairs": ["S1-S2"], "rows": '
+        '[{"task": 1, "feature": "mean_speed", "cells": [{"p": 0.5}]}]}'
+    )
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: inkfatigue {argv[0]} [-h] ")
+    assert err.endswith(f"\ninkfatigue {argv[0]}: error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["extract", "compare"])
@@ -972,18 +1000,27 @@ def test_a_bad_list_flag_is_a_usage_error_naming_the_flag(
         (["synth", "--profile", "", "--out", "o"], "--profile"),
         (["report", "--matrix", "", "--out", "o"], "--matrix"),
         (["extract", "--config", "", "--out", "o"], "--config"),
+        (["extract", "--corpus", "corpus", "--out", ""], "--out"),
+        (["compare", "--corpus", "corpus", "--out", ""], "--out"),
+        (["synth", "--profile", "profile.cfg", "--out", ""], "--out"),
+        (["report", "--matrix", "matrix.json", "--out", ""], "--out"),
     ],
-    ids=["validate-corpus", "extract-corpus", "compare-corpus", "profile", "matrix", "config"],
+    ids=["validate-corpus", "extract-corpus", "compare-corpus", "profile", "matrix", "config",
+         "extract-out", "compare-out", "synth-out", "report-out"],
 )
 def test_an_empty_path_flag_is_a_usage_error_naming_the_flag(
     corpus_dir, tmp_path, monkeypatch, capsys, argv, flag
 ):
-    # An empty path would name the working directory, which holds a corpus.
+    # An empty path would name the working directory, which holds a corpus;
+    # an empty --out is not absent, so INKFATIGUE_OUT does not stand in for it.
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("INKFATIGUE_OUT", "env")
     before = tree_bytes(tmp_path)
     assert main(argv) == 2
-    assert capsys.readouterr().err.endswith(f"error: argument {flag}: empty path\n")
-    assert tree_bytes(tmp_path) == before
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: inkfatigue {argv[0]} [-h] ")
+    assert err.endswith(f"\ninkfatigue {argv[0]}: error: argument {flag}: empty path\n")
+    assert tree_bytes(tmp_path) == before and not Path("env").exists()
 
 
 # Each list flag: its valid items in canonical order, a spelling of each, the
@@ -1119,11 +1156,13 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
         ("features = ,\n", 1, "feature list is empty"),
         ("pairs = , \n", 1, "pair list is empty"),
         ("alpha = 0.01\ncorpus =\n", 2, "empty path"),
+        ("alpha = 0.01\nout =\n", 2, "empty path"),
         ("alpha = 0.01\n# again\nalpha = 0.2\n", 3, "alpha is already set on line 1"),
         ("test = rank-sum\ntest = rank-sum\n", 2, "test is already set on line 1"),
     ],
     ids=["alpha-range", "alpha-number", "features", "pairs", "sided", "pair-set",
-         "no-features", "no-pairs", "empty-corpus", "alpha-twice", "same-value-twice"],
+         "no-features", "no-pairs", "empty-corpus", "empty-out", "alpha-twice",
+         "same-value-twice"],
 )
 def test_config_value_of_wrong_type_names_file_and_line(corpus_dir, tmp_path, capsys, text, line, message):
     config = tmp_path / "bad.cfg"

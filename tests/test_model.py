@@ -200,6 +200,9 @@ def test_signal_checks_match_the_reference(channels):
         ("pressure", np.array([np.inf, 0.0]), "inf"),
         ("pressure", np.array([-np.inf, 0.0]), "-inf"),
         ("x", [2**70, 0], "1180591620717411303424"),
+        # Checked value by value before any min/max pair, which would skip a
+        # leading nan of an object array and, under numpy's float flags, warn.
+        ("altitude", np.array([float("nan"), 0], dtype=object), "nan"),
     ],
 )
 def test_signal_names_a_value_its_channel_cannot_hold_as_given(channel, value, shown):
@@ -252,17 +255,34 @@ def any_channels(draw):
     return channels
 
 
+def _one_value(value, dtype):
+    return _as_object_array([value] * 3) if dtype is object else np.array([value] * 3, dtype)
+
+
 @given(any_channels())
 @settings(max_examples=400, deadline=None)
+# Any number dtype: a one-value bounded channel views the shared table, and x
+# and y are int32 or int64 by the extremes of both.
+@example([np.array([-(2.0**31), 0.0, 3.0]), _as_object_array([1, 2**31 - 1, 0]),
+          _one_value(7.0, np.float64), _one_value(359, object), _one_value(True, np.bool_)])
+@example([_as_object_array([5, -(2**31), 0]), np.array([1, 2**31, 2**62], np.uint64),
+          _one_value(2047, np.uint16), _one_value(90, np.int8), _one_value(0, np.uint64)])
+@example([np.array([0, 1, 2], np.uint64), np.array([3.0, -(2.0**31) - 1, 2.0**62]),
+          _one_value(0, np.int32), _one_value(1, np.uint32), _one_value(2, np.uint8)])
 def test_signal_stores_exactly_the_integers_given_or_raises(channels):
     try:
         signal = InkSignal(*(c.copy() for c in channels))
     except InkError:
         return
+    wide = not all(-(2**31) <= v < 2**31 for c in channels[:2] for v in c.tolist())
     for name, given_ in zip(model._CHANNELS, channels):
-        stored = getattr(signal, name).tolist()
-        assert all(type(v) is int for v in stored)
-        assert stored == given_.tolist()  # Python compares int, float and bool exactly
+        stored = getattr(signal, name)
+        assert stored.dtype == (model.WIDE_CHANNEL_DTYPES if wide else model.CHANNEL_DTYPES)[name]
+        assert not stored.flags.writeable
+        one_value = name in model._CHANNEL_BOUNDS and len(set(given_.tolist())) == 1
+        assert _views_the_value_table(stored) == one_value
+        assert all(type(v) is int for v in stored.tolist())
+        assert stored.tolist() == given_.tolist()  # Python compares int, float and bool exactly
 
 
 @pytest.mark.parametrize("name", list(model._CHANNEL_BOUNDS))
