@@ -7,9 +7,8 @@ one mutant there and runs the mutant's test files with
 ``-x -q -p no:cacheprovider -m "not slow"``. The mutant is killed when pytest
 reports a failed test (exit code 1); any other pytest exit code is an error.
 
-    python tests/mutants.py           # run every mutant, one at a time
-    python tests/mutants.py NAME ...  # run the named mutants
-    python tests/mutants.py --check   # check that each old text matches once; runs no test
+    python tests/mutants.py          # run every mutant, one at a time
+    python tests/mutants.py --check  # check that each old text matches once; runs no test
 
 The exit status is 0 when every mutant run is killed (with ``--check``, when
 every mutant applies), else 1. Standard library only; pytest does not collect
@@ -127,19 +126,11 @@ def run(mutant: Mutant) -> tuple[str, str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--check", action="store_true",
                         help="only check that each mutant applies; run no test")
     args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    if len(by_name) != len(MUTANTS):
-        parser.error("two mutants share a name")
-    unknown = [n for n in args.names if n not in by_name]
-    if unknown:
-        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
-    chosen = [by_name[n] for n in args.names] if args.names else list(MUTANTS)
     ok = True
-    for mutant in chosen:
+    for mutant in MUTANTS:
         try:
             mutated_text(mutant, ROOT)
             missing = [t for t in mutant.tests if not (ROOT / t).is_file()]

@@ -287,12 +287,10 @@ def test_corpus_naming_a_file_is_a_usage_error_saying_so(tmp_path, capsys, comma
     "argv, message",
     [
         (["validate"], "--corpus is required"),
-        (["compare", "--out", "o"], "--corpus is required"),
-        (["extract", "--corpus", "."], "--out is required (or set INKFATIGUE_OUT)"),
         (["synth", "--profile", "profile.cfg"], "--out is required (or set INKFATIGUE_OUT)"),
         (["report", "--matrix", "matrix.json"], "--out is required (or set INKFATIGUE_OUT)"),
     ],
-    ids=["validate-corpus", "compare-corpus", "extract-out", "synth-out", "report-out"],
+    ids=["validate-corpus", "synth-out", "report-out"],
 )
 def test_a_missing_corpus_or_out_is_a_usage_error_under_its_commands_usage(
     tmp_path, monkeypatch, capsys, argv, message
