@@ -513,7 +513,14 @@ def _check_body(body: str) -> bool:
         return False
     breaks = np.flatnonzero(cls == _BREAK_CLASS)
     n_lines = breaks.size
-    if not np.array_equal(np.searchsorted(starts, breaks), np.arange(5, 5 * n_lines + 1, 5)):
+    # Line i holds tokens 5i..5i+4: the separator in front of token 5i+4 comes
+    # before break i, and that in front of token 5i+5, if any, is break i or later.
+    after = starts[5 : 5 * n_lines + 1 : 5]
+    if (
+        starts.size < 5 * n_lines
+        or np.logical_or.reduce(starts[4 : 5 * n_lines : 5] >= breaks)
+        or np.logical_or.reduce(after < breaks[: after.size])
+    ):
         return False
     last_line = starts.size - 5 * n_lines
     ends_at_break = (breaks[-1] if n_lines else 0) == cls.size - 1
@@ -599,8 +606,10 @@ def _record(headers: Mapping[str, str], signal: InkSignal) -> TaskRecord:
 
 def serialize_task(record: TaskRecord) -> str:
     """Render a TaskRecord in the task file format. Output re-parses to an
-    identical record; extra metadata keys are written in sorted order so the
-    rendering is canonical."""
+    identical record, and the rendering is canonical: extra metadata keys in
+    sorted order, each sample value in decimal with no ``+`` and no leading
+    zero, a space after each of the first four values of a sample and a
+    newline after the fifth."""
     lines = [
         f"#subject={record.subject_id}",
         f"#set={record.set_id.value}",
@@ -609,8 +618,28 @@ def serialize_task(record: TaskRecord) -> str:
     for key in sorted(record.metadata):
         lines.append(f"#{key}={record.metadata[key]}")
     sig = record.signal
-    samples = np.column_stack([getattr(sig, name) for name in _CHANNELS]).ravel().tolist()
-    return "\n".join(lines) + "\n" + ("%d %d %d %d %d\n" * len(sig)) % tuple(samples)
+    values = np.column_stack([getattr(sig, name) for name in _CHANNELS]).ravel()
+    # Each value gets a row of byte cells: a sign, the digits of the widest
+    # magnitude, right-aligned, and its separator. One pass per digit column
+    # fills the rows, unused cells stay 0, and dropping the 0 bytes leaves
+    # the text. abs wraps -2**63 (or -2**31 when x and y are int32) to
+    # itself, and the unsigned view of that is its magnitude.
+    q = np.abs(values).view(f"u{values.itemsize}")
+    width = len(str(q.max()))
+    cells = np.zeros((values.size, width + 2), dtype=np.uint8)
+    cells.reshape(-1, 5, width + 2)[:, :, -1] = np.frombuffer(b"    \n", np.uint8)
+    for col in range(width, 0, -1):
+        tens = q // 10
+        digits = q - 10 * tens + 48
+        if col < width:
+            digits *= q > 0  # a leading position stays 0
+        cells[:, col] = digits
+        q = tens
+    negative = np.flatnonzero(values < 0)
+    first_digit = np.argmax(cells[negative] != 0, axis=1)
+    cells[negative, first_digit - 1] = ord("-")
+    body = cells.tobytes().translate(None, b"\0").decode("ascii")
+    return "\n".join(lines) + "\n" + body
 
 
 def _parse_aux(rel: Path, text: str) -> tuple[str, SetId, AuxRecord]:

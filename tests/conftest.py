@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import Phase, settings, strategies as st
 from hypothesis.errors import InvalidArgument
 
 from inkfatigue.model import ALL_SETS, InkSignal, SetId, StudyCorpus, TASK_IDS, TaskRecord
@@ -18,6 +18,9 @@ try:
 except InvalidArgument:
     _CI_PARENT = None
 settings.register_profile("ci", _CI_PARENT, print_blob=True)
+# tests/mutants.py needs only a failing example, not the smallest one: a
+# property that catches a mutant fails at once instead of shrinking first.
+settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.shrink])
 
 SUBJECT_ALPHABET = "ABCDEFGHJKMNPQRSTUVWXYZabcdefghkmnpqrstuvwxyz0123456789_.-"
 

@@ -4,8 +4,10 @@ Each mutant is one exact replacement, ``old`` by ``new``, in one source file,
 and ``old`` must occur in that file exactly once. A run copies the checkout
 (``src``, ``tests`` and ``pyproject.toml``) to a temporary directory, applies
 one mutant there and runs the mutant's test files with
-``-x -q -p no:cacheprovider -m "not slow"``. The mutant is killed when pytest
-reports a failed test (exit code 1); any other pytest exit code is an error.
+``-x -q -p no:cacheprovider -m "not slow" --hypothesis-profile=mutants``
+(every hypothesis phase but shrinking, registered in ``tests/conftest.py``).
+The mutant is killed when pytest reports a failed test (exit code 1); any
+other pytest exit code is an error.
 
     python tests/mutants.py          # run every mutant, one at a time
     python tests/mutants.py --check  # check that each old text matches once; runs no test
@@ -64,6 +66,14 @@ MUTANTS = (
            "        or np.logical_or.reduce(token[signs - 1])\n",
            "",
            (TEST_MODEL,)),
+    # The task file writer.
+    Mutant("writer-keeps-leading-zeros", MODEL,
+           "digits *= q > 0", "pass",
+           (TEST_MODEL,)),
+    Mutant("writer-puts-the-sign-one-column-early", MODEL,
+           "cells[negative, first_digit - 1] = ord(\"-\")",
+           "cells[negative, first_digit - 2] = ord(\"-\")",
+           (TEST_MODEL,)),
     # Features.
     Mutant("stroke-count-misses-the-first-transition", FEATURES,
            "runs = 1 + int(np.count_nonzero(down[1:] != down[:-1]))",
@@ -111,7 +121,8 @@ def run(mutant: Mutant) -> tuple[str, str]:
         (copy / mutant.file).write_text(mutated_text(mutant, ROOT), encoding="utf-8")
         result = subprocess.run(
             [sys.executable, "-m", "pytest", *mutant.tests,
-             "-x", "-q", "-p", "no:cacheprovider", "-m", "not slow"],
+             "-x", "-q", "-p", "no:cacheprovider", "-m", "not slow",
+             "--hypothesis-profile=mutants"],
             cwd=copy, env=dict(os.environ, PYTHONPATH=str(copy / "src")),
             capture_output=True, text=True,
         )

@@ -37,7 +37,9 @@ match them bit for bit:
   feature renderers read the dict table;
 - ``reference_matrix_to_json`` and ``reference_recovery_to_json`` keep the
   JSON writers that named every field of ``Cell``, ``RecoverySummary`` and
-  ``CategoryCount`` by hand.
+  ``CategoryCount`` by hand;
+- ``reference_serialize_task`` keeps the task file writer that formatted
+  the samples with one ``%d`` template over a tuple of Python ints.
 
 ``SAMPLE_BODY_RE`` is the sample-line grammar of a task file as one regex,
 the oracle of the parser's byte-class check.
@@ -217,6 +219,20 @@ _SPACE = rf"[^\S{_LINE_BREAKS}]"
 _INT = r"[+-]?[0-9]+"
 _SAMPLE_LINE = rf"{_SPACE}*{_INT}" + rf"{_SPACE}+{_INT}" * 4 + rf"{_SPACE}*"
 SAMPLE_BODY_RE = re.compile(rf"(?:{_SAMPLE_LINE}{_EOL})*(?:{_SAMPLE_LINE})?")
+
+
+def reference_serialize_task(record: TaskRecord) -> str:
+    """``model.serialize_task`` with the samples written by ``%`` formatting."""
+    lines = [
+        f"#subject={record.subject_id}",
+        f"#set={record.set_id.value}",
+        f"#task={record.task}",
+    ]
+    for key in sorted(record.metadata):
+        lines.append(f"#{key}={record.metadata[key]}")
+    sig = record.signal
+    samples = np.column_stack([getattr(sig, name) for name in _CHANNELS]).ravel().tolist()
+    return "\n".join(lines) + "\n" + ("%d %d %d %d %d\n" * len(sig)) % tuple(samples)
 
 
 @dataclass(frozen=True, eq=False)

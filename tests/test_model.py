@@ -53,7 +53,7 @@ from inkfatigue import synth
 from inkfatigue.synth import Perturbation, SynthProfile, generate_corpus, generate_task
 
 from conftest import call_beside_fifos, lax_numbers, needs_fifo, random_record, sets_corpus
-from oracles import SAMPLE_BODY_RE, ReferenceInkSignal
+from oracles import SAMPLE_BODY_RE, ReferenceInkSignal, reference_serialize_task
 
 DATA = Path(__file__).parent / "data"
 
@@ -871,6 +871,38 @@ def in_bounds_signals(draw):
 def test_round_trip_holds_for_any_in_bounds_signal(signal):
     record = TaskRecord("U1", SetId.S2, 5, signal)
     assert parse_task_file(serialize_task(record)) == record
+
+
+@st.composite
+def writer_signals(draw):
+    """Signals of n >= 2 samples: x and y up to a drawn scale, so that both
+    are stored int32 or (mostly, at the largest) int64, with the edges of
+    the digit counts and of the scale drawn often; each bounded channel
+    holds one value or many."""
+    n = draw(st.integers(2, 8))
+    scale = draw(st.sampled_from([120, 2**31, 2**63]))
+    edges = st.sampled_from([0, -1, 9, -9, 10, -10, 99, 100, -scale, scale - 1])
+    xy = st.integers(-scale, scale - 1) | edges
+    channels = [draw(st.lists(xy, min_size=n, max_size=n)) for _ in "xy"]
+    for lo, hi in model._CHANNEL_BOUNDS.values():
+        value = st.sampled_from([lo, hi]) | st.integers(lo, hi)
+        if draw(st.booleans()):
+            channels.append([draw(value)] * n)
+        else:
+            channels.append(draw(st.lists(value, min_size=n, max_size=n)))
+    return InkSignal(*channels)
+
+
+@given(writer_signals())
+@settings(max_examples=300, deadline=None)
+@example(InkSignal([-(2**63), 2**63 - 1], [0, -5], [2047, 2047], [0, 0], [90, 90]))
+@example(InkSignal([-(2**31), 2**31 - 1, 9], [10, 99, 100], [0, 1, 2047], [359, 0, 7], [0, 0, 0]))
+@example(InkSignal([2**32, 9, 10], [99, 100, -(2**31)], [5, 5, 5], [1, 2, 3], [45, 45, 45]))
+def test_serialize_writes_the_bytes_of_the_reference_writer(signal):
+    # The parser takes [+-]?[0-9]+, so a round trip cannot see a leading 0 or
+    # a "+"; the reference formats each sample with "%d".
+    record = TaskRecord("U1", SetId.S2, 5, signal, {"device": "pen", "date": "2024-01-01"})
+    assert serialize_task(record) == reference_serialize_task(record)
 
 
 # Line boundaries of str.splitlines, whitespace and header syntax.
