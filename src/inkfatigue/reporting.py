@@ -6,7 +6,11 @@ cells in bold). The significance TSV and the bold cells read
 ``ComparisonMatrix.mask``, which compares p with the matrix's own alpha. Feature
 tables render as TSV/JSON/markdown in the table's catalog order, one row per
 record; a record whose extraction failed renders NA values (JSON ``null``).
-Every TSV and markdown table goes through one writer per format. The cells
+Every TSV and markdown table goes through one writer per format, which takes
+its rows as an iterator. Both JSON views of a table go through one row
+writer, ``_json_array``: it dumps each row alone, re-indents it to its depth
+and joins all parts once, giving the bytes of one ``json.dumps`` of the whole
+document. So every render holds about twice the text it returns. The cells
 of ``matrix.json`` and all of ``recovery.json`` are the ``Cell`` and
 ``RecoverySummary`` fields as declared, so adding a field changes those
 files. All renderers are deterministic: identical inputs yield identical
@@ -22,8 +26,9 @@ converts speeds and accelerations to per-second units for readability.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import FormatError, InkError, RangeError
 from .features import COUNT_FEATURES, EXTRACTION_FAILED, FeatureTable, full_catalog
@@ -42,14 +47,28 @@ PER_SECOND_SCALE = {
 NA = "NA"
 
 
-def _tsv(header: Sequence[str], rows) -> str:
-    return "".join("\t".join(fields) + "\n" for fields in (header, *rows))
+def _tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    return "".join("\t".join(fields) + "\n" for fields in itertools.chain([header], rows))
 
 
-def _markdown(header: Sequence[str], rows) -> str:
-    lines = ["| " + " | ".join(fields) + " |" for fields in (header, *rows)]
-    lines.insert(1, "|" + "|".join(["---"] * len(header)) + "|")
-    return "\n".join(lines) + "\n"
+def _markdown(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    lines = ("| " + " | ".join(fields) + " |\n" for fields in itertools.chain([header], rows))
+    rule = "|" + "|".join(["---"] * len(header)) + "|\n"
+    return "".join(itertools.chain([next(lines), rule], lines))
+
+
+def _json_array(head: str, rows: Iterable, depth: int, tail: str) -> str:
+    """``head``, the array of ``rows`` as ``json.dumps(..., indent=2,
+    sort_keys=True)`` writes it ``depth`` levels deep, then ``tail``. Each
+    row is dumped alone and re-indented to its depth (every newline in a
+    dump is layout: strings escape theirs), and all parts are joined once."""
+    inner = "\n" + "  " * (depth + 1)
+    parts = [head, "["]
+    for row in rows:
+        parts += (inner, json.dumps(row, indent=2, sort_keys=True).replace("\n", inner), ",")
+    parts[-1] = "[]" if len(parts) == 2 else "\n" + "  " * depth + "]"
+    parts.append(tail)
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -84,28 +103,27 @@ def mask_to_tsv(matrix: ComparisonMatrix) -> str:
 
 
 def matrix_to_markdown(matrix: ComparisonMatrix) -> str:
-    cell_rows = []
-    for cells, mask_row in zip(matrix.cells, matrix.mask()):
-        texts = [NA if c is None else f"{c.p:.4g}" for c in cells]
-        cell_rows.append([f"**{t}**" if m else t for t, m in zip(texts, mask_row)])
+    cell_rows = (
+        [NA if c is None else f"**{c.p:.4g}**" if m else f"{c.p:.4g}" for c, m in zip(cells, row)]
+        for cells, row in zip(matrix.cells, matrix.mask())
+    )
     return _markdown(*_matrix_layout(matrix, ("Task type", "Task", "Feature"), cell_rows))
 
 
 def matrix_to_json(matrix: ComparisonMatrix) -> str:
-    payload = {
-        "alpha": matrix.alpha,
-        "pairs": [pair_label(p) for p in matrix.pairs],
-        "rows": [
-            {
-                "task": row.task,
-                "feature": row.feature,
-                "category": row.category.value,
-                "cells": [None if cell is None else vars(cell) for cell in cells],
-            }
-            for row, cells in zip(matrix.rows, matrix.cells)
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    pairs = [pair_label(p) for p in matrix.pairs]
+    head = json.dumps({"alpha": matrix.alpha, "pairs": pairs}, indent=2, sort_keys=True)
+    rows = (
+        {
+            "task": row.task,
+            "feature": row.feature,
+            "category": row.category.value,
+            "cells": [None if cell is None else vars(cell) for cell in cells],
+        }
+        for row, cells in zip(matrix.rows, matrix.cells)
+    )
+    # "rows" sorts after "alpha" and "pairs": it opens where head's "\n}" was.
+    return _json_array(head[:-2] + ',\n  "rows": ', rows, 1, "\n}\n")
 
 
 def _matrix_row(task, feature, category) -> MatrixRow:
@@ -224,24 +242,25 @@ def load_matrix_tsv(text: str) -> ComparisonMatrix:
 def _feature_rows(table: FeatureTable):
     """Key, values (None if failed; counts as ints) and sorted flags of each row."""
     counts = [name in COUNT_FEATURES for name in table.catalog]
-    for key, row, flags in zip(table.keys, table.values.tolist(), table.flags.tolist()):
+    for key, row, flags in zip(table.keys, table.values, table.flags):
         if key in table.errors:
             yield key, None, [EXTRACTION_FAILED]
         else:
-            values = [int(v) if count else v for v, count in zip(row, counts)]
-            yield key, values, sorted(n for n, flag in zip(table.catalog, flags) if flag)
+            values = [int(v) if count else v for v, count in zip(row.tolist(), counts)]
+            yield key, values, sorted(n for n, flag in zip(table.catalog, flags.tolist()) if flag)
 
 
 def features_to_tsv(table: FeatureTable) -> str:
-    rows = []
-    for (subject, set_id, task), values, flags in _feature_rows(table):
-        texts = [NA] * len(table.catalog) if values is None else list(map(repr, values))
-        rows.append([subject, set_id.value, str(task), *texts, ",".join(flags)])
-    return _tsv(["subject", "set", "task", *table.catalog, "degenerate"], rows)
+    def rows():
+        for (subject, set_id, task), values, flags in _feature_rows(table):
+            texts = [NA] * len(table.catalog) if values is None else map(repr, values)
+            yield [subject, set_id.value, str(task), *texts, ",".join(flags)]
+
+    return _tsv(["subject", "set", "task", *table.catalog, "degenerate"], rows())
 
 
 def features_to_json(table: FeatureTable) -> str:
-    payload = [
+    rows = (
         {
             "subject": subject,
             "set": set_id.value,
@@ -250,8 +269,8 @@ def features_to_json(table: FeatureTable) -> str:
             "degenerate": flags,
         }
         for (subject, set_id, task), values, flags in _feature_rows(table)
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    )
+    return _json_array("", rows, 0, "\n")
 
 
 #: Markdown column-label suffix by display scale.
@@ -262,13 +281,15 @@ def features_to_markdown(table: FeatureTable) -> str:
     """Markdown feature table with speeds/accelerations shown per second."""
     labels = [name + _UNIT_SUFFIX.get(PER_SECOND_SCALE.get(name), "") for name in table.catalog]
     scales = [PER_SECOND_SCALE.get(name, 1.0) for name in table.catalog]
-    rows = []
-    for (subject, set_id, task), values, _ in _feature_rows(table):
-        texts = [NA] * len(table.catalog) if values is None else [
-            f"{v * scale:.6g}" for v, scale in zip(values, scales)
-        ]
-        rows.append([subject, set_id.value, str(task), *texts])
-    return _markdown(["subject", "set", "task", *labels], rows)
+
+    def rows():
+        for (subject, set_id, task), values, _ in _feature_rows(table):
+            texts = [NA] * len(table.catalog) if values is None else [
+                f"{v * scale:.6g}" for v, scale in zip(values, scales)
+            ]
+            yield [subject, set_id.value, str(task), *texts]
+
+    return _markdown(["subject", "set", "task", *labels], rows())
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,11 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # the test files that must kill it
 
 
-MODEL, STATS, FEATURES = (f"src/inkfatigue/{m}.py" for m in ("model", "stats", "features"))
-TEST_MODEL, TEST_STATS, TEST_FEATURES = (
-    f"tests/test_{m}.py" for m in ("model", "stats", "features")
+MODEL, STATS, FEATURES, REPORTING = (
+    f"src/inkfatigue/{m}.py" for m in ("model", "stats", "features", "reporting")
+)
+TEST_MODEL, TEST_STATS, TEST_FEATURES, TEST_REPORTING = (
+    f"tests/test_{m}.py" for m in ("model", "stats", "features", "reporting")
 )
 
 MUTANTS = (
@@ -97,6 +99,13 @@ MUTANTS = (
            "    return float(min(p, 1.0))\n",
            "    return math.nextafter(float(min(p, 1.0)), 0.0)\n",
            (TEST_STATS,)),
+    # The JSON row writer.
+    Mutant("json-nested-row-one-level-short", REPORTING,
+           'rows, 1, "\\n}\\n")', 'rows, 0, "\\n}\\n")',
+           (TEST_REPORTING,)),
+    Mutant("json-rows-without-commas", REPORTING,
+           '.replace("\\n", inner), ",")', '.replace("\\n", inner), "")',
+           (TEST_REPORTING,)),
 )
 
 

@@ -38,6 +38,11 @@ match them bit for bit:
 - ``reference_matrix_to_json`` and ``reference_recovery_to_json`` keep the
   JSON writers that named every field of ``Cell``, ``RecoverySummary`` and
   ``CategoryCount`` by hand;
+- ``reference_features_to_json`` keeps the feature JSON writer, and the
+  row walk it read, from before the renderers built their text one row at
+  a time: the walk converts the whole table with one ``.tolist()`` and the
+  writer runs one ``json.dumps`` over the whole document. It reads the
+  columnar ``FeatureTable``;
 - ``reference_serialize_task`` keeps the task file writer that formatted
   the samples with one ``%d`` template over a tuple of Python ints.
 
@@ -63,6 +68,7 @@ from inkfatigue.errors import (
     TooShortError,
 )
 from inkfatigue.features import (
+    COUNT_FEATURES,
     DEFAULT_CATALOG,
     EXTRACTION_FAILED,
     MIN_SIGNAL_LEN,
@@ -950,6 +956,31 @@ def reference_matrix_to_json(matrix: ComparisonMatrix) -> str:
             for row, cells in zip(matrix.rows, matrix.cells)
         ],
     }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _reference_feature_rows(table):
+    """Key, values (None if failed; counts as ints) and sorted flags of each row."""
+    counts = [name in COUNT_FEATURES for name in table.catalog]
+    for key, row, flags in zip(table.keys, table.values.tolist(), table.flags.tolist()):
+        if key in table.errors:
+            yield key, None, [EXTRACTION_FAILED]
+        else:
+            values = [int(v) if count else v for v, count in zip(row, counts)]
+            yield key, values, sorted(n for n, flag in zip(table.catalog, flags) if flag)
+
+
+def reference_features_to_json(table) -> str:
+    payload = [
+        {
+            "subject": subject,
+            "set": set_id.value,
+            "task": task,
+            "values": None if values is None else dict(zip(table.catalog, values)),
+            "degenerate": flags,
+        }
+        for (subject, set_id, task), values, flags in _reference_feature_rows(table)
+    ]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -630,12 +630,17 @@ def test_extract_rows_follow_headers_not_paths(corpus_dir, tmp_path):
     assert expected.splitlines()[1].startswith("U01\tS1\t1\t")
 
 
-@pytest.mark.parametrize("command", ["synth", "validate", "extract", "compare"])
+@pytest.mark.parametrize(
+    "command",
+    ["synth", "validate", "extract", "compare", "extract --format json", "extract --format markdown"],
+)
 def test_corpus_commands_memory_grows_with_outputs_not_ink(tmp_path, command):
     """Three more subjects (135 more task files) raise the traced peak of a
     run by less than a quarter of their ink text: the records stream through
-    it. A run that held every record would need more than half of it. Synth
-    writes the corpora that the other commands read."""
+    it, and a render holds about twice its text. A run that held every record
+    would need more than half of it. Synth writes the corpora that the other
+    commands read."""
+    command, *options = command.split()
     big, small = tmp_path / "four", tmp_path / "one"
     write_corpus(generate_corpus(SynthProfile(seed=53, n_subjects=4)), big)
     shutil.copytree(big / "U01", small / "U01")
@@ -646,7 +651,7 @@ def test_corpus_commands_memory_grows_with_outputs_not_ink(tmp_path, command):
             profile = write_profile(tmp_path, f"seed = 53\nn_subjects = {n}\n")
             argv = ["synth", "--profile", str(profile), "--out", str(tmp_path / "out" / root.name)]
         else:
-            argv = [command, "--corpus", str(root)]
+            argv = [command, "--corpus", str(root), *options]
             if command != "validate":
                 argv += ["--out", str(tmp_path / "out")]
         with contextlib.redirect_stdout(io.StringIO()):
